@@ -4,8 +4,9 @@ The package has four layers:
 
 - ``series``: exact truncated power series in a, b, t, q over the
   rationals, with q-shifted-factorial constructors and substitutions.
-- ``identities``: builders for both sides of every cataloged identity and
-  the checkers that compare them coefficient by coefficient.
+- ``identities``: builders for both sides of every cataloged identity,
+  the case table ``CASES`` (one entry per case) and ``run_case``, the one
+  checker that compares the sides of an entry coefficient by coefficient.
 - ``partitions`` / ``bijections``: brute-force partition enumeration (the
   independent oracle) plus the subtract-and-mark map and 2-modular
   conjugation with an exhaustive finite-box audit.
@@ -46,23 +47,17 @@ from .rational import (  # noqa: F401
 )
 from .identities import (  # noqa: F401
     CASES,
+    Check,
     IdentityCase,
     Mismatch,
     VerificationReport,
     build_eq31_side,
     build_f_series,
+    build_report,
     build_thm11_side,
     build_thm31_side,
     rational_series_eval,
     run_case,
-    verify_chain,
-    verify_eq22,
-    verify_eq23,
-    verify_eq31,
-    verify_f_sym_rational,
-    verify_qps,
-    verify_thm11,
-    verify_thm31,
 )
 from .partitions import (  # noqa: F401
     ConstraintSet,

@@ -18,11 +18,15 @@ are exact ``p/q`` strings; no floats anywhere.
 from __future__ import annotations
 
 import argparse
+import copy
+import dataclasses
+import functools
 import json
+import operator
 import re
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Union, get_type_hints
 
 from . import __version__
 from .bijections import (
@@ -36,16 +40,7 @@ from .bijections import (
     sigma_gamma,
     two_modular_conjugate,
 )
-from .identities import (
-    CASES,
-    Mismatch,
-    VerificationReport,
-    build_eq31_side,
-    build_f_series,
-    build_thm11_side,
-    build_thm31_side,
-    run_case,
-)
+from .identities import CASES, Mismatch, VerificationReport, run_case
 from .partitions import ConstraintSet, Partition, enumerate_partitions
 from .rational import RationalAssignment
 from .series import (
@@ -83,183 +78,168 @@ def parse_fraction(text: str) -> Fraction:
 # ------------------------------------------------------------- serialization
 
 
-def _monomial_dict(m: Monomial) -> Dict[str, int]:
-    return {"a": m.e_a, "b": m.e_b, "t": m.e_t, "q": m.e_q}
+class _Codec(NamedTuple):
+    encode: Callable
+    decode: Callable
 
 
-def _mismatch_dict(row: Mismatch) -> Dict[str, object]:
-    return {
-        "monomial": _monomial_dict(row.monomial),
-        "lhs": str(row.lhs),
-        "rhs": str(row.rhs),
-    }
+_PLAIN = _Codec(lambda value: value, copy.copy)
+_FRACTION = _Codec(str, Fraction)
 
 
-def verification_report_to_dict(r: VerificationReport) -> Dict[str, object]:
-    out: Dict[str, object] = {
-        "case": r.case,
-        "mode": r.mode,
-        "caps": r.caps,
-    }
-    if r.assignment is not None:
-        out["assignment"] = r.assignment
-    out["status"] = r.status
-    out["mismatches"] = [_mismatch_dict(m) for m in r.mismatches]
-    out["details"] = r.details
-    out["volatile"] = {"duration_ms": round(r.duration_ms, 3), "version": __version__}
-    return out
+class _Field(NamedTuple):
+    """One wire field: its dotted ``path`` in the JSON object, the attribute
+    name or tuple index it holds (None: the last path step; a function of
+    the object: a field that is only written), its value codec, and whether
+    it is left out when None (and read back as None when absent)."""
+
+    path: str
+    key: Union[str, int, Callable, None] = None
+    codec: _Codec = _PLAIN
+    optional: bool = False
 
 
-def verification_report_from_dict(d: Dict[str, object]) -> VerificationReport:
-    mismatches = [
-        Mismatch(
-            Monomial(
-                row["monomial"]["a"],
-                row["monomial"]["b"],
-                row["monomial"]["t"],
-                row["monomial"]["q"],
-            ),
-            Fraction(row["lhs"]),
-            Fraction(row["rhs"]),
-        )
-        for row in d.get("mismatches", [])
-    ]
-    return VerificationReport(
-        case=d["case"],
-        mode=d["mode"],
-        caps=dict(d["caps"]),
-        assignment=dict(d["assignment"]) if "assignment" in d else None,
-        status=d["status"],
-        mismatches=mismatches,
-        details=dict(d.get("details", {})),
-        duration_ms=float(d.get("volatile", {}).get("duration_ms", 0.0)),
+def _list_of(item: _Codec) -> _Codec:
+    return _Codec(
+        lambda values: [item.encode(v) for v in values],
+        lambda values: [item.decode(v) for v in values],
     )
 
 
-def _property_dict(pc: PropertyCount) -> Dict[str, object]:
-    return {
-        "passed": pc.passed,
-        "failed": pc.failed,
-        "failures": [list(row) for row in pc.failures],
-    }
+def _record(build: Callable, *fields: Union[str, _Field]) -> _Codec:
+    """Codec between ``build``'s objects (dataclasses or tuples) and JSON objects.
+
+    Each wire field is declared once, as a ``_Field`` or as the bare name of
+    an attribute written as it is; both directions derive from it.  An
+    absent field that is not optional takes ``build``'s dataclass default,
+    or raises ``KeyError`` when there is none.
+    """
+    defaults = set()
+    if dataclasses.is_dataclass(build):
+        defaults = {
+            f.name for f in dataclasses.fields(build)
+            if f.default is not dataclasses.MISSING
+            or f.default_factory is not dataclasses.MISSING
+        }
+    specs = []  # (path steps, key, getter, field)
+    for f in fields:
+        f = _Field(f) if isinstance(f, str) else f
+        key = f.path.rsplit(".", 1)[-1] if f.key is None else f.key
+        if callable(key):
+            getter = key
+        else:
+            getter = operator.itemgetter(key) if isinstance(key, int) else operator.attrgetter(key)
+        specs.append((f.path.split("."), key, getter, f))
+
+    def encode(obj) -> Dict[str, object]:
+        out: Dict[str, object] = {}
+        for (*groups, leaf), _, getter, f in specs:
+            value = getter(obj)
+            if value is None and f.optional:
+                continue
+            node = out
+            for group in groups:
+                node = node.setdefault(group, {})
+            node[leaf] = f.codec.encode(value)
+        return out
+
+    def decode(d: Dict[str, object]):
+        args, kwargs = [], {}
+        for steps, key, _, f in specs:
+            if callable(key):
+                continue
+            try:
+                raw = functools.reduce(operator.getitem, steps, d)
+            except KeyError:
+                if key in defaults:
+                    continue
+                if not f.optional:
+                    raise
+                value = None
+            else:
+                value = f.codec.decode(raw)
+            if isinstance(key, int):
+                args.append(value)
+            else:
+                kwargs[key] = value
+        return build(*args, **kwargs)
+
+    return _Codec(encode, decode)
 
 
-def _genpoly_rows(rows) -> List[Dict[str, object]]:
-    return [
-        {"monomial": {"a": k[0], "q": k[1]}, "domain": x, "codomain": y}
-        for k, x, y in rows
-    ]
+def _dataclass(cls, **codecs: _Codec) -> _Codec:
+    """Record codec writing each field of dataclass ``cls`` under its own name."""
+    names = (f.name for f in dataclasses.fields(cls))
+    return _record(cls, *(_Field(name, codec=codecs.get(name, _PLAIN)) for name in names))
 
 
-def _map_audit_dict(audit: MapAudit) -> Dict[str, object]:
-    return {
-        "variant": audit.variant,
-        "domain_size": audit.domain_size,
-        "codomain_size": audit.codomain_size,
-        "weight_preserved": _property_dict(audit.weight_preserved),
-        "odd_count_preserved": _property_dict(audit.odd_count_preserved),
-        "codomain_membership": _property_dict(audit.codomain_membership),
-        "statistic_exchange": _property_dict(audit.statistic_exchange),
-        "gamma_roundtrip": _property_dict(audit.gamma_roundtrip),
-        "sigma_involution": _property_dict(audit.sigma_involution),
-        "middle_bounds": _property_dict(audit.middle_bounds),
-        "injective": audit.injective,
-        "collisions": [
-            {"image": image, "preimages": pre} for image, pre in audit.collisions
-        ],
-        "surjective": audit.surjective,
-        "unhit": audit.unhit,
-        "genpoly_equal": audit.genpoly_equal,
-        "genpoly_mismatches": _genpoly_rows(audit.genpoly_mismatches),
-        "middle_multiset_distinct": audit.middle_multiset_distinct,
-        "middle_equals_domain": audit.middle_equals_domain,
-        "middle_equals_codomain": audit.middle_equals_codomain,
-    }
+def _tuple(*values) -> tuple:
+    return values
 
 
-def audit_report_to_dict(r: AuditReport) -> Dict[str, object]:
-    return {
-        "box": {"j": r.j, "M": r.M, "variant": r.variant},
-        "passed": r.passed,
-        "exact": _map_audit_dict(r.exact),
-        "printed": _map_audit_dict(r.printed),
-        "printed_genpoly_strict_empty": {
-            "equal": r.printed_genpoly_strict_equal,
-            "mismatches": _genpoly_rows(r.printed_genpoly_strict_mismatches),
-        },
-        "le_adds_domain": [
-            {"monomial": {"a": k[0], "q": k[1]}, "count": n} for k, n in r.le_adds_domain
-        ],
-        "le_adds_codomain": [
-            {"monomial": {"a": k[0], "q": k[1]}, "count": n}
-            for k, n in r.le_adds_codomain
-        ],
-        "enum_limit": r.enum_limit,
-        "volatile": {"duration_ms": round(r.duration_ms, 3), "version": __version__},
-    }
+def _graded_rows(*names: str) -> _Codec:
+    """Rows ((a, q), *values) of monomial a^i q^k, the values under ``names``."""
+    monomial = _record(_tuple, _Field("a", 0), _Field("q", 1))
+    values = (_Field(name, i) for i, name in enumerate(names, 1))
+    return _list_of(_record(_tuple, _Field("monomial", 0, monomial), *values))
 
 
-def _property_from_dict(d: Dict[str, object]) -> PropertyCount:
-    return PropertyCount(
-        passed=int(d["passed"]),
-        failed=int(d["failed"]),
-        failures=[tuple(row) for row in d.get("failures", [])],
-    )
+_MONOMIAL = _record(
+    Monomial, _Field("a", "e_a"), _Field("b", "e_b"), _Field("t", "e_t"), _Field("q", "e_q")
+)
+_VOLATILE = (
+    _Field("volatile.duration_ms", codec=_Codec(lambda ms: round(ms, 3), float)),
+    _Field("volatile.version", lambda report: __version__),
+)
+_VERIFICATION = _record(
+    VerificationReport,
+    "case",
+    "mode",
+    "caps",
+    _Field("assignment", optional=True),
+    "status",
+    _Field(
+        "mismatches",
+        codec=_list_of(_dataclass(Mismatch, monomial=_MONOMIAL, lhs=_FRACTION, rhs=_FRACTION)),
+    ),
+    "details",
+    *_VOLATILE,
+)
 
 
-def _genpoly_rows_from_dicts(rows) -> List[tuple]:
-    return [
-        ((row["monomial"]["a"], row["monomial"]["q"]), row["domain"], row["codomain"])
-        for row in rows
-    ]
+_GENPOLY_ROWS = _graded_rows("domain", "codomain")
+_COUNT_ROWS = _graded_rows("count")
+_PROPERTY = _dataclass(PropertyCount, failures=_list_of(_Codec(list, tuple)))
+_MAP_AUDIT = _dataclass(
+    MapAudit,
+    collisions=_list_of(_record(_tuple, _Field("image", 0), _Field("preimages", 1))),
+    genpoly_mismatches=_GENPOLY_ROWS,
+    **{name: _PROPERTY for name, t in get_type_hints(MapAudit).items() if t is PropertyCount},
+)
+_AUDIT = _record(
+    AuditReport,
+    "box.j",
+    "box.M",
+    "box.variant",
+    _Field("passed", lambda report: report.passed),
+    _Field("exact", codec=_MAP_AUDIT),
+    _Field("printed", codec=_MAP_AUDIT),
+    _Field("printed_genpoly_strict_empty.equal", "printed_genpoly_strict_equal"),
+    _Field(
+        "printed_genpoly_strict_empty.mismatches",
+        "printed_genpoly_strict_mismatches",
+        _GENPOLY_ROWS,
+    ),
+    _Field("le_adds_domain", codec=_COUNT_ROWS),
+    _Field("le_adds_codomain", codec=_COUNT_ROWS),
+    "enum_limit",
+    *_VOLATILE,
+)
 
-
-def _map_audit_from_dict(d: Dict[str, object]) -> MapAudit:
-    return MapAudit(
-        variant=d["variant"],
-        domain_size=d["domain_size"],
-        codomain_size=d["codomain_size"],
-        weight_preserved=_property_from_dict(d["weight_preserved"]),
-        odd_count_preserved=_property_from_dict(d["odd_count_preserved"]),
-        codomain_membership=_property_from_dict(d["codomain_membership"]),
-        statistic_exchange=_property_from_dict(d["statistic_exchange"]),
-        gamma_roundtrip=_property_from_dict(d["gamma_roundtrip"]),
-        sigma_involution=_property_from_dict(d["sigma_involution"]),
-        middle_bounds=_property_from_dict(d["middle_bounds"]),
-        injective=d["injective"],
-        collisions=[(row["image"], list(row["preimages"])) for row in d["collisions"]],
-        surjective=d["surjective"],
-        unhit=list(d["unhit"]),
-        genpoly_equal=d["genpoly_equal"],
-        genpoly_mismatches=_genpoly_rows_from_dicts(d["genpoly_mismatches"]),
-        middle_multiset_distinct=d["middle_multiset_distinct"],
-        middle_equals_domain=d["middle_equals_domain"],
-        middle_equals_codomain=d["middle_equals_codomain"],
-    )
-
-
-def audit_report_from_dict(d: Dict[str, object]) -> AuditReport:
-    return AuditReport(
-        j=d["box"]["j"],
-        M=d["box"]["M"],
-        variant=d["box"]["variant"],
-        exact=_map_audit_from_dict(d["exact"]),
-        printed=_map_audit_from_dict(d["printed"]),
-        printed_genpoly_strict_equal=d["printed_genpoly_strict_empty"]["equal"],
-        printed_genpoly_strict_mismatches=_genpoly_rows_from_dicts(
-            d["printed_genpoly_strict_empty"]["mismatches"]
-        ),
-        le_adds_domain=[
-            ((row["monomial"]["a"], row["monomial"]["q"]), row["count"])
-            for row in d["le_adds_domain"]
-        ],
-        le_adds_codomain=[
-            ((row["monomial"]["a"], row["monomial"]["q"]), row["count"])
-            for row in d["le_adds_codomain"]
-        ],
-        enum_limit=d["enum_limit"],
-        duration_ms=float(d.get("volatile", {}).get("duration_ms", 0.0)),
-    )
+verification_report_to_dict = _VERIFICATION.encode
+verification_report_from_dict = _VERIFICATION.decode
+audit_report_to_dict = _AUDIT.encode
+audit_report_from_dict = _AUDIT.decode
 
 
 def strip_volatile(d: Dict[str, object]) -> Dict[str, object]:
@@ -319,11 +299,10 @@ def cmd_verify(args) -> int:
         print(f"unknown identity {args.identity!r}; known: {', '.join(sorted(CASES))}",
               file=sys.stderr)
         return EXIT_USAGE
-    mode = args.mode or ("rational" if "formal" not in CASES[args.identity].modes else "formal")
     try:
         report = run_case(
             args.identity,
-            mode=mode,
+            mode=args.mode,
             profile=_profile_from_args(args),
             assign=_assignment_from_args(args),
             cap_q=args.qmax,
@@ -476,30 +455,24 @@ def cmd_map(args) -> int:
     return EXIT_OK
 
 
-_SIDES = {
-    "thm1_1:left": lambda prof: build_thm11_side("left", prof),
-    "thm1_1:right": lambda prof: build_thm11_side("right", prof),
-    "eq3_1:left": lambda prof: build_eq31_side("left", prof),
-    "eq3_1:right": lambda prof: build_eq31_side("right", prof),
-    "thm3_4:left": lambda prof: build_thm31_side("3_4_left", prof),
-    "thm3_4:right": lambda prof: build_thm31_side("3_4_right", prof),
-    "thm3_5:left": lambda prof: build_thm31_side("3_5_left", prof),
-    "thm3_5:right": lambda prof: build_thm31_side("3_5_right", prof),
-    "f_sym:left": lambda prof: build_f_series("b", prof),
-    "f_sym:right": lambda prof: build_f_series("t", prof),
-}
-
-
 def cmd_coeff(args) -> int:
-    if args.side not in _SIDES:
+    sides = {
+        f"{check.coeff_name}:{side}": (check, side)
+        for case in CASES.values()
+        for check in case.checks.values()
+        if check.coeff_name
+        for side in ("left", "right")
+    }
+    if args.side not in sides:
         print(
-            f"unknown side {args.side!r}; known: {', '.join(sorted(_SIDES))}",
+            f"unknown side {args.side!r}; known: {', '.join(sorted(sides))}",
             file=sys.stderr,
         )
         return EXIT_USAGE
     try:
         mono = parse_monomial(args.monomial)
-        series = _SIDES[args.side](_profile_from_args(args))
+        check, side = sides[args.side]
+        series = check.side(side, profile=_profile_from_args(args))
         value = coefficient(series, mono)
     except SeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -507,7 +480,7 @@ def cmd_coeff(args) -> int:
     if args.format == "json":
         payload = {
             "side": args.side,
-            "monomial": _monomial_dict(mono),
+            "monomial": _MONOMIAL.encode(mono),
             "coefficient": str(Fraction(value)),
         }
         _emit(json.dumps(payload, indent=2), args.output)

@@ -1,9 +1,9 @@
-"""Builders and checkers for the identity catalog.
+"""The identity catalog: side builders, the case table and its one checker.
 
-Each catalog entry names a q-series identity; its two (or three) sides are
-built independently, so a mismatch localizes a defect to one side.  Formal
-mode builds both sides as truncated series in a, b, t, q; rational mode
-fixes the parameters at exact rationals and compares series in q alone.
+Each catalog case names a q-series identity; its sides are built
+independently, so a mismatch localizes a defect to one side.  Formal mode
+builds the sides as truncated series in a, b, t, q; rational mode fixes
+the parameters at exact rationals and compares series in q alone.
 
 The flagship identity is the symmetric double series
 
@@ -18,9 +18,17 @@ rewriting chain that proves the flagship identity, and two companion
 series evaluations, one of which is checked in adjudication mode (the
 checker reports what it finds rather than asserting the printed form).
 
-Checkers return a ``VerificationReport``; they raise for configuration
-problems (bad caps, missing or degenerate parameters) and never raise for
-a plain mathematical mismatch.
+``CASES`` is the whole catalog, written once: for every case and mode it
+declares the required parameters, the preconditions, the side builders,
+the comparisons (with the printed variants an adjudicated comparison
+tries, in order) and the deterministic details of the report.
+``run_case`` is the one checker that turns an entry into a
+``VerificationReport``, and ``build_report`` is the one place a report is
+assembled.  Adding a case means adding one entry to ``CASES``.
+
+``run_case`` raises for configuration problems (bad caps, missing or
+degenerate parameters) and never raises for a plain mathematical
+mismatch.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .parallel import parallel_map
 from .rational import (
@@ -59,26 +67,18 @@ from .series import (
 
 __all__ = [
     "CASES",
+    "Check",
     "IdentityCase",
     "Mismatch",
     "VerificationReport",
     "build_eq31_side",
     "build_f_series",
+    "build_report",
     "build_thm11_side",
     "build_thm31_side",
     "eq31_substitution_path",
     "rational_series_eval",
     "run_case",
-    "verify_chain",
-    "verify_eq22",
-    "verify_eq23",
-    "verify_eq31",
-    "verify_f_sym_formal",
-    "verify_f_sym_rational",
-    "verify_qps",
-    "verify_reduction_a0",
-    "verify_thm11",
-    "verify_thm31",
 ]
 
 
@@ -119,22 +119,27 @@ class VerificationReport:
         return self.status == "verified"
 
 
-def _rows_to_mismatches(rows) -> List[Mismatch]:
-    return [Mismatch(m, Fraction(x), Fraction(y)) for m, x, y in rows]
-
-
-def _finish(report: VerificationReport, started: float) -> VerificationReport:
-    report.duration_ms = (time.perf_counter() - started) * 1000.0
-    return report
-
-
-def _caps_dict(profile: TruncationProfile) -> Dict[str, int]:
-    return {
-        "a": profile.cap_a,
-        "b": profile.cap_b,
-        "t": profile.cap_t,
-        "q": profile.cap_q,
-    }
+def build_report(
+    case: str,
+    mode: str,
+    caps: Dict[str, int],
+    assignment: Optional[Dict[str, str]],
+    status: str,
+    rows: Sequence[tuple],
+    details: Dict[str, object],
+    started: float,
+) -> VerificationReport:
+    """Assemble a report from (monomial, lhs, rhs) rows, timed from ``started``."""
+    return VerificationReport(
+        case=case,
+        mode=mode,
+        caps=caps,
+        assignment=assignment,
+        status=status,
+        mismatches=[Mismatch(m, Fraction(x), Fraction(y)) for m, x, y in rows],
+        details=details,
+        duration_ms=(time.perf_counter() - started) * 1000.0,
+    )
 
 
 # ---------------------------------------------------------------- formal sides
@@ -285,152 +290,7 @@ def build_thm31_side(which: str, profile: TruncationProfile) -> TruncatedSeries:
     )
 
 
-# ------------------------------------------------------------- formal checkers
-
-
-def verify_thm11(profile: TruncationProfile, workers: int = 1) -> VerificationReport:
-    """Flagship identity: left vs right, plus left as a b<->t fixed point."""
-    started = time.perf_counter()
-    if profile.cap_b != profile.cap_t:
-        raise ProfileMismatchError(
-            f"needs cap_b == cap_t, got {profile.cap_b} and {profile.cap_t}"
-        )
-    left = build_thm11_side("left", profile, workers)
-    right = build_thm11_side("right", profile, workers)
-    rows = compare_series(left, right)
-    swap_rows = compare_series(left, swap_b_t(left))
-    status = "verified" if not rows and not swap_rows else "mismatch"
-    report = VerificationReport(
-        case="thm1_1",
-        mode="formal",
-        caps=_caps_dict(profile),
-        assignment=None,
-        status=status,
-        mismatches=_rows_to_mismatches(rows),
-        details={
-            "joint_valid_to_q": min(left.valid_to_q, right.valid_to_q),
-            "swap_fixed_point": not swap_rows,
-            "swap_mismatch_count": len(swap_rows),
-            "term_bound": "outer index n <= cap of its series variable (t left, b right)",
-        },
-    )
-    return _finish(report, started)
-
-
-def verify_reduction_a0(profile: TruncationProfile, workers: int = 1) -> VerificationReport:
-    """a = 0 stratum of the flagship left side equals f(b, t) exactly."""
-    started = time.perf_counter()
-    reduced = TruncationProfile(0, profile.cap_b, profile.cap_t, profile.cap_q)
-    lhs = build_thm11_side("left", reduced, workers)
-    rhs = build_f_series("b", reduced, workers)
-    rows = compare_series(lhs, rhs)
-    report = VerificationReport(
-        case="reduction_a0",
-        mode="formal",
-        caps=_caps_dict(reduced),
-        assignment=None,
-        status="verified" if not rows else "mismatch",
-        mismatches=_rows_to_mismatches(rows),
-        details={"joint_valid_to_q": min(lhs.valid_to_q, rhs.valid_to_q)},
-    )
-    return _finish(report, started)
-
-
-def verify_f_sym_formal(profile: TruncationProfile, workers: int = 1) -> VerificationReport:
-    """Symmetry f(b, t) = f(t, b) at the (q, q^2) specialization."""
-    started = time.perf_counter()
-    if profile.cap_b != profile.cap_t:
-        raise ProfileMismatchError(
-            f"needs cap_b == cap_t, got {profile.cap_b} and {profile.cap_t}"
-        )
-    lhs = build_f_series("b", profile, workers)
-    rhs = build_f_series("t", profile, workers)
-    rows = compare_series(lhs, rhs)
-    report = VerificationReport(
-        case="f_sym",
-        mode="formal",
-        caps=_caps_dict(profile),
-        assignment=None,
-        status="verified" if not rows else "mismatch",
-        mismatches=_rows_to_mismatches(rows),
-        details={"joint_valid_to_q": min(lhs.valid_to_q, rhs.valid_to_q)},
-    )
-    return _finish(report, started)
-
-
-def verify_eq31(profile: TruncationProfile, workers: int = 1) -> VerificationReport:
-    """Even-step variant: substitution path vs direct build, plus symmetry.
-
-    The substitution path is valid to 2*cap_q + 1 - cap_a after the shift,
-    so the construction comparison runs on the joint validity region; the
-    left/right symmetry comparison uses the full profile.
-    """
-    started = time.perf_counter()
-    if profile.cap_b != profile.cap_t:
-        raise ProfileMismatchError(
-            f"needs cap_b == cap_t, got {profile.cap_b} and {profile.cap_t}"
-        )
-    direct = build_eq31_side("left", profile, workers)
-    substituted = eq31_substitution_path(profile, workers)
-    joint = min(direct.valid_to_q, substituted.valid_to_q)
-    if joint < 0:
-        report = VerificationReport(
-            case="eq3_1_consistency",
-            mode="formal",
-            caps=_caps_dict(profile),
-            assignment=None,
-            status="error",
-            details={
-                "error": "substitution path has empty validity region; "
-                f"cap_q must exceed cap_a (valid_to_q = {substituted.valid_to_q})",
-            },
-        )
-        return _finish(report, started)
-    construction_rows = compare_series(direct, substituted)
-    right = build_eq31_side("right", profile, workers)
-    symmetry_rows = compare_series(direct, right)
-    status = "verified" if not construction_rows and not symmetry_rows else "mismatch"
-    report = VerificationReport(
-        case="eq3_1_consistency",
-        mode="formal",
-        caps=_caps_dict(profile),
-        assignment=None,
-        status=status,
-        mismatches=_rows_to_mismatches(construction_rows) + _rows_to_mismatches(symmetry_rows),
-        details={
-            "joint_valid_to_q": joint,
-            "construction_mismatch_count": len(construction_rows),
-            "symmetry_mismatch_count": len(symmetry_rows),
-            "substitution_valid_to_q": substituted.valid_to_q,
-        },
-    )
-    return _finish(report, started)
-
-
-def verify_thm31(which: str, profile: TruncationProfile) -> VerificationReport:
-    """Companion evaluations, adjudication mode: report mismatches, never assume."""
-    started = time.perf_counter()
-    if which not in ("3_4", "3_5"):
-        raise SeriesError(f"which must be '3_4' or '3_5', got {which!r}")
-    left = build_thm31_side(f"{which}_left", profile)
-    right = build_thm31_side(f"{which}_right", profile)
-    rows = compare_series(left, right)
-    report = VerificationReport(
-        case=f"thm{which}",
-        mode="formal",
-        caps=_caps_dict(profile),
-        assignment=None,
-        status="verified" if not rows else "mismatch",
-        mismatches=_rows_to_mismatches(rows),
-        details={
-            "joint_valid_to_q": min(left.valid_to_q, right.valid_to_q),
-            "adjudication": "mismatch table reported as found; equality is not assumed",
-        },
-    )
-    return _finish(report, started)
-
-
-# ------------------------------------------------------------ rational checkers
+# ------------------------------------------------------------- rational sides
 
 
 def _qps_summand(assign: RationalAssignment, n: int, cap_q: int) -> TruncatedSeries:
@@ -462,39 +322,6 @@ def _qps_rhs(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
     return product_series(fac, cap_q, label="balanced-sum product side")
 
 
-def verify_qps(assign: RationalAssignment, cap_q: int) -> VerificationReport:
-    """Terminating balanced summation: the n-sum up to N vs the product form.
-
-    The printed product side elsewhere mixes subscripts n and N; the checker
-    evaluates the standard all-N product and records that normalization.
-    The n = N + 1 summand is confirmed to vanish (the q^(-N) stream hits a
-    zero factor), which is why the sum terminates.
-    """
-    started = time.perf_counter()
-    assign.require("a", "b", "c", "N")
-    if assign.N < 0:
-        raise SeriesError(f"N must be >= 0, got {assign.N}")
-    lhs = _qps_lhs(assign, cap_q)
-    rhs = _qps_rhs(assign, cap_q)
-    rows = compare_series(lhs, rhs)
-    probe_zero = _qps_summand(assign, assign.N + 1, cap_q).is_zero()
-    report = VerificationReport(
-        case="qps_2_1",
-        mode="rational",
-        caps={"q": cap_q},
-        assignment=assign.as_strings(),
-        status="verified" if not rows else "mismatch",
-        mismatches=_rows_to_mismatches(rows),
-        details={
-            "form": "all_N_product",
-            "normalization": "product side evaluated with every subscript N",
-            "terminates_at": assign.N,
-            "next_summand_zero": probe_zero,
-        },
-    )
-    return _finish(report, started)
-
-
 def _eq22_rhs(assign: RationalAssignment, cap_q: int, with_qn: bool) -> TruncatedSeries:
     a, b, c, N = assign.a, assign.b, assign.c, assign.N
     c_ab = Fraction(c) / (Fraction(a) * b)
@@ -523,45 +350,6 @@ def _eq22_rhs(assign: RationalAssignment, cap_q: int, with_qn: bool) -> Truncate
     return pref * total
 
 
-def verify_eq22(assign: RationalAssignment, cap_q: int) -> VerificationReport:
-    """Finite rewrite of the balanced sum, adjudicating the printed q^n factor.
-
-    The rewrite is evaluated in two variants, with and without an extra q^n
-    inside each term; the balanced sum is compared against both and the
-    report records which variant matched (the q^n-free one is the one that
-    does; the q^n from the original sum cancels during the rewrite).
-    """
-    started = time.perf_counter()
-    assign.require("a", "b", "c", "N")
-    if assign.N < 0:
-        raise SeriesError(f"N must be >= 0, got {assign.N}")
-    lhs = _qps_lhs(assign, cap_q)
-    rhs_plain = _eq22_rhs(assign, cap_q, with_qn=False)
-    rhs_printed = _eq22_rhs(assign, cap_q, with_qn=True)
-    rows_plain = compare_series(lhs, rhs_plain)
-    rows_printed = compare_series(lhs, rhs_printed)
-    if not rows_plain:
-        status, matched, rows = "verified", "without_qn", rows_plain
-    elif not rows_printed:
-        status, matched, rows = "verified", "with_qn", rows_printed
-    else:
-        status, matched, rows = "mismatch", "none", rows_plain
-    report = VerificationReport(
-        case="rewrite_2_2",
-        mode="rational",
-        caps={"q": cap_q},
-        assignment=assign.as_strings(),
-        status=status,
-        mismatches=_rows_to_mismatches(rows),
-        details={
-            "matched_form": matched,
-            "with_qn_mismatch_count": len(rows_printed),
-            "without_qn_mismatch_count": len(rows_plain),
-        },
-    )
-    return _finish(report, started)
-
-
 def _eq23_lhs(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
     a, b, N = assign.a, assign.b, assign.N
     inv_a = 1 / Fraction(a)
@@ -584,29 +372,6 @@ def _eq23_rhs(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
     fac = pochhammer_factors(Fraction(b) / a, 1, 1, N)
     fac += pochhammer_factors(b, 0, 1, N + 1, inverted=True)
     return product_series(fac, cap_q, label="specialized product side")
-
-
-def verify_eq23(assign: RationalAssignment, cap_q: int) -> VerificationReport:
-    """c = b*q specialization of the balanced sum (contains q/a, so a != 0)."""
-    started = time.perf_counter()
-    assign.require("a", "b", "N")
-    if assign.N < 0:
-        raise SeriesError(f"N must be >= 0, got {assign.N}")
-    if assign.a == 0:
-        raise DegenerateParameterError("parameter a must be nonzero (q/a appears)")
-    lhs = _eq23_lhs(assign, cap_q)
-    rhs = _eq23_rhs(assign, cap_q)
-    rows = compare_series(lhs, rhs)
-    report = VerificationReport(
-        case="eq2_3",
-        mode="rational",
-        caps={"q": cap_q},
-        assignment=assign.as_strings(),
-        status="verified" if not rows else "mismatch",
-        mismatches=_rows_to_mismatches(rows),
-        details={"terminates_at": assign.N},
-    )
-    return _finish(report, started)
 
 
 # The double sums below do not gain q-order in the outer index: the
@@ -705,87 +470,19 @@ def _chain_single_sum(assign: RationalAssignment, cap_q: int, reciprocal: bool) 
     return sum_with_geometric_tail(dterm, b, cap_q + 1, cap_q)
 
 
-def _chain_preconditions(assign: RationalAssignment) -> None:
-    assign.require("a", "b", "t")
-    if assign.a == 0:
-        raise DegenerateParameterError("parameter a must be nonzero (q/a appears)")
-    if assign.t == 1:
-        raise DegenerateParameterError("parameter t must differ from 1 (1 - t divides)")
-    if assign.b == 1:
-        raise DegenerateParameterError("parameter b must differ from 1 (1 - b divides)")
+def _f_rational(assign: RationalAssignment, cap_q: int, exchanged: bool) -> TruncatedSeries:
+    """f(alpha, beta), or f(beta, alpha) when exchanged, with bases q^k1 and q^k2.
 
-
-_CHAIN_BOUND_NOTE = {
-    "shift": "outer index <= cap_q (each term carries q^n); inner sums closed by a "
-    "geometric tail in t once the moving factors leave the q-window",
-    "fine": "double sum as in the shift step; product-form sum closed by a geometric "
-    "tail in b past index cap_q + 1",
-    "final": "both single sums closed by geometric tails in b past index cap_q + 1",
-}
-
-
-def verify_chain(step: str, assign: RationalAssignment, cap_q: int) -> VerificationReport:
-    """One step of the rewriting chain that proves the flagship identity.
-
-    shift: the double sum equals its reindexed (outer index shifted by the
-    inner one) form.  fine: the shifted double sum equals the closed
-    product form.  final: the product form collapses to the single sum
-    target; the target is evaluated both with the factor base a*t and with
-    t/a, and the report records which one matched (t/a is the one implied
-    by the chain; the printed base a*t reflects an inverted parameter).
-    """
-    started = time.perf_counter()
-    if step not in ("shift", "fine", "final"):
-        raise SeriesError(f"step must be shift, fine or final; got {step!r}")
-    _chain_preconditions(assign)
-
-    details: Dict[str, object] = {"index_bounds": _CHAIN_BOUND_NOTE[step]}
-    if step == "shift":
-        lhs = _chain_double_unshifted(assign, cap_q)
-        rhs = _chain_double_shifted(assign, cap_q)
-        rows = compare_series(lhs, rhs)
-        status = "verified" if not rows else "mismatch"
-    elif step == "fine":
-        lhs = _chain_double_shifted(assign, cap_q)
-        rhs = _chain_product_form(assign, cap_q)
-        rows = compare_series(lhs, rhs)
-        status = "verified" if not rows else "mismatch"
-    else:
-        lhs = _chain_product_form(assign, cap_q)
-        rhs_reciprocal = _chain_single_sum(assign, cap_q, reciprocal=True)
-        rhs_printed = _chain_single_sum(assign, cap_q, reciprocal=False)
-        rows_reciprocal = compare_series(lhs, rhs_reciprocal)
-        rows_printed = compare_series(lhs, rhs_printed)
-        if not rows_reciprocal:
-            status, rows = "verified", rows_reciprocal
-            details["matched_form"] = "t_over_a"
-        elif not rows_printed:
-            status, rows = "verified", rows_printed
-            details["matched_form"] = "a_times_t"
-        else:
-            status, rows = "mismatch", rows_reciprocal
-            details["matched_form"] = "none"
-        details["printed_form_mismatch_count"] = len(rows_printed)
-    report = VerificationReport(
-        case=f"chain_{step}",
-        mode="rational",
-        caps={"q": cap_q},
-        assignment=assign.as_strings(),
-        status=status,
-        mismatches=_rows_to_mismatches(rows),
-        details=details,
-    )
-    return _finish(report, started)
-
-
-def _f_rational(first: Fraction, second: Fraction, k1: int, k2: int, cap_q: int) -> TruncatedSeries:
-    """f(first, second) with the auxiliary bases realized as q^k1 and q^k2.
+    With (first, second) the two arguments in that order and k1, k2 the
+    assignment's x_exp, y_exp:
 
     Term n is second^n / prod_{k=0..n} (1 - first * q^(k1*(n-k) + k2*k)).
     Term n is constant (= second^n) once every factor exponent exceeds
     cap_q, i.e. past n = cap_q // min(k1, k2); the remaining geometric
     tail is summed in closed form.
     """
+    first, second = (assign.beta, assign.alpha) if exchanged else (assign.alpha, assign.beta)
+    k1, k2 = assign.x_exp, assign.y_exp
     step = min(k1, k2)
 
     def term(n: int) -> TruncatedSeries:
@@ -797,158 +494,308 @@ def _f_rational(first: Fraction, second: Fraction, k1: int, k2: int, cap_q: int)
     return sum_with_geometric_tail(term, second, cap_q // step + 1, cap_q)
 
 
-def verify_f_sym_rational(assign: RationalAssignment, cap_q: int) -> VerificationReport:
-    """Symmetry f(alpha, beta) = f(beta, alpha) with general q-power bases.
+# --------------------------------------------------------------- preconditions
 
-    The constant stratum of each side is an exact geometric series in the
-    respective second argument; it is summed in closed form, which is the
-    formal counterpart of the analytic |argument| < 1 condition.
-    """
-    started = time.perf_counter()
-    assign.require("alpha", "beta", "x_exp", "y_exp")
-    k1, k2 = assign.x_exp, assign.y_exp
+
+def _equal_bt_caps(run: "_Run") -> None:
+    p = run.profile
+    if p.cap_b != p.cap_t:
+        raise ProfileMismatchError(f"needs cap_b == cap_t, got {p.cap_b} and {p.cap_t}")
+
+
+def _terminating(run: "_Run") -> None:
+    if run.assign.N < 0:
+        raise SeriesError(f"N must be >= 0, got {run.assign.N}")
+
+
+def _a_nonzero(run: "_Run") -> None:
+    if run.assign.a == 0:
+        raise DegenerateParameterError("parameter a must be nonzero (q/a appears)")
+
+
+def _chain_denominators(run: "_Run") -> None:
+    if run.assign.t == 1:
+        raise DegenerateParameterError("parameter t must differ from 1 (1 - t divides)")
+    if run.assign.b == 1:
+        raise DegenerateParameterError("parameter b must differ from 1 (1 - b divides)")
+
+
+def _f_sym_bases(run: "_Run") -> None:
+    k1, k2 = run.assign.x_exp, run.assign.y_exp
     if k1 < 1 or k2 < 1:
         raise SeriesError(f"x_exp and y_exp must be >= 1, got {k1}, {k2}")
-    if assign.alpha == 1 or assign.beta == 1:
+    if run.assign.alpha == 1 or run.assign.beta == 1:
         raise DegenerateParameterError("alpha and beta must differ from 1")
-    lhs = _f_rational(assign.alpha, assign.beta, k1, k2, cap_q)
-    rhs = _f_rational(assign.beta, assign.alpha, k1, k2, cap_q)
-    rows = compare_series(lhs, rhs)
-    report = VerificationReport(
-        case="f_sym",
-        mode="rational",
-        caps={"q": cap_q},
-        assignment=assign.as_strings(),
-        status="verified" if not rows else "mismatch",
-        mismatches=_rows_to_mismatches(rows),
-        details={
-            "index_bounds": f"terms constant past n = cap_q // {min(k1, k2)}; "
-            "geometric tail summed in closed form",
-        },
-    )
-    return _finish(report, started)
 
 
-# ----------------------------------------------------------------- case registry
+# -------------------------------------------------------------------- catalog
+
+
+Builder = Callable[["_Run"], TruncatedSeries]
+
+
+@dataclass(frozen=True)
+class Check:
+    """How one case is checked in one mode: one entry of the catalog.
+
+    ``sides`` maps side names to builders; a check builds each side at most
+    once, on first use.  Each comparison is ``(left, candidate, ...)``: the
+    left side is compared with each candidate in turn, and the first that
+    agrees is matched.  Several candidates adjudicate between printed
+    variants of one side, tried in the order listed; ``_Run.matched`` names
+    the one that agreed, or "none".  The case verifies when every
+    comparison matches.  A failed comparison puts its rows against its
+    first candidate into the mismatch table, unless that candidate is in
+    ``count_only``.  Formal reports lead their ``details`` with the joint
+    validity of the first comparison.
+
+    ``right`` is the side ``rational_series_eval`` and ``qsid coeff`` call
+    "right", ``coeff_name`` the name ``qsid coeff`` gives the formal sides
+    (None: not offered there), and ``restrict`` maps the requested formal
+    profile to the one checked and reported.
+    """
+
+    case: str
+    mode: str
+    description: str
+    sides: Dict[str, Builder]
+    details: Callable[["_Run"], Dict[str, object]] = lambda run: {}
+    comparisons: Tuple[Tuple[str, ...], ...] = (("left", "right"),)
+    params: Tuple[str, ...] = ()
+    preconditions: Tuple[Callable[["_Run"], None], ...] = ()
+    count_only: Tuple[str, ...] = ()
+    right: str = "right"
+    coeff_name: Optional[str] = None
+    restrict: Optional[Callable[[TruncationProfile], TruncationProfile]] = None
+
+    def side(self, name: str, **settings) -> TruncatedSeries:
+        """Build the "left" or "right" side alone, without preconditions."""
+        return _Run(self, **settings)[self.right if name == "right" else name]
 
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """Catalog entry: admissible modes and required rational parameters."""
+    """A catalog case: its checks by mode, the default mode first."""
 
     name: str
-    modes: Tuple[str, ...]
-    params: Tuple[str, ...]
-    description: str
+    checks: Dict[str, Check] = field(default_factory=dict)
+
+    @property
+    def modes(self) -> Tuple[str, ...]:
+        return tuple(self.checks)
 
 
-CASES: Dict[str, IdentityCase] = {
-    case.name: case
-    for case in [
-        IdentityCase(
-            "thm1_1",
-            ("formal",),
-            (),
-            "symmetric double series, b<->t exchange",
-        ),
-        IdentityCase(
-            "f_sym",
-            ("formal", "rational"),
-            ("alpha", "beta", "x_exp", "y_exp"),
-            "two-variable symmetric function f(alpha,beta) = f(beta,alpha)",
-        ),
-        IdentityCase(
-            "reduction_a0",
-            ("formal",),
-            (),
-            "a = 0 stratum of the flagship left side equals f(b, t)",
-        ),
-        IdentityCase(
-            "eq3_1_consistency",
-            ("formal",),
-            (),
-            "even-step variant: substitution path vs direct build, plus symmetry",
-        ),
-        IdentityCase(
-            "qps_2_1",
-            ("rational",),
-            ("a", "b", "c", "N"),
-            "terminating balanced summation vs all-N product form",
-        ),
-        IdentityCase(
-            "rewrite_2_2",
-            ("rational",),
-            ("a", "b", "c", "N"),
-            "finite rewrite of the balanced sum (q^n variant adjudicated)",
-        ),
-        IdentityCase(
-            "eq2_3",
-            ("rational",),
-            ("a", "b", "N"),
-            "c = b*q specialization of the balanced sum",
-        ),
-        IdentityCase(
-            "chain_shift",
-            ("rational",),
-            ("a", "b", "t"),
-            "double sum equals its reindexed form",
-        ),
-        IdentityCase(
-            "chain_fine",
-            ("rational",),
-            ("a", "b", "t"),
-            "shifted double sum equals the closed product form",
-        ),
-        IdentityCase(
-            "chain_final",
-            ("rational",),
-            ("a", "b", "t"),
-            "product form collapses to the single-sum target",
-        ),
-        IdentityCase(
-            "thm3_4",
-            ("formal",),
-            (),
-            "companion evaluation in a, b, q (adjudication mode)",
-        ),
-        IdentityCase(
-            "thm3_5",
-            ("formal",),
-            (),
-            "companion evaluation in b, q with pentagonal exponents",
-        ),
-    ]
-}
+class _Run:
+    """One check in progress: its settings, and each side built once on first use."""
+
+    def __init__(self, check: Check, profile=None, assign=None, cap_q=None, workers=1):
+        self.check = check
+        self.profile = profile
+        self.assign = assign
+        self.cap_q = cap_q
+        self.workers = workers
+        self.rows: Dict[str, list] = {}  # mismatch rows against each candidate side
+        self.matched = "none"
+        self._built: Dict[str, TruncatedSeries] = {}
+
+    def __getitem__(self, side: str) -> TruncatedSeries:
+        if side not in self._built:
+            self._built[side] = self.check.sides[side](self)
+        return self._built[side]
 
 
-_RATIONAL_SIDES: Dict[Tuple[str, str], Callable] = {
-    ("qps_2_1", "left"): _qps_lhs,
-    ("qps_2_1", "right"): _qps_rhs,
-    ("rewrite_2_2", "left"): _qps_lhs,
-    ("rewrite_2_2", "right"): lambda a, c: _eq22_rhs(a, c, with_qn=False),
-    ("eq2_3", "left"): _eq23_lhs,
-    ("eq2_3", "right"): _eq23_rhs,
-    ("chain_shift", "left"): _chain_double_unshifted,
-    ("chain_shift", "right"): _chain_double_shifted,
-    ("chain_fine", "left"): _chain_double_shifted,
-    ("chain_fine", "right"): _chain_product_form,
-    ("chain_final", "left"): _chain_product_form,
-    ("chain_final", "right"): lambda a, c: _chain_single_sum(a, c, reciprocal=True),
-    ("f_sym", "left"): lambda a, c: _f_rational(a.alpha, a.beta, a.x_exp, a.y_exp, c),
-    ("f_sym", "right"): lambda a, c: _f_rational(a.beta, a.alpha, a.x_exp, a.y_exp, c),
-}
+def _rational(builder: Callable[..., TruncatedSeries], **kwargs) -> Builder:
+    """Side builder for a rational-mode ``builder(assign, cap_q, **kwargs)``."""
+    return lambda r: builder(r.assign, r.cap_q, **kwargs)
 
 
-def rational_series_eval(
-    case: str, side: str, assign: RationalAssignment, cap_q: int
-) -> TruncatedSeries:
-    """Evaluate one side of a rational-mode case as an exact q-series."""
-    try:
-        builder = _RATIONAL_SIDES[(case, side)]
-    except KeyError:
-        raise SeriesError(f"no rational-mode side {case}:{side}") from None
-    assign.require(*CASES[case].params)
-    return builder(assign, cap_q)
+_AS_FOUND = "mismatch table reported as found; equality is not assumed"
+
+# Formal builders are called through their module-level names, so wrappers
+# installed on this module (tracing) see every side build.
+_CHECKS = [
+    Check(
+        "thm1_1", "formal", "symmetric double series, b<->t exchange",
+        sides={
+            "left": lambda r: build_thm11_side("left", r.profile, r.workers),
+            "right": lambda r: build_thm11_side("right", r.profile, r.workers),
+            "swap": lambda r: swap_b_t(r["left"]),  # left as a b<->t fixed point
+        },
+        comparisons=(("left", "right"), ("left", "swap")),
+        count_only=("swap",),
+        preconditions=(_equal_bt_caps,),
+        coeff_name="thm1_1",
+        details=lambda r: {
+            "swap_fixed_point": not r.rows["swap"],
+            "swap_mismatch_count": len(r.rows["swap"]),
+            "term_bound": "outer index n <= cap of its series variable (t left, b right)",
+        },
+    ),
+    Check(
+        "f_sym", "formal", "f(b, t) = f(t, b) at the (q, q^2) specialization",
+        sides={
+            "left": lambda r: build_f_series("b", r.profile, r.workers),
+            "right": lambda r: build_f_series("t", r.profile, r.workers),
+        },
+        preconditions=(_equal_bt_caps,),
+        coeff_name="f_sym",
+    ),
+    # The constant stratum of each side is a geometric series in its second
+    # argument, summed in closed form (the formal |argument| < 1 condition).
+    Check(
+        "f_sym", "rational", "f(alpha, beta) = f(beta, alpha) with q-power bases",
+        params=("alpha", "beta", "x_exp", "y_exp"),
+        preconditions=(_f_sym_bases,),
+        sides={
+            "left": _rational(_f_rational, exchanged=False),
+            "right": _rational(_f_rational, exchanged=True),
+        },
+        details=lambda r: {
+            "index_bounds": "terms constant past n = cap_q // "
+            f"{min(r.assign.x_exp, r.assign.y_exp)}; geometric tail summed in closed form",
+        },
+    ),
+    Check(
+        "reduction_a0", "formal", "a = 0 stratum of the flagship left side equals f(b, t)",
+        restrict=lambda p: TruncationProfile(0, p.cap_b, p.cap_t, p.cap_q),
+        sides={
+            "left": lambda r: build_thm11_side("left", r.profile, r.workers),
+            "right": lambda r: build_f_series("b", r.profile, r.workers),
+        },
+    ),
+    # The substitution path is valid to cap_q - cap_a after the a-shift, so
+    # the construction comparison runs on the joint region; the symmetry
+    # comparison uses the full profile.
+    Check(
+        "eq3_1_consistency", "formal",
+        "even-step variant: substitution path vs direct build, plus symmetry",
+        sides={
+            "left": lambda r: build_eq31_side("left", r.profile, r.workers),
+            "right": lambda r: build_eq31_side("right", r.profile, r.workers),
+            "substitution path": lambda r: eq31_substitution_path(r.profile, r.workers),
+        },
+        comparisons=(("left", "substitution path"), ("left", "right")),
+        preconditions=(_equal_bt_caps,),
+        coeff_name="eq3_1",
+        details=lambda r: {
+            "construction_mismatch_count": len(r.rows["substitution path"]),
+            "symmetry_mismatch_count": len(r.rows["right"]),
+            "substitution_valid_to_q": r["substitution path"].valid_to_q,
+        },
+    ),
+    # The printed product side elsewhere mixes subscripts n and N; the
+    # standard all-N product is evaluated.  The n = N + 1 summand vanishes
+    # (the q^(-N) stream hits a zero factor), which is why the sum terminates.
+    Check(
+        "qps_2_1", "rational", "terminating balanced summation vs all-N product form",
+        params=("a", "b", "c", "N"),
+        preconditions=(_terminating,),
+        sides={"left": _rational(_qps_lhs), "right": _rational(_qps_rhs)},
+        details=lambda r: {
+            "form": "all_N_product",
+            "normalization": "product side evaluated with every subscript N",
+            "terminates_at": r.assign.N,
+            "next_summand_zero": _qps_summand(r.assign, r.assign.N + 1, r.cap_q).is_zero(),
+        },
+    ),
+    # The q^n-free variant is the one that matches: the q^n of the original
+    # sum cancels during the rewrite.
+    Check(
+        "rewrite_2_2", "rational", "finite rewrite of the balanced sum (q^n variant adjudicated)",
+        params=("a", "b", "c", "N"),
+        preconditions=(_terminating,),
+        sides={
+            "left": _rational(_qps_lhs),
+            "without_qn": _rational(_eq22_rhs, with_qn=False),
+            "with_qn": _rational(_eq22_rhs, with_qn=True),
+        },
+        comparisons=(("left", "without_qn", "with_qn"),),
+        right="without_qn",
+        details=lambda r: {
+            "matched_form": r.matched,
+            "with_qn_mismatch_count": len(r.rows["with_qn"]),
+            "without_qn_mismatch_count": len(r.rows["without_qn"]),
+        },
+    ),
+    Check(
+        "eq2_3", "rational", "c = b*q specialization of the balanced sum",
+        params=("a", "b", "N"),
+        preconditions=(_terminating, _a_nonzero),
+        sides={"left": _rational(_eq23_lhs), "right": _rational(_eq23_rhs)},
+        details=lambda r: {"terminates_at": r.assign.N},
+    ),
+    Check(
+        "chain_shift", "rational", "double sum equals its reindexed form",
+        params=("a", "b", "t"),
+        preconditions=(_a_nonzero, _chain_denominators),
+        sides={
+            "left": _rational(_chain_double_unshifted),
+            "right": _rational(_chain_double_shifted),
+        },
+        details=lambda r: {
+            "index_bounds": "outer index <= cap_q (each term carries q^n); inner sums closed "
+            "by a geometric tail in t once the moving factors leave the q-window",
+        },
+    ),
+    Check(
+        "chain_fine", "rational", "shifted double sum equals the closed product form",
+        params=("a", "b", "t"),
+        preconditions=(_a_nonzero, _chain_denominators),
+        sides={
+            "left": _rational(_chain_double_shifted),
+            "right": _rational(_chain_product_form),
+        },
+        details=lambda r: {
+            "index_bounds": "double sum as in the shift step; product-form sum closed by a "
+            "geometric tail in b past index cap_q + 1",
+        },
+    ),
+    # The target is tried with the factor base t/a, the one the chain
+    # implies, and with the printed base a*t, which inverts a parameter.
+    Check(
+        "chain_final", "rational", "product form collapses to the single-sum target",
+        params=("a", "b", "t"),
+        preconditions=(_a_nonzero, _chain_denominators),
+        sides={
+            "left": _rational(_chain_product_form),
+            "t_over_a": _rational(_chain_single_sum, reciprocal=True),
+            "a_times_t": _rational(_chain_single_sum, reciprocal=False),
+        },
+        comparisons=(("left", "t_over_a", "a_times_t"),),
+        right="t_over_a",
+        details=lambda r: {
+            "index_bounds": "both single sums closed by geometric tails in b past index "
+            "cap_q + 1",
+            "matched_form": r.matched,
+            "printed_form_mismatch_count": len(r.rows["a_times_t"]),
+        },
+    ),
+    Check(
+        "thm3_4", "formal", "companion evaluation in a, b, q (adjudication mode)",
+        sides={
+            "left": lambda r: build_thm31_side("3_4_left", r.profile),
+            "right": lambda r: build_thm31_side("3_4_right", r.profile),
+        },
+        coeff_name="thm3_4",
+        details=lambda r: {"adjudication": _AS_FOUND},
+    ),
+    Check(
+        "thm3_5", "formal", "companion evaluation in b, q with pentagonal exponents",
+        sides={
+            "left": lambda r: build_thm31_side("3_5_left", r.profile),
+            "right": lambda r: build_thm31_side("3_5_right", r.profile),
+        },
+        coeff_name="thm3_5",
+        details=lambda r: {"adjudication": _AS_FOUND},
+    ),
+]
+
+CASES: Dict[str, IdentityCase] = {}
+for _check in _CHECKS:
+    CASES.setdefault(_check.case, IdentityCase(_check.case)).checks[_check.mode] = _check
+
+
+# -------------------------------------------------------------------- checker
 
 
 def run_case(
@@ -959,48 +806,72 @@ def run_case(
     cap_q: Optional[int] = None,
     workers: int = 1,
 ) -> VerificationReport:
-    """Run one catalog case in the requested mode.
+    """Run one catalog case in the requested mode (default: its first mode).
 
     Formal mode needs ``profile``; rational mode needs ``assign`` and
     ``cap_q``.  Raises ``SeriesError`` subclasses for configuration
-    problems; mathematical mismatches come back in the report.
+    problems; mathematical mismatches come back in the report, and a
+    comparison over an empty validity region comes back as an error.
     """
+    started = time.perf_counter()
     if name not in CASES:
         raise SeriesError(f"unknown identity case {name!r}")
-    case = CASES[name]
-    if mode is None:
-        mode = case.modes[0] if len(case.modes) == 1 else "formal"
-    if mode not in case.modes:
-        raise SeriesError(
-            f"case {name} supports mode(s) {', '.join(case.modes)}; got {mode!r}"
-        )
+    modes = CASES[name].modes
+    mode = modes[0] if mode is None else mode
+    if mode not in modes:
+        raise SeriesError(f"case {name} supports mode(s) {', '.join(modes)}; got {mode!r}")
+    check = CASES[name].checks[mode]
     if mode == "formal":
         if profile is None:
             raise SeriesError("formal mode needs a truncation profile")
-        if name == "thm1_1":
-            return verify_thm11(profile, workers)
-        if name == "f_sym":
-            return verify_f_sym_formal(profile, workers)
-        if name == "reduction_a0":
-            return verify_reduction_a0(profile, workers)
-        if name == "eq3_1_consistency":
-            return verify_eq31(profile, workers)
-        if name == "thm3_4":
-            return verify_thm31("3_4", profile)
-        if name == "thm3_5":
-            return verify_thm31("3_5", profile)
-        raise SeriesError(f"case {name} has no formal-mode checker")
-    if assign is None or cap_q is None:
-        raise SeriesError("rational mode needs an assignment and cap_q")
-    assign.require(*case.params)
-    if name == "f_sym":
-        return verify_f_sym_rational(assign, cap_q)
-    if name == "qps_2_1":
-        return verify_qps(assign, cap_q)
-    if name == "rewrite_2_2":
-        return verify_eq22(assign, cap_q)
-    if name == "eq2_3":
-        return verify_eq23(assign, cap_q)
-    if name.startswith("chain_"):
-        return verify_chain(name.removeprefix("chain_"), assign, cap_q)
-    raise SeriesError(f"case {name} has no rational-mode checker")
+        if check.restrict is not None:
+            profile = check.restrict(profile)
+        run = _Run(check, profile=profile, workers=workers)
+        caps, assignment = dict(zip("abtq", profile.caps)), None
+    else:
+        if assign is None or cap_q is None:
+            raise SeriesError("rational mode needs an assignment and cap_q")
+        assign.require(*check.params)
+        run = _Run(check, assign=assign, cap_q=cap_q)
+        caps, assignment = {"q": cap_q}, assign.as_strings()
+    for precondition in check.preconditions:
+        precondition(run)
+
+    status, table = "verified", []
+    for left, *candidates in check.comparisons:
+        for candidate in candidates:
+            low = min((left, candidate), key=lambda side: run[side].valid_to_q)
+            if run[low].valid_to_q < 0:
+                # validity only shrinks under the a -> a/q shift, by cap_a
+                error = (
+                    f"{low} has empty validity region; cap_q must exceed cap_a "
+                    f"(valid_to_q = {run[low].valid_to_q})"
+                )
+                return build_report(
+                    name, mode, caps, assignment, "error", [], {"error": error}, started
+                )
+            run.rows[candidate] = compare_series(run[left], run[candidate])
+        matched = next((c for c in candidates if not run.rows[c]), None)
+        if len(candidates) > 1:
+            run.matched = matched or "none"
+        if matched is None:
+            status = "mismatch"
+            if candidates[0] not in check.count_only:
+                table += run.rows[candidates[0]]
+    details = check.details(run)
+    if mode == "formal":
+        left, first, *_ = check.comparisons[0]
+        details = {"joint_valid_to_q": min(run[left].valid_to_q, run[first].valid_to_q),
+                   **details}
+    return build_report(name, mode, caps, assignment, status, table, details, started)
+
+
+def rational_series_eval(
+    case: str, side: str, assign: RationalAssignment, cap_q: int
+) -> TruncatedSeries:
+    """Evaluate the left or right side of a rational-mode case as an exact q-series."""
+    check = CASES[case].checks.get("rational") if case in CASES else None
+    if check is None or side not in ("left", "right"):
+        raise SeriesError(f"no rational-mode side {case}:{side}")
+    assign.require(*check.params)
+    return check.side(side, assign=assign, cap_q=cap_q)

@@ -342,30 +342,16 @@ def series_vs_enumeration_check(
             rows.append((Monomial(key[0], key[1], n, key[2]), x, y))
     rows.sort(key=lambda r: r[0].order_key())
 
-    report = identities.VerificationReport(
-        case="eq3_1_window",
-        mode="formal",
-        caps={
-            "a": profile.cap_a,
-            "b": profile.cap_b,
-            "t": profile.cap_t,
-            "q": profile.cap_q,
-        },
-        assignment={"window": str(n)},
-        status="verified" if not rows else "mismatch",
-        mismatches=[
-            identities.Mismatch(m, _as_fraction(x), _as_fraction(y)) for m, x, y in rows
-        ],
-        details={
+    return identities.build_report(
+        "eq3_1_window",
+        "formal",
+        dict(zip("abtq", profile.caps)),
+        {"window": str(n)},
+        "verified" if not rows else "mismatch",
+        rows,
+        {
             "window": n,
             "reading": "formal 1/(1-b) stratum" if n == 0 else f"parts in [{2*n}, {4*n}]",
         },
+        started,
     )
-    report.duration_ms = (time.perf_counter() - started) * 1000.0
-    return report
-
-
-def _as_fraction(x) -> "Fraction":
-    from fractions import Fraction
-
-    return Fraction(x)

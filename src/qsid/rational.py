@@ -252,15 +252,29 @@ class RationalAssignment:
 
     @classmethod
     def make(cls, **kwargs) -> "RationalAssignment":
-        """Build an assignment, coercing values ('1/3', 2, Fraction) exactly."""
+        """Build an assignment, coercing values ('1/3', 2, Fraction) exactly.
+
+        Floats and bools are refused: a float already carries a binary
+        rounding error, and truncating one would silently change the point.
+        ``x_exp``, ``y_exp`` and ``N`` must be integral.
+        """
         coerced = {}
         for name, value in kwargs.items():
             if value is None:
                 continue
+            if isinstance(value, (bool, float)):
+                raise SeriesError(
+                    f"parameter {name} must be exact (int, Fraction or 'p/q'), got {value!r}"
+                )
+            try:
+                exact = Fraction(value)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise SeriesError(f"cannot read parameter {name}={value!r} exactly") from None
             if name in ("x_exp", "y_exp", "N"):
-                coerced[name] = int(value)
-            else:
-                coerced[name] = Fraction(value)
+                if exact.denominator != 1:
+                    raise SeriesError(f"parameter {name} must be an integer, got {value!r}")
+                exact = int(exact)
+            coerced[name] = exact
         return cls(**coerced)
 
     def require(self, *names: str) -> None:

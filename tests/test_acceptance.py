@@ -21,11 +21,6 @@ from qsid.cli import (
 from qsid.identities import (
     build_thm31_side,
     run_case,
-    verify_chain,
-    verify_eq22,
-    verify_eq23,
-    verify_qps,
-    verify_thm31,
 )
 from qsid.partitions import ConstraintSet, Partition, enumerate_partitions
 from qsid.rational import RationalAssignment
@@ -101,11 +96,11 @@ def test_criterion_04_rational_chain():
         with_n = RationalAssignment.make(
             a=assign.a, b=assign.b, t=assign.t, c=assign.c, N=n
         )
-        ok &= verify_qps(with_n, 16).verified
-        ok &= verify_eq22(with_n, 16).verified
-        ok &= verify_eq23(with_n, 16).verified
+        ok &= run_case("qps_2_1", assign=with_n, cap_q=16).verified
+        ok &= run_case("rewrite_2_2", assign=with_n, cap_q=16).verified
+        ok &= run_case("eq2_3", assign=with_n, cap_q=16).verified
         for step in ("shift", "fine", "final"):
-            ok &= verify_chain(step, assign, 16).verified
+            ok &= run_case(f"chain_{step}", assign=assign, cap_q=16).verified
     report_line(
         4, ok,
         "balanced summation, both rewrites, and all three chain steps exact at "
@@ -114,10 +109,10 @@ def test_criterion_04_rational_chain():
 
 
 def test_criterion_05_companion_series():
-    r35 = verify_thm31("3_5", TruncationProfile(0, 6, 0, 24))
+    r35 = run_case("thm3_5", profile=TruncationProfile(0, 6, 0, 24))
     profile34 = TruncationProfile(6, 6, 0, 20)
-    r34a = verify_thm31("3_4", profile34)
-    r34b = verify_thm31("3_4", profile34)
+    r34a = run_case("thm3_4", profile=profile34)
+    r34b = run_case("thm3_4", profile=profile34)
     left34 = build_thm31_side("3_4_left", profile34)
     b_row = {
         m[3]: c for m, c in left34.terms.items() if m[0] == 0 and m[1] == 1 and m[3] <= 8

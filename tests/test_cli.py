@@ -347,3 +347,15 @@ def test_rational_assignment_roundtrip_via_report():
     payload = verification_report_to_dict(report)
     again = verification_report_from_dict(payload)
     assert strip_volatile(verification_report_to_dict(again)) == strip_volatile(payload)
+
+
+def test_report_decoding_defaults_and_required_fields():
+    payload = {"case": "thm1_1", "mode": "formal", "caps": {"q": 1}, "status": "verified"}
+    report = verification_report_from_dict(payload)
+    assert report.assignment is None
+    assert (report.mismatches, report.details, report.duration_ms) == ([], {}, 0.0)
+    with pytest.raises(KeyError):
+        verification_report_from_dict({k: v for k, v in payload.items() if k != "status"})
+    bad_row = {**payload, "mismatches": [{"monomial": {"a": 1}, "lhs": "1", "rhs": "0"}]}
+    with pytest.raises(KeyError):
+        verification_report_from_dict(bad_row)

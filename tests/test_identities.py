@@ -13,16 +13,6 @@ from qsid.identities import (
     eq31_substitution_path,
     rational_series_eval,
     run_case,
-    verify_chain,
-    verify_eq22,
-    verify_eq23,
-    verify_eq31,
-    verify_f_sym_formal,
-    verify_f_sym_rational,
-    verify_qps,
-    verify_reduction_a0,
-    verify_thm11,
-    verify_thm31,
 )
 from qsid.rational import DegenerateParameterError, RationalAssignment
 from qsid.series import (
@@ -72,20 +62,20 @@ def test_left_is_swap_of_right():
 
 
 def test_verify_thm11_small_caps():
-    report = verify_thm11(PROF)
+    report = run_case("thm1_1", profile=PROF)
     assert report.verified
     assert report.details["swap_fixed_point"] is True
     assert report.mismatches == []
 
 
 def test_verify_thm11_a0_stratum():
-    report = verify_thm11(TruncationProfile(0, 4, 4, 12))
+    report = run_case("thm1_1", profile=TruncationProfile(0, 4, 4, 12))
     assert report.verified
 
 
 def test_verify_thm11_rejects_asymmetric_caps():
     with pytest.raises(ProfileMismatchError):
-        verify_thm11(TruncationProfile(2, 2, 3, 8))
+        run_case("thm1_1", profile=TruncationProfile(2, 2, 3, 8))
 
 
 # --------------------------------------------------------- symmetric function
@@ -103,11 +93,11 @@ def test_f_series_n0_term_is_geometric_in_b():
 
 
 def test_f_sym_formal_verifies():
-    assert verify_f_sym_formal(PROF).verified
+    assert run_case("f_sym", "formal", profile=PROF).verified
 
 
 def test_reduction_a0_verifies():
-    report = verify_reduction_a0(TruncationProfile(4, 4, 4, 12))
+    report = run_case("reduction_a0", profile=TruncationProfile(4, 4, 4, 12))
     assert report.verified
     assert report.caps["a"] == 0
 
@@ -135,13 +125,13 @@ def test_eq31_n0_term_is_geometric_in_b():
 
 
 def test_verify_eq31():
-    report = verify_eq31(PROF)
+    report = run_case("eq3_1_consistency", profile=PROF)
     assert report.verified
     assert report.details["joint_valid_to_q"] == PROF.cap_q - PROF.cap_a
 
 
 def test_verify_eq31_empty_validity_region():
-    report = verify_eq31(TruncationProfile(6, 2, 2, 4))
+    report = run_case("eq3_1_consistency", profile=TruncationProfile(6, 2, 2, 4))
     assert report.status == "error"
 
 
@@ -156,13 +146,14 @@ QPS_ASSIGNMENTS = [
 
 
 def test_qps_trivial_n0():
-    report = verify_qps(RationalAssignment.make(a=2, b=3, c=5, N=0), 8)
+    assign = RationalAssignment.make(a=2, b=3, c=5, N=0)
+    report = run_case("qps_2_1", assign=assign, cap_q=8)
     assert report.verified
 
 
 @pytest.mark.parametrize("assign", QPS_ASSIGNMENTS)
 def test_qps_assignments(assign):
-    report = verify_qps(assign, 16)
+    report = run_case("qps_2_1", assign=assign, cap_q=16)
     assert report.verified
     assert report.details["form"] == "all_N_product"
     assert report.details["next_summand_zero"] is True
@@ -170,7 +161,8 @@ def test_qps_assignments(assign):
 
 def test_qps_degenerate_c_equals_ab():
     with pytest.raises(DegenerateParameterError):
-        verify_qps(RationalAssignment.make(a=2, b=3, c=6, N=2), 8)
+        run_case("qps_2_1", assign=RationalAssignment.make(a=2, b=3, c=6, N=2),
+                 cap_q=8)
 
 
 EQ22_ASSIGNMENTS = [
@@ -181,12 +173,13 @@ EQ22_ASSIGNMENTS = [
 
 
 def test_eq22_trivial_n0():
-    assert verify_eq22(RationalAssignment.make(a=2, b="1/3", c=7, N=0), 8).verified
+    assign = RationalAssignment.make(a=2, b="1/3", c=7, N=0)
+    assert run_case("rewrite_2_2", assign=assign, cap_q=8).verified
 
 
 @pytest.mark.parametrize("assign", EQ22_ASSIGNMENTS)
 def test_eq22_assignments_match_q_free_variant(assign):
-    report = verify_eq22(assign, 16)
+    report = run_case("rewrite_2_2", assign=assign, cap_q=16)
     assert report.verified
     assert report.details["matched_form"] == "without_qn"
     # the variant carrying the extra q^n genuinely differs
@@ -210,16 +203,17 @@ def test_eq23_trivial_n0_is_geometric_in_b():
 
 @pytest.mark.parametrize("assign", EQ23_ASSIGNMENTS)
 def test_eq23_assignments(assign):
-    assert verify_eq23(assign, 16).verified
+    assert run_case("eq2_3", assign=assign, cap_q=16).verified
 
 
 def test_eq23_spec_point_cap8():
-    assert verify_eq23(RationalAssignment.make(a=2, b="1/3", N=2), 8).verified
+    assign = RationalAssignment.make(a=2, b="1/3", N=2)
+    assert run_case("eq2_3", assign=assign, cap_q=8).verified
 
 
 def test_eq23_requires_nonzero_a():
     with pytest.raises(DegenerateParameterError):
-        verify_eq23(RationalAssignment.make(a=0, b="1/3", N=1), 8)
+        run_case("eq2_3", assign=RationalAssignment.make(a=0, b="1/3", N=1), cap_q=8)
 
 
 # ------------------------------------------------------------------ the chain
@@ -235,12 +229,12 @@ CHAIN_ASSIGNMENTS = [
 @pytest.mark.parametrize("assign", CHAIN_ASSIGNMENTS)
 @pytest.mark.parametrize("step", ["shift", "fine", "final"])
 def test_chain_steps(step, assign):
-    report = verify_chain(step, assign, 12)
+    report = run_case(f"chain_{step}", assign=assign, cap_q=12)
     assert report.verified, report.mismatches[:4]
 
 
 def test_chain_final_matches_reciprocal_base():
-    report = verify_chain("final", CHAIN_ASSIGNMENTS[0], 12)
+    report = run_case("chain_final", assign=CHAIN_ASSIGNMENTS[0], cap_q=12)
     assert report.details["matched_form"] == "t_over_a"
     assert report.details["printed_form_mismatch_count"] > 0
 
@@ -248,14 +242,16 @@ def test_chain_final_matches_reciprocal_base():
 def test_chain_b_zero_reduces_to_bookkeeping():
     assign = RationalAssignment.make(a=2, b=0, t="1/5")
     for step in ("shift", "fine", "final"):
-        assert verify_chain(step, assign, 12).verified
+        assert run_case(f"chain_{step}", assign=assign, cap_q=12).verified
 
 
 def test_chain_degenerate_parameters():
     with pytest.raises(DegenerateParameterError):
-        verify_chain("shift", RationalAssignment.make(a=0, b="1/3", t="1/5"), 8)
+        run_case("chain_shift", assign=RationalAssignment.make(a=0, b="1/3", t="1/5"),
+                 cap_q=8)
     with pytest.raises(DegenerateParameterError):
-        verify_chain("shift", RationalAssignment.make(a=2, b="1/3", t=1), 8)
+        run_case("chain_shift", assign=RationalAssignment.make(a=2, b="1/3", t=1),
+                 cap_q=8)
 
 
 def test_chain_closes_the_symmetric_identity_loop():
@@ -292,18 +288,19 @@ F_SYM_ASSIGNMENTS = [
 @pytest.mark.parametrize("assign", F_SYM_ASSIGNMENTS)
 def test_f_sym_rational_assignments(assign):
     cap = 20 if assign.x_exp == 1 else 15
-    assert verify_f_sym_rational(assign, cap).verified
+    assert run_case("f_sym", "rational", assign=assign, cap_q=cap).verified
 
 
 def test_f_sym_rational_equal_arguments_trivial():
     assign = RationalAssignment.make(alpha="1/2", beta="1/2", x_exp=1, y_exp=2)
-    assert verify_f_sym_rational(assign, 10).verified
+    assert run_case("f_sym", "rational", assign=assign, cap_q=10).verified
 
 
 def test_f_sym_rational_rejects_unit_argument():
     with pytest.raises(DegenerateParameterError):
-        verify_f_sym_rational(
-            RationalAssignment.make(alpha=1, beta="1/3", x_exp=1, y_exp=2), 8
+        run_case(
+            "f_sym", "rational",
+            assign=RationalAssignment.make(alpha=1, beta="1/3", x_exp=1, y_exp=2), cap_q=8,
         )
 
 
@@ -327,12 +324,12 @@ def test_thm35_right_b_coefficient_series():
 
 
 def test_thm35_verifies_with_pentagonal_exponents():
-    report = verify_thm31("3_5", TruncationProfile(0, 6, 0, 24))
+    report = run_case("thm3_5", profile=TruncationProfile(0, 6, 0, 24))
     assert report.verified
 
 
 def test_thm35_cap_zero_trivial():
-    report = verify_thm31("3_5", TruncationProfile(0, 2, 0, 0))
+    report = run_case("thm3_5", profile=TruncationProfile(0, 2, 0, 0))
     assert report.verified
     left = build_thm31_side("3_5_left", TruncationProfile(0, 2, 0, 0))
     assert left.is_zero()
@@ -356,8 +353,8 @@ def test_thm34_left_b_row_is_negative_floor_series():
 
 def test_thm34_report_is_deterministic_and_led_by_b1():
     prof = TruncationProfile(4, 4, 0, 10)
-    r1 = verify_thm31("3_4", prof)
-    r2 = verify_thm31("3_4", prof)
+    r1 = run_case("thm3_4", profile=prof)
+    r2 = run_case("thm3_4", profile=prof)
     assert r1.status == "mismatch"
     assert r1.mismatches == r2.mismatches
     first = r1.mismatches[0]
@@ -405,3 +402,39 @@ def test_rational_series_eval_examples():
     )
     with pytest.raises(SeriesError):
         rational_series_eval("eq2_3", "middle", assign, 8)
+
+
+# ---------------------------------------------------------- negative control
+
+
+NC_PROFILE = TruncationProfile(2, 2, 2, 6)
+NC_ASSIGN = RationalAssignment.make(
+    a=2, b="1/3", t="1/5", c=5, N=2, alpha="1/2", beta="1/3", x_exp=1, y_exp=2
+)
+NC_COMPARISONS = [
+    pytest.param(name, mode, comparison, id=f"{name}-{mode}-{'|'.join(comparison[1:])}")
+    for name, case in CASES.items()
+    for mode, check in case.checks.items()
+    for comparison in check.comparisons
+]
+
+
+@pytest.mark.parametrize("name, mode, comparison", NC_COMPARISONS)
+def test_catalog_negative_control(monkeypatch, name, mode, comparison):
+    # Every right-hand side of the comparison, each adjudication candidate
+    # included, gains the constant monomial: no catalog check may still pass.
+    settings = {"profile": NC_PROFILE} if mode == "formal" else {"assign": NC_ASSIGN, "cap_q": 6}
+    check = CASES[name].checks[mode]
+    baseline = run_case(name, mode, **settings)
+    for candidate in comparison[1:]:
+        def perturbed(run, build=check.sides[candidate]):
+            side = build(run)
+            return side + TruncatedSeries.one(side.profile)
+
+        monkeypatch.setitem(check.sides, candidate, perturbed)
+    report = run_case(name, mode, **settings)
+    assert report.status == "mismatch"
+    if comparison[1] not in check.count_only:
+        assert report.mismatches != baseline.mismatches
+    if len(comparison) > 2:
+        assert report.details["matched_form"] == "none"

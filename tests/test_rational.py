@@ -156,3 +156,27 @@ def test_assignment_parsing_and_requirements():
     assert a.as_strings() == {"a": "1/3", "b": "2", "N": "4"}
     with pytest.raises(SeriesError):
         a.require("a", "c")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"N": 2.7},  # used to truncate to 2
+        {"x_exp": 1.9},  # used to truncate to 1
+        {"a": 0.1},  # used to become 3602879701896397/36028797018963968
+        {"N": "2.5"},  # used to raise a bare ValueError
+        {"N": Fraction(5, 2)},
+        {"b": True},
+        {"y_exp": False},
+        {"c": "one third"},
+    ],
+)
+def test_assignment_rejects_inexact_values(kwargs):
+    with pytest.raises(SeriesError):
+        RationalAssignment.make(**kwargs)
+
+
+def test_assignment_accepts_integral_values_for_exponents():
+    a = RationalAssignment.make(N=Fraction(4, 2), x_exp="3", a=-2)
+    assert (a.N, a.x_exp, a.a) == (2, 3, Fraction(-2))
+    assert type(a.N) is int and type(a.x_exp) is int
