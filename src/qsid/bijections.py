@@ -38,6 +38,7 @@ from .partitions import (
     ConstraintSet,
     GeneratingPolynomial,
     Partition,
+    count_partitions,
     enumerate_partitions,
 )
 from .series import SeriesError
@@ -404,22 +405,26 @@ def audit_bijection(
     printed <=-length audit (informational), compares generating
     polynomials for both variants and both empty-partition readings, and
     lists what the <= reading adds to each side.  The total enumeration is
-    guarded by ``enum_limit`` (default from QSID_ENUM_LIMIT or 200000).
+    guarded by ``enum_limit`` (default from QSID_ENUM_LIMIT or 200000):
+    the four families are counted exactly first, and a box over the limit
+    is refused before any partition is listed.
     """
     started = time.perf_counter()
     if enum_limit is None:
         enum_limit = int(os.environ.get("QSID_ENUM_LIMIT", DEFAULT_ENUM_LIMIT))
 
-    d_exact = enumerate_partitions(box.domain_constraints("exact"))
-    c_exact = enumerate_partitions(box.codomain_constraints("exact"))
-    d_printed = enumerate_partitions(box.domain_constraints("printed"))
-    c_printed = enumerate_partitions(box.codomain_constraints("printed"))
-    total = len(d_exact) + len(c_exact) + len(d_printed) + len(c_printed)
+    families = [
+        constraints(variant)
+        for variant in ("exact", "printed")
+        for constraints in (box.domain_constraints, box.codomain_constraints)
+    ]
+    total = sum(count_partitions(c) for c in families)
     if total > enum_limit:
         raise BijectionError(
             f"box j={box.j}, M={box.M} enumerates {total} partitions, "
             f"over the limit {enum_limit}"
         )
+    d_exact, c_exact, d_printed, c_printed = map(enumerate_partitions, families)
 
     exact_audit = _map_audit("exact", d_exact, c_exact, box.j, box.M, workers)
     printed_audit = _map_audit("printed", d_printed, c_printed, box.j, box.M, workers)

@@ -43,11 +43,15 @@ from .rational import (
     DegenerateParameterError,
     Factor,
     RationalAssignment,
-    cached_poch_series,
-    geometric_inverse_factor,
+    accumulate,
+    apply_factors,
+    dense_series,
+    over_binomial,
     pochhammer_factors,
     product_series,
+    require_frozen,
     sum_with_geometric_tail,
+    times_binomial,
 )
 from .series import (
     Monomial,
@@ -374,61 +378,84 @@ def _eq23_rhs(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
     return product_series(fac, cap_q, label="specialized product side")
 
 
-# The double sums below do not gain q-order in the outer index: the
-# summands stabilize (mod q^(cap_q+1)) once every moving factor leaves the
-# window, after which consecutive summands differ exactly by a power of
-# the carrier parameter.  Each builder sums explicitly up to its freeze
-# index and closes the geometric tail in exact arithmetic.
+# The double sums below do not gain q-order in the outer index n: for
+# fixed n the inner summands stabilize (mod q^(cap_q+1)) once every moving
+# factor leaves the window, after which consecutive summands differ
+# exactly by the factor t.  Each builder steps its own summands by their
+# term ratios (a few binomial passes and one scalar each): the outer
+# factor (a;q)_n q^n (t/a)^n / (q;q)_n in n, the inner summand in N.  It
+# sums explicitly up to the inner freeze index, checks that the ratio has
+# become the scalar t there, and closes the tail in exact arithmetic.
 
 
 def _chain_double_unshifted(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
-    a, b, t = assign.a, assign.b, assign.t
-    inv_a = 1 / Fraction(a)
-
-    def smd(N: int, n: int) -> TruncatedSeries:
-        s = cached_poch_series(Fraction(a), 0, 1, n, cap_q)
-        s = s * cached_poch_series(Fraction(1), 1, 1, n, cap_q, True)
-        s = s * cached_poch_series(inv_a, 1, 1, N - n, cap_q)
-        s = s * cached_poch_series(Fraction(1), 1, 1, N - n, cap_q, True)
-        s = s * geometric_inverse_factor(b, N + n, cap_q)
-        s = s * TruncatedSeries.term(q_only_profile(cap_q), 1, e_q=n)
-        return s * (inv_a**n * Fraction(t) ** N)
-
-    total = TruncatedSeries.zero(q_only_profile(cap_q))
-    tail_scale = Fraction(1) / (1 - Fraction(t))
+    """sum_{n>=0} sum_{N>=n} (a;q)_n (q/a;q)_{N-n} q^n t^N
+    / ((q;q)_n (q;q)_{N-n} (1 - b*q^(N+n)) a^n)."""
+    a, b, t = Fraction(assign.a), Fraction(assign.b), Fraction(assign.t)
+    inv_a = 1 / a
+    tail_scale = 1 / (1 - t)
+    total = [0] * (cap_q + 1)
+    outer = [Fraction(1)] + [0] * cap_q
     for n in range(cap_q + 1):
+
+        def step(N: int) -> List[Factor]:
+            """Summand (N + 1, n) over summand (N, n), apart from the scalar t."""
+            return [
+                Factor(inv_a, N - n + 1),
+                Factor(Fraction(1), N - n + 1, True),
+                Factor(b, N + n),
+                Factor(b, N + n + 1, True),
+            ]
+
+        term = list(outer)  # summand (n, n)
+        over_binomial(term, b, 2 * n)
         n_freeze = n + cap_q + 1
-        inner = TruncatedSeries.zero(q_only_profile(cap_q))
         for N in range(n, n_freeze):
-            inner = inner + smd(N, n)
-        inner = inner + smd(n_freeze, n) * tail_scale
-        total = total + inner
-    return total
+            accumulate(total, term)
+            apply_factors(term, step(N))
+            term = [x * t for x in term]
+        require_frozen((f.q_exp for f in step(n_freeze)), cap_q, "the unshifted double sum")
+        accumulate(total, [x * tail_scale for x in term])
+        # outer factor n -> n + 1: times (1 - a*q^n) * q * t / ((1 - q^(n+1)) * a)
+        times_binomial(outer, a, n)
+        over_binomial(outer, 1, n + 1)
+        outer = [0] + [x * inv_a * t for x in outer[:-1]]
+    return dense_series(total, cap_q)
 
 
 def _chain_double_shifted(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
-    a, b, t = assign.a, assign.b, assign.t
-    inv_a = 1 / Fraction(a)
-
-    def smd(N: int, n: int) -> TruncatedSeries:
-        s = cached_poch_series(Fraction(a), 0, 1, n, cap_q)
-        s = s * cached_poch_series(Fraction(1), 1, 1, n, cap_q, True)
-        s = s * cached_poch_series(inv_a, 1, 1, N, cap_q)
-        s = s * cached_poch_series(Fraction(1), 1, 1, N, cap_q, True)
-        s = s * geometric_inverse_factor(b, N + 2 * n, cap_q)
-        s = s * TruncatedSeries.term(q_only_profile(cap_q), 1, e_q=n)
-        return s * (inv_a**n * Fraction(t) ** (N + n))
-
-    total = TruncatedSeries.zero(q_only_profile(cap_q))
-    tail_scale = Fraction(1) / (1 - Fraction(t))
+    """sum_{n>=0} sum_{N>=0} (a;q)_n (q/a;q)_N q^n t^(N+n)
+    / ((q;q)_n (q;q)_N (1 - b*q^(N+2n)) a^n)."""
+    a, b, t = Fraction(assign.a), Fraction(assign.b), Fraction(assign.t)
+    inv_a = 1 / a
+    tail_scale = 1 / (1 - t)
+    total = [0] * (cap_q + 1)
+    outer = [Fraction(1)] + [0] * cap_q
     n_freeze = cap_q + 1
     for n in range(cap_q + 1):
-        inner = TruncatedSeries.zero(q_only_profile(cap_q))
+
+        def step(N: int) -> List[Factor]:
+            """Summand (N + 1, n) over summand (N, n), apart from the scalar t."""
+            return [
+                Factor(inv_a, N + 1),
+                Factor(Fraction(1), N + 1, True),
+                Factor(b, N + 2 * n),
+                Factor(b, N + 2 * n + 1, True),
+            ]
+
+        term = list(outer)  # summand (0, n)
+        over_binomial(term, b, 2 * n)
         for N in range(n_freeze):
-            inner = inner + smd(N, n)
-        inner = inner + smd(n_freeze, n) * tail_scale
-        total = total + inner
-    return total
+            accumulate(total, term)
+            apply_factors(term, step(N))
+            term = [x * t for x in term]
+        require_frozen((f.q_exp for f in step(n_freeze)), cap_q, "the shifted double sum")
+        accumulate(total, [x * tail_scale for x in term])
+        # outer factor n -> n + 1: times (1 - a*q^n) * q * t / ((1 - q^(n+1)) * a)
+        times_binomial(outer, a, n)
+        over_binomial(outer, 1, n + 1)
+        outer = [0] + [x * inv_a * t for x in outer[:-1]]
+    return dense_series(total, cap_q)
 
 
 def _chain_product_form(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:

@@ -27,6 +27,7 @@ __all__ = [
     "GeneratingPolynomial",
     "Partition",
     "UnboundedConstraintError",
+    "count_partitions",
     "enumerate_partitions",
     "generating_polynomial",
     "is_odd_distinct",
@@ -221,6 +222,28 @@ def enumerate_partitions(c: ConstraintSet) -> List[Partition]:
     rec(hi_part, 0)
     found.sort(key=lambda p: p.parts, reverse=True)
     return found
+
+
+def count_partitions(c: ConstraintSet) -> int:
+    """Exact size of a family with part bounds and a length bound, without listing it.
+
+    Only families with no weight window are counted (the audit boxes).  A
+    DP over the part values min_part..max_part: counts[l] is the number of
+    partitions of length l whose parts are among the values seen so far.
+    A value may repeat, except an odd one when odd parts must be distinct.
+    """
+    if c.weight_window() != (0, None) or c.max_part is None or c.length_window()[1] is None:
+        raise SeriesError("counting needs part bounds, a length bound and no weight window")
+    l_lo, l_hi = c.length_window()
+    counts = [1] + [0] * l_hi
+    for v in range(c.min_part or 1, c.max_part + 1):
+        if c.odd_parts_distinct and v % 2:
+            for l in range(l_hi, 0, -1):
+                counts[l] += counts[l - 1]
+        else:
+            for l in range(1, l_hi + 1):
+                counts[l] += counts[l - 1]
+    return sum(counts[l_lo:])
 
 
 @dataclass

@@ -2,10 +2,20 @@
 
 Rational mode handles expressions that are not polynomial in the
 parameters, such as q/a or q^(1-N)*a*b/c: parameters become exact
-``Fraction`` values and only q stays formal, so every result is a
-``TruncatedSeries`` over the q-only profile.
+``Fraction`` values and only q stays formal.
 
-Two pieces of machinery live here.
+While a side is being built its series is *dense*: a list of the
+cap_q + 1 exact coefficients of q^0 .. q^cap_q.  Every factor in rational
+mode is a binomial (1 - v*q^m)^(+-1), and each one costs a single in-place
+pass over that list:
+
+    times (1 - v*q^m):  c[i] -= v*c[i-m]   for i from cap_q down to m
+    over  (1 - v*q^m):  c[i] += v*c[i-m]   for i from m up to cap_q
+
+(the second is the geometric series 1 + v*q^m + v^2*q^(2m) + ... applied
+by recurrence).  A finished side becomes a ``TruncatedSeries`` over the
+q-only profile once, so comparisons and reports see the same values as
+any other series.
 
 ``product_series`` evaluates a product of factors (1 - v*q^m)^(+-1) with
 rational v and integer m of either sign.  A factor with m < 0 is flipped
@@ -25,21 +35,20 @@ index consecutive summands differ by an exact rational ratio, so the
 remaining tail is a geometric series summed in closed form.  This is the
 formal counterpart of the |t| < 1 style convergence conditions: the tail
 value 1/(1 - ratio) is the unique exact rational consistent with the
-geometric recurrence.
+geometric recurrence.  The freeze index is checked, not trusted: the
+term after it must be exactly ratio times the term at it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, List, Optional
 
 from .series import (
     SeriesError,
     NegativeExponentError,
     TruncatedSeries,
-    invert_one_minus,
     q_only_profile,
 )
 
@@ -47,12 +56,18 @@ __all__ = [
     "DegenerateParameterError",
     "Factor",
     "RationalAssignment",
-    "cached_poch_series",
-    "geometric_inverse_factor",
+    "accumulate",
+    "apply_factors",
+    "dense_series",
+    "over_binomial",
     "pochhammer_factors",
     "product_series",
+    "require_frozen",
     "sum_with_geometric_tail",
+    "times_binomial",
 ]
+
+Dense = List[Fraction]
 
 
 class DegenerateParameterError(SeriesError):
@@ -101,6 +116,68 @@ def pochhammer_factors(
     return [Factor(value, q_offset + k * q_step, inverted) for k in range(count)]
 
 
+# ------------------------------------------------------------- dense kernel
+
+
+def times_binomial(c: Dense, v, m: int) -> None:
+    """c <- c * (1 - v*q^m) in place, truncated at q^(len(c) - 1); m >= 0."""
+    if not v:
+        return
+    for i in range(len(c) - 1, m - 1, -1):
+        x = c[i - m]
+        if x:
+            c[i] -= v * x
+
+
+def over_binomial(c: Dense, v, m: int) -> None:
+    """c <- c / (1 - v*q^m) in place, truncated at q^(len(c) - 1); m >= 0."""
+    if not v:
+        return
+    if m == 0:
+        if v == 1:
+            raise DegenerateParameterError("denominator factor (1 - v) with v = 1")
+        c[:] = [x / (1 - v) for x in c]
+        return
+    for i in range(m, len(c)):
+        x = c[i - m]
+        if x:
+            c[i] += v * x
+
+
+def apply_factors(c: Dense, factors: Iterable[Factor]) -> None:
+    """c <- c * prod(factors) in place; every q_exp >= 0."""
+    for f in factors:
+        (over_binomial if f.inverted else times_binomial)(c, f.value, f.q_exp)
+
+
+def accumulate(total: Dense, c: Dense) -> None:
+    """total <- total + c in place."""
+    for i, x in enumerate(c):
+        if x:
+            total[i] += x
+
+
+def dense_series(c: Dense, cap_q: int) -> TruncatedSeries:
+    """The finished dense coefficient list as a q-only ``TruncatedSeries``."""
+    return TruncatedSeries(
+        q_only_profile(cap_q), [((0, 0, 0, i), x) for i, x in enumerate(c) if x]
+    )
+
+
+def require_frozen(step_exponents: Iterable[int], cap_q: int, where: str) -> None:
+    """Raise unless every binomial of a summand ratio lies beyond q^cap_q.
+
+    Past such an index the summand ratio is a pure scalar within the
+    truncation, so a geometric tail closes the sum exactly.
+    """
+    early = [m for m in step_exponents if m <= cap_q]
+    if early:
+        raise SeriesError(
+            f"freeze index too early in {where}: a step factor at q^{min(early)} "
+            f"is inside the window q^0..q^{cap_q}"
+        )
+
+
 def product_series(
     factors: Iterable[Factor],
     cap_q: int,
@@ -116,18 +193,18 @@ def product_series(
     A vanishing numerator factor makes the whole product zero; a vanishing
     denominator factor raises ``DegenerateParameterError``.
     """
-    profile = q_only_profile(cap_q)
     where = f" in {label}" if label else ""
     scalar = Fraction(scalar)
     shift = q_shift
     regular: List[Factor] = []
     factors = list(factors)
+    zero = TruncatedSeries.zero(q_only_profile(cap_q))
 
     # A zero numerator factor annihilates the product regardless of any
     # degenerate denominator factor elsewhere (terminating sums rely on it).
     for f in factors:
         if not f.inverted and f.q_exp == 0 and f.value == 1:
-            return TruncatedSeries.zero(profile)
+            return zero
 
     for f in factors:
         v = f.value
@@ -152,7 +229,7 @@ def product_series(
                 scalar /= c
             else:
                 if c == 0:
-                    return TruncatedSeries.zero(profile)
+                    return zero
                 scalar *= c
         else:
             regular.append(f)
@@ -162,52 +239,12 @@ def product_series(
             f"product has a pole of order {-shift} at q = 0{where}"
         )
     if shift > cap_q:
-        return TruncatedSeries.zero(profile)
+        return zero
 
-    acc = TruncatedSeries.one(profile)
-    for f in regular:
-        if f.q_exp > cap_q:
-            continue
-        if f.inverted:
-            acc = acc * invert_one_minus(
-                TruncatedSeries.term(profile, f.value, e_q=f.q_exp)
-            )
-        else:
-            acc = acc * TruncatedSeries(
-                profile, [((0, 0, 0, 0), 1), ((0, 0, 0, f.q_exp), -f.value)]
-            )
-    if shift:
-        acc = acc * TruncatedSeries.term(profile, 1, e_q=shift)
-    if scalar != 1:
-        acc = acc * scalar
-    return acc
-
-
-@lru_cache(maxsize=16384)
-def cached_poch_series(
-    value: Fraction,
-    q_offset: int,
-    q_step: int,
-    count: Optional[int],
-    cap_q: int,
-    inverted: bool = False,
-) -> TruncatedSeries:
-    """Memoized finite or infinite q-shifted factorial as a q-only series.
-
-    Shared heavily by the double-sum checkers; results are immutable so
-    sharing is safe.
-    """
-    return product_series(
-        pochhammer_factors(
-            value, q_offset, q_step, count, inverted=inverted, cap_q=cap_q
-        ),
-        cap_q,
-    )
-
-
-def geometric_inverse_factor(value, q_exp: int, cap_q: int) -> TruncatedSeries:
-    """Memoized 1/(1 - value*q^q_exp) with q_exp >= 0 (constant for q_exp = 0)."""
-    return cached_poch_series(Fraction(value), q_exp, 1, 1, cap_q, True)
+    acc = [0] * (cap_q + 1)
+    acc[shift] = scalar
+    apply_factors(acc, regular)
+    return dense_series(acc, cap_q)
 
 
 def sum_with_geometric_tail(
@@ -218,8 +255,9 @@ def sum_with_geometric_tail(
 ) -> TruncatedSeries:
     """Exact sum over n >= 0 of term(n) when term(n+1) = ratio*term(n) past the freeze.
 
-    The caller guarantees the recurrence holds (within the truncation) for
-    every n >= freeze_index; the tail then sums to term(freeze)/(1 - ratio).
+    The tail from ``freeze_index`` on sums to term(freeze)/(1 - ratio).  The
+    recurrence is checked at the freeze index itself: ``SeriesError`` is
+    raised unless term(freeze + 1) == ratio * term(freeze).
     """
     ratio = Fraction(ratio)
     if ratio == 1:
@@ -227,7 +265,13 @@ def sum_with_geometric_tail(
     total = TruncatedSeries.zero(q_only_profile(cap_q))
     for n in range(freeze_index):
         total = total + term(n)
-    total = total + term(freeze_index) * (Fraction(1) / (1 - ratio))
+    frozen = term(freeze_index)
+    if term(freeze_index + 1) != frozen * ratio:
+        raise SeriesError(
+            f"freeze index {freeze_index} too early: term {freeze_index + 1} is not "
+            f"{ratio} times term {freeze_index}"
+        )
+    total = total + frozen * (Fraction(1) / (1 - ratio))
     return total
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsid import bijections
 from qsid.bijections import (
     BijectionBox,
     BijectionError,
@@ -14,7 +15,7 @@ from qsid.bijections import (
     sigma_gamma,
     two_modular_conjugate,
 )
-from qsid.partitions import ConstraintSet, Partition, enumerate_partitions
+from qsid.partitions import ConstraintSet, Partition, count_partitions, enumerate_partitions
 
 P = Partition.parse
 
@@ -248,6 +249,30 @@ def test_audit_3_5_processes_known_vectors():
 def test_audit_enumeration_guard():
     with pytest.raises(BijectionError):
         audit_bijection(BijectionBox(3, 3), enum_limit=10)
+
+
+def test_audit_guard_refuses_before_listing(monkeypatch):
+    listed = []
+
+    def recording_enumerate(c):
+        listed.append(c)
+        return enumerate_partitions(c)
+
+    monkeypatch.setattr(bijections, "enumerate_partitions", recording_enumerate)
+    with pytest.raises(BijectionError) as refusal:
+        audit_bijection(BijectionBox(5, 8), enum_limit=10)
+    assert str(refusal.value) == "box j=5, M=8 enumerates 70441 partitions, over the limit 10"
+    assert listed == []
+    audit_bijection(BijectionBox(1, 2))
+    assert len(listed) == 4
+
+
+@pytest.mark.parametrize("j, M", [(2, 3), (3, 4), (4, 5)])
+def test_family_counts_match_listed_lengths(j, M):
+    box = BijectionBox(j, M)
+    for variant in ("exact", "printed"):
+        for c in (box.domain_constraints(variant), box.codomain_constraints(variant)):
+            assert count_partitions(c) == len(enumerate_partitions(c))
 
 
 def test_audit_guard_env_override(monkeypatch):

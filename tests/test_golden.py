@@ -4,8 +4,9 @@ Each invocation runs ``qsid.cli.main`` in-process.  JSON output is compared
 byte for byte after dropping the ``volatile`` section (durations, version);
 text output and stderr are compared as they are, and so is the exit code.
 The fixtures under ``tests/golden/`` were recorded before the case catalog
-and the report codec were rewritten, so a refactor that changes any
-non-volatile byte fails here.
+and the report codec were rewritten, and the ``*_q16`` rational ones
+before the dense rational kernel replaced the sparse products, so a
+refactor that changes any non-volatile byte fails here.
 
 To record the fixtures again (only at a commit whose output is trusted):
 
@@ -89,6 +90,30 @@ INVOCATIONS = {
     "verify_chain_degenerate": [
         "verify", "--identity", "chain_shift", "--a=0", "--b=1/3", "--t=1/5",
         "--qmax", "6",
+    ],
+    "verify_chain_shift_q16": [
+        "verify", "--identity", "chain_shift", "--a=-3/2", "--b=2/3", "--t=1/5",
+        "--qmax", "16",
+    ],
+    "verify_chain_fine_q16": [
+        "verify", "--identity", "chain_fine", "--a=-3/2", "--b=2/3", "--t=1/5",
+        "--qmax", "16",
+    ],
+    "verify_chain_final_q16": [
+        "verify", "--identity", "chain_final", "--a=-3/2", "--b=2/3", "--t=1/5",
+        "--qmax", "16",
+    ],
+    "verify_qps_2_1_q16": [
+        "verify", "--identity", "qps_2_1", "--a=2", "--b=1/3", "--c=5", "--N", "6",
+        "--qmax", "16",
+    ],
+    "verify_rewrite_2_2_q16": [
+        "verify", "--identity", "rewrite_2_2", "--a=-3/2", "--b=1/4", "--c=7", "--N", "6",
+        "--qmax", "16",
+    ],
+    "verify_f_sym_rational_q16": [
+        "verify", "--identity", "f_sym", "--mode", "rational", "--alpha=-3/4",
+        "--beta=2/7", "--k1", "2", "--k2", "3", "--qmax", "16",
     ],
     "audit_2_3": ["audit", "--j", "2", "--M", "3"],
     "audit_1_2_printed": ["audit", "--j", "1", "--M", "2", "--variant", "printed"],
