@@ -30,12 +30,9 @@ from .series import (  # noqa: F401
     pochhammer_finite,
     pochhammer_infinite,
     q_only_profile,
-    series_add,
-    series_mul,
     shift_a_by_q,
     substitute_q_power,
     swap_b_t,
-    unit_monomial,
 )
 from .rational import (  # noqa: F401
     DegenerateParameterError,
@@ -66,7 +63,6 @@ from .partitions import (  # noqa: F401
     UnboundedConstraintError,
     enumerate_partitions,
     generating_polynomial,
-    is_odd_distinct,
     series_vs_enumeration_check,
 )
 from .bijections import (  # noqa: F401

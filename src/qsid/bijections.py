@@ -33,7 +33,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .parallel import parallel_map
 from .partitions import (
     ConstraintSet,
     GeneratingPolynomial,
@@ -158,7 +157,7 @@ def sigma_gamma(p: Partition, M: int) -> Partition:
 
 @dataclass(frozen=True)
 class BijectionBox:
-    """Audit box: domain D(j, M), codomain C(j, M), and the length-bound variant.
+    """Audit box: domain D(j, M) and codomain C(j, M) under either length reading.
 
     D(j, M): odd-distinct, parts in [2M, 4M], length j (exact) or <= j
     (printed).  C(j, M): odd-distinct, parts in [2j, 4j], length M or <= M.
@@ -167,13 +166,10 @@ class BijectionBox:
 
     j: int
     M: int
-    variant: str = "exact"
 
     def __post_init__(self) -> None:
         if self.j < 1 or self.M < 1:
             raise BijectionError(f"j and M must be >= 1, got j={self.j}, M={self.M}")
-        if self.variant not in ("exact", "printed"):
-            raise BijectionError(f"variant must be 'exact' or 'printed', got {self.variant!r}")
 
     def domain_constraints(self, variant: str) -> ConstraintSet:
         kw = {"length": self.j} if variant == "exact" else {"max_length": self.j}
@@ -266,7 +262,6 @@ class AuditReport:
 
     j: int
     M: int
-    variant: str
     exact: MapAudit
     printed: MapAudit
     printed_genpoly_strict_equal: bool
@@ -309,7 +304,6 @@ def _map_audit(
     codomain: List[Partition],
     j: int,
     M: int,
-    workers: int = 1,
 ) -> MapAudit:
     weight_pc = PropertyCount()
     odd_pc = PropertyCount()
@@ -321,12 +315,8 @@ def _map_audit(
 
     codomain_set = {c.parts for c in codomain}
 
-    def apply_maps(p: Partition):
-        lam = gamma(p, M)
-        image = two_modular_conjugate(lam)
-        return (p, lam, image)
-
-    triples = parallel_map(apply_maps, domain, workers)
+    marked = [(p, gamma(p, M)) for p in domain]
+    triples = [(p, lam, two_modular_conjugate(lam)) for p, lam in marked]
 
     image_index: Dict[Tuple[int, ...], List[Partition]] = {}
     for p, lam, image in triples:
@@ -397,7 +387,6 @@ def _map_audit(
 def audit_bijection(
     box: BijectionBox,
     enum_limit: Optional[int] = None,
-    workers: int = 1,
 ) -> AuditReport:
     """Exhaustively audit the composition over a finite box.
 
@@ -426,8 +415,8 @@ def audit_bijection(
         )
     d_exact, c_exact, d_printed, c_printed = map(enumerate_partitions, families)
 
-    exact_audit = _map_audit("exact", d_exact, c_exact, box.j, box.M, workers)
-    printed_audit = _map_audit("printed", d_printed, c_printed, box.j, box.M, workers)
+    exact_audit = _map_audit("exact", d_exact, c_exact, box.j, box.M)
+    printed_audit = _map_audit("printed", d_printed, c_printed, box.j, box.M)
 
     gen_d_printed = GeneratingPolynomial.from_partitions(d_printed)
     gen_c_printed = GeneratingPolynomial.from_partitions(c_printed)
@@ -441,7 +430,6 @@ def audit_bijection(
     report = AuditReport(
         j=box.j,
         M=box.M,
-        variant=box.variant,
         exact=exact_audit,
         printed=printed_audit,
         printed_genpoly_strict_equal=not strict_rows,

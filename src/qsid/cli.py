@@ -220,7 +220,6 @@ _AUDIT = _record(
     AuditReport,
     "box.j",
     "box.M",
-    "box.variant",
     _Field("passed", lambda report: report.passed),
     _Field("exact", codec=_MAP_AUDIT),
     _Field("printed", codec=_MAP_AUDIT),
@@ -306,7 +305,6 @@ def cmd_verify(args) -> int:
             profile=_profile_from_args(args),
             assign=_assignment_from_args(args),
             cap_q=args.qmax,
-            workers=args.workers,
         )
     except SeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -325,7 +323,7 @@ def cmd_verify(args) -> int:
 def _format_audit_text(report: AuditReport) -> str:
     e = report.exact
     lines = [
-        f"box: j={report.j} M={report.M} (variant requested: {report.variant})",
+        f"box: j={report.j} M={report.M}",
         f"exact-length audit: |D|={e.domain_size} |C|={e.codomain_size}",
         f"  weight preserved:    {e.weight_preserved.passed}/{e.domain_size}",
         f"  odd count preserved: {e.odd_count_preserved.passed}/{e.domain_size}",
@@ -359,8 +357,7 @@ def _format_audit_text(report: AuditReport) -> str:
 
 def cmd_audit(args) -> int:
     try:
-        box = BijectionBox(args.j, args.M, args.variant)
-        report = audit_bijection(box, enum_limit=args.limit, workers=args.workers)
+        report = audit_bijection(BijectionBox(args.j, args.M), enum_limit=args.limit)
     except SeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -520,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--identity", required=True)
     verify.add_argument("--mode", choices=("formal", "rational"))
     _add_caps(verify)
-    verify.add_argument("--workers", type=int, default=1)
     for name in ("a", "b", "t", "c", "alpha", "beta"):
         verify.add_argument(f"--{name}", type=parse_fraction, default=None,
                             help=f"rational value for {name} (e.g. 1/3)")
@@ -533,10 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     audit = subs.add_parser("audit", help="audit the bijection over a finite box")
     audit.add_argument("--j", type=int, required=True)
     audit.add_argument("--M", type=int, required=True)
-    audit.add_argument("--variant", choices=("exact", "printed"), default="exact")
     audit.add_argument("--limit", type=int, default=None,
                        help="enumeration guard (default from QSID_ENUM_LIMIT)")
-    audit.add_argument("--workers", type=int, default=1)
     _add_common(audit)
     audit.set_defaults(func=cmd_audit)
 

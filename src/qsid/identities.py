@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .parallel import parallel_map
 from .rational import (
     DegenerateParameterError,
     Factor,
@@ -155,7 +154,6 @@ def _sum_side(
     inner: str,
     q_mult: int,
     with_numerator: bool,
-    workers: int = 1,
 ) -> TruncatedSeries:
     """Common shape of the symmetric sides.
 
@@ -184,23 +182,23 @@ def _sum_side(
             term = term * invert_one_minus(denom_factor)
         return term
 
-    return sum_series(parallel_map(one_term, range(n_max + 1), workers), profile)
+    return sum_series(map(one_term, range(n_max + 1)), profile)
 
 
-def build_thm11_side(side: str, profile: TruncationProfile, workers: int = 1) -> TruncatedSeries:
+def build_thm11_side(side: str, profile: TruncationProfile) -> TruncatedSeries:
     """One side of the flagship symmetric identity.
 
     left  = sum_n (-a*b*q^(n+1); q)_n t^n / (b*q^n; q)_{n+1}
     right = the same with b and t exchanged.
     """
     if side == "left":
-        return _sum_side(profile, "t", "b", 1, True, workers)
+        return _sum_side(profile, "t", "b", 1, True)
     if side == "right":
-        return _sum_side(profile, "b", "t", 1, True, workers)
+        return _sum_side(profile, "b", "t", 1, True)
     raise SeriesError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def build_f_series(alpha_var: str, profile: TruncationProfile, workers: int = 1) -> TruncatedSeries:
+def build_f_series(alpha_var: str, profile: TruncationProfile) -> TruncatedSeries:
     """Two-variable symmetric function at the (q, q^2) specialization.
 
     f(alpha, beta) = sum_n beta^n / (alpha*q^n; q)_{n+1}; ``alpha_var``
@@ -208,27 +206,27 @@ def build_f_series(alpha_var: str, profile: TruncationProfile, workers: int = 1)
     the a-cap set to zero.
     """
     if alpha_var == "b":
-        return _sum_side(profile, "t", "b", 1, False, workers)
+        return _sum_side(profile, "t", "b", 1, False)
     if alpha_var == "t":
-        return _sum_side(profile, "b", "t", 1, False, workers)
+        return _sum_side(profile, "b", "t", 1, False)
     raise SeriesError(f"alpha_var must be 'b' or 't', got {alpha_var!r}")
 
 
-def build_eq31_side(side: str, profile: TruncationProfile, workers: int = 1) -> TruncatedSeries:
+def build_eq31_side(side: str, profile: TruncationProfile) -> TruncatedSeries:
     """One side of the even-step variant (q -> q^2, a -> a/q applied to the flagship).
 
     left = sum_n (-a*b*q^(2n+1); q^2)_n t^n / (b*q^2n; q^2)_{n+1}.
     """
     if side == "left":
-        return _sum_side(profile, "t", "b", 2, True, workers)
+        return _sum_side(profile, "t", "b", 2, True)
     if side == "right":
-        return _sum_side(profile, "b", "t", 2, True, workers)
+        return _sum_side(profile, "b", "t", 2, True)
     raise SeriesError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def eq31_substitution_path(profile: TruncationProfile, workers: int = 1) -> TruncatedSeries:
+def eq31_substitution_path(profile: TruncationProfile) -> TruncatedSeries:
     """Even-step left side obtained by substitution instead of direct build."""
-    base = build_thm11_side("left", profile, workers)
+    base = build_thm11_side("left", profile)
     return shift_a_by_q(substitute_q_power(base, 2), -1)
 
 
@@ -540,6 +538,11 @@ def _a_nonzero(run: "_Run") -> None:
         raise DegenerateParameterError("parameter a must be nonzero (q/a appears)")
 
 
+def _c_nonzero(run: "_Run") -> None:
+    if run.assign.c == 0:
+        raise DegenerateParameterError("parameter c must be nonzero (a*b/c appears)")
+
+
 def _chain_denominators(run: "_Run") -> None:
     if run.assign.t == 1:
         raise DegenerateParameterError("parameter t must differ from 1 (1 - t divides)")
@@ -615,12 +618,11 @@ class IdentityCase:
 class _Run:
     """One check in progress: its settings, and each side built once on first use."""
 
-    def __init__(self, check: Check, profile=None, assign=None, cap_q=None, workers=1):
+    def __init__(self, check: Check, profile=None, assign=None, cap_q=None):
         self.check = check
         self.profile = profile
         self.assign = assign
         self.cap_q = cap_q
-        self.workers = workers
         self.rows: Dict[str, list] = {}  # mismatch rows against each candidate side
         self.matched = "none"
         self._built: Dict[str, TruncatedSeries] = {}
@@ -644,8 +646,8 @@ _CHECKS = [
     Check(
         "thm1_1", "formal", "symmetric double series, b<->t exchange",
         sides={
-            "left": lambda r: build_thm11_side("left", r.profile, r.workers),
-            "right": lambda r: build_thm11_side("right", r.profile, r.workers),
+            "left": lambda r: build_thm11_side("left", r.profile),
+            "right": lambda r: build_thm11_side("right", r.profile),
             "swap": lambda r: swap_b_t(r["left"]),  # left as a b<->t fixed point
         },
         comparisons=(("left", "right"), ("left", "swap")),
@@ -661,8 +663,8 @@ _CHECKS = [
     Check(
         "f_sym", "formal", "f(b, t) = f(t, b) at the (q, q^2) specialization",
         sides={
-            "left": lambda r: build_f_series("b", r.profile, r.workers),
-            "right": lambda r: build_f_series("t", r.profile, r.workers),
+            "left": lambda r: build_f_series("b", r.profile),
+            "right": lambda r: build_f_series("t", r.profile),
         },
         preconditions=(_equal_bt_caps,),
         coeff_name="f_sym",
@@ -686,8 +688,8 @@ _CHECKS = [
         "reduction_a0", "formal", "a = 0 stratum of the flagship left side equals f(b, t)",
         restrict=lambda p: TruncationProfile(0, p.cap_b, p.cap_t, p.cap_q),
         sides={
-            "left": lambda r: build_thm11_side("left", r.profile, r.workers),
-            "right": lambda r: build_f_series("b", r.profile, r.workers),
+            "left": lambda r: build_thm11_side("left", r.profile),
+            "right": lambda r: build_f_series("b", r.profile),
         },
     ),
     # The substitution path is valid to cap_q - cap_a after the a-shift, so
@@ -697,9 +699,9 @@ _CHECKS = [
         "eq3_1_consistency", "formal",
         "even-step variant: substitution path vs direct build, plus symmetry",
         sides={
-            "left": lambda r: build_eq31_side("left", r.profile, r.workers),
-            "right": lambda r: build_eq31_side("right", r.profile, r.workers),
-            "substitution path": lambda r: eq31_substitution_path(r.profile, r.workers),
+            "left": lambda r: build_eq31_side("left", r.profile),
+            "right": lambda r: build_eq31_side("right", r.profile),
+            "substitution path": lambda r: eq31_substitution_path(r.profile),
         },
         comparisons=(("left", "substitution path"), ("left", "right")),
         preconditions=(_equal_bt_caps,),
@@ -716,7 +718,7 @@ _CHECKS = [
     Check(
         "qps_2_1", "rational", "terminating balanced summation vs all-N product form",
         params=("a", "b", "c", "N"),
-        preconditions=(_terminating,),
+        preconditions=(_terminating, _c_nonzero),
         sides={"left": _rational(_qps_lhs), "right": _rational(_qps_rhs)},
         details=lambda r: {
             "form": "all_N_product",
@@ -730,7 +732,7 @@ _CHECKS = [
     Check(
         "rewrite_2_2", "rational", "finite rewrite of the balanced sum (q^n variant adjudicated)",
         params=("a", "b", "c", "N"),
-        preconditions=(_terminating,),
+        preconditions=(_terminating, _c_nonzero),
         sides={
             "left": _rational(_qps_lhs),
             "without_qn": _rational(_eq22_rhs, with_qn=False),
@@ -831,7 +833,6 @@ def run_case(
     profile: Optional[TruncationProfile] = None,
     assign: Optional[RationalAssignment] = None,
     cap_q: Optional[int] = None,
-    workers: int = 1,
 ) -> VerificationReport:
     """Run one catalog case in the requested mode (default: its first mode).
 
@@ -853,7 +854,7 @@ def run_case(
             raise SeriesError("formal mode needs a truncation profile")
         if check.restrict is not None:
             profile = check.restrict(profile)
-        run = _Run(check, profile=profile, workers=workers)
+        run = _Run(check, profile=profile)
         caps, assignment = dict(zip("abtq", profile.caps)), None
     else:
         if assign is None or cap_q is None:

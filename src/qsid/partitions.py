@@ -30,7 +30,6 @@ __all__ = [
     "count_partitions",
     "enumerate_partitions",
     "generating_polynomial",
-    "is_odd_distinct",
     "series_vs_enumeration_check",
 ]
 
@@ -77,6 +76,7 @@ class Partition:
         return self.parts[-1] if self.parts else 0
 
     def is_odd_distinct(self) -> bool:
+        """True iff no odd part value occurs more than once."""
         odds = [p for p in self.parts if p % 2]
         return len(odds) == len(set(odds))
 
@@ -98,11 +98,6 @@ class Partition:
 
     def __str__(self) -> str:
         return self.text()
-
-
-def is_odd_distinct(p: Partition) -> bool:
-    """True iff no odd part value occurs more than once."""
-    return p.is_odd_distinct()
 
 
 @dataclass(frozen=True)
@@ -188,8 +183,9 @@ class ConstraintSet:
 def enumerate_partitions(c: ConstraintSet) -> List[Partition]:
     """All partitions satisfying the constraints, descending-lexicographic.
 
-    Exhaustive search over weakly decreasing part sequences; the constraint
-    set must be finite (see ``ConstraintSet.effective_bounds``).
+    Exhaustive search over weakly decreasing part sequences, larger parts
+    first; recording each partition after its extensions gives that order.
+    The constraint set must be finite (see ``ConstraintSet.effective_bounds``).
     """
     w_hi_eff, l_hi_eff = c.effective_bounds()
     w_lo, w_hi = c.weight_window()
@@ -202,25 +198,18 @@ def enumerate_partitions(c: ConstraintSet) -> List[Partition]:
     found: List[Partition] = []
     stack: List[int] = []
 
-    def emit() -> None:
-        w = sum(stack)
-        if w_lo <= w and l_lo <= len(stack):
+    def rec(prev: int, weight: int) -> None:
+        if len(stack) < l_hi:
+            for v in range(min(prev, hi_part, w_hi - weight), lo_part - 1, -1):
+                if c.odd_parts_distinct and stack and v == stack[-1] and v % 2:
+                    continue
+                stack.append(v)
+                rec(v, weight + v)
+                stack.pop()
+        if w_lo <= weight and l_lo <= len(stack):
             found.append(Partition(tuple(stack)))
 
-    def rec(prev: int, weight: int) -> None:
-        emit()
-        if len(stack) >= l_hi:
-            return
-        top = min(prev, hi_part, w_hi - weight)
-        for v in range(top, lo_part - 1, -1):
-            if c.odd_parts_distinct and stack and v == stack[-1] and v % 2:
-                continue
-            stack.append(v)
-            rec(v, weight + v)
-            stack.pop()
-
     rec(hi_part, 0)
-    found.sort(key=lambda p: p.parts, reverse=True)
     return found
 
 

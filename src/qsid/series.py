@@ -58,13 +58,10 @@ __all__ = [
     "pochhammer_finite",
     "pochhammer_infinite",
     "q_only_profile",
-    "series_add",
-    "series_mul",
     "shift_a_by_q",
     "substitute_q_power",
     "sum_series",
     "swap_b_t",
-    "unit_monomial",
 ]
 
 
@@ -117,15 +114,6 @@ MONO_ONE = Monomial()
 _VAR_INDEX = {"a": 0, "b": 1, "t": 2, "q": 3}
 
 
-def unit_monomial(var: str, exp: int = 1) -> Monomial:
-    """Monomial with a single variable raised to ``exp``."""
-    if var not in _VAR_INDEX:
-        raise SeriesError(f"unknown variable {var!r}; expected one of a, b, t, q")
-    exps = [0, 0, 0, 0]
-    exps[_VAR_INDEX[var]] = exp
-    return Monomial(*exps)
-
-
 @dataclass(frozen=True)
 class TruncationProfile:
     """Per-variable degree caps; a monomial is kept iff every exponent is <= its cap."""
@@ -170,7 +158,7 @@ class TruncatedSeries:
     """Sparse exact series: a finite map from monomials to nonzero rationals.
 
     Instances are immutable by convention: no method mutates ``terms`` after
-    construction, so values may be shared freely between threads.
+    construction.
     """
 
     __slots__ = ("profile", "terms", "valid_to_q")
@@ -388,16 +376,6 @@ class TruncatedSeries:
 
 
 # -------------------------------------------------------------- spec-facing ops
-
-
-def series_add(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
-    """Coefficient-wise sum; requires identical profiles."""
-    return x + y
-
-
-def series_mul(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
-    """Convolution product with over-cap monomials dropped; identical profiles."""
-    return x * y
 
 
 def sum_series(items: Iterable[TruncatedSeries], profile: TruncationProfile) -> TruncatedSeries:

@@ -7,11 +7,16 @@ criterion pins a documented discrepancy).
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qsid
 from qsid.bijections import BijectionBox, audit_bijection
 from qsid.cli import (
     audit_report_to_dict,
@@ -43,7 +48,7 @@ def report_line(num, ok, text):
 def test_criterion_01_flagship_identity_full_caps():
     started = time.perf_counter()
     profile = TruncationProfile(8, 8, 8, 24)
-    report = run_case("thm1_1", "formal", profile=profile, workers=1)
+    report = run_case("thm1_1", "formal", profile=profile)
     elapsed = time.perf_counter() - started
     ok = (
         report.verified
@@ -170,7 +175,7 @@ def test_criterion_07_bijection_audit_boxes():
             and e.surjective
             and e.genpoly_equal
         )
-    printed = audit_bijection(BijectionBox(1, 2, "printed"))
+    printed = audit_bijection(BijectionBox(1, 2))
     ok &= printed.le_adds_codomain == [
         ((0, 0), 1), ((0, 2), 1), ((1, 3), 1), ((0, 4), 1),
     ]
@@ -221,28 +226,29 @@ def test_criterion_09_involution_to_weight_30():
     )
 
 
-def test_criterion_10_determinism_across_workers():
-    profile = TruncationProfile(4, 4, 4, 12)
-    verify_dicts = [
-        json.dumps(
-            strip_volatile(
-                verification_report_to_dict(
-                    run_case("thm1_1", "formal", profile=profile, workers=w)
-                )
-            )
-        )
-        for w in (1, 4)
-    ]
-    audit_dicts = [
-        json.dumps(
-            strip_volatile(audit_report_to_dict(
-                audit_bijection(BijectionBox(2, 2), workers=w)
-            ))
-        )
-        for w in (1, 4)
-    ]
-    ok = verify_dicts[0] == verify_dicts[1] and audit_dicts[0] == audit_dicts[1]
+def test_criterion_10_determinism_across_processes():
+    in_process = {
+        ("verify", "--identity", "thm1_1", "--amax", "4", "--bmax", "4", "--tmax", "4",
+         "--qmax", "12"): verification_report_to_dict(
+            run_case("thm1_1", "formal", profile=TruncationProfile(4, 4, 4, 12))
+        ),
+        ("audit", "--j", "2", "--M", "2"): audit_report_to_dict(
+            audit_bijection(BijectionBox(2, 2))
+        ),
+    }
+    src = str(Path(qsid.__file__).resolve().parents[1])
+    ok = True
+    for argv, report in in_process.items():
+        expected = json.dumps(strip_volatile(report), indent=2)
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            out = subprocess.run(
+                [sys.executable, "-m", "qsid", *argv, "--format", "json"],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            ok = ok and json.dumps(strip_volatile(json.loads(out)), indent=2) == expected
     report_line(
         10, ok,
-        "non-volatile report sections byte-identical for worker counts 1 and 4",
+        "non-volatile report sections byte-identical in-process and in two "
+        "processes with PYTHONHASHSEED 1 and 2",
     )

@@ -10,7 +10,6 @@ from qsid.partitions import (
     UnboundedConstraintError,
     enumerate_partitions,
     generating_polynomial,
-    is_odd_distinct,
     series_vs_enumeration_check,
 )
 from qsid.series import (
@@ -54,9 +53,9 @@ def test_partition_validation():
 
 
 def test_odd_distinct_examples():
-    assert not is_odd_distinct(Partition.parse("3,1,1"))
-    assert is_odd_distinct(Partition.parse("20,13,12,12,10"))
-    assert is_odd_distinct(Partition())
+    assert not Partition.parse("3,1,1").is_odd_distinct()
+    assert Partition.parse("20,13,12,12,10").is_odd_distinct()
+    assert Partition().is_odd_distinct()
 
 
 # -------------------------------------------------------------- enumeration
@@ -83,6 +82,24 @@ def test_enumerate_all_weight5():
     assert len(got) == 7  # classical partition count p(5)
     assert got == sorted(got, key=lambda p: p.parts, reverse=True)
     assert len(set(got)) == len(got)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        ConstraintSet(weight=9),
+        ConstraintSet(weight=12, odd_parts_distinct=True),
+        ConstraintSet(weight_min=4, weight_max=9, max_part=5),
+        ConstraintSet(weight_max=0),
+        ConstraintSet(length=3, min_part=2, max_part=7, odd_parts_distinct=True),
+        ConstraintSet(max_length=3, min_part=4, max_part=8, odd_parts_distinct=True),
+        ConstraintSet(weight_min=6, weight_max=10, max_length=2),
+    ],
+)
+def test_enumeration_order_is_descending_lex(c):
+    got = enumerate_partitions(c)
+    assert got == sorted(set(got), key=lambda p: p.parts, reverse=True)
+    assert got
 
 
 def test_enumerate_unbounded_raises():

@@ -20,8 +20,6 @@ from qsid.series import (
     invert_one_minus,
     pochhammer_finite,
     pochhammer_infinite,
-    series_add,
-    series_mul,
     shift_a_by_q,
     substitute_q_power,
     swap_b_t,
@@ -73,23 +71,23 @@ def dense_from_series(s, cap):
 def test_add_cancellation():
     one_plus_q = TruncatedSeries.one(PROF) + term(PROF, 1, q=1)
     one_minus_q = TruncatedSeries.one(PROF) - term(PROF, 1, q=1)
-    assert series_add(one_plus_q, one_minus_q) == TruncatedSeries.constant(PROF, 2)
+    assert one_plus_q + one_minus_q == TruncatedSeries.constant(PROF, 2)
 
 
 def test_add_identity_element():
     s = term(PROF, 3, a=1, q=2) + term(PROF, Fraction(1, 2), b=1)
-    assert series_add(s, TruncatedSeries.zero(PROF)) == s
+    assert s + TruncatedSeries.zero(PROF) == s
 
 
 def test_add_like_term_merge():
     s = term(PROF, 1, a=1, b=1, q=2)
-    assert series_add(s, s) == term(PROF, 2, a=1, b=1, q=2)
+    assert s + s == term(PROF, 2, a=1, b=1, q=2)
 
 
 def test_add_profile_mismatch():
     other = TruncatedSeries.one(TruncationProfile(1, 1, 1, 4))
     with pytest.raises(ProfileMismatchError):
-        series_add(TruncatedSeries.one(PROF), other)
+        TruncatedSeries.one(PROF) + other
 
 
 # ------------------------------------------------------------------- product
@@ -101,12 +99,12 @@ def test_mul_telescoping_within_cap():
     rhs = sum(
         (term(prof, 1, q=k) for k in range(4)), start=TruncatedSeries.zero(prof)
     )
-    assert series_mul(lhs, rhs) == TruncatedSeries.one(prof)
+    assert lhs * rhs == TruncatedSeries.one(prof)
 
 
 def test_mul_identity_element():
     s = TruncatedSeries.one(PROF) + term(PROF, 1, a=1, b=1, q=2)
-    assert series_mul(s, TruncatedSeries.one(PROF)) == s
+    assert s * TruncatedSeries.one(PROF) == s
 
 
 def test_mul_geometric_cancellation_in_b():
@@ -115,7 +113,7 @@ def test_mul_geometric_cancellation_in_b():
         start=TruncatedSeries.zero(PROF),
     )
     one_minus_b = TruncatedSeries.one(PROF) - term(PROF, 1, b=1)
-    assert series_mul(one_minus_b, geom) == TruncatedSeries.one(PROF)
+    assert one_minus_b * geom == TruncatedSeries.one(PROF)
 
 
 def test_mul_valid_to_q_is_min():
