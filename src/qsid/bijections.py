@@ -28,7 +28,6 @@ identity between D(j, M) and C(j, M) = D(M, j)-shaped codomain.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -39,6 +38,7 @@ from .partitions import (
     Partition,
     count_partitions,
     enumerate_partitions,
+    env_enum_limit,
 )
 from .series import SeriesError
 
@@ -46,7 +46,6 @@ __all__ = [
     "AuditReport",
     "BijectionBox",
     "BijectionError",
-    "DEFAULT_ENUM_LIMIT",
     "MapAudit",
     "PropertyCount",
     "audit_bijection",
@@ -56,9 +55,6 @@ __all__ = [
     "sigma_gamma",
     "two_modular_conjugate",
 ]
-
-DEFAULT_ENUM_LIMIT = 200_000
-
 
 class BijectionError(SeriesError):
     """A map precondition was violated."""
@@ -396,11 +392,12 @@ def audit_bijection(
     lists what the <= reading adds to each side.  The total enumeration is
     guarded by ``enum_limit`` (default from QSID_ENUM_LIMIT or 200000):
     the four families are counted exactly first, and a box over the limit
-    is refused before any partition is listed.
+    is refused before any partition is listed.  Only the two <= families
+    are searched; the exact ones are filtered out of them.
     """
     started = time.perf_counter()
     if enum_limit is None:
-        enum_limit = int(os.environ.get("QSID_ENUM_LIMIT", DEFAULT_ENUM_LIMIT))
+        enum_limit = env_enum_limit()
 
     families = [
         constraints(variant)
@@ -413,7 +410,10 @@ def audit_bijection(
             f"box j={box.j}, M={box.M} enumerates {total} partitions, "
             f"over the limit {enum_limit}"
         )
-    d_exact, c_exact, d_printed, c_printed = map(enumerate_partitions, families)
+    # each exact family is the length-j (length-M) part of its <= family
+    d_printed, c_printed = map(enumerate_partitions, families[2:])
+    d_exact = [p for p in d_printed if p.length == box.j]
+    c_exact = [p for p in c_printed if p.length == box.M]
 
     exact_audit = _map_audit("exact", d_exact, c_exact, box.j, box.M)
     printed_audit = _map_audit("printed", d_printed, c_printed, box.j, box.M)

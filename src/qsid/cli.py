@@ -3,6 +3,8 @@
 Exit codes: 0 = verified / ok, 1 = a mathematical mismatch was found,
 2 = usage or configuration error.  JSON reports are deterministic except
 for the ``volatile`` section (durations, version), so runs can be diffed.
+Reports are only written: each ``cmd_*`` computes its result and ``main``
+alone reports errors and writes the requested format.
 
 JSON schema for ``verify``:
 
@@ -18,37 +20,34 @@ are exact ``p/q`` strings; no floats anywhere.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
-import functools
 import json
-import operator
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Union, get_type_hints
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from .bijections import (
     AuditReport,
     BijectionBox,
     MapAudit,
-    PropertyCount,
     audit_bijection,
     gamma,
     gamma_inverse,
     sigma_gamma,
     two_modular_conjugate,
 )
-from .identities import CASES, Mismatch, VerificationReport, run_case
-from .partitions import ConstraintSet, Partition, enumerate_partitions
-from .rational import RationalAssignment
-from .series import (
-    Monomial,
-    SeriesError,
-    TruncationProfile,
-    coefficient,
+from .identities import CASES, VerificationReport, run_case
+from .partitions import (
+    ConstraintSet,
+    Partition,
+    count_partitions,
+    enumerate_partitions,
+    env_enum_limit,
 )
+from .rational import RationalAssignment
+from .series import Monomial, SeriesError, TruncationProfile, coefficient
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -78,167 +77,64 @@ def parse_fraction(text: str) -> Fraction:
 # ------------------------------------------------------------- serialization
 
 
-class _Codec(NamedTuple):
-    encode: Callable
-    decode: Callable
+def _monomial_dict(m: Monomial) -> Dict[str, int]:
+    return {"a": m.e_a, "b": m.e_b, "t": m.e_t, "q": m.e_q}
 
 
-_PLAIN = _Codec(lambda value: value, copy.copy)
-_FRACTION = _Codec(str, Fraction)
+def _volatile(duration_ms: float) -> Dict[str, object]:
+    return {"duration_ms": round(duration_ms, 3), "version": __version__}
 
 
-class _Field(NamedTuple):
-    """One wire field: its dotted ``path`` in the JSON object, the attribute
-    name or tuple index it holds (None: the last path step; a function of
-    the object: a field that is only written), its value codec, and whether
-    it is left out when None (and read back as None when absent)."""
-
-    path: str
-    key: Union[str, int, Callable, None] = None
-    codec: _Codec = _PLAIN
-    optional: bool = False
-
-
-def _list_of(item: _Codec) -> _Codec:
-    return _Codec(
-        lambda values: [item.encode(v) for v in values],
-        lambda values: [item.decode(v) for v in values],
-    )
-
-
-def _record(build: Callable, *fields: Union[str, _Field]) -> _Codec:
-    """Codec between ``build``'s objects (dataclasses or tuples) and JSON objects.
-
-    Each wire field is declared once, as a ``_Field`` or as the bare name of
-    an attribute written as it is; both directions derive from it.  An
-    absent field that is not optional takes ``build``'s dataclass default,
-    or raises ``KeyError`` when there is none.
-    """
-    defaults = set()
-    if dataclasses.is_dataclass(build):
-        defaults = {
-            f.name for f in dataclasses.fields(build)
-            if f.default is not dataclasses.MISSING
-            or f.default_factory is not dataclasses.MISSING
-        }
-    specs = []  # (path steps, key, getter, field)
-    for f in fields:
-        f = _Field(f) if isinstance(f, str) else f
-        key = f.path.rsplit(".", 1)[-1] if f.key is None else f.key
-        if callable(key):
-            getter = key
-        else:
-            getter = operator.itemgetter(key) if isinstance(key, int) else operator.attrgetter(key)
-        specs.append((f.path.split("."), key, getter, f))
-
-    def encode(obj) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for (*groups, leaf), _, getter, f in specs:
-            value = getter(obj)
-            if value is None and f.optional:
-                continue
-            node = out
-            for group in groups:
-                node = node.setdefault(group, {})
-            node[leaf] = f.codec.encode(value)
-        return out
-
-    def decode(d: Dict[str, object]):
-        args, kwargs = [], {}
-        for steps, key, _, f in specs:
-            if callable(key):
-                continue
-            try:
-                raw = functools.reduce(operator.getitem, steps, d)
-            except KeyError:
-                if key in defaults:
-                    continue
-                if not f.optional:
-                    raise
-                value = None
-            else:
-                value = f.codec.decode(raw)
-            if isinstance(key, int):
-                args.append(value)
-            else:
-                kwargs[key] = value
-        return build(*args, **kwargs)
-
-    return _Codec(encode, decode)
-
-
-def _dataclass(cls, **codecs: _Codec) -> _Codec:
-    """Record codec writing each field of dataclass ``cls`` under its own name."""
-    names = (f.name for f in dataclasses.fields(cls))
-    return _record(cls, *(_Field(name, codec=codecs.get(name, _PLAIN)) for name in names))
-
-
-def _tuple(*values) -> tuple:
-    return values
-
-
-def _graded_rows(*names: str) -> _Codec:
+def _graded_rows(rows, *names: str) -> List[Dict[str, object]]:
     """Rows ((a, q), *values) of monomial a^i q^k, the values under ``names``."""
-    monomial = _record(_tuple, _Field("a", 0), _Field("q", 1))
-    values = (_Field(name, i) for i, name in enumerate(names, 1))
-    return _list_of(_record(_tuple, _Field("monomial", 0, monomial), *values))
+    return [
+        {"monomial": {"a": a, "q": q}, **dict(zip(names, values))}
+        for (a, q), *values in rows
+    ]
 
 
-_MONOMIAL = _record(
-    Monomial, _Field("a", "e_a"), _Field("b", "e_b"), _Field("t", "e_t"), _Field("q", "e_q")
-)
-_VOLATILE = (
-    _Field("volatile.duration_ms", codec=_Codec(lambda ms: round(ms, 3), float)),
-    _Field("volatile.version", lambda report: __version__),
-)
-_VERIFICATION = _record(
-    VerificationReport,
-    "case",
-    "mode",
-    "caps",
-    _Field("assignment", optional=True),
-    "status",
-    _Field(
-        "mismatches",
-        codec=_list_of(_dataclass(Mismatch, monomial=_MONOMIAL, lhs=_FRACTION, rhs=_FRACTION)),
-    ),
-    "details",
-    *_VOLATILE,
-)
+def verification_report_to_dict(report: VerificationReport) -> Dict[str, object]:
+    """The JSON object of a verify report, in the schema above."""
+    out: Dict[str, object] = {"case": report.case, "mode": report.mode, "caps": report.caps}
+    if report.assignment is not None:
+        out["assignment"] = report.assignment
+    out["status"] = report.status
+    out["mismatches"] = [
+        {"monomial": _monomial_dict(row.monomial), "lhs": str(row.lhs), "rhs": str(row.rhs)}
+        for row in report.mismatches
+    ]
+    out["details"] = report.details
+    out["volatile"] = _volatile(report.duration_ms)
+    return out
 
 
-_GENPOLY_ROWS = _graded_rows("domain", "codomain")
-_COUNT_ROWS = _graded_rows("count")
-_PROPERTY = _dataclass(PropertyCount, failures=_list_of(_Codec(list, tuple)))
-_MAP_AUDIT = _dataclass(
-    MapAudit,
-    collisions=_list_of(_record(_tuple, _Field("image", 0), _Field("preimages", 1))),
-    genpoly_mismatches=_GENPOLY_ROWS,
-    **{name: _PROPERTY for name, t in get_type_hints(MapAudit).items() if t is PropertyCount},
-)
-_AUDIT = _record(
-    AuditReport,
-    "box.j",
-    "box.M",
-    _Field("passed", lambda report: report.passed),
-    _Field("exact", codec=_MAP_AUDIT),
-    _Field("printed", codec=_MAP_AUDIT),
-    _Field("printed_genpoly_strict_empty.equal", "printed_genpoly_strict_equal"),
-    _Field(
-        "printed_genpoly_strict_empty.mismatches",
-        "printed_genpoly_strict_mismatches",
-        _GENPOLY_ROWS,
-    ),
-    _Field("le_adds_domain", codec=_COUNT_ROWS),
-    _Field("le_adds_codomain", codec=_COUNT_ROWS),
-    "enum_limit",
-    *_VOLATILE,
-)
+def _map_audit_dict(audit: MapAudit) -> Dict[str, object]:
+    out = dataclasses.asdict(audit)
+    out["collisions"] = [
+        {"image": image, "preimages": preimages} for image, preimages in audit.collisions
+    ]
+    out["genpoly_mismatches"] = _graded_rows(audit.genpoly_mismatches, "domain", "codomain")
+    return out
 
-verification_report_to_dict = _VERIFICATION.encode
-verification_report_from_dict = _VERIFICATION.decode
-audit_report_to_dict = _AUDIT.encode
-audit_report_from_dict = _AUDIT.decode
+
+def audit_report_to_dict(report: AuditReport) -> Dict[str, object]:
+    """The JSON object of an audit report: box, gate, both sections, extras."""
+    return {
+        "box": {"j": report.j, "M": report.M},
+        "passed": report.passed,
+        "exact": _map_audit_dict(report.exact),
+        "printed": _map_audit_dict(report.printed),
+        "printed_genpoly_strict_empty": {
+            "equal": report.printed_genpoly_strict_equal,
+            "mismatches": _graded_rows(
+                report.printed_genpoly_strict_mismatches, "domain", "codomain"
+            ),
+        },
+        "le_adds_domain": _graded_rows(report.le_adds_domain, "count"),
+        "le_adds_codomain": _graded_rows(report.le_adds_codomain, "count"),
+        "enum_limit": report.enum_limit,
+        "volatile": _volatile(report.duration_ms),
+    }
 
 
 def strip_volatile(d: Dict[str, object]) -> Dict[str, object]:
@@ -256,6 +152,14 @@ def _emit(payload: str, path: Optional[str]) -> None:
 
 # ------------------------------------------------------------------ commands
 
+# Every command returns (exit code, JSON producer, text producer); ``main``
+# calls the producer of the requested format only.
+_Result = Tuple[int, Callable[[], object], Callable[[], str]]
+
+
+class _UnknownName(Exception):
+    """An unknown --identity or --side, reported as it is (no ``error:`` prefix)."""
+
 
 def _profile_from_args(args) -> TruncationProfile:
     amax = max(args.bmax, args.tmax) if args.amax is None else args.amax
@@ -264,15 +168,8 @@ def _profile_from_args(args) -> TruncationProfile:
 
 def _assignment_from_args(args) -> RationalAssignment:
     return RationalAssignment.make(
-        a=args.a,
-        b=args.b,
-        t=args.t,
-        c=args.c,
-        alpha=args.alpha,
-        beta=args.beta,
-        x_exp=args.k1,
-        y_exp=args.k2,
-        N=args.N,
+        a=args.a, b=args.b, t=args.t, c=args.c, alpha=args.alpha, beta=args.beta,
+        x_exp=args.k1, y_exp=args.k2, N=args.N,
     )
 
 
@@ -293,31 +190,26 @@ def _format_verification_text(report: VerificationReport, limit: int = 25) -> st
     return "\n".join(lines)
 
 
-def cmd_verify(args) -> int:
+_VERIFY_EXIT = {"verified": EXIT_OK, "mismatch": EXIT_MISMATCH}
+
+
+def cmd_verify(args) -> _Result:
     if args.identity not in CASES:
-        print(f"unknown identity {args.identity!r}; known: {', '.join(sorted(CASES))}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = run_case(
-            args.identity,
-            mode=args.mode,
-            profile=_profile_from_args(args),
-            assign=_assignment_from_args(args),
-            cap_q=args.qmax,
+        raise _UnknownName(
+            f"unknown identity {args.identity!r}; known: {', '.join(sorted(CASES))}"
         )
-    except SeriesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.format == "json":
-        _emit(json.dumps(verification_report_to_dict(report), indent=2), args.output)
-    else:
-        _emit(_format_verification_text(report), args.output)
-    if report.status == "verified":
-        return EXIT_OK
-    if report.status == "mismatch":
-        return EXIT_MISMATCH
-    return EXIT_USAGE
+    report = run_case(
+        args.identity,
+        mode=args.mode,
+        profile=_profile_from_args(args),
+        assign=_assignment_from_args(args),
+        cap_q=args.qmax,
+    )
+    return (
+        _VERIFY_EXIT.get(report.status, EXIT_USAGE),
+        lambda: verification_report_to_dict(report),
+        lambda: _format_verification_text(report),
+    )
 
 
 def _format_audit_text(report: AuditReport) -> str:
@@ -355,104 +247,90 @@ def _format_audit_text(report: AuditReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_audit(args) -> int:
-    try:
-        report = audit_bijection(BijectionBox(args.j, args.M), enum_limit=args.limit)
-    except SeriesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.format == "json":
-        _emit(json.dumps(audit_report_to_dict(report), indent=2), args.output)
-    else:
-        _emit(_format_audit_text(report), args.output)
-    return EXIT_OK if report.passed else EXIT_MISMATCH
+def cmd_audit(args) -> _Result:
+    report = audit_bijection(BijectionBox(args.j, args.M), enum_limit=args.limit)
+    return (
+        EXIT_OK if report.passed else EXIT_MISMATCH,
+        lambda: audit_report_to_dict(report),
+        lambda: _format_audit_text(report),
+    )
 
 
-def cmd_enumerate(args) -> int:
-    try:
-        constraints = ConstraintSet(
-            weight=args.weight,
-            weight_min=args.min_weight,
-            weight_max=args.max_weight,
-            min_part=args.min_part,
-            max_part=args.max_part,
-            length=args.length,
-            max_length=args.max_length,
-            odd_parts_distinct=args.odd_distinct,
+def cmd_enumerate(args) -> _Result:
+    constraints = ConstraintSet(
+        weight=args.weight,
+        weight_min=args.min_weight,
+        weight_max=args.max_weight,
+        min_part=args.min_part,
+        max_part=args.max_part,
+        length=args.length,
+        max_length=args.max_length,
+        odd_parts_distinct=args.odd_distinct,
+    )
+    total, limit = count_partitions(constraints), env_enum_limit()
+    if total > limit:
+        raise SeriesError(
+            f"the constraints enumerate {total} partitions, over the limit {limit}"
         )
-        found = enumerate_partitions(constraints)
-    except SeriesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.format == "json":
-        payload = {
-            "count": len(found),
-            "partitions": [list(p.parts) for p in found],
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        _emit("\n".join(p.text() for p in found) if found else "", args.output)
-    return EXIT_OK
+    found = enumerate_partitions(constraints)
+    return (
+        EXIT_OK,
+        lambda: {"count": len(found), "partitions": [list(p.parts) for p in found]},
+        lambda: "\n".join(p.text() for p in found),
+    )
 
 
 _MAP_OPS = ("gamma", "gamma-inverse", "sigma", "gamma-sigma")
 
 
-def cmd_map(args) -> int:
-    try:
-        p = Partition.parse(args.partition)
-        if args.op == "gamma":
-            if args.M is None:
-                raise SeriesError("--M is required for gamma")
-            image = gamma(p, args.M)
-        elif args.op == "gamma-inverse":
-            if args.M is None or args.j is None:
-                raise SeriesError("--M and --j are required for gamma-inverse")
-            image = gamma_inverse(p, args.j, args.M)
-        elif args.op == "sigma":
-            image = two_modular_conjugate(p)
-        elif args.op == "gamma-sigma":
-            if args.M is None:
-                raise SeriesError("--M is required for gamma-sigma")
-            image = sigma_gamma(p, args.M)
-        else:
-            raise SeriesError(f"unknown map {args.op!r}")
-    except SeriesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _map_dict(op: str, p: Partition, image: Partition) -> Dict[str, object]:
+    return {
+        "op": op,
+        "input": list(p.parts),
+        "output": list(image.parts),
+        "stats": {
+            "weight": image.weight,
+            "parts": image.length,
+            "odd": image.odd_count,
+            "largest": image.largest,
+        },
+        "preserved": {
+            "weight": image.weight == p.weight,
+            "odd": image.odd_count == p.odd_count,
+        },
+    }
+
+
+def _format_map_text(p: Partition, image: Partition) -> str:
     preserved = []
     if image.weight == p.weight:
         preserved.append("weight")
     if image.odd_count == p.odd_count:
         preserved.append("odd-count")
-    stats = (
+    return (
+        f"{image.text()}\n"
         f"weight={image.weight} parts={image.length} odd={image.odd_count} "
         f"largest={image.largest}"
         + (f" (preserved: {', '.join(preserved)})" if preserved else "")
     )
-    if args.format == "json":
-        payload = {
-            "op": args.op,
-            "input": list(p.parts),
-            "output": list(image.parts),
-            "stats": {
-                "weight": image.weight,
-                "parts": image.length,
-                "odd": image.odd_count,
-                "largest": image.largest,
-            },
-            "preserved": {
-                "weight": image.weight == p.weight,
-                "odd": image.odd_count == p.odd_count,
-            },
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
+
+
+def cmd_map(args) -> _Result:
+    p = Partition.parse(args.partition)
+    if args.op == "sigma":
+        image = two_modular_conjugate(p)
+    elif args.op == "gamma-inverse":
+        if args.M is None or args.j is None:
+            raise SeriesError("--M and --j are required for gamma-inverse")
+        image = gamma_inverse(p, args.j, args.M)
     else:
-        _emit(f"{image.text()}\n{stats}", args.output)
-    return EXIT_OK
+        if args.M is None:
+            raise SeriesError(f"--M is required for {args.op}")
+        image = (gamma if args.op == "gamma" else sigma_gamma)(p, args.M)
+    return EXIT_OK, lambda: _map_dict(args.op, p, image), lambda: _format_map_text(p, image)
 
 
-def cmd_coeff(args) -> int:
+def cmd_coeff(args) -> _Result:
     sides = {
         f"{check.coeff_name}:{side}": (check, side)
         for case in CASES.values()
@@ -461,29 +339,15 @@ def cmd_coeff(args) -> int:
         for side in ("left", "right")
     }
     if args.side not in sides:
-        print(
-            f"unknown side {args.side!r}; known: {', '.join(sorted(sides))}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        mono = parse_monomial(args.monomial)
-        check, side = sides[args.side]
-        series = check.side(side, profile=_profile_from_args(args))
-        value = coefficient(series, mono)
-    except SeriesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.format == "json":
-        payload = {
-            "side": args.side,
-            "monomial": _MONOMIAL.encode(mono),
-            "coefficient": str(Fraction(value)),
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        _emit(str(Fraction(value)), args.output)
-    return EXIT_OK
+        raise _UnknownName(f"unknown side {args.side!r}; known: {', '.join(sorted(sides))}")
+    mono = parse_monomial(args.monomial)
+    check, side = sides[args.side]
+    value = str(Fraction(coefficient(check.side(side, profile=_profile_from_args(args)), mono)))
+    return (
+        EXIT_OK,
+        lambda: {"side": args.side, "monomial": _monomial_dict(mono), "coefficient": value},
+        lambda: value,
+    )
 
 
 # -------------------------------------------------------------------- parser
@@ -568,7 +432,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code, to_json, to_text = args.func(args)
+    except _UnknownName as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    except SeriesError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    _emit(json.dumps(to_json(), indent=2) if args.format == "json" else to_text(), args.output)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ computed independently by the series engine.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -24,14 +25,18 @@ from .series import Monomial, SeriesError, TruncationProfile
 
 __all__ = [
     "ConstraintSet",
+    "DEFAULT_ENUM_LIMIT",
     "GeneratingPolynomial",
     "Partition",
     "UnboundedConstraintError",
     "count_partitions",
     "enumerate_partitions",
+    "env_enum_limit",
     "generating_polynomial",
     "series_vs_enumeration_check",
 ]
+
+DEFAULT_ENUM_LIMIT = 200_000
 
 
 class UnboundedConstraintError(SeriesError):
@@ -214,25 +219,43 @@ def enumerate_partitions(c: ConstraintSet) -> List[Partition]:
 
 
 def count_partitions(c: ConstraintSet) -> int:
-    """Exact size of a family with part bounds and a length bound, without listing it.
+    """Exact size of a finite family, without listing it.
 
-    Only families with no weight window are counted (the audit boxes).  A
-    DP over the part values min_part..max_part: counts[l] is the number of
-    partitions of length l whose parts are among the values seen so far.
-    A value may repeat, except an odd one when odd parts must be distinct.
+    A DP over the part values whose states are the reachable (length,
+    weight) pairs with their counts, so its size follows the family, not
+    the weight cap.  Weight is tracked only under a weight window and
+    length only under a length bound; an untracked statistic stays 0.  A
+    value used at most once (odd, when odd parts must be distinct) is one
+    block of one part; a value that may repeat is blocks of 1, 2, 4, ...
+    parts, each used at most once, so each multiplicity is reached once,
+    by its binary digits.
     """
-    if c.weight_window() != (0, None) or c.max_part is None or c.length_window()[1] is None:
-        raise SeriesError("counting needs part bounds, a length bound and no weight window")
+    w_cap, l_cap = c.effective_bounds()  # raises when the family is not finite
+    w_lo, w_hi = c.weight_window()
     l_lo, l_hi = c.length_window()
-    counts = [1] + [0] * l_hi
-    for v in range(c.min_part or 1, c.max_part + 1):
-        if c.odd_parts_distinct and v % 2:
-            for l in range(l_hi, 0, -1):
-                counts[l] += counts[l - 1]
-        else:
-            for l in range(1, l_hi + 1):
-                counts[l] += counts[l - 1]
-    return sum(counts[l_lo:])
+    by_weight = (w_lo, w_hi) != (0, None)
+    states = {(0, 0): 1}
+    for v in range(c.min_part or 1, min(c.max_part or w_cap, w_cap) + 1):
+        size = 1
+        while size <= l_cap and size * v <= w_cap:
+            dl = 0 if l_hi is None else size
+            dw = size * v if by_weight else 0
+            for (l, w), n in list(states.items()):
+                if l + dl <= l_cap and w + dw <= w_cap:
+                    states[l + dl, w + dw] = states.get((l + dl, w + dw), 0) + n
+            if c.odd_parts_distinct and v % 2:
+                break
+            size *= 2
+    return sum(n for (l, w), n in states.items() if l >= l_lo and w >= w_lo)
+
+
+def env_enum_limit() -> int:
+    """Enumeration guard from QSID_ENUM_LIMIT, else ``DEFAULT_ENUM_LIMIT``."""
+    text = os.environ.get("QSID_ENUM_LIMIT", str(DEFAULT_ENUM_LIMIT))
+    try:
+        return int(text)
+    except ValueError:
+        raise SeriesError(f"QSID_ENUM_LIMIT must be an integer, got {text!r}") from None
 
 
 @dataclass

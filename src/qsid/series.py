@@ -326,19 +326,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise SeriesError("series powers must be nonnegative integers")
-        result = TruncatedSeries.one(self.profile)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def __eq__(self, other):
         """Mathematical equality in the quotient ring (term maps agree)."""
         if isinstance(other, (int, Fraction)):

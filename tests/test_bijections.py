@@ -263,8 +263,9 @@ def test_audit_guard_refuses_before_listing(monkeypatch):
         audit_bijection(BijectionBox(5, 8), enum_limit=10)
     assert str(refusal.value) == "box j=5, M=8 enumerates 70441 partitions, over the limit 10"
     assert listed == []
-    audit_bijection(BijectionBox(1, 2))
-    assert len(listed) == 4
+    box = BijectionBox(1, 2)
+    audit_bijection(box)
+    assert listed == [box.domain_constraints("printed"), box.codomain_constraints("printed")]
 
 
 @pytest.mark.parametrize("j, M", [(2, 3), (3, 4), (4, 5)])
@@ -273,6 +274,18 @@ def test_family_counts_match_listed_lengths(j, M):
     for variant in ("exact", "printed"):
         for c in (box.domain_constraints(variant), box.codomain_constraints(variant)):
             assert count_partitions(c) == len(enumerate_partitions(c))
+
+
+@pytest.mark.parametrize("j, M", [(1, 2), (2, 3), (3, 4), (4, 5), (5, 4)])
+def test_exact_families_are_filtered_le_families(j, M):
+    # the audit lists each <= family once and keeps its length-j (length-M) members
+    box = BijectionBox(j, M)
+    for exact, le, length in (
+        (box.domain_constraints("exact"), box.domain_constraints("printed"), j),
+        (box.codomain_constraints("exact"), box.codomain_constraints("printed"), M),
+    ):
+        filtered = [p for p in enumerate_partitions(le) if p.length == length]
+        assert filtered == enumerate_partitions(exact)
 
 
 def test_audit_guard_env_override(monkeypatch):

@@ -1,25 +1,29 @@
-"""Command-line interface: exit codes, output formats, report round-trips."""
+"""Command-line interface: exit codes, output formats, report encoders, the error path."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import qsid
 from qsid.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
-    audit_report_from_dict,
     audit_report_to_dict,
     main,
     parse_monomial,
     strip_volatile,
-    verification_report_from_dict,
     verification_report_to_dict,
 )
 from qsid.bijections import BijectionBox, audit_bijection
 from qsid.identities import run_case
 from qsid.rational import RationalAssignment
-from qsid.series import Monomial, SeriesError
+from qsid.series import Monomial, SeriesError, TruncationProfile
 
 
 def run_cli(capsys, *argv):
@@ -125,20 +129,6 @@ def test_verify_rational_case(capsys):
     payload = json.loads(out)
     assert payload["assignment"] == {"a": "2", "b": "1/3", "N": "2"}
     assert payload["status"] == "verified"
-
-
-def test_verify_report_roundtrip(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "verify", "--identity", "thm3_5",
-        "--amax", "0", "--bmax", "4", "--tmax", "0", "--qmax", "12",
-        "--format", "json",
-    )
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    report = verification_report_from_dict(payload)
-    again = verification_report_to_dict(report)
-    assert strip_volatile(again) == strip_volatile(payload)
 
 
 def test_verify_output_file(tmp_path, capsys):
@@ -334,17 +324,28 @@ def test_coeff_unknown_side(capsys):
     assert "unknown side" in err
 
 
-# ---------------------------------------------------------------- report codec
+# ------------------------------------------------------------- report encoders
 
 
-def test_audit_report_roundtrip():
-    report = audit_bijection(BijectionBox(1, 2))
-    payload = json.loads(json.dumps(audit_report_to_dict(report)))
-    again = audit_report_to_dict(audit_report_from_dict(payload))
-    assert strip_volatile(again) == strip_volatile(payload)
+def test_report_encoders_match_cli_reports(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "--identity", "thm3_5",
+        "--amax", "0", "--bmax", "4", "--tmax", "0", "--qmax", "12",
+        "--format", "json",
+    )
+    assert code == EXIT_OK
+    report = run_case("thm3_5", "formal", profile=TruncationProfile(0, 4, 0, 12))
+    encoded = json.loads(json.dumps(verification_report_to_dict(report)))
+    assert strip_volatile(encoded) == strip_volatile(json.loads(out))
+
+    code, out, _ = run_cli(capsys, "audit", "--j", "1", "--M", "2", "--format", "json")
+    assert code == EXIT_OK
+    encoded = json.loads(json.dumps(audit_report_to_dict(audit_bijection(BijectionBox(1, 2)))))
+    assert strip_volatile(encoded) == strip_volatile(json.loads(out))
 
 
-def test_rational_assignment_roundtrip_via_report():
+def test_rational_assignment_encodes_as_exact_strings():
     report = run_case(
         "qps_2_1",
         "rational",
@@ -352,17 +353,83 @@ def test_rational_assignment_roundtrip_via_report():
         cap_q=10,
     )
     payload = verification_report_to_dict(report)
-    again = verification_report_from_dict(payload)
-    assert strip_volatile(verification_report_to_dict(again)) == strip_volatile(payload)
+    assert payload["assignment"] == {"a": "2", "b": "3", "c": "5", "N": "1"}
+    assert list(payload) == [
+        "case", "mode", "caps", "assignment", "status", "mismatches", "details", "volatile",
+    ]
 
 
-def test_report_decoding_defaults_and_required_fields():
-    payload = {"case": "thm1_1", "mode": "formal", "caps": {"q": 1}, "status": "verified"}
-    report = verification_report_from_dict(payload)
-    assert report.assignment is None
-    assert (report.mismatches, report.details, report.duration_ms) == ([], {}, 0.0)
-    with pytest.raises(KeyError):
-        verification_report_from_dict({k: v for k, v in payload.items() if k != "status"})
-    bad_row = {**payload, "mismatches": [{"monomial": {"a": 1}, "lhs": "1", "rhs": "0"}]}
-    with pytest.raises(KeyError):
-        verification_report_from_dict(bad_row)
+# ------------------------------------------------------------------ error path
+
+# One configuration error per command: main alone prints ``error: ...`` and
+# exits 2, before any report is produced in either format.
+_CONFIG_ERRORS = {
+    "verify": (["verify", "--identity", "eq2_3"], "missing required parameter"),
+    "audit": (["audit", "--j", "0", "--M", "2"], "j and M"),
+    "enumerate": (["enumerate", "--min-part", "2"], "weight bound"),
+    "map": (["map", "--op", "gamma", "--partition", "4"], "--M is required for gamma"),
+    "coeff": (["coeff", "--side", "thm1_1:left", "--monomial", "q30"], "q^30"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", sorted(_CONFIG_ERRORS))
+def test_configuration_error_writes_nothing(tmp_path, capsys, command, fmt):
+    argv, reason = _CONFIG_ERRORS[command]
+    target = tmp_path / "report.out"
+    code, out, err = run_cli(capsys, *argv, "--format", fmt, "--output", str(target))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and reason in err
+    assert out == ""
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--identity", "nope"], "unknown identity 'nope'; known: "),
+        (["coeff", "--side", "thm9:left", "--monomial", "q1"], "unknown side 'thm9:left'; known: "),
+    ],
+)
+def test_unknown_names_have_no_error_prefix(tmp_path, capsys, argv, message):
+    target = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--format", "json", "--output", str(target))
+    assert code == EXIT_USAGE
+    assert err.startswith(message) and err.endswith("\n")
+    assert out == ""
+    assert not target.exists()
+
+
+def test_enumerate_refuses_over_limit_before_listing(tmp_path):
+    # listing this family would not finish; the count refuses it at once
+    target = tmp_path / "report.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(qsid.__file__).resolve().parents[1])}
+    env.pop("QSID_ENUM_LIMIT", None)
+    started = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "qsid", "enumerate", "--weight", "200", "--odd-distinct",
+         "--format", "json", "--output", str(target)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - started < 2.0
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr == (
+        "error: the constraints enumerate 37334688015 partitions, over the limit 200000\n"
+    )
+    assert done.stdout == "" and not target.exists()
+
+
+def test_enumerate_limit_from_environment(capsys, monkeypatch):
+    monkeypatch.setenv("QSID_ENUM_LIMIT", "3")
+    code, _, err = run_cli(capsys, "enumerate", "--weight", "5", "--odd-distinct")
+    assert code == EXIT_USAGE
+    assert err == "error: the constraints enumerate 4 partitions, over the limit 3\n"
+    monkeypatch.setenv("QSID_ENUM_LIMIT", "4")
+    code, out, _ = run_cli(capsys, "enumerate", "--weight", "5", "--odd-distinct")
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 4
+    monkeypatch.setenv("QSID_ENUM_LIMIT", "many")
+    for argv in (["enumerate", "--weight", "5"], ["audit", "--j", "1", "--M", "2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: QSID_ENUM_LIMIT must be an integer, got 'many'\n"

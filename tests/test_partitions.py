@@ -8,6 +8,7 @@ from qsid.partitions import (
     ConstraintSet,
     Partition,
     UnboundedConstraintError,
+    count_partitions,
     enumerate_partitions,
     generating_polynomial,
     series_vs_enumeration_check,
@@ -102,9 +103,49 @@ def test_enumeration_order_is_descending_lex(c):
     assert got
 
 
+@given(
+    st.sampled_from(["weight", "range", "max", "min"]),
+    st.integers(0, 16),
+    st.integers(0, 8),
+    st.one_of(st.none(), st.integers(1, 4)),
+    st.one_of(st.none(), st.integers(1, 9)),
+    st.sampled_from([None, "length", "max_length"]),
+    st.integers(0, 6),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_count_matches_enumeration_on_weight_windows(
+    window, w, span, min_part, max_part, length_kind, length, odd_distinct
+):
+    weights = {
+        "weight": {"weight": w},
+        "range": {"weight_min": w, "weight_max": w + span},
+        "max": {"weight_max": w},
+        # a lower weight bound alone needs part and length bounds to be finite
+        "min": {"weight_min": w},
+    }[window]
+    if window == "min" and (max_part is None or length_kind is None):
+        max_part, length_kind = max_part or 5, length_kind or "max_length"
+    c = ConstraintSet(
+        min_part=min_part,
+        max_part=max_part,
+        odd_parts_distinct=odd_distinct,
+        **weights,
+        **({length_kind: length} if length_kind else {}),
+    )
+    assert count_partitions(c) == len(enumerate_partitions(c))
+
+
+def test_count_families_too_large_to_list():
+    assert count_partitions(ConstraintSet(weight_max=40, odd_parts_distinct=True)) == 33772
+    assert count_partitions(ConstraintSet(weight=200, odd_parts_distinct=True)) == 37334688015
+
+
 def test_enumerate_unbounded_raises():
     with pytest.raises(UnboundedConstraintError):
         enumerate_partitions(ConstraintSet(min_part=2))
+    with pytest.raises(UnboundedConstraintError):
+        count_partitions(ConstraintSet(min_part=2))
     with pytest.raises(UnboundedConstraintError):
         enumerate_partitions(ConstraintSet(max_part=5))  # no length bound
 
