@@ -24,6 +24,7 @@ import dataclasses
 import json
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -269,8 +270,10 @@ def cmd_enumerate(args) -> _Result:
     )
     total, limit = count_partitions(constraints), env_enum_limit()
     if total > limit:
+        # Decimal prints an int of any size; str() refuses one longer than
+        # sys.get_int_max_str_digits(), which a closed-form count can be.
         raise SeriesError(
-            f"the constraints enumerate {total} partitions, over the limit {limit}"
+            f"the constraints enumerate {Decimal(total)} partitions, over the limit {limit}"
         )
     found = enumerate_partitions(constraints)
     return (

@@ -59,12 +59,9 @@ from .series import (
     TruncatedSeries,
     TruncationProfile,
     compare_series,
-    invert_one_minus,
-    pochhammer_finite,
     q_only_profile,
     shift_a_by_q,
     substitute_q_power,
-    sum_series,
     swap_b_t,
 )
 
@@ -161,28 +158,41 @@ def _sum_side(
     with numerator prod_{k=0..n-1} (1 + a * inner * q^(q_mult*(n+k) + 1)).
     The n-th term's lowest outer-degree is n, so summing n up to the outer
     cap is exact.
+
+    Term 0 is 1 / (1 - inner), and term n + 1 is term n times the exact
+    ratio (s = q_mult, i = inner)
+
+        outer * (1 + a*i*q^(2sn+1)) (1 + a*i*q^(s(2n+1)+1)) / (1 + a*i*q^(sn+1))
+              * (1 - i*q^(sn)) / ((1 - i*q^(s(2n+1))) (1 - i*q^(s(2n+2))))
+
+    (the numerator binomials only ``with_numerator``): six binomial passes
+    and one monomial shift per n.  Every divisor moves a capped variable,
+    so it is a unit of the truncated ring and the step is exact there.
     """
     n_max = profile.cap_of(outer)
-    numer_base = Monomial(
-        e_a=1, e_b=1 if inner == "b" else 0, e_t=1 if inner == "t" else 0
-    )
+    i = f"e_{inner}"
+    outer_shift = TruncatedSeries.term(profile, 1, **{f"e_{outer}": 1})
 
-    def one_term(n: int) -> TruncatedSeries:
-        term = TruncatedSeries.term(profile, 1, **{f"e_{outer}": n})
-        if term.is_zero():
-            return term
+    def inner_q(e_q: int) -> Monomial:
+        return Monomial(**{i: 1, "e_q": e_q})
+
+    def numer_q(e_q: int) -> Monomial:
+        return Monomial(**{"e_a": 1, i: 1, "e_q": e_q})
+
+    term = TruncatedSeries.one(profile).over_binomial(1, inner_q(0))
+    total = term
+    s = q_mult
+    for n in range(n_max):
+        term = term * outer_shift
         if with_numerator:
-            term = term * pochhammer_finite(
-                -1, numer_base, q_mult * n + 1, q_mult, n, profile
-            )
-        for k in range(n + 1):
-            denom_factor = TruncatedSeries.term(
-                profile, 1, **{f"e_{inner}": 1, "e_q": q_mult * (n + k)}
-            )
-            term = term * invert_one_minus(denom_factor)
-        return term
-
-    return sum_series(map(one_term, range(n_max + 1)), profile)
+            term = term.times_binomial(-1, numer_q(2 * s * n + 1))
+            term = term.times_binomial(-1, numer_q(s * (2 * n + 1) + 1))
+            term = term.over_binomial(-1, numer_q(s * n + 1))
+        term = term.times_binomial(1, inner_q(s * n))
+        term = term.over_binomial(1, inner_q(s * (2 * n + 1)))
+        term = term.over_binomial(1, inner_q(s * (2 * n + 2)))
+        total = total + term
+    return total
 
 
 def build_thm11_side(side: str, profile: TruncationProfile) -> TruncatedSeries:
@@ -241,50 +251,63 @@ def build_thm31_side(which: str, profile: TruncationProfile) -> TruncatedSeries:
     Every 3_4_left / 3_5_left summand has minimal q-order >= N, so summing
     N up to cap_q is exact; the right sides carry b^n and (for 3_5) the
     pentagonal q-power, bounding n by cap_b and cap_q.
+
+    Each side steps its summands by their exact ratios, a few binomial
+    passes each; every divisor carries b or q, so it is a unit of the
+    truncated ring.  The left sides step the q-shifted factorial ratio
+    from N to N + 1, starting from 1 at N = 0:
+
+    3_4_left   (1-abq^(2N+1)) (1-abq^(2N+2)) (1-bq^N)
+               / ((1-abq^(N+1)) (1-bq^(2N)) (1-bq^(2N+1)))
+    3_5_left   (1-bq^(2N+1)) (1-bq^(2N+2)) / (1-bq^(N+1))
+
+    The right sides step summand n to n + 1, starting from summand 1:
+
+    3_4_right  b (1-aq^(2n+1)) (1-aq^(2n+2)) / (1-aq^(n+1))
+               * (1-q^n) / ((1-q^(2n+1)) (1-q^(2n+2)))
+    3_5_right  -b q^(3n+2) (1-q^n) / ((1-q^(2n+1)) (1-q^(2n+2)))
     """
     one = TruncatedSeries.one(profile)
-    ab = Monomial(e_a=1, e_b=1)
-    a_only = Monomial(e_a=1)
-    b_only = Monomial(e_b=1)
-
-    if which == "3_4_left":
+    if which in ("3_4_left", "3_5_left"):
+        with_a = which == "3_4_left"
         total = TruncatedSeries.zero(profile)
-        for n in range(1, profile.cap_q + 1):
-            ratio = pochhammer_finite(1, ab, n + 1, 1, n, profile)
-            for k in range(n):
-                ratio = ratio * invert_one_minus(
-                    TruncatedSeries.term(profile, 1, e_b=1, e_q=n + k)
-                )
+        ratio = one
+        for n in range(profile.cap_q):
+            if with_a:
+                ratio = ratio.times_binomial(1, Monomial(e_a=1, e_b=1, e_q=2 * n + 1))
+                ratio = ratio.times_binomial(1, Monomial(e_a=1, e_b=1, e_q=2 * n + 2))
+                ratio = ratio.times_binomial(1, Monomial(e_b=1, e_q=n))
+                ratio = ratio.over_binomial(1, Monomial(e_a=1, e_b=1, e_q=n + 1))
+                ratio = ratio.over_binomial(1, Monomial(e_b=1, e_q=2 * n))
+                ratio = ratio.over_binomial(1, Monomial(e_b=1, e_q=2 * n + 1))
+            else:
+                ratio = ratio.times_binomial(1, Monomial(e_b=1, e_q=2 * n + 1))
+                ratio = ratio.times_binomial(1, Monomial(e_b=1, e_q=2 * n + 2))
+                ratio = ratio.over_binomial(1, Monomial(e_b=1, e_q=n + 1))
             total = total + (one - ratio)
         return total
-    if which == "3_4_right":
-        total = TruncatedSeries.zero(profile)
-        for n in range(1, profile.cap_b + 1):
-            term = pochhammer_finite(1, a_only, n + 1, 1, n, profile)
-            term = term * TruncatedSeries.term(profile, 1, e_b=n)
-            for k in range(n + 1):
-                term = term * invert_one_minus(
-                    TruncatedSeries.term(profile, 1, e_q=n + k)
-                )
-            total = total + term
-        return -total
-    if which == "3_5_left":
-        total = TruncatedSeries.zero(profile)
-        for n in range(1, profile.cap_q + 1):
-            total = total + (one - pochhammer_finite(1, b_only, n + 1, 1, n, profile))
-        return total
-    if which == "3_5_right":
+    if which in ("3_4_right", "3_5_right"):
+        with_a = which == "3_4_right"
+        if with_a:
+            term = TruncatedSeries.term(profile, 1, e_b=1)
+            term = term.times_binomial(1, Monomial(e_a=1, e_q=2))
+        else:
+            term = TruncatedSeries.term(profile, -1, e_b=1, e_q=2)
+        term = term.over_binomial(1, Monomial(e_q=1)).over_binomial(1, Monomial(e_q=2))
         total = TruncatedSeries.zero(profile)
         n = 1
-        while n <= profile.cap_b and n * (3 * n + 1) // 2 <= profile.cap_q:
-            term = TruncatedSeries.term(
-                profile, (-1) ** n, e_b=n, e_q=n * (3 * n + 1) // 2
-            )
-            for k in range(n + 1):
-                term = term * invert_one_minus(
-                    TruncatedSeries.term(profile, 1, e_q=n + k)
-                )
+        while not term.is_zero():  # summand n is 0 once b^n or its q-order is over cap
             total = total + term
+            if with_a:
+                term = term * TruncatedSeries.term(profile, 1, e_b=1)
+                term = term.times_binomial(1, Monomial(e_a=1, e_q=2 * n + 1))
+                term = term.times_binomial(1, Monomial(e_a=1, e_q=2 * n + 2))
+                term = term.over_binomial(1, Monomial(e_a=1, e_q=n + 1))
+            else:
+                term = term * TruncatedSeries.term(profile, -1, e_b=1, e_q=3 * n + 2)
+            term = term.times_binomial(1, Monomial(e_q=n))
+            term = term.over_binomial(1, Monomial(e_q=2 * n + 1))
+            term = term.over_binomial(1, Monomial(e_q=2 * n + 2))
             n += 1
         return -total
     raise SeriesError(

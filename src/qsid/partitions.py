@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
+from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import identities
@@ -221,25 +222,37 @@ def enumerate_partitions(c: ConstraintSet) -> List[Partition]:
 def count_partitions(c: ConstraintSet) -> int:
     """Exact size of a finite family, without listing it.
 
-    A DP over the part values whose states are the reachable (length,
-    weight) pairs with their counts, so its size follows the family, not
-    the weight cap.  Weight is tracked only under a weight window and
-    length only under a length bound; an untracked statistic stays 0.  A
-    value used at most once (odd, when odd parts must be distinct) is one
-    block of one part; a value that may repeat is blocks of 1, 2, 4, ...
-    parts, each used at most once, so each multiplicity is reached once,
-    by its binary digits.
+    With no weight window the family is every multiset of L values from
+    the part range, L in the length window, so it is counted in closed
+    form: with odd parts distinct, L parts take k distinct odd values
+    and L - k even values with repetition, C(n_odd, k) *
+    multichoose(n_even, L - k) ways; otherwise multichoose(n_values, L).
+    Summing over L uses sum_{L<=l} multichoose(n, L) = C(n + l, l), so
+    the cost does not follow the part range: two binomials, or three per
+    usable count k of odd parts.
+
+    Under a weight window it is a DP over the part values whose states
+    are the reachable (length, weight) pairs with their counts, so its
+    size follows the family, not the weight cap.  Length is tracked only
+    under a length bound; untracked, it stays 0.  A value used at most
+    once (odd, when odd parts must be distinct) is one block of one part;
+    a value that may repeat is blocks of 1, 2, 4, ... parts, each used
+    at most once, so each multiplicity is reached once, by its binary
+    digits.
     """
     w_cap, l_cap = c.effective_bounds()  # raises when the family is not finite
     w_lo, w_hi = c.weight_window()
     l_lo, l_hi = c.length_window()
-    by_weight = (w_lo, w_hi) != (0, None)
+    if (w_lo, w_hi) == (0, None):
+        return _count_by_length(
+            c.min_part or 1, c.max_part, l_lo, l_cap, c.odd_parts_distinct
+        )
     states = {(0, 0): 1}
     for v in range(c.min_part or 1, min(c.max_part or w_cap, w_cap) + 1):
         size = 1
         while size <= l_cap and size * v <= w_cap:
             dl = 0 if l_hi is None else size
-            dw = size * v if by_weight else 0
+            dw = size * v
             for (l, w), n in list(states.items()):
                 if l + dl <= l_cap and w + dw <= w_cap:
                     states[l + dl, w + dw] = states.get((l + dl, w + dw), 0) + n
@@ -247,6 +260,25 @@ def count_partitions(c: ConstraintSet) -> int:
                 break
             size *= 2
     return sum(n for (l, w), n in states.items() if l >= l_lo and w >= w_lo)
+
+
+def _count_by_length(lo: int, hi: int, l_lo: int, l_hi: int, odd_distinct: bool) -> int:
+    """Partitions with parts in [lo, hi] and length in [l_lo, l_hi]."""
+
+    def up_to(n: int, l: int) -> int:  # multisets of at most l values from n
+        return comb(n + l, l) if l >= 0 else 0
+
+    def in_window(n: int, shift: int) -> int:
+        return up_to(n, l_hi - shift) - up_to(n, l_lo - 1 - shift)
+
+    n_values = max(0, hi - lo + 1)
+    if not odd_distinct:
+        return in_window(n_values, 0)
+    n_odd = max(0, (hi + 1) // 2 - lo // 2)
+    n_even = n_values - n_odd
+    return sum(
+        comb(n_odd, k) * in_window(n_even, k) for k in range(min(n_odd, l_hi) + 1)
+    )
 
 
 def env_enum_limit() -> int:

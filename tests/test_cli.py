@@ -419,6 +419,28 @@ def test_enumerate_refuses_over_limit_before_listing(tmp_path):
     assert done.stdout == "" and not target.exists()
 
 
+def test_enumerate_count_cost_does_not_follow_the_part_range(capsys, monkeypatch):
+    monkeypatch.delenv("QSID_ENUM_LIMIT", raising=False)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "--max-part", "100000000", "--max-length", "2")
+    assert time.perf_counter() - started < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert err == (
+        "error: the constraints enumerate 5000000150000001 partitions, over the limit 200000\n"
+    )
+
+
+def test_enumerate_refusal_prints_counts_of_any_length(capsys, monkeypatch):
+    # C(10^8 + 1000, 1000) + ... has more digits than str() converts by default
+    monkeypatch.delenv("QSID_ENUM_LIMIT", raising=False)
+    code, out, err = run_cli(capsys, "enumerate", "--max-part", "100000000", "--max-length", "1000")
+    head, tail = "error: the constraints enumerate ", " partitions, over the limit 200000\n"
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(head) and err.endswith(tail)
+    digits = err[len(head):-len(tail)]
+    assert digits.isdigit() and len(digits) > sys.get_int_max_str_digits()
+
+
 def test_enumerate_limit_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("QSID_ENUM_LIMIT", "3")
     code, _, err = run_cli(capsys, "enumerate", "--weight", "5", "--odd-distinct")

@@ -23,6 +23,8 @@ from qsid.series import (
     TruncationProfile,
     coefficient,
     compare_series,
+    invert_one_minus,
+    pochhammer_finite,
     swap_b_t,
 )
 
@@ -438,3 +440,101 @@ def test_catalog_negative_control(monkeypatch, name, mode, comparison):
         assert report.mismatches != baseline.mismatches
     if len(comparison) > 2:
         assert report.details["matched_form"] == "none"
+
+
+# ------------------------------------------- stepped builders vs from scratch
+
+
+def reference_sum_side(profile, outer, inner, q_mult, with_numerator):
+    """Every summand of the symmetric sides built from scratch, factor by factor."""
+    numer_base = Monomial(e_a=1, e_b=int(inner == "b"), e_t=int(inner == "t"))
+    total = TruncatedSeries.zero(profile)
+    for n in range(profile.cap_of(outer) + 1):
+        term = TruncatedSeries.term(profile, 1, **{f"e_{outer}": n})
+        if with_numerator:
+            term = term * pochhammer_finite(-1, numer_base, q_mult * n + 1, q_mult, n, profile)
+        for k in range(n + 1):
+            denom = TruncatedSeries.term(profile, 1, **{f"e_{inner}": 1, "e_q": q_mult * (n + k)})
+            term = term * invert_one_minus(denom)
+        total = total + term
+    return total
+
+
+def reference_thm31_side(which, profile):
+    """The companion evaluations' summands built from scratch."""
+    one = TruncatedSeries.one(profile)
+    total = TruncatedSeries.zero(profile)
+    if which in ("3_4_left", "3_5_left"):
+        base = Monomial(e_a=int(which == "3_4_left"), e_b=1)
+        for n in range(1, profile.cap_q + 1):
+            ratio = pochhammer_finite(1, base, n + 1, 1, n, profile)
+            if which == "3_4_left":
+                for k in range(n):
+                    ratio = ratio * invert_one_minus(
+                        TruncatedSeries.term(profile, 1, e_b=1, e_q=n + k)
+                    )
+            total = total + (one - ratio)
+        return total
+    n = 1
+    while n <= profile.cap_b and (which == "3_4_right" or n * (3 * n + 1) // 2 <= profile.cap_q):
+        if which == "3_4_right":
+            term = pochhammer_finite(1, Monomial(e_a=1), n + 1, 1, n, profile)
+            term = term * TruncatedSeries.term(profile, 1, e_b=n)
+        else:
+            term = TruncatedSeries.term(profile, (-1) ** n, e_b=n, e_q=n * (3 * n + 1) // 2)
+        for k in range(n + 1):
+            term = term * invert_one_minus(TruncatedSeries.term(profile, 1, e_q=n + k))
+        total = total + term
+        n += 1
+    return -total
+
+
+REFERENCE_CAPS = [
+    (3, 3, 3, 10), (6, 6, 6, 24), (0, 5, 5, 30), (2, 5, 5, 30), (4, 4, 4, 2), (0, 1, 1, 3)
+]
+
+
+@pytest.mark.parametrize("caps", REFERENCE_CAPS, ids=str)
+def test_stepped_builders_match_reference(caps):
+    prof = TruncationProfile(*caps)
+    pairs = [
+        (build_thm11_side("left", prof), reference_sum_side(prof, "t", "b", 1, True)),
+        (build_thm11_side("right", prof), reference_sum_side(prof, "b", "t", 1, True)),
+        (build_f_series("b", prof), reference_sum_side(prof, "t", "b", 1, False)),
+        (build_f_series("t", prof), reference_sum_side(prof, "b", "t", 1, False)),
+        (build_eq31_side("left", prof), reference_sum_side(prof, "t", "b", 2, True)),
+        (build_eq31_side("right", prof), reference_sum_side(prof, "b", "t", 2, True)),
+    ] + [
+        (build_thm31_side(which, prof), reference_thm31_side(which, prof))
+        for which in ("3_4_left", "3_4_right", "3_5_left", "3_5_right")
+    ]
+    for stepped, reference in pairs:
+        assert stepped.terms == reference.terms
+        assert stepped.valid_to_q == reference.valid_to_q
+
+
+def test_formal_sides_multiply_no_two_multi_term_series(monkeypatch):
+    # The formal builders apply binomial passes; a product of two series
+    # with several terms each would be a convolution, which they never need.
+    product = TruncatedSeries.__mul__
+
+    def guarded(self, other):
+        if isinstance(other, TruncatedSeries):
+            assert len(self.terms) <= 1 or len(other.terms) <= 1, "convolution in a formal side"
+        return product(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", guarded)
+    monkeypatch.setattr(TruncatedSeries, "__rmul__", guarded)
+    prof = TruncationProfile(3, 4, 4, 16)
+    for side in ("left", "right"):
+        build_thm11_side(side, prof)
+        build_eq31_side(side, prof)
+    for alpha in ("b", "t"):
+        build_f_series(alpha, prof)
+    for which in ("3_4_left", "3_4_right", "3_5_left", "3_5_right"):
+        build_thm31_side(which, prof)
+    for name, case in CASES.items():
+        if "formal" in case.modes:
+            run_case(name, "formal", profile=prof)
+    with pytest.raises(AssertionError, match="convolution"):
+        reference_sum_side(prof, "t", "b", 1, True)

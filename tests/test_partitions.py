@@ -1,5 +1,7 @@
 """Partitions: values, enumeration oracle, generating polynomials."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,9 +138,37 @@ def test_count_matches_enumeration_on_weight_windows(
     assert count_partitions(c) == len(enumerate_partitions(c))
 
 
+@given(
+    st.one_of(st.none(), st.integers(1, 4)),
+    st.integers(1, 7),
+    st.sampled_from(["length", "max_length"]),
+    st.integers(0, 5),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_count_without_weight_window_matches_dp_and_enumeration(
+    min_part, max_part, length_kind, length, odd_distinct
+):
+    # With no weight window the count is a closed form in the part range;
+    # a weight_max every member meets already sends the same family
+    # through the DP.
+    c = ConstraintSet(
+        min_part=min_part,
+        max_part=max_part,
+        odd_parts_distinct=odd_distinct,
+        **{length_kind: length},
+    )
+    through_dp = replace(c, weight_max=max_part * length)
+    assert count_partitions(c) == count_partitions(through_dp) == len(enumerate_partitions(c))
+
+
 def test_count_families_too_large_to_list():
     assert count_partitions(ConstraintSet(weight_max=40, odd_parts_distinct=True)) == 33772
     assert count_partitions(ConstraintSet(weight=200, odd_parts_distinct=True)) == 37334688015
+    # pairs from 10^8 values: C(10^8 + 1, 2) of length 2, 10^8 of length 1, one empty
+    assert count_partitions(ConstraintSet(max_part=10**8, max_length=2)) == (
+        (10**8 + 1) * 10**8 // 2 + 10**8 + 1
+    )
 
 
 def test_enumerate_unbounded_raises():

@@ -355,3 +355,82 @@ def test_swap_is_ring_homomorphism_and_involution(x, y):
     assert swap_b_t(x * y) == swap_b_t(x) * swap_b_t(y)
     assert swap_b_t(x + y) == swap_b_t(x) + swap_b_t(y)
     assert swap_b_t(swap_b_t(x)) == x
+
+
+# ------------------------------------------------------ binomial passes
+
+KERNEL = TruncationProfile(3, 3, 2, 9)
+
+
+@st.composite
+def sparse_series(draw):
+    """Sparse series on KERNEL with int or Fraction coefficients and any valid_to_q."""
+    fractions = draw(st.booleans())
+    terms = {}
+    for _ in range(draw(st.integers(0, 12))):
+        m = Monomial(*(draw(st.integers(0, cap)) for cap in KERNEL.caps))
+        c = draw(st.integers(-5, 5))
+        if fractions:
+            c = Fraction(c, draw(st.integers(1, 4)))
+        terms[m] = c
+    return TruncatedSeries(KERNEL, terms, draw(st.integers(0, KERNEL.cap_q)))
+
+
+# Monomials raising one or several axes, with and without q; some over cap.
+binomial_monomials = st.tuples(
+    st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.integers(0, 10)
+).filter(any)
+binomial_coeffs = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+)
+
+
+@given(sparse_series(), binomial_coeffs, binomial_monomials)
+@settings(max_examples=200, deadline=None)
+def test_times_binomial_matches_product(s, c, m):
+    got = s.times_binomial(c, m)
+    factor = TruncatedSeries(KERNEL, [(MONO_ONE, 1)] + ([(m, -c)] if KERNEL.admits(m) else []))
+    assert got == s * factor
+    assert got.valid_to_q == s.valid_to_q
+    assert 0 not in got.terms.values()
+
+
+@given(sparse_series(), binomial_coeffs, binomial_monomials)
+@settings(max_examples=200, deadline=None)
+def test_over_binomial_matches_inverse_product(s, c, m):
+    got = s.over_binomial(c, m)
+    assert got == s * invert_one_minus(TruncatedSeries.term(KERNEL, c, *m))
+    assert got.valid_to_q == s.valid_to_q
+    assert 0 not in got.terms.values()
+    assert got.times_binomial(c, m) == s
+    # dividing a product back cancels whole chains of terms to exactly 0
+    assert s.times_binomial(c, m).over_binomial(c, m) == s
+
+
+@given(sparse_series(), binomial_coeffs)
+@settings(max_examples=40, deadline=None)
+def test_binomial_by_constant(s, c):
+    assert s.times_binomial(c, MONO_ONE) == s * (1 - c)
+    with pytest.raises(NonNilpotentError):
+        s.over_binomial(c, MONO_ONE)
+
+
+def test_binomial_rejects_negative_exponent():
+    with pytest.raises(NegativeExponentError):
+        TruncatedSeries.one(KERNEL).times_binomial(1, (0, 1, 0, -1))
+    with pytest.raises(NegativeExponentError):
+        TruncatedSeries.one(KERNEL).over_binomial(1, (0, 1, 0, -1))
+
+
+def test_compare_fast_path_is_not_fooled_by_stored_zeros():
+    x = term(PROF, 1, q=1) + term(PROF, 2, b=1)
+    assert compare_series(x, TruncatedSeries(PROF, x.terms, valid_to_q=3)) == []
+    # A stored zero (only _raw can make one) makes the maps differ, so the
+    # full comparison runs and still finds the series equal ...
+    padded = TruncatedSeries._raw(PROF, {**x.terms, Monomial(1, 0, 0, 0): 0}, 8)
+    assert padded.terms != x.terms
+    assert compare_series(padded, x) == []
+    # ... and a real difference next to it is still reported.
+    other = TruncatedSeries._raw(PROF, {**padded.terms, Monomial(0, 0, 0, 1): 3}, 8)
+    assert compare_series(other, x) == [(Monomial(0, 0, 0, 1), 3, 1)]
