@@ -1,9 +1,12 @@
 """The identity catalog: side builders, the case table and its one checker.
 
 Each catalog case names a q-series identity; its sides are built
-independently, so a mismatch localizes a defect to one side.  Formal mode
-builds the sides as truncated series in a, b, t, q; rational mode fixes
-the parameters at exact rationals and compares series in q alone.
+independently, so a mismatch localizes a defect to one side.  A symmetric
+case, one that says a series is fixed by the exchange b <-> t (``thm1_1``,
+``f_sym`` and the symmetry half of ``eq3_1_consistency``), builds that
+series once and compares it with its reflection.  Formal mode builds the
+sides as truncated series in a, b, t, q; rational mode fixes the
+parameters at exact rationals and compares series in q alone.
 
 The flagship identity is the symmetric double series
 
@@ -145,98 +148,70 @@ def build_report(
 # ---------------------------------------------------------------- formal sides
 
 
-def _sum_side(
-    profile: TruncationProfile,
-    outer: str,
-    inner: str,
-    q_mult: int,
-    with_numerator: bool,
-) -> TruncatedSeries:
-    """Common shape of the symmetric sides.
+def _sum_side(profile: TruncationProfile, q_mult: int, with_numerator: bool) -> TruncatedSeries:
+    """Common shape of the symmetric left sides (the right sides are their reflections).
 
-    Term n is  [numerator] * outer^n / prod_{k=0..n} (1 - inner * q^(q_mult*(n+k)))
-    with numerator prod_{k=0..n-1} (1 + a * inner * q^(q_mult*(n+k) + 1)).
-    The n-th term's lowest outer-degree is n, so summing n up to the outer
-    cap is exact.
+    Term n is  [numerator] * t^n / prod_{k=0..n} (1 - b * q^(q_mult*(n+k)))
+    with numerator prod_{k=0..n-1} (1 + a * b * q^(q_mult*(n+k) + 1)).
+    The n-th term's lowest t-degree is n, so summing n up to cap_t is exact.
 
-    Term 0 is 1 / (1 - inner), and term n + 1 is term n times the exact
-    ratio (s = q_mult, i = inner)
+    Term 0 is 1 / (1 - b), and term n + 1 is term n times the exact
+    ratio (s = q_mult)
 
-        outer * (1 + a*i*q^(2sn+1)) (1 + a*i*q^(s(2n+1)+1)) / (1 + a*i*q^(sn+1))
-              * (1 - i*q^(sn)) / ((1 - i*q^(s(2n+1))) (1 - i*q^(s(2n+2))))
+        t * (1 + a*b*q^(2sn+1)) (1 + a*b*q^(s(2n+1)+1)) / (1 + a*b*q^(sn+1))
+          * (1 - b*q^(sn)) / ((1 - b*q^(s(2n+1))) (1 - b*q^(s(2n+2))))
 
     (the numerator binomials only ``with_numerator``): six binomial passes
     and one monomial shift per n.  Every divisor moves a capped variable,
     so it is a unit of the truncated ring and the step is exact there.
     """
-    n_max = profile.cap_of(outer)
-    i = f"e_{inner}"
-    outer_shift = TruncatedSeries.term(profile, 1, **{f"e_{outer}": 1})
-
-    def inner_q(e_q: int) -> Monomial:
-        return Monomial(**{i: 1, "e_q": e_q})
-
-    def numer_q(e_q: int) -> Monomial:
-        return Monomial(**{"e_a": 1, i: 1, "e_q": e_q})
-
-    term = TruncatedSeries.one(profile).over_binomial(1, inner_q(0))
+    t_shift = TruncatedSeries.term(profile, 1, e_t=1)
+    term = TruncatedSeries.one(profile).over_binomial(1, Monomial(e_b=1))
     total = term
     s = q_mult
-    for n in range(n_max):
-        term = term * outer_shift
+    for n in range(profile.cap_t):
+        term = term * t_shift
         if with_numerator:
-            term = term.times_binomial(-1, numer_q(2 * s * n + 1))
-            term = term.times_binomial(-1, numer_q(s * (2 * n + 1) + 1))
-            term = term.over_binomial(-1, numer_q(s * n + 1))
-        term = term.times_binomial(1, inner_q(s * n))
-        term = term.over_binomial(1, inner_q(s * (2 * n + 1)))
-        term = term.over_binomial(1, inner_q(s * (2 * n + 2)))
+            term = term.times_binomial(-1, Monomial(e_a=1, e_b=1, e_q=2 * s * n + 1))
+            term = term.times_binomial(-1, Monomial(e_a=1, e_b=1, e_q=s * (2 * n + 1) + 1))
+            term = term.over_binomial(-1, Monomial(e_a=1, e_b=1, e_q=s * n + 1))
+        term = term.times_binomial(1, Monomial(e_b=1, e_q=s * n))
+        term = term.over_binomial(1, Monomial(e_b=1, e_q=s * (2 * n + 1)))
+        term = term.over_binomial(1, Monomial(e_b=1, e_q=s * (2 * n + 2)))
         total = total + term
     return total
 
 
-def build_thm11_side(side: str, profile: TruncationProfile) -> TruncatedSeries:
-    """One side of the flagship symmetric identity.
+def build_thm11_side(profile: TruncationProfile) -> TruncatedSeries:
+    """Left side of the flagship symmetric identity.
 
     left  = sum_n (-a*b*q^(n+1); q)_n t^n / (b*q^n; q)_{n+1}
-    right = the same with b and t exchanged.
+    right = the same with b and t exchanged, i.e. ``swap_b_t`` of the left.
     """
-    if side == "left":
-        return _sum_side(profile, "t", "b", 1, True)
-    if side == "right":
-        return _sum_side(profile, "b", "t", 1, True)
-    raise SeriesError(f"side must be 'left' or 'right', got {side!r}")
+    return _sum_side(profile, 1, True)
 
 
-def build_f_series(alpha_var: str, profile: TruncationProfile) -> TruncatedSeries:
-    """Two-variable symmetric function at the (q, q^2) specialization.
+def build_f_series(profile: TruncationProfile) -> TruncatedSeries:
+    """Two-variable symmetric function f(b, t) at the (q, q^2) specialization.
 
-    f(alpha, beta) = sum_n beta^n / (alpha*q^n; q)_{n+1}; ``alpha_var``
-    names which of b, t plays alpha.  Equals the flagship left side with
-    the a-cap set to zero.
+    f(alpha, beta) = sum_n beta^n / (alpha*q^n; q)_{n+1}; f(t, b) is the
+    b<->t reflection.  Equals the flagship left side with the a-cap set
+    to zero.
     """
-    if alpha_var == "b":
-        return _sum_side(profile, "t", "b", 1, False)
-    if alpha_var == "t":
-        return _sum_side(profile, "b", "t", 1, False)
-    raise SeriesError(f"alpha_var must be 'b' or 't', got {alpha_var!r}")
+    return _sum_side(profile, 1, False)
 
 
-def build_eq31_side(side: str, profile: TruncationProfile) -> TruncatedSeries:
-    """One side of the even-step variant (q -> q^2, a -> a/q applied to the flagship).
+def build_eq31_side(profile: TruncationProfile) -> TruncatedSeries:
+    """Left side of the even-step variant (q -> q^2, a -> a/q applied to the flagship).
 
     left = sum_n (-a*b*q^(2n+1); q^2)_n t^n / (b*q^2n; q^2)_{n+1}.
     """
-    if side == "left":
-        return _sum_side(profile, "t", "b", 2, True)
-    if side == "right":
-        return _sum_side(profile, "b", "t", 2, True)
-    raise SeriesError(f"side must be 'left' or 'right', got {side!r}")
+    return _sum_side(profile, 2, True)
 
 
 def eq31_substitution_path(profile: TruncationProfile) -> TruncatedSeries:
     """Even-step left side obtained by substitution instead of direct build."""
-    base = build_thm11_side("left", profile)
+    base = build_thm11_side(profile)
     return shift_a_by_q(substitute_q_power(base, 2), -1)
 
 
@@ -399,48 +374,56 @@ def _eq23_rhs(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
     return product_series(fac, cap_q, label="specialized product side")
 
 
-# The double sums below do not gain q-order in the outer index n: for
-# fixed n the inner summands stabilize (mod q^(cap_q+1)) once every moving
-# factor leaves the window, after which consecutive summands differ
-# exactly by the factor t.  Each builder steps its own summands by their
-# term ratios (a few binomial passes and one scalar each): the outer
-# factor (a;q)_n q^n (t/a)^n / (q;q)_n in n, the inner summand in N.  It
-# sums explicitly up to the inner freeze index, checks that the ratio has
-# become the scalar t there, and closes the tail in exact arithmetic.
+# Each double sum below gains no q-order in one index (N in the shifted
+# sum, the offset N - n in the unshifted one): once every moving factor
+# leaves the window, consecutive summands in that index differ exactly by
+# the factor t.  The two builders sum the same summands in transposed
+# orders, so the chain_shift check compares two different computations.
+# Each steps its summands by their term ratios (a few binomial passes and
+# one scalar each), sums explicitly up to the freeze index, checks that
+# the ratio has become the scalar t there, and closes the tail in exact
+# arithmetic.
 
 
 def _chain_double_unshifted(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
     """sum_{n>=0} sum_{N>=n} (a;q)_n (q/a;q)_{N-n} q^n t^N
-    / ((q;q)_n (q;q)_{N-n} (1 - b*q^(N+n)) a^n)."""
+    / ((q;q)_n (q;q)_{N-n} (1 - b*q^(N+n)) a^n),
+
+    summed with the offset M = N - n outside and n inside.  Summand
+    (M, n) carries q^n, so n <= cap_q; rows past M = cap_q only gain
+    factors of t, so row cap_q + 1 closes them as a geometric tail."""
     a, b, t = Fraction(assign.a), Fraction(assign.b), Fraction(assign.t)
-    inv_a = 1 / a
-    tail_scale = 1 / (1 - t)
+    t_over_a = t / a
     total = [0] * (cap_q + 1)
-    outer = [Fraction(1)] + [0] * cap_q
-    for n in range(cap_q + 1):
 
-        def step(N: int) -> List[Factor]:
-            """Summand (N + 1, n) over summand (N, n), apart from the scalar t."""
-            return [
-                Factor(inv_a, N - n + 1),
-                Factor(Fraction(1), N - n + 1, True),
-                Factor(b, N + n),
-                Factor(b, N + n + 1, True),
-            ]
+    def row_step(M: int) -> List[Factor]:
+        """Summand (M + 1, 0) over summand (M, 0), apart from the scalar t."""
+        return [
+            Factor(1 / a, M + 1),
+            Factor(Fraction(1), M + 1, True),
+            Factor(b, M),
+            Factor(b, M + 1, True),
+        ]
 
-        term = list(outer)  # summand (n, n)
-        over_binomial(term, b, 2 * n)
-        n_freeze = n + cap_q + 1
-        for N in range(n, n_freeze):
+    first = [Fraction(1)] + [0] * cap_q
+    over_binomial(first, b, 0)  # summand (0, 0)
+    for M in range(cap_q + 2):
+        if M == cap_q + 1:
+            require_frozen((f.q_exp for f in row_step(M)), cap_q, "the unshifted double sum")
+            first = [x / (1 - t) for x in first]
+        term = list(first)
+        accumulate(total, term)
+        for n in range(cap_q):
+            # summand (M, n + 1) over (M, n):
+            # (1 - a*q^n) (1 - b*q^(M+2n)) q*t / ((1 - q^(n+1)) (1 - b*q^(M+2n+2)) a)
+            times_binomial(term, a, n)
+            times_binomial(term, b, M + 2 * n)
+            over_binomial(term, 1, n + 1)
+            over_binomial(term, b, M + 2 * n + 2)
+            term = [0] + [x * t_over_a for x in term[:-1]]
             accumulate(total, term)
-            apply_factors(term, step(N))
-            term = [x * t for x in term]
-        require_frozen((f.q_exp for f in step(n_freeze)), cap_q, "the unshifted double sum")
-        accumulate(total, [x * tail_scale for x in term])
-        # outer factor n -> n + 1: times (1 - a*q^n) * q * t / ((1 - q^(n+1)) * a)
-        times_binomial(outer, a, n)
-        over_binomial(outer, 1, n + 1)
-        outer = [0] + [x * inv_a * t for x in outer[:-1]]
+        apply_factors(first, row_step(M))
+        first = [x * t for x in first]
     return dense_series(total, cap_q)
 
 
@@ -598,9 +581,8 @@ class Check:
     variants of one side, tried in the order listed; ``_Run.matched`` names
     the one that agreed, or "none".  The case verifies when every
     comparison matches.  A failed comparison puts its rows against its
-    first candidate into the mismatch table, unless that candidate is in
-    ``count_only``.  Formal reports lead their ``details`` with the joint
-    validity of the first comparison.
+    first candidate into the mismatch table.  Formal reports lead their
+    ``details`` with the joint validity of the first comparison.
 
     ``right`` is the side ``rational_series_eval`` and ``qsid coeff`` call
     "right", ``coeff_name`` the name ``qsid coeff`` gives the formal sides
@@ -616,7 +598,6 @@ class Check:
     comparisons: Tuple[Tuple[str, ...], ...] = (("left", "right"),)
     params: Tuple[str, ...] = ()
     preconditions: Tuple[Callable[["_Run"], None], ...] = ()
-    count_only: Tuple[str, ...] = ()
     right: str = "right"
     coeff_name: Optional[str] = None
     restrict: Optional[Callable[[TruncationProfile], TruncationProfile]] = None
@@ -656,6 +637,18 @@ class _Run:
         return self._built[side]
 
 
+def _reflected_left(run: "_Run") -> TruncatedSeries:
+    """The b<->t reflection of the run's left side, on the run's profile.
+
+    With cap_b == cap_t this reuses the left side already built; otherwise
+    it reflects a left side built on the profile with those caps exchanged.
+    """
+    p = run.profile
+    if p.cap_b != p.cap_t:
+        run = _Run(run.check, profile=TruncationProfile(p.cap_a, p.cap_t, p.cap_b, p.cap_q))
+    return swap_b_t(run["left"])
+
+
 def _rational(builder: Callable[..., TruncatedSeries], **kwargs) -> Builder:
     """Side builder for a rational-mode ``builder(assign, cap_q, **kwargs)``."""
     return lambda r: builder(r.assign, r.cap_q, **kwargs)
@@ -669,25 +662,22 @@ _CHECKS = [
     Check(
         "thm1_1", "formal", "symmetric double series, b<->t exchange",
         sides={
-            "left": lambda r: build_thm11_side("left", r.profile),
-            "right": lambda r: build_thm11_side("right", r.profile),
-            "swap": lambda r: swap_b_t(r["left"]),  # left as a b<->t fixed point
+            "left": lambda r: build_thm11_side(r.profile),
+            "right": _reflected_left,
         },
-        comparisons=(("left", "right"), ("left", "swap")),
-        count_only=("swap",),
         preconditions=(_equal_bt_caps,),
         coeff_name="thm1_1",
         details=lambda r: {
-            "swap_fixed_point": not r.rows["swap"],
-            "swap_mismatch_count": len(r.rows["swap"]),
+            "swap_fixed_point": not r.rows["right"],
+            "swap_mismatch_count": len(r.rows["right"]),
             "term_bound": "outer index n <= cap of its series variable (t left, b right)",
         },
     ),
     Check(
         "f_sym", "formal", "f(b, t) = f(t, b) at the (q, q^2) specialization",
         sides={
-            "left": lambda r: build_f_series("b", r.profile),
-            "right": lambda r: build_f_series("t", r.profile),
+            "left": lambda r: build_f_series(r.profile),
+            "right": _reflected_left,
         },
         preconditions=(_equal_bt_caps,),
         coeff_name="f_sym",
@@ -711,8 +701,8 @@ _CHECKS = [
         "reduction_a0", "formal", "a = 0 stratum of the flagship left side equals f(b, t)",
         restrict=lambda p: TruncationProfile(0, p.cap_b, p.cap_t, p.cap_q),
         sides={
-            "left": lambda r: build_thm11_side("left", r.profile),
-            "right": lambda r: build_f_series("b", r.profile),
+            "left": lambda r: build_thm11_side(r.profile),
+            "right": lambda r: build_f_series(r.profile),
         },
     ),
     # The substitution path is valid to cap_q - cap_a after the a-shift, so
@@ -722,8 +712,8 @@ _CHECKS = [
         "eq3_1_consistency", "formal",
         "even-step variant: substitution path vs direct build, plus symmetry",
         sides={
-            "left": lambda r: build_eq31_side("left", r.profile),
-            "right": lambda r: build_eq31_side("right", r.profile),
+            "left": lambda r: build_eq31_side(r.profile),
+            "right": _reflected_left,
             "substitution path": lambda r: eq31_substitution_path(r.profile),
         },
         comparisons=(("left", "substitution path"), ("left", "right")),
@@ -907,8 +897,7 @@ def run_case(
             run.matched = matched or "none"
         if matched is None:
             status = "mismatch"
-            if candidates[0] not in check.count_only:
-                table += run.rows[candidates[0]]
+            table += run.rows[candidates[0]]
     details = check.details(run)
     if mode == "formal":
         left, first, *_ = check.comparisons[0]

@@ -377,7 +377,7 @@ def series_vs_enumeration_check(
         raise SeriesError(f"window index must be >= 0, got {n}")
     if n > profile.cap_t:
         raise SeriesError(f"window index {n} exceeds cap_t={profile.cap_t}")
-    lhs = identities.build_eq31_side("left", profile)
+    lhs = identities.build_eq31_side(profile)
     got: Dict[Tuple[int, int, int], object] = {}
     for m, coeff in lhs.terms.items():
         if m[2] == n:

@@ -45,7 +45,6 @@ unit of the truncated ring whenever m is not constant.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Tuple, Union
@@ -121,8 +120,6 @@ class Monomial(NamedTuple):
 
 MONO_ONE = Monomial()
 
-_VAR_INDEX = {"a": 0, "b": 1, "t": 2, "q": 3}
-
 
 @dataclass(frozen=True)
 class TruncationProfile:
@@ -154,9 +151,6 @@ class TruncationProfile:
     def nilpotency_bound(self) -> int:
         """Any product of more than this many constant-free factors is zero."""
         return self.cap_a + self.cap_b + self.cap_t + self.cap_q
-
-    def cap_of(self, var: str) -> int:
-        return self.caps[_VAR_INDEX[var]]
 
 
 def _binomial_monomial(m) -> Monomial:
@@ -388,15 +382,12 @@ class TruncatedSeries:
                 buckets[k[axis]] = {k: v}
             else:
                 bucket[k] = v
-        pending = sorted(buckets)
         out = {}
-        while pending:
-            e = heapq.heappop(pending)
-            bucket = buckets.pop(e)
-            if e + step <= top and e + step not in buckets:
-                buckets[e + step] = {}
-                heapq.heappush(pending, e + step)
-            nxt = buckets.get(e + step)
+        for e in range(min(buckets, default=top), top + 1):
+            bucket = buckets.pop(e, None)
+            if not bucket:
+                continue
+            nxt = buckets.setdefault(e + step, {})
             for k, v in bucket.items():
                 if not v:
                     continue  # cancelled: neither stored nor pushed
@@ -582,14 +573,10 @@ def shift_a_by_q(s: TruncatedSeries, j: int) -> TruncatedSeries:
 
 
 def swap_b_t(s: TruncatedSeries) -> TruncatedSeries:
-    """Exchange the exponents of b and t in every monomial; needs cap_b == cap_t."""
-    if s.profile.cap_b != s.profile.cap_t:
-        raise ProfileMismatchError(
-            f"swap_b_t needs symmetric caps, got cap_b={s.profile.cap_b}, "
-            f"cap_t={s.profile.cap_t}"
-        )
+    """Exchange the exponents of b and t in every monomial, and cap_b with cap_t."""
+    a, b, t, q = s.profile.caps
     out = {(m[0], m[2], m[1], m[3]): c for m, c in s.terms.items()}
-    return TruncatedSeries._raw(s.profile, out, s.valid_to_q)
+    return TruncatedSeries._raw(TruncationProfile(a, t, b, q), out, s.valid_to_q)
 
 
 def coefficient(s: TruncatedSeries, m) -> Coeff:

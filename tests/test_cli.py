@@ -310,6 +310,26 @@ def test_coeff_companion_series(capsys):
     assert out.strip() == "1"
 
 
+@pytest.mark.parametrize(
+    "side, monomial, value",
+    [
+        ("thm1_1:right", "b2t3q8", "2"),
+        ("thm1_1:right", "a1b2t3q9", "3"),
+        ("f_sym:right", "b2t3q9", "2"),
+        ("eq3_1:right", "a1b1t4q9", "1"),
+    ],
+)
+def test_coeff_right_side_with_unequal_bt_caps(capsys, side, monomial, value):
+    # a right side is the reflection of a left side built with cap_b and
+    # cap_t exchanged, so it answers on the requested caps
+    code, out, _ = run_cli(
+        capsys, "coeff", "--side", side, "--monomial", monomial,
+        "--amax", "2", "--bmax", "2", "--tmax", "4", "--qmax", "9",
+    )
+    assert code == EXIT_OK
+    assert out.strip() == value
+
+
 def test_coeff_out_of_validity(capsys):
     code, _, err = run_cli(
         capsys, "coeff", "--side", "thm1_1:left", "--monomial", "q30"

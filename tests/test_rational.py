@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsid import identities, rational
 from qsid.identities import _chain_double_shifted, _chain_double_unshifted
 from qsid.rational import (
     DegenerateParameterError,
@@ -324,3 +325,22 @@ def test_chain_double_sums_match_summand_reference(params, cap):
     assign = RationalAssignment.make(**params)
     assert _chain_double_unshifted(assign, cap) == double_sum_reference(assign, cap, False)
     assert _chain_double_shifted(assign, cap) == double_sum_reference(assign, cap, True)
+
+
+def test_chain_double_sums_are_different_computations(monkeypatch):
+    # chain_shift compares the two double sums; it can only catch a defect
+    # if they do not run the same kernel passes in the same order.
+    log = []
+    for module in (identities, rational):
+        for name in ("times_binomial", "over_binomial"):
+            def logged(c, v, m, name=name, kernel=getattr(rational, name)):
+                log.append((name, v, m))
+                kernel(c, v, m)
+
+            monkeypatch.setattr(module, name, logged)
+    assign = RationalAssignment.make(a="-3/2", b="2/3", t="1/5")
+    unshifted = _chain_double_unshifted(assign, 10)
+    unshifted_log, log[:] = list(log), []
+    shifted = _chain_double_shifted(assign, 10)
+    assert unshifted == shifted
+    assert unshifted_log != log

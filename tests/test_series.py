@@ -252,10 +252,13 @@ def test_swap_examples():
     assert swap_b_t(sym) == sym
 
 
-def test_swap_requires_symmetric_caps():
+def test_swap_exchanges_unequal_caps():
     prof = TruncationProfile(1, 2, 3, 4)
-    with pytest.raises(ProfileMismatchError):
-        swap_b_t(TruncatedSeries.one(prof))
+    s = term(prof, 5, a=1, b=2, t=3, q=4)
+    swapped = swap_b_t(s)
+    assert swapped.profile == TruncationProfile(1, 3, 2, 4)
+    assert swapped == term(swapped.profile, 5, a=1, b=3, t=2, q=4)
+    assert swap_b_t(swapped) == s
 
 
 # -------------------------------------------------------------- coefficients
