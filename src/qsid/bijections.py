@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .partitions import (
     ConstraintSet,
@@ -69,11 +70,12 @@ def gamma(p: Partition, M: int) -> Partition:
         raise BijectionError(f"M must be >= 1, got {M}")
     if not p.is_odd_distinct():
         raise BijectionError(f"odd parts repeat in {p.text()}")
-    if any(x < 2 * M for x in p.parts):
-        raise BijectionError(f"every part must be >= {2*M} in {p.text()}")
-    remainders = [x - 2 * M for x in p.parts if x - 2 * M > 0]
-    markers = [2 * M] * p.length
-    return Partition(tuple(sorted(remainders + markers, reverse=True)))
+    two_m = 2 * M
+    if p and p[-1] < two_m:
+        raise BijectionError(f"every part must be >= {two_m} in {p.text()}")
+    marked = [x - two_m for x in p if x > two_m] + [two_m] * len(p)
+    marked.sort(reverse=True)
+    return tuple.__new__(Partition, marked)  # valid by construction
 
 
 def gamma_inverse(lam: Partition, j: int, M: int) -> Partition:
@@ -88,24 +90,23 @@ def gamma_inverse(lam: Partition, j: int, M: int) -> Partition:
     if j < 0:
         raise BijectionError(f"j must be >= 0, got {j}")
     two_m = 2 * M
-    if any(x > two_m for x in lam.parts):
+    if lam and lam[0] > two_m:
         raise BijectionError(f"every part must be <= {two_m} in {lam.text()}")
-    markers = sum(1 for x in lam.parts if x == two_m)
+    markers = lam.count(two_m)
     if markers < j:
         raise BijectionError(
             f"{lam.text()} has {markers} parts equal to {two_m}, needs at least {j}"
         )
-    leftover = [x for x in lam.parts if x != two_m]
-    leftover += [two_m] * (markers - j)
+    # every part is <= 2M, so the markers lead and the rest are remainders
+    leftover = [two_m] * (markers - j) + list(lam[markers:])
     if len(leftover) > j:
         raise BijectionError(
             f"{lam.text()} keeps {len(leftover)} remainders after removing "
             f"{j} markers; at most {j} allowed"
         )
-    parts = sorted((two_m + r for r in leftover), reverse=True) + [two_m] * (
-        j - len(leftover)
+    preimage = tuple.__new__(  # descending, as leftover is
+        Partition, [two_m + r for r in leftover] + [two_m] * (j - len(leftover))
     )
-    preimage = Partition(tuple(sorted(parts, reverse=True)))
     if not preimage.is_odd_distinct():
         raise BijectionError(f"{lam.text()} is not in the image: odd parts would repeat")
     if gamma(preimage, M) != lam:
@@ -116,21 +117,29 @@ def gamma_inverse(lam: Partition, j: int, M: int) -> Partition:
 def two_modular_conjugate(lam: Partition) -> Partition:
     """Conjugate of the 2-modular diagram, by the closed column-sum formula.
 
-    Requires odd parts distinct (otherwise the column sums need not
-    decrease).  Column j (1-based) contributes 2 per part >= 2j plus 1 per
-    part equal to 2j - 1.
+    Requires odd parts distinct; elsewhere the map is not injective (3,3
+    and 4,2 both go to 4,2).  Column j (1-based) contributes 2 per part
+    >= 2j plus 1 per part equal to 2j - 1.  One pass over the parts fills ``steps``, where
+    column j's sum is ``steps[j] + steps[j + 1] + ...``: an even part 2h
+    adds 2 to columns 1..h, an odd part 2h + 1 adds 2 to columns 1..h and
+    1 to column h + 1.
     """
     if not lam.is_odd_distinct():
         raise BijectionError(f"odd parts repeat in {lam.text()}")
-    if not lam.parts:
-        return Partition()
-    width = (lam.largest + 1) // 2
-    cols = []
-    for j in range(1, width + 1):
-        big = sum(1 for x in lam.parts if x >= 2 * j)
-        odd = sum(1 for x in lam.parts if x == 2 * j - 1)
-        cols.append(2 * big + odd)
-    return Partition(tuple(cols))
+    if not lam:
+        return lam
+    width = (lam[0] + 1) // 2
+    steps = [0] * (width + 1)
+    for x in lam:
+        h = x >> 1
+        if x & 1:
+            steps[h] += 1
+            steps[h + 1] += 1
+        else:
+            steps[h] += 2
+    cols = list(accumulate(steps[width:0:-1]))
+    cols.reverse()
+    return tuple.__new__(Partition, cols)  # column sums never increase
 
 
 def ordinary_conjugate(p: Partition) -> Partition:
@@ -188,12 +197,13 @@ class PropertyCount:
     failed: int = 0
     failures: List[Tuple[str, str]] = field(default_factory=list)
 
-    def record(self, ok: bool, witness: Partition, note: str = "") -> None:
+    def record(self, ok: bool, witness: Partition, note: Callable[[], str]) -> None:
+        """Count one outcome; ``note`` is called only when ``ok`` is false."""
         if ok:
             self.passed += 1
         else:
             self.failed += 1
-            self.failures.append((witness.text(), note))
+            self.failures.append((witness.text(), note()))
 
     @property
     def ok(self) -> bool:
@@ -273,19 +283,25 @@ class AuditReport:
         return self.exact.all_pass
 
     def revalidate(self) -> bool:
-        """Replay every recorded counterexample against the raw maps."""
+        """Replay every recorded counterexample through the public maps.
+
+        A pointwise failure's witness must lie in its section's domain and
+        fail the same property again, with the same note; every preimage of
+        a collision must map to its image.
+        """
+        box = BijectionBox(self.j, self.M)
         for section in (self.exact, self.printed):
-            for tally in (
-                section.weight_preserved,
-                section.odd_count_preserved,
-                section.codomain_membership,
-                section.statistic_exchange,
-                section.gamma_roundtrip,
-                section.sigma_involution,
-                section.middle_bounds,
-            ):
-                for witness, _ in tally.failures:
-                    Partition.parse(witness)  # must at least be a partition
+            in_domain = box.domain_constraints(section.variant).satisfied_by
+            in_codomain = box.codomain_constraints(section.variant).satisfied_by
+            for k, name in enumerate(_POINTWISE):
+                for witness, note in getattr(section, name).failures:
+                    try:
+                        p = Partition.parse(witness)
+                        ok, again = _pointwise(p, self.j, self.M, in_codomain)[2][k]
+                    except SeriesError:
+                        return False
+                    if not in_domain(p) or ok or again() != note:
+                        return False
             for image, preimages in section.collisions:
                 target = Partition.parse(image)
                 for pre in preimages:
@@ -294,87 +310,90 @@ class AuditReport:
         return True
 
 
+# MapAudit's pointwise properties, in the order ``_pointwise`` returns them
+_POINTWISE = (
+    "weight_preserved",
+    "odd_count_preserved",
+    "codomain_membership",
+    "statistic_exchange",
+    "gamma_roundtrip",
+    "sigma_involution",
+    "middle_bounds",
+)
+
+
+def _pointwise(p: Partition, j: int, M: int, in_codomain: Callable[[Partition], bool]):
+    """(gamma(p), its conjugate, one (holds, note) per pointwise property).
+
+    A note is a callable that formats the failure, so an element that
+    passes formats nothing.
+    """
+    lam = gamma(p, M)
+    image = two_modular_conjugate(lam)
+    weight, odd = p.weight, p.odd_count
+    image_weight, image_odd = image.weight, image.odd_count
+    exchange = (
+        image.length == (lam.largest + 1) // 2
+        and (image.largest + 1) // 2 == lam.length
+        and image_weight == lam.weight
+        and image_odd == lam.odd_count
+    )
+    return lam, image, (
+        (image_weight == weight, lambda: f"weight {weight} -> {image_weight}"),
+        (image_odd == odd, lambda: f"odd {odd} -> {image_odd}"),
+        (in_codomain(image), lambda: f"image {image.text()} not in codomain"),
+        (exchange, lambda: f"conjugate of {lam.text()} is {image.text()}"),
+        (gamma_inverse(lam, len(p), M) == p, lambda: f"marked form {lam.text()}"),
+        (two_modular_conjugate(image) == lam, lambda: f"conjugate^2 of {lam.text()}"),
+        (
+            lam.largest <= 2 * M and lam.length <= 2 * j,
+            lambda: f"marked form {lam.text()} breaks the middle bounds",
+        ),
+    )
+
+
 def _map_audit(
     variant: str,
     domain: List[Partition],
     codomain: List[Partition],
+    gen_domain: GeneratingPolynomial,
+    gen_codomain: GeneratingPolynomial,
     j: int,
     M: int,
 ) -> MapAudit:
-    weight_pc = PropertyCount()
-    odd_pc = PropertyCount()
-    member_pc = PropertyCount()
-    exchange_pc = PropertyCount()
-    roundtrip_pc = PropertyCount()
-    involution_pc = PropertyCount()
-    middle_pc = PropertyCount()
-
-    codomain_set = {c.parts for c in codomain}
-
-    marked = [(p, gamma(p, M)) for p in domain]
-    triples = [(p, lam, two_modular_conjugate(lam)) for p, lam in marked]
-
-    image_index: Dict[Tuple[int, ...], List[Partition]] = {}
-    for p, lam, image in triples:
-        weight_pc.record(image.weight == p.weight, p, f"weight {p.weight} -> {image.weight}")
-        odd_pc.record(
-            image.odd_count == p.odd_count, p, f"odd {p.odd_count} -> {image.odd_count}"
-        )
-        member_pc.record(image.parts in codomain_set, p, f"image {image.text()} not in codomain")
-        exchange_ok = (
-            image.length == (lam.largest + 1) // 2
-            and (image.largest + 1) // 2 == lam.length
-            and image.weight == lam.weight
-            and image.odd_count == lam.odd_count
-        )
-        exchange_pc.record(exchange_ok, p, f"conjugate of {lam.text()} is {image.text()}")
-        roundtrip_pc.record(
-            gamma_inverse(lam, p.length, M) == p, p, f"marked form {lam.text()}"
-        )
-        involution_pc.record(
-            two_modular_conjugate(image) == lam, p, f"conjugate^2 of {lam.text()}"
-        )
-        middle_pc.record(
-            lam.largest <= 2 * M and lam.length <= 2 * j,
-            p,
-            f"marked form {lam.text()} breaks the middle bounds",
-        )
-        image_index.setdefault(image.parts, []).append(p)
+    tallies = [PropertyCount() for _ in _POINTWISE]
+    in_codomain = set(codomain).__contains__
+    middle: List[Partition] = []
+    image_index: Dict[Partition, List[Partition]] = {}
+    for p in domain:
+        lam, image, outcomes = _pointwise(p, j, M, in_codomain)
+        for tally, (ok, note) in zip(tallies, outcomes):
+            tally.record(ok, p, note)
+        middle.append(lam)
+        image_index.setdefault(image, []).append(p)
 
     collisions = [
-        (Partition(k).text(), sorted(p.text() for p in group))
-        for k, group in sorted(image_index.items(), reverse=True)
+        (image.text(), sorted(p.text() for p in group))
+        for image, group in sorted(image_index.items(), reverse=True)
         if len(group) > 1
     ]
-    unhit = sorted(
-        (c.parts for c in codomain if c.parts not in image_index), reverse=True
-    )
+    unhit = sorted((c for c in codomain if c not in image_index), reverse=True)
 
-    gen_domain = GeneratingPolynomial.from_partitions(domain)
-    gen_codomain = GeneratingPolynomial.from_partitions(codomain)
     gen_rows = gen_domain.mismatches(gen_codomain)
-
-    middle = [lam for _, lam, _ in triples]
     gen_middle = GeneratingPolynomial.from_partitions(middle)
 
     return MapAudit(
         variant=variant,
         domain_size=len(domain),
         codomain_size=len(codomain),
-        weight_preserved=weight_pc,
-        odd_count_preserved=odd_pc,
-        codomain_membership=member_pc,
-        statistic_exchange=exchange_pc,
-        gamma_roundtrip=roundtrip_pc,
-        sigma_involution=involution_pc,
-        middle_bounds=middle_pc,
+        **dict(zip(_POINTWISE, tallies)),
         injective=not collisions,
         collisions=collisions,
         surjective=not unhit,
-        unhit=[Partition(u).text() for u in unhit],
+        unhit=[u.text() for u in unhit],
         genpoly_equal=not gen_rows,
         genpoly_mismatches=gen_rows,
-        middle_multiset_distinct=len({lam.parts for lam in middle}) == len(middle),
+        middle_multiset_distinct=len(set(middle)) == len(middle),
         middle_equals_domain=not gen_middle.mismatches(gen_domain),
         middle_equals_codomain=not gen_middle.mismatches(gen_codomain),
     )
@@ -415,17 +434,17 @@ def audit_bijection(
     d_exact = [p for p in d_printed if p.length == box.j]
     c_exact = [p for p in c_printed if p.length == box.M]
 
-    exact_audit = _map_audit("exact", d_exact, c_exact, box.j, box.M)
-    printed_audit = _map_audit("printed", d_printed, c_printed, box.j, box.M)
-
-    gen_d_printed = GeneratingPolynomial.from_partitions(d_printed)
-    gen_c_printed = GeneratingPolynomial.from_partitions(c_printed)
-    gen_d_strict = GeneratingPolynomial.from_partitions([p for p in d_printed if p.parts])
-    gen_c_strict = GeneratingPolynomial.from_partitions([p for p in c_printed if p.parts])
-    strict_rows = gen_d_strict.mismatches(gen_c_strict)
-
-    gen_d_exact = GeneratingPolynomial.from_partitions(d_exact)
-    gen_c_exact = GeneratingPolynomial.from_partitions(c_exact)
+    gen_d_exact, gen_c_exact, gen_d_printed, gen_c_printed = map(
+        GeneratingPolynomial.from_partitions, (d_exact, c_exact, d_printed, c_printed)
+    )
+    exact_audit = _map_audit(
+        "exact", d_exact, c_exact, gen_d_exact, gen_c_exact, box.j, box.M
+    )
+    printed_audit = _map_audit(
+        "printed", d_printed, c_printed, gen_d_printed, gen_c_printed, box.j, box.M
+    )
+    # the empty partition is the only one of weight 0, monomial a^0 q^0
+    strict_rows = [row for row in printed_audit.genpoly_mismatches if row[0] != (0, 0)]
 
     report = AuditReport(
         j=box.j,

@@ -138,6 +138,25 @@ def audit_report_to_dict(report: AuditReport) -> Dict[str, object]:
     }
 
 
+def _dumps(report: Dict[str, object]) -> str:
+    return json.dumps(report, indent=2)
+
+
+def enumerate_report_json(found: List[Partition]) -> str:
+    """The enumerate report, byte for byte ``json.dumps(..., indent=2)`` of
+    ``{"count": len(found), "partitions": [list(p) for p in found]}``.
+
+    With ``indent`` set the stdlib encoder runs in pure Python; this report
+    has one fixed shape, so it is written with joins instead.
+    """
+    rows = [
+        "    [\n      " + ",\n      ".join(map(str, p)) + "\n    ]" if p else "    []"
+        for p in found
+    ]
+    listed = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return f'{{\n  "count": {len(found)},\n  "partitions": {listed}\n}}'
+
+
 def strip_volatile(d: Dict[str, object]) -> Dict[str, object]:
     """Copy of a report dict without the volatile section (for diffing)."""
     return {k: v for k, v in d.items() if k != "volatile"}
@@ -154,8 +173,8 @@ def _emit(payload: str, path: Optional[str]) -> None:
 # ------------------------------------------------------------------ commands
 
 # Every command returns (exit code, JSON producer, text producer); ``main``
-# calls the producer of the requested format only.
-_Result = Tuple[int, Callable[[], object], Callable[[], str]]
+# calls the producer of the requested format only and writes its text.
+_Result = Tuple[int, Callable[[], str], Callable[[], str]]
 
 
 class _UnknownName(Exception):
@@ -208,7 +227,7 @@ def cmd_verify(args) -> _Result:
     )
     return (
         _VERIFY_EXIT.get(report.status, EXIT_USAGE),
-        lambda: verification_report_to_dict(report),
+        lambda: _dumps(verification_report_to_dict(report)),
         lambda: _format_verification_text(report),
     )
 
@@ -252,7 +271,7 @@ def cmd_audit(args) -> _Result:
     report = audit_bijection(BijectionBox(args.j, args.M), enum_limit=args.limit)
     return (
         EXIT_OK if report.passed else EXIT_MISMATCH,
-        lambda: audit_report_to_dict(report),
+        lambda: _dumps(audit_report_to_dict(report)),
         lambda: _format_audit_text(report),
     )
 
@@ -278,7 +297,7 @@ def cmd_enumerate(args) -> _Result:
     found = enumerate_partitions(constraints)
     return (
         EXIT_OK,
-        lambda: {"count": len(found), "partitions": [list(p.parts) for p in found]},
+        lambda: enumerate_report_json(found),
         lambda: "\n".join(p.text() for p in found),
     )
 
@@ -289,8 +308,8 @@ _MAP_OPS = ("gamma", "gamma-inverse", "sigma", "gamma-sigma")
 def _map_dict(op: str, p: Partition, image: Partition) -> Dict[str, object]:
     return {
         "op": op,
-        "input": list(p.parts),
-        "output": list(image.parts),
+        "input": list(p),
+        "output": list(image),
         "stats": {
             "weight": image.weight,
             "parts": image.length,
@@ -330,7 +349,11 @@ def cmd_map(args) -> _Result:
         if args.M is None:
             raise SeriesError(f"--M is required for {args.op}")
         image = (gamma if args.op == "gamma" else sigma_gamma)(p, args.M)
-    return EXIT_OK, lambda: _map_dict(args.op, p, image), lambda: _format_map_text(p, image)
+    return (
+        EXIT_OK,
+        lambda: _dumps(_map_dict(args.op, p, image)),
+        lambda: _format_map_text(p, image),
+    )
 
 
 def cmd_coeff(args) -> _Result:
@@ -348,7 +371,9 @@ def cmd_coeff(args) -> _Result:
     value = str(Fraction(coefficient(check.side(side, profile=_profile_from_args(args)), mono)))
     return (
         EXIT_OK,
-        lambda: {"side": args.side, "monomial": _monomial_dict(mono), "coefficient": value},
+        lambda: _dumps(
+            {"side": args.side, "monomial": _monomial_dict(mono), "coefficient": value}
+        ),
         lambda: value,
     )
 
@@ -443,7 +468,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(json.dumps(to_json(), indent=2) if args.format == "json" else to_text(), args.output)
+    _emit(to_json() if args.format == "json" else to_text(), args.output)
     return code
 
 

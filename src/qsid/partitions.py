@@ -44,46 +44,58 @@ class UnboundedConstraintError(SeriesError):
     """The constraint set does not describe a finite search space."""
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing positive parts; ``Partition()`` is the empty partition."""
+class Partition(tuple):
+    """Weakly decreasing positive parts; ``Partition()`` is the empty partition.
 
-    parts: Tuple[int, ...] = ()
+    A partition is the tuple of its parts.  ``Partition(parts)`` and
+    ``parse`` check the parts; code that builds a partition correct by
+    construction (the enumerator, the maps) skips the check with
+    ``tuple.__new__(Partition, parts)``.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        self = tuple.__new__(cls, parts)
         prev = None
-        for p in self.parts:
+        for p in self:
             if not isinstance(p, int) or isinstance(p, bool) or p <= 0:
                 raise SeriesError(f"parts must be positive integers, got {p!r}")
             if prev is not None and p > prev:
-                raise SeriesError(f"parts must be weakly decreasing, got {self.parts}")
+                raise SeriesError(f"parts must be weakly decreasing, got {tuple(self)}")
             prev = p
+        return self
+
+    @property
+    def parts(self) -> Tuple[int, ...]:
+        """The parts, largest first: the partition itself."""
+        return self
 
     @property
     def weight(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def length(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     @property
     def odd_count(self) -> int:
-        return sum(1 for p in self.parts if p % 2)
+        return sum([p & 1 for p in self])
 
     @property
     def largest(self) -> int:
         """Largest part; 0 for the empty partition."""
-        return self.parts[0] if self.parts else 0
+        return self[0] if self else 0
 
     @property
     def smallest(self) -> int:
         """Smallest part; 0 for the empty partition."""
-        return self.parts[-1] if self.parts else 0
+        return self[-1] if self else 0
 
     def is_odd_distinct(self) -> bool:
         """True iff no odd part value occurs more than once."""
-        odds = [p for p in self.parts if p % 2]
+        odds = [p for p in self if p & 1]
         return len(odds) == len(set(odds))
 
     @classmethod
@@ -100,10 +112,13 @@ class Partition:
 
     def text(self) -> str:
         """Canonical text form; the empty partition renders as '()'."""
-        return ",".join(str(p) for p in self.parts) if self.parts else "()"
+        return ",".join(map(str, self)) if self else "()"
 
     def __str__(self) -> str:
         return self.text()
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={tuple(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -201,19 +216,20 @@ def enumerate_partitions(c: ConstraintSet) -> List[Partition]:
     lo_part = c.min_part or 1
     hi_part = c.max_part if c.max_part is not None else w_hi
 
+    distinct = c.odd_parts_distinct
     found: List[Partition] = []
     stack: List[int] = []
 
-    def rec(prev: int, weight: int) -> None:
-        if len(stack) < l_hi:
-            for v in range(min(prev, hi_part, w_hi - weight), lo_part - 1, -1):
-                if c.odd_parts_distinct and stack and v == stack[-1] and v % 2:
-                    continue
+    def rec(top: int, weight: int) -> None:
+        depth = len(stack)
+        if depth < l_hi:
+            for v in range(min(top, w_hi - weight), lo_part - 1, -1):
                 stack.append(v)
-                rec(v, weight + v)
+                # an odd part may not repeat, so the next part is below it
+                rec(v - 1 if distinct and v & 1 else v, weight + v)
                 stack.pop()
-        if w_lo <= weight and l_lo <= len(stack):
-            found.append(Partition(tuple(stack)))
+        if w_lo <= weight and l_lo <= depth:
+            found.append(tuple.__new__(Partition, stack))  # valid by construction
 
     rec(hi_part, 0)
     return found

@@ -8,6 +8,7 @@ from qsid import bijections
 from qsid.bijections import (
     BijectionBox,
     BijectionError,
+    PropertyCount,
     audit_bijection,
     gamma,
     gamma_inverse,
@@ -304,3 +305,43 @@ def test_audit_reports_revalidate():
         assert audit_bijection(box).revalidate()
 
 
+def test_revalidate_replays_each_witness_through_the_maps():
+    report = audit_bijection(BijectionBox(2, 3))
+    recorded = report.printed.codomain_membership.failures
+    assert recorded and report.revalidate()
+    # 12,6 lies in D(2, 3) and gamma/sigma preserve its weight: no counterexample
+    report.exact.weight_preserved.failures.append(("12,6", "weight 18 -> 18"))
+    assert not report.revalidate()
+
+
+@pytest.mark.parametrize(
+    "section, witness, note",
+    [
+        ("printed", "11", "image 4,4,3 in codomain"),  # a real failure, another note
+        ("exact", "6", "image 2,2,2 not in codomain"),  # fails again, but not in D(2, 3)
+        ("printed", "x", "image 4,4,3 not in codomain"),  # not a partition
+    ],
+)
+def test_revalidate_rejects_witnesses_that_do_not_fail_again(section, witness, note):
+    report = audit_bijection(BijectionBox(2, 3))
+    getattr(report, section).codomain_membership.failures.append((witness, note))
+    assert not report.revalidate()
+
+
+def test_failure_notes_are_formatted_only_on_failure(monkeypatch):
+    never = PropertyCount()
+    never.record(True, P("4"), lambda: pytest.fail("note formatted for a pass"))
+    assert (never.passed, never.failures) == (1, [])
+
+    conjugate = bijections.two_modular_conjugate
+
+    def heavier(lam):  # the conjugate with 2 added to its largest part
+        parts = conjugate(lam).parts
+        return Partition((parts[0] + 2, *parts[1:]) if parts else ())
+
+    monkeypatch.setattr(bijections, "two_modular_conjugate", heavier)
+    report = audit_bijection(BijectionBox(1, 1))
+    domain = enumerate_partitions(BijectionBox(1, 1).domain_constraints("exact"))
+    assert report.exact.weight_preserved.failures == [
+        (p.text(), f"weight {p.weight} -> {p.weight + 2}") for p in domain
+    ]

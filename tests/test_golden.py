@@ -7,8 +7,10 @@ The fixtures under ``tests/golden/`` were recorded before the case catalog
 and the report codec were rewritten, and the ``*_q16`` rational ones
 before the dense rational kernel replaced the sparse products; the three
 audit fixtures were re-recorded when the audit box stopped echoing a
-requested variant.  A refactor that changes any non-volatile byte fails
-here.
+requested variant; ``enumerate_max_weight_8`` (ends with the empty
+partition), ``enumerate_empty_family``, ``enumerate_weight_12_text`` and
+``map_sigma_empty`` were recorded before the enumerate report got its own
+writer.  A refactor that changes any non-volatile byte fails here.
 
 To record the fixtures again (only at a commit whose output is trusted):
 
@@ -121,7 +123,11 @@ INVOCATIONS = {
     "audit_1_2_printed": ["audit", "--j", "1", "--M", "2"],
     "audit_1_2_printed_text": ["audit", "--j", "1", "--M", "2"],
     "enumerate_weight_12": ["enumerate", "--weight", "12", "--odd-distinct"],
+    "enumerate_weight_12_text": ["enumerate", "--weight", "12", "--odd-distinct"],
+    "enumerate_max_weight_8": ["enumerate", "--odd-distinct", "--max-weight", "8"],
+    "enumerate_empty_family": ["enumerate", "--weight", "3", "--min-part", "5"],
     "map_gamma_sigma": ["map", "--op", "gamma-sigma", "--M", "5", "--partition", "20,13,12,12,10"],
+    "map_sigma_empty": ["map", "--op", "sigma", "--partition", "()"],
     "coeff_unknown_side": ["coeff", "--side", "thm9:left", "--monomial", "q1"],
     **{
         f"coeff_{side.replace(':', '_')}": ["coeff", "--side", side, "--monomial", mono, *_FORMAL]

@@ -1,11 +1,13 @@
-"""Partitions: values, enumeration oracle, generating polynomials."""
+"""Partitions: values, enumeration oracle, generating polynomials, the enumerate writer."""
 
+import json
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsid.cli import enumerate_report_json
 from qsid.partitions import (
     ConstraintSet,
     Partition,
@@ -87,22 +89,54 @@ def test_enumerate_all_weight5():
     assert len(set(got)) == len(got)
 
 
-@pytest.mark.parametrize(
-    "c",
-    [
-        ConstraintSet(weight=9),
-        ConstraintSet(weight=12, odd_parts_distinct=True),
-        ConstraintSet(weight_min=4, weight_max=9, max_part=5),
-        ConstraintSet(weight_max=0),
-        ConstraintSet(length=3, min_part=2, max_part=7, odd_parts_distinct=True),
-        ConstraintSet(max_length=3, min_part=4, max_part=8, odd_parts_distinct=True),
-        ConstraintSet(weight_min=6, weight_max=10, max_length=2),
-    ],
-)
+FAMILIES = [
+    ConstraintSet(weight=9),
+    ConstraintSet(weight=12, odd_parts_distinct=True),
+    ConstraintSet(weight_min=4, weight_max=9, max_part=5),
+    ConstraintSet(weight_max=0),
+    ConstraintSet(length=3, min_part=2, max_part=7, odd_parts_distinct=True),
+    ConstraintSet(max_length=3, min_part=4, max_part=8, odd_parts_distinct=True),
+    ConstraintSet(weight_min=6, weight_max=10, max_length=2),
+]
+
+
+@pytest.mark.parametrize("c", FAMILIES)
 def test_enumeration_order_is_descending_lex(c):
     got = enumerate_partitions(c)
     assert got == sorted(set(got), key=lambda p: p.parts, reverse=True)
     assert got
+
+
+@pytest.mark.parametrize("c", FAMILIES)
+def test_enumerated_values_pass_the_partition_check(c):
+    # the enumerator builds its values without the check Partition(parts) runs
+    for p in enumerate_partitions(c):
+        assert type(p) is Partition
+        assert Partition(tuple(p)) == p
+
+
+# ----------------------------------------------------------- enumerate writer
+
+
+def _dumped(found):
+    return json.dumps({"count": len(found), "partitions": [list(p) for p in found]}, indent=2)
+
+
+@pytest.mark.parametrize("c", FAMILIES + [ConstraintSet(weight=3, min_part=5)])
+def test_enumerate_writer_matches_json_dumps(c):
+    found = enumerate_partitions(c)
+    assert enumerate_report_json(found) == _dumped(found)
+
+
+_PARTITIONS = st.lists(st.integers(1, 10**6), max_size=6).map(
+    lambda parts: Partition(sorted(parts, reverse=True))
+)
+
+
+@given(st.lists(_PARTITIONS, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_enumerate_writer_matches_json_dumps_on_any_family(found):
+    assert enumerate_report_json(found) == _dumped(found)
 
 
 @given(
@@ -210,6 +244,7 @@ def test_enumeration_satisfies_constraints(weight, min_part, max_part, odd_disti
     assert len(set(got)) == len(got)
     for p in got:
         assert c.satisfied_by(p)
+        assert type(p) is Partition and Partition(tuple(p)) == p
 
 
 def test_enumeration_against_brute_force_filter():
