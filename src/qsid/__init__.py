@@ -8,8 +8,10 @@ The package has four layers:
   the case table ``CASES`` (one entry per case) and ``run_case``, the one
   checker that compares the sides of an entry coefficient by coefficient.
 - ``partitions`` / ``bijections``: brute-force partition enumeration (the
-  independent oracle) plus the subtract-and-mark map and 2-modular
-  conjugation with an exhaustive finite-box audit.
+  independent oracle, which imports no series code beyond its error type;
+  the catalog case ``eq3_1_partitions`` checks a series side against it)
+  plus the subtract-and-mark map and 2-modular conjugation with an
+  exhaustive finite-box audit.
 - ``cli``: the ``qsid`` command with machine-readable reports.
 """
 
@@ -48,6 +50,7 @@ from .identities import (  # noqa: F401
     IdentityCase,
     Mismatch,
     VerificationReport,
+    build_eq31_partition_side,
     build_eq31_side,
     build_f_series,
     build_report,
@@ -63,7 +66,6 @@ from .partitions import (  # noqa: F401
     UnboundedConstraintError,
     enumerate_partitions,
     generating_polynomial,
-    series_vs_enumeration_check,
 )
 from .bijections import (  # noqa: F401
     AuditReport,

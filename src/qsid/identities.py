@@ -16,10 +16,12 @@ The flagship identity is the symmetric double series
 where (x; q)_n is the q-shifted factorial with n factors.  The catalog
 also covers its a = 0 reduction (the classical two-variable symmetric
 function), the q -> q^2, a -> a/q variant whose coefficients count
-partitions, the terminating q-Pfaff-Saalschuetz summation with the
-rewriting chain that proves the flagship identity, and two companion
-series evaluations, one of which is checked in adjudication mode (the
-checker reports what it finds rather than asserting the printed form).
+partitions (``eq3_1_partitions`` compares it with the odd-distinct
+partitions that the ``partitions`` oracle enumerates), the terminating
+q-Pfaff-Saalschuetz summation with the rewriting chain that proves the
+flagship identity, and two companion series evaluations, one of which is
+checked in adjudication mode (the checker reports what it finds rather
+than asserting the printed form).
 
 ``CASES`` is the whole catalog, written once: for every case and mode it
 declares the required parameters, the preconditions, the side builders,
@@ -37,10 +39,12 @@ mismatch.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .partitions import ConstraintSet, count_partitions, enumerate_partitions, env_enum_limit
 from .rational import (
     DegenerateParameterError,
     Factor,
@@ -74,6 +78,7 @@ __all__ = [
     "IdentityCase",
     "Mismatch",
     "VerificationReport",
+    "build_eq31_partition_side",
     "build_eq31_side",
     "build_f_series",
     "build_report",
@@ -207,6 +212,43 @@ def build_eq31_side(profile: TruncationProfile) -> TruncatedSeries:
     left = sum_n (-a*b*q^(2n+1); q^2)_n t^n / (b*q^2n; q^2)_{n+1}.
     """
     return _sum_side(profile, 2, True)
+
+
+def build_eq31_partition_side(profile: TruncationProfile) -> TruncatedSeries:
+    """The even-step left side read off odd-distinct partitions, by enumeration.
+
+    For n >= 1 the t^n coefficient of ``build_eq31_side`` counts the
+    odd-distinct partitions with parts in [2n, 4n], each adding
+    a^(odd parts) b^(parts) q^(weight); the t^0 stratum is 1/(1 - b).  The
+    windows are counted first, and none is listed over ``env_enum_limit()``.
+    """
+    cap_a, cap_b, cap_t, cap_q = profile.caps
+    windows = [
+        ConstraintSet(weight_max=cap_q, min_part=2 * n, max_part=4 * n, max_length=cap_b,
+                      odd_parts_distinct=True)
+        for n in range(1, cap_t + 1)
+    ]
+    total, limit = sum(map(count_partitions, windows)), env_enum_limit()
+    if total > limit:
+        raise SeriesError(
+            f"the partition windows enumerate {total} partitions, over the limit {limit}"
+        )
+    terms = Counter((0, k, 0, 0) for k in range(cap_b + 1))
+    for n, window in enumerate(windows, 1):
+        found = enumerate_partitions(window)
+        terms.update((p.odd_count, len(p), n, p.weight) for p in found if p.odd_count <= cap_a)
+    return TruncatedSeries(profile, terms)
+
+
+def _f_by_summands(profile: TruncationProfile) -> TruncatedSeries:
+    """f(b, t) = sum_n t^n / (b*q^n; q)_{n+1}, each summand t^n over its own n + 1 binomials."""
+    total = TruncatedSeries.zero(profile)
+    for n in range(profile.cap_t + 1):
+        term = TruncatedSeries.term(profile, 1, e_t=n)
+        for k in range(n + 1):
+            term = term.over_binomial(1, Monomial(e_b=1, e_q=n + k))
+        total = total + term
+    return total
 
 
 def eq31_substitution_path(profile: TruncationProfile) -> TruncatedSeries:
@@ -697,12 +739,13 @@ _CHECKS = [
             f"{min(r.assign.x_exp, r.assign.y_exp)}; geometric tail summed in closed form",
         },
     ),
+    # At a = 0 the flagship side runs build_f_series's passes, so f is summed otherwise.
     Check(
         "reduction_a0", "formal", "a = 0 stratum of the flagship left side equals f(b, t)",
         restrict=lambda p: TruncationProfile(0, p.cap_b, p.cap_t, p.cap_q),
         sides={
             "left": lambda r: build_thm11_side(r.profile),
-            "right": lambda r: build_f_series(r.profile),
+            "right": lambda r: _f_by_summands(r.profile),
         },
     ),
     # The substitution path is valid to cap_q - cap_a after the a-shift, so
@@ -723,6 +766,18 @@ _CHECKS = [
             "construction_mismatch_count": len(r.rows["substitution path"]),
             "symmetry_mismatch_count": len(r.rows["right"]),
             "substitution_valid_to_q": r["substitution path"].valid_to_q,
+        },
+    ),
+    Check(
+        "eq3_1_partitions", "formal",
+        "even-step variant: series vs odd-distinct partitions with parts in [2n, 4n]",
+        sides={
+            "left": lambda r: build_eq31_side(r.profile),
+            "right": lambda r: build_eq31_partition_side(r.profile),
+        },
+        details=lambda r: {
+            "reading": "t^n (n >= 1): odd-distinct partitions with parts in [2n, 4n], "
+            "graded a^(odd parts) b^(parts) q^(weight); t^0: formal 1/(1-b) stratum",
         },
     ),
     # The printed product side elsewhere mixes subscripts n and N; the

@@ -8,9 +8,11 @@ whose 2-modular conjugate is again a partition.
 
 Enumeration is exhaustive over a finite search space described by a
 ``ConstraintSet`` and doubles as the brute-force oracle for the series
-checks: the generating polynomial sum of a^(odd parts) * q^(weight) over
-an enumerated family must match the corresponding series coefficients
-computed independently by the series engine.
+checks: the catalog case ``eq3_1_partitions`` (in ``identities``) builds
+one side of the even-step identity from enumerated families and compares
+it with the side the series engine computes.  This module needs nothing
+from the series code beyond its error type, so the oracle stays
+independent of what it checks.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from dataclasses import dataclass, replace
 from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from . import identities
-from .series import Monomial, SeriesError, TruncationProfile
+from .series import SeriesError
 
 __all__ = [
     "ConstraintSet",
@@ -34,7 +35,6 @@ __all__ = [
     "enumerate_partitions",
     "env_enum_limit",
     "generating_polynomial",
-    "series_vs_enumeration_check",
 ]
 
 DEFAULT_ENUM_LIMIT = 200_000
@@ -244,8 +244,9 @@ def count_partitions(c: ConstraintSet) -> int:
     and L - k even values with repetition, C(n_odd, k) *
     multichoose(n_even, L - k) ways; otherwise multichoose(n_values, L).
     Summing over L uses sum_{L<=l} multichoose(n, L) = C(n + l, l), so
-    the cost does not follow the part range: two binomials, or three per
-    usable count k of odd parts.
+    the cost does not follow the part range: two binomials, and with odd
+    parts distinct a sum over k for each, whose term steps from k to
+    k + 1 by its exact ratio, one multiply and one exact divide.
 
     Under a weight window it is a DP over the part values whose states
     are the reachable (length, weight) pairs with their counts, so its
@@ -280,21 +281,19 @@ def count_partitions(c: ConstraintSet) -> int:
 
 def _count_by_length(lo: int, hi: int, l_lo: int, l_hi: int, odd_distinct: bool) -> int:
     """Partitions with parts in [lo, hi] and length in [l_lo, l_hi]."""
-
-    def up_to(n: int, l: int) -> int:  # multisets of at most l values from n
-        return comb(n + l, l) if l >= 0 else 0
-
-    def in_window(n: int, shift: int) -> int:
-        return up_to(n, l_hi - shift) - up_to(n, l_lo - 1 - shift)
-
     n_values = max(0, hi - lo + 1)
-    if not odd_distinct:
-        return in_window(n_values, 0)
-    n_odd = max(0, (hi + 1) // 2 - lo // 2)
-    n_even = n_values - n_odd
-    return sum(
-        comb(n_odd, k) * in_window(n_even, k) for k in range(min(n_odd, l_hi) + 1)
-    )
+    n_odd = max(0, (hi + 1) // 2 - lo // 2) if odd_distinct else 0
+    n_rep = n_values - n_odd  # values that may repeat
+
+    def up_to(l: int) -> int:
+        """Length <= l: sum over k of C(n_odd, k) * multisets of <= l - k repeatable values."""
+        term = total = comb(n_rep + l, l) if l >= 0 else 0
+        for k in range(min(n_odd, l)):  # term k -> k + 1 by its exact ratio
+            term = term * ((n_odd - k) * (l - k)) // ((k + 1) * (n_rep + l - k))
+            total += term
+        return total
+
+    return up_to(l_hi) - up_to(l_lo - 1)
 
 
 def env_enum_limit() -> int:
@@ -374,67 +373,3 @@ def generating_polynomial(c: ConstraintSet, weight_cap: int) -> GeneratingPolyno
         capped = replace(c, weight_max=new_hi)
     return GeneratingPolynomial.from_partitions(enumerate_partitions(capped))
 
-
-def series_vs_enumeration_check(
-    n: int, profile: TruncationProfile
-) -> identities.VerificationReport:
-    """Coefficient of t^n in the even-step left side vs direct enumeration.
-
-    For n >= 1 that coefficient counts odd-distinct partitions with every
-    part in [2n, 4n], graded by a^(odd parts) * b^(parts) * q^(weight),
-    truncated by the profile caps.  The n = 0 window is the formal stratum
-    1/(1 - b) (powers of b at q^0), checked as such: there is no partition
-    reading for parts of size zero.
-    """
-    import time
-
-    started = time.perf_counter()
-    if n < 0:
-        raise SeriesError(f"window index must be >= 0, got {n}")
-    if n > profile.cap_t:
-        raise SeriesError(f"window index {n} exceeds cap_t={profile.cap_t}")
-    lhs = identities.build_eq31_side(profile)
-    got: Dict[Tuple[int, int, int], object] = {}
-    for m, coeff in lhs.terms.items():
-        if m[2] == n:
-            got[(m[0], m[1], m[3])] = coeff
-
-    expected: Dict[Tuple[int, int, int], int] = {}
-    if n == 0:
-        for k in range(profile.cap_b + 1):
-            expected[(0, k, 0)] = 1
-    else:
-        family = ConstraintSet(
-            weight_max=profile.cap_q,
-            min_part=2 * n,
-            max_part=4 * n,
-            max_length=profile.cap_b,
-            odd_parts_distinct=True,
-        )
-        for p in enumerate_partitions(family):
-            if p.odd_count > profile.cap_a:
-                continue
-            key = (p.odd_count, p.length, p.weight)
-            expected[key] = expected.get(key, 0) + 1
-
-    rows = []
-    for key in set(got) | set(expected):
-        x = got.get(key, 0)
-        y = expected.get(key, 0)
-        if x != y:
-            rows.append((Monomial(key[0], key[1], n, key[2]), x, y))
-    rows.sort(key=lambda r: r[0].order_key())
-
-    return identities.build_report(
-        "eq3_1_window",
-        "formal",
-        dict(zip("abtq", profile.caps)),
-        {"window": str(n)},
-        "verified" if not rows else "mismatch",
-        rows,
-        {
-            "window": n,
-            "reading": "formal 1/(1-b) stratum" if n == 0 else f"parts in [{2*n}, {4*n}]",
-        },
-        started,
-    )

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, report encoders, the error path."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -447,6 +448,23 @@ def test_enumerate_count_cost_does_not_follow_the_part_range(capsys, monkeypatch
     assert code == EXIT_USAGE and out == ""
     assert err == (
         "error: the constraints enumerate 5000000150000001 partitions, over the limit 200000\n"
+    )
+
+
+def test_enumerate_count_with_a_long_length_bound_refuses_quickly(capsys, monkeypatch):
+    # the count sums about 2000 terms of up to 10,000 digits, each stepped
+    # from the one before; the digest pins the 10,333-byte message that the
+    # same sum gave with every term a product of math.comb calls
+    monkeypatch.delenv("QSID_ENUM_LIMIT", raising=False)
+    started = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "enumerate", "--max-part", "100000000", "--max-length", "2000", "--odd-distinct"
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert len(err) == 10333
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "d2edcb781ae51c19558ffe416ce39ac859a248bdf24962e889a2afddd6dd84a0"
     )
 
 

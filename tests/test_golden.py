@@ -10,7 +10,8 @@ audit fixtures were re-recorded when the audit box stopped echoing a
 requested variant; ``enumerate_max_weight_8`` (ends with the empty
 partition), ``enumerate_empty_family``, ``enumerate_weight_12_text`` and
 ``map_sigma_empty`` were recorded before the enumerate report got its own
-writer.  A refactor that changes any non-volatile byte fails here.
+writer; ``verify_eq3_1_partitions`` was recorded when that case was added
+to the catalog.  A refactor that changes any non-volatile byte fails here.
 
 To record the fixtures again (only at a commit whose output is trusted):
 
@@ -48,6 +49,10 @@ INVOCATIONS = {
     "verify_f_sym_formal": ["verify", "--identity", "f_sym", "--mode", "formal", *_FORMAL],
     "verify_reduction_a0": ["verify", "--identity", "reduction_a0", *_FORMAL],
     "verify_eq3_1": ["verify", "--identity", "eq3_1_consistency", *_FORMAL],
+    "verify_eq3_1_partitions": [
+        "verify", "--identity", "eq3_1_partitions", "--amax", "4", "--bmax", "6", "--tmax", "4",
+        "--qmax", "16",
+    ],
     "verify_eq3_1_empty_region": [
         "verify", "--identity", "eq3_1_consistency",
         "--amax", "6", "--bmax", "2", "--tmax", "2", "--qmax", "4",

@@ -106,6 +106,21 @@ def test_reduction_a0_verifies():
     assert report.caps["a"] == 0
 
 
+def test_reduction_a0_catches_a_wrong_symmetric_builder(monkeypatch):
+    # f(b, t) is summed summand by summand, so a fault in the stepped
+    # builder behind the flagship left side shows as a mismatch.
+    stepped = identities._sum_side
+
+    def faulty(profile, q_mult, with_numerator):
+        side = stepped(profile, q_mult, with_numerator)
+        return side + TruncatedSeries.term(profile, 1, e_b=1, e_t=2, e_q=5)
+
+    monkeypatch.setattr(identities, "_sum_side", faulty)
+    report = run_case("reduction_a0", profile=TruncationProfile(4, 4, 4, 12))
+    assert report.status == "mismatch"
+    assert [str(row.monomial) for row in report.mismatches] == ["b*t^2*q^5"]
+
+
 # ----------------------------------------------------------- even-step variant
 
 
@@ -386,7 +401,7 @@ def test_run_case_requires_parameters():
 
 def test_case_registry_modes():
     assert set(CASES) == {
-        "thm1_1", "f_sym", "reduction_a0", "eq3_1_consistency",
+        "thm1_1", "f_sym", "reduction_a0", "eq3_1_consistency", "eq3_1_partitions",
         "qps_2_1", "rewrite_2_2", "eq2_3",
         "chain_shift", "chain_fine", "chain_final",
         "thm3_4", "thm3_5",

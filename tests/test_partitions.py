@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsid.cli import enumerate_report_json
+from qsid import identities
+from qsid.cli import EXIT_USAGE, enumerate_report_json, main
+from qsid.identities import build_eq31_partition_side, build_eq31_side, run_case
 from qsid.partitions import (
     ConstraintSet,
     Partition,
@@ -15,7 +17,6 @@ from qsid.partitions import (
     count_partitions,
     enumerate_partitions,
     generating_polynomial,
-    series_vs_enumeration_check,
 )
 from qsid.series import (
     MONO_ONE,
@@ -318,19 +319,64 @@ def test_odd_distinct_counts_match_product_series():
 # ------------------------------------------------- series vs enumeration
 
 
-def test_window_zero_is_formal_geometric_stratum():
-    report = series_vs_enumeration_check(0, TruncationProfile(3, 5, 3, 10))
+# eq3_1_partitions: the t^n coefficient of the even-step side counts the
+# odd-distinct partitions with parts in [2n, 4n]; its t^0 stratum is 1/(1-b).
+PARTITION_PROFILES = [
+    (3, 5, 3, 10),
+    (4, 6, 4, 8),
+    (4, 6, 4, 16),
+    (1, 6, 5, 30),  # partitions with two odd parts exist, and a^2 is over the cap
+    (0, 4, 4, 20),
+    (3, 5, 0, 10),  # the t^0 stratum alone
+    (3, 0, 3, 10),  # each window holds only the empty partition
+]
+
+
+@pytest.mark.parametrize("caps", PARTITION_PROFILES, ids=str)
+def test_even_step_side_matches_enumerated_partitions(caps):
+    report = run_case("eq3_1_partitions", profile=TruncationProfile(*caps))
     assert report.verified
-    assert "1/(1-b)" in report.details["reading"]
+    assert report.details["joint_valid_to_q"] == caps[3]
+    assert report.details["reading"].startswith("t^n (n >= 1): odd-distinct partitions")
 
 
-@pytest.mark.parametrize("n,cap_q", [(1, 8), (2, 16)])
-def test_window_matches_enumeration(n, cap_q):
-    report = series_vs_enumeration_check(n, TruncationProfile(4, 6, 4, cap_q))
-    assert report.verified
-    assert report.details["reading"] == f"parts in [{2*n}, {4*n}]"
+def test_partition_side_reads_each_window():
+    prof = TruncationProfile(1, 6, 5, 30)
+    side = build_eq31_partition_side(prof)
+    assert side == build_eq31_side(prof)
+    # window 2, parts in [4, 8], four parts of weight 28: 8+8+8+4 and 8+8+6+6;
+    # 8+8+7+5 has two odd parts, over cap_a
+    assert side.terms[(0, 4, 2, 28)] == 2
+    # window 3, parts in [6, 12], two parts of weight 21: 12+9 and 11+10
+    assert side.terms[(1, 2, 3, 21)] == 2
+    assert not any(m[0] > prof.cap_a for m in side.terms)
+    for k in range(prof.cap_b + 1):
+        assert side.terms[(0, k, 0, 0)] == 1
 
 
-def test_window_requires_t_cap():
-    with pytest.raises(SeriesError):
-        series_vs_enumeration_check(5, TruncationProfile(2, 2, 2, 8))
+def test_partition_case_refuses_over_the_limit_before_listing(monkeypatch, capsys):
+    prof = TruncationProfile(4, 6, 4, 16)
+    total = sum(
+        count_partitions(
+            ConstraintSet(weight_max=16, min_part=2 * n, max_part=4 * n, max_length=6,
+                          odd_parts_distinct=True)
+        )
+        for n in range(1, 5)
+    )
+    argv = ["verify", "--identity", "eq3_1_partitions", "--amax", "4", "--bmax", "6",
+            "--tmax", "4", "--qmax", "16"]
+    monkeypatch.setenv("QSID_ENUM_LIMIT", str(total))
+    assert run_case("eq3_1_partitions", profile=prof).verified
+
+    def never(c):
+        raise AssertionError("a family was listed")
+
+    monkeypatch.setattr(identities, "enumerate_partitions", never)
+    monkeypatch.setenv("QSID_ENUM_LIMIT", str(total - 1))
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the partition windows enumerate {total} partitions, "
+        f"over the limit {total - 1}\n"
+    )
