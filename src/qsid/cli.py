@@ -138,23 +138,86 @@ def audit_report_to_dict(report: AuditReport) -> Dict[str, object]:
     }
 
 
-def _dumps(report: Dict[str, object]) -> str:
-    return json.dumps(report, indent=2)
+def report_json(report: object) -> str:
+    """Any report as the bytes of ``json.dumps(report, indent=2)``.
 
-
-def enumerate_report_json(found: List[Partition]) -> str:
-    """The enumerate report, byte for byte ``json.dumps(..., indent=2)`` of
-    ``{"count": len(found), "partitions": [list(p) for p in found]}``.
-
-    With ``indent`` set the stdlib encoder runs in pure Python; this report
-    has one fixed shape, so it is written with joins instead.
+    With ``indent`` set the stdlib encoder runs in pure Python.  This
+    writer joins strings instead: a list of ints in one join, and a list of
+    rows of one shape (mismatch rows, graded rows) from one template.  What
+    it has no path for (floats, True, False, None, non-string keys) goes
+    through ``json.dumps``.
     """
-    rows = [
-        "    [\n      " + ",\n      ".join(map(str, p)) + "\n    ]" if p else "    []"
-        for p in found
-    ]
-    listed = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-    return f'{{\n  "count": {len(found)},\n  "partitions": {listed}\n}}'
+    return _json(report, "\n")
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value: object, nl: str) -> str:
+    """``value`` written as ``json.dumps(..., indent=2)`` writes it after ``nl``."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    inner = nl + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            items = map(int.__repr__, value)
+        else:
+            items = _rows_json(value, inner) or [_json(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(value, dict) and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        items = [f"{_encode_str(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(value, indent=2).replace("\n", nl)
+
+
+def _leaf(value: object) -> Optional[str]:
+    if type(value) is int:
+        return int.__repr__(value)
+    return _encode_str(value) if type(value) is str else None
+
+
+def _rows_json(rows, nl: str) -> Optional[List[str]]:
+    """Rows written after ``nl``, when each is a dict with the first row's
+    keys whose values are ints, strings, or dicts of those with the first
+    row's keys there; otherwise None."""
+    first = rows[0]
+    if type(first) is not dict or not first or not all(type(k) is str for k in first):
+        return None
+    shape = [(k, tuple(v) if type(v) is dict else None) for k, v in first.items()]
+    inner, deeper, parts = nl + "  ", nl + "    ", []
+    for key, sub in shape:
+        head = _encode_str(key).replace("%", "%%") + ": "
+        if sub is None:
+            parts.append(head + "%s")
+        elif sub and all(type(k) is str for k in sub):
+            fields = [_encode_str(k).replace("%", "%%") + ": %s" for k in sub]
+            parts.append(head + "{" + deeper + ("," + deeper).join(fields) + inner + "}")
+        else:
+            return None
+    template = "{" + inner + ("," + inner).join(parts) + nl + "}"
+    keys, leaves = tuple(first), []
+    for row in rows:
+        if type(row) is not dict or tuple(row) != keys:
+            return None
+        for key, sub in shape:
+            value = row[key]
+            if sub is None:
+                leaves.append(value)
+            elif type(value) is dict and tuple(value) == sub:
+                leaves.extend(value.values())
+            else:
+                return None
+    written = list(map(_leaf, leaves))
+    if None in written:
+        return None
+    n = len(written) // len(rows)
+    return [template % tuple(written[i:i + n]) for i in range(0, len(written), n)]
 
 
 def strip_volatile(d: Dict[str, object]) -> Dict[str, object]:
@@ -227,7 +290,7 @@ def cmd_verify(args) -> _Result:
     )
     return (
         _VERIFY_EXIT.get(report.status, EXIT_USAGE),
-        lambda: _dumps(verification_report_to_dict(report)),
+        lambda: report_json(verification_report_to_dict(report)),
         lambda: _format_verification_text(report),
     )
 
@@ -271,7 +334,7 @@ def cmd_audit(args) -> _Result:
     report = audit_bijection(BijectionBox(args.j, args.M), enum_limit=args.limit)
     return (
         EXIT_OK if report.passed else EXIT_MISMATCH,
-        lambda: _dumps(audit_report_to_dict(report)),
+        lambda: report_json(audit_report_to_dict(report)),
         lambda: _format_audit_text(report),
     )
 
@@ -297,7 +360,7 @@ def cmd_enumerate(args) -> _Result:
     found = enumerate_partitions(constraints)
     return (
         EXIT_OK,
-        lambda: enumerate_report_json(found),
+        lambda: report_json({"count": len(found), "partitions": found}),
         lambda: "\n".join(p.text() for p in found),
     )
 
@@ -351,7 +414,7 @@ def cmd_map(args) -> _Result:
         image = (gamma if args.op == "gamma" else sigma_gamma)(p, args.M)
     return (
         EXIT_OK,
-        lambda: _dumps(_map_dict(args.op, p, image)),
+        lambda: report_json(_map_dict(args.op, p, image)),
         lambda: _format_map_text(p, image),
     )
 
@@ -371,7 +434,7 @@ def cmd_coeff(args) -> _Result:
     value = str(Fraction(coefficient(check.side(side, profile=_profile_from_args(args)), mono)))
     return (
         EXIT_OK,
-        lambda: _dumps(
+        lambda: report_json(
             {"side": args.side, "monomial": _monomial_dict(mono), "coefficient": value}
         ),
         lambda: value,

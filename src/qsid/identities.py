@@ -170,12 +170,11 @@ def _sum_side(profile: TruncationProfile, q_mult: int, with_numerator: bool) -> 
     and one monomial shift per n.  Every divisor moves a capped variable,
     so it is a unit of the truncated ring and the step is exact there.
     """
-    t_shift = TruncatedSeries.term(profile, 1, e_t=1)
     term = TruncatedSeries.one(profile).over_binomial(1, Monomial(e_b=1))
     total = term
     s = q_mult
     for n in range(profile.cap_t):
-        term = term * t_shift
+        term = term.times_monomial(1, Monomial(e_t=1))
         if with_numerator:
             term = term.times_binomial(-1, Monomial(e_a=1, e_b=1, e_q=2 * s * n + 1))
             term = term.times_binomial(-1, Monomial(e_a=1, e_b=1, e_q=s * (2 * n + 1) + 1))
@@ -284,11 +283,10 @@ def build_thm31_side(which: str, profile: TruncationProfile) -> TruncatedSeries:
                * (1-q^n) / ((1-q^(2n+1)) (1-q^(2n+2)))
     3_5_right  -b q^(3n+2) (1-q^n) / ((1-q^(2n+1)) (1-q^(2n+2)))
     """
-    one = TruncatedSeries.one(profile)
     if which in ("3_4_left", "3_5_left"):
         with_a = which == "3_4_left"
-        total = TruncatedSeries.zero(profile)
-        ratio = one
+        total = TruncatedSeries.constant(profile, profile.cap_q)  # the cap_q ones of the sum
+        ratio = TruncatedSeries.one(profile)
         for n in range(profile.cap_q):
             if with_a:
                 ratio = ratio.times_binomial(1, Monomial(e_a=1, e_b=1, e_q=2 * n + 1))
@@ -301,7 +299,7 @@ def build_thm31_side(which: str, profile: TruncationProfile) -> TruncatedSeries:
                 ratio = ratio.times_binomial(1, Monomial(e_b=1, e_q=2 * n + 1))
                 ratio = ratio.times_binomial(1, Monomial(e_b=1, e_q=2 * n + 2))
                 ratio = ratio.over_binomial(1, Monomial(e_b=1, e_q=n + 1))
-            total = total + (one - ratio)
+            total = total - ratio
         return total
     if which in ("3_4_right", "3_5_right"):
         with_a = which == "3_4_right"
@@ -316,12 +314,12 @@ def build_thm31_side(which: str, profile: TruncationProfile) -> TruncatedSeries:
         while not term.is_zero():  # summand n is 0 once b^n or its q-order is over cap
             total = total + term
             if with_a:
-                term = term * TruncatedSeries.term(profile, 1, e_b=1)
+                term = term.times_monomial(1, Monomial(e_b=1))
                 term = term.times_binomial(1, Monomial(e_a=1, e_q=2 * n + 1))
                 term = term.times_binomial(1, Monomial(e_a=1, e_q=2 * n + 2))
                 term = term.over_binomial(1, Monomial(e_a=1, e_q=n + 1))
             else:
-                term = term * TruncatedSeries.term(profile, -1, e_b=1, e_q=3 * n + 2)
+                term = term.times_monomial(-1, Monomial(e_b=1, e_q=3 * n + 2))
             term = term.times_binomial(1, Monomial(e_q=n))
             term = term.over_binomial(1, Monomial(e_q=2 * n + 1))
             term = term.over_binomial(1, Monomial(e_q=2 * n + 2))

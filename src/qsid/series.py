@@ -21,11 +21,39 @@ need one (for example shifting a series by q^(-1) per power of a when
 some monomial is a-heavy) raise ``NegativeExponentError`` instead of
 producing a Laurent term.
 
+Packed q-rows.  A formal series is stored as ``rows``, a map from the
+(a, b, t) exponents to one Python int per row (Kronecker substitution).
+The int holds the row's coefficients of q^0, q^1, ... as balanced (signed)
+digits in W-bit slots: it is the row polynomial evaluated at q = 2^W.
+Rational coefficients are integer rows over one common denominator
+``den``.  A row int is only as long as its highest nonzero q-degree, and
+only a row shifted past cap_q is cut back to cap_q + 1 slots.
+
 Every q-shifted factorial factor is a binomial (1 - c*x^m) in one
 monomial x^m, so ``times_binomial`` and ``over_binomial`` apply one such
-factor, or its inverse, in a single pass over the term map; the side
-builders use nothing else.  Dividing is exact because (1 - c*x^m) is a
-unit of the truncated ring whenever m is not constant.
+factor, or its inverse, in a single pass over the rows; the side builders
+use nothing else besides ``times_monomial`` shifts.  Multiplying is
+``row[k+m] -= c * (row[k] << W*e)`` per row (m = (a, b, t) step, e its
+q-exponent); dividing walks each chain up the step,
+``out[k] = row[k] + c * (out[k-m] << W*e)``; a divisor in q alone is one
+multiply per row by its truncated geometric series.  Dividing is exact
+because (1 - c*x^m) is a unit of the truncated ring whenever m is not
+constant.
+
+The slot width W comes from a proof.  Each row carries ``bounds[k]``, an
+upper bound on the sum of the absolute values of its digits: the same
+passes run at q = 1 with |c| in place of c, and a row that lies wholly
+past cap_q drops out of them as it drops out of the packed build.  Every
+digit, before and after a cut, is bounded by that sum, and a slot of W
+bits holds it, with the sign correction of a cut, while the bound stays
+below 2^(W-2).  A pass whose bounds would pass that limit runs again on
+rows repacked at a wider W.  ``terms`` is the unpacked term map, built on
+first use; equal rows compare as equal ints, without unpacking.
+
+A series made from a term map (``TruncatedSeries(profile, terms)``, as
+rational mode's finished q-only sides are) keeps it: ``+``, ``==`` and
+``compare_series`` between two such series, and ``*`` always, run on term
+maps.  A binomial pass packs its input first.
 
     >>> prof = TruncationProfile(cap_a=0, cap_b=2, cap_t=0, cap_q=4)
     >>> b = TruncatedSeries.term(prof, 1, e_b=1)
@@ -37,8 +65,13 @@ unit of the truncated ring whenever m is not constant.
     1 - q - q^2
     >>> print(b.times_binomial(-1, Monomial(e_b=1, e_q=1)))
     b + b^2*q
-    >>> print(TruncatedSeries.one(prof).over_binomial(2, Monomial(e_b=1, e_q=1)))
+    >>> s = TruncatedSeries.one(prof).over_binomial(2, Monomial(e_b=1, e_q=1))
+    >>> print(s)
     1 + 2*b*q + 4*b^2*q^2
+    >>> s.width, s.rows[(0, 2, 0)] == 4 << 2 * s.width, s.bounds[(0, 2, 0)]
+    (32, True, 4)
+    >>> print(s.times_monomial(-1, Monomial(e_b=1, e_q=2)))
+    -b*q^2 - 2*b^2*q^3
     >>> print(substitute_q_power(TruncatedSeries.term(prof, 1, e_q=1), 2))
     q^2
 """
@@ -47,6 +80,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+import struct
 from typing import Mapping, NamedTuple, Tuple, Union
 
 Coeff = Union[int, Fraction]
@@ -165,14 +201,263 @@ def q_only_profile(cap_q: int) -> TruncationProfile:
     return TruncationProfile(0, 0, 0, cap_q)
 
 
-class TruncatedSeries:
-    """Sparse exact series: a finite map from monomials to nonzero rationals.
+# ---------------------------------------------------------------- packed rows
 
-    Instances are immutable by convention: no method mutates ``terms`` after
-    construction.
+# Slot widths are multiples of this, so series whose bounds are of similar
+# size share W and compare row by row as ints.
+_WIDTH_STEP = 32
+
+
+def _slot_width(bound: int) -> int:
+    """Slot width W for rows whose digit sums are at most ``bound``.
+
+    W = bits + 2: a sign bit, and one more so that the sign correction of
+    a cut (``_cut``) and the top-degree read (``_top``) stay exact.
+    """
+    return -(-(bound.bit_length() + 2) // _WIDTH_STEP) * _WIDTH_STEP
+
+
+@lru_cache(maxsize=256)
+def _offset(width: int, n: int, stride: int) -> int:
+    """The digit 2^(W-1) in each of n slots ``stride`` bits apart."""
+    slot = (1 << (width - 1)).to_bytes(stride // 8, "little")
+    return int.from_bytes(slot * n, "little")
+
+
+def _slots(row: int, width: int) -> bytes:
+    """The row's slots as little-endian bytes, each holding digit + 2^(W-1) >= 0."""
+    n = row.bit_length() // width + 1
+    return (row + _offset(width, n, width)).to_bytes(width // 8 * n, "little")
+
+
+def _unpack(row: int, width: int) -> list:
+    """Balanced digits of a packed row, q^0 first, up to its highest nonzero slot."""
+    data, size, half = _slots(row, width), width // 8, 1 << (width - 1)
+    if size in (4, 8):
+        words = struct.unpack(f"<{len(data) // size}{'I' if size == 4 else 'Q'}", data)
+        return [w - half for w in words]
+    return [int.from_bytes(data[i:i + size], "little") - half for i in range(0, len(data), size)]
+
+
+def _respace(row: int, width: int, stride: int) -> int:
+    """The row with digit j moved to bit stride*j (stride >= width): a
+    repack at W = stride, or at stride = k*W the substitution q -> q^k."""
+    data, size, step = _slots(row, width), width // 8, stride // 8
+    n = len(data) // size
+    spread = bytearray(step * n)
+    for i in range(size):
+        spread[i::step] = data[i::size]
+    return int.from_bytes(spread, "little") - _offset(width, n, stride)
+
+
+def _top(row: int, width: int) -> int:
+    """Highest nonzero q-degree of a nonzero packed row."""
+    return row.bit_length() // width
+
+
+def _low(row: int, width: int) -> int:
+    """Lowest nonzero q-degree of a nonzero packed row."""
+    return ((row & -row).bit_length() - 1) // width
+
+
+def _cut(x: int, size: int) -> int:
+    """The packed row x without its slots from bit ``size`` on (balanced: the
+    kept part is x - hi * 2^size with hi rounded to nearest)."""
+    return x - ((((x >> (size - 1)) + 1) >> 1) << size)
+
+
+def _num_den(c: Coeff) -> Tuple[int, int]:
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    return c, 1
+
+
+def _shifted(v: int, e: int, width: int, cap_q: int):
+    """v * q^e cut at cap_q, or None when the whole row lands past cap_q."""
+    if _top(v, width) + e <= cap_q:
+        return v << width * e
+    if _low(v, width) + e > cap_q:
+        return None
+    return _cut(v << width * e, width * (cap_q + 1))
+
+
+def _multiply(s: "TruncatedSeries", c: Coeff, m: Monomial):
+    """Rows, bounds and denominator of s * (1 - c*x^m) at s's width."""
+    num, r = _num_den(c)
+    ma, mb, mt, e = m
+    ca, cb, ct, cq = s.profile.caps
+    width, rows, bounds = s.width, s.rows, s.bounds
+    if r == 1:
+        out, ob = dict(rows), dict(bounds)
+    else:
+        out = {k: v * r for k, v in rows.items()}
+        ob = {k: v * r for k, v in bounds.items()}
+    mag = abs(num)
+    for k, v in rows.items():
+        a, b, t = k[0] + ma, k[1] + mb, k[2] + mt
+        if a > ca or b > cb or t > ct:
+            continue
+        x = _shifted(v, e, width, cq) if e else v
+        if x is None:
+            continue
+        nk = (a, b, t)
+        y = out.get(nk, 0) - (x if num == 1 else num * x)
+        if y:
+            out[nk] = y
+            ob[nk] = ob.get(nk, 0) + mag * bounds[k]
+        else:
+            del out[nk], ob[nk]
+    return out, ob, s.den * r
+
+
+def _divide(s: "TruncatedSeries", c: Coeff, m: Monomial):
+    """Rows, bounds and denominator of s / (1 - c*x^m) at s's width.
+
+    With an (a, b, t) step the quotient y = s + c*x^m*y is built up each
+    chain k, k + m, k + 2m, ...: rows are visited by their exponent on
+    one stepped axis, so out[k - m] is final before it is pushed on to k.
+    A Fraction c = p/r scales row k by r^(L - level(k)), level(k) being
+    k's axis exponent over the step's and L its cap's, over den * r^L.
+    """
+    num, r = _num_den(c)
+    ma, mb, mt, e = m
+    if not (ma or mb or mt):
+        return _divide_q(s, num, r, e)
+    caps = s.profile.caps
+    ca, cb, ct, cq = caps
+    width, mag = s.width, abs(num)
+    axis = 0 if ma else 1 if mb else 2
+    step = m[axis]
+    levels = caps[axis] // step
+    work, wb = dict(s.rows), dict(s.bounds)
+    if r != 1:
+        for k in work:
+            scale = r ** (k[axis] // step)
+            work[k] *= scale
+            wb[k] *= scale
+    buckets: dict = {}
+    for k in work:
+        buckets.setdefault(k[axis], []).append(k)
+    out, ob = {}, {}
+    level = min(buckets, default=0)
+    while buckets:
+        for k in buckets.pop(level, ()):
+            v = work[k]
+            if not v:
+                continue  # cancelled: neither stored nor pushed
+            out[k] = v
+            bound = ob[k] = wb[k]
+            a, b, t = k[0] + ma, k[1] + mb, k[2] + mt
+            if a > ca or b > cb or t > ct:
+                continue
+            x = _shifted(v, e, width, cq) if e else v
+            if x is None:
+                continue
+            nk = (a, b, t)
+            prev = work.get(nk)
+            if prev is None:
+                buckets.setdefault(nk[axis], []).append(nk)
+                work[nk], wb[nk] = num * x, mag * bound
+            else:
+                work[nk] = prev + (x if num == 1 else num * x)
+                wb[nk] += mag * bound
+        level += 1
+    if r != 1:
+        for k in out:
+            scale = r ** (levels - k[axis] // step)
+            out[k] *= scale
+            ob[k] *= scale
+    return out, ob, s.den * r ** levels
+
+
+def _divide_q(s: "TruncatedSeries", num: int, r: int, e: int):
+    """s / (1 - (num/r) q^e), e >= 1: each row times sum_{j <= J} (num/r)^j q^(e*j).
+
+    J = (cap_q - the row's lowest degree) // e, or cap_q // e for every
+    row when r != 1, so that they share the denominator r^J.
+    """
+    width, cq = s.width, s.profile.cap_q
+    size, mag = width * (cq + 1), abs(num)
+    series: dict = {}  # J -> (packed geometric series, its sum at q = 1 with |num|)
+
+    def geometric(J):
+        if J not in series:
+            g = total = 0
+            for j in range(J, -1, -1):
+                g = (g << width * e) + num**j * r ** (J - j)
+                total += mag**j * r ** (J - j)
+            series[J] = g, total
+        return series[J]
+
+    out, ob = {}, {}
+    for k, v in s.rows.items():
+        g, total = geometric((cq - _low(v, width)) // e if r == 1 else cq // e)
+        y = v * g
+        out[k] = _cut(y, size) if _top(y, width) > cq else y
+        ob[k] = s.bounds[k] * total
+    return out, ob, s.den * r ** (cq // e if r != 1 else 0)
+
+
+def _times_monomial(s: "TruncatedSeries", c: Coeff, m: Monomial):
+    """Rows, bounds and denominator of s * c*x^m at s's width."""
+    num, r = _num_den(c)
+    ma, mb, mt, e = m
+    ca, cb, ct, cq = s.profile.caps
+    width, mag = s.width, abs(num)
+    out, ob = {}, {}
+    for k, v in s.rows.items():
+        a, b, t = k[0] + ma, k[1] + mb, k[2] + mt
+        if a > ca or b > cb or t > ct:
+            continue
+        x = _shifted(v, e, width, cq) if e else v
+        if x is not None:
+            out[(a, b, t)] = x if num == 1 else num * x
+            ob[(a, b, t)] = mag * s.bounds[k]
+    return out, ob, s.den * r
+
+
+def _add_rows(x: "TruncatedSeries", y: "TruncatedSeries", sign: int):
+    """Rows and bounds of x + sign*y, two series of one width and denominator."""
+    rows, bounds = dict(x.rows), dict(x.bounds)
+    for k, v in y.rows.items():
+        prev = rows.get(k)
+        if prev is None:
+            rows[k] = v if sign == 1 else -v
+            bounds[k] = y.bounds[k]
+            continue
+        v = prev + v if sign == 1 else prev - v
+        if v:
+            rows[k] = v
+            bounds[k] += y.bounds[k]
+        else:
+            del rows[k], bounds[k]
+    return rows, bounds
+
+
+def _aligned(x: "TruncatedSeries", y: "TruncatedSeries"):
+    """x and y over one denominator and at one width, values unchanged."""
+    if x.den != y.den:
+        d = lcm(x.den, y.den)
+        x, y = x._scaled(d // x.den), y._scaled(d // y.den)
+    if x.width < y.width:
+        x = x._widened(y.width)
+    elif y.width < x.width:
+        y = y._widened(x.width)
+    return x, y
+
+
+def _fits(bounds: dict, width: int) -> bool:
+    return not max(bounds.values(), default=0) >> (width - 2)
+
+
+class TruncatedSeries:
+    """Exact truncated series: packed q-rows, or a finite map from monomials to rationals.
+
+    Instances are immutable by convention: no method changes ``rows`` or
+    ``terms`` after construction.  ``rows`` is None for a term-map series.
     """
 
-    __slots__ = ("profile", "terms", "valid_to_q")
+    __slots__ = ("profile", "valid_to_q", "rows", "bounds", "width", "den", "_terms")
 
     def __init__(self, profile, terms=None, valid_to_q=None):
         tmap = {}
@@ -198,33 +483,46 @@ class TruncatedSeries:
         if v > profile.cap_q:
             raise SeriesError(f"valid_to_q={v} exceeds cap_q={profile.cap_q}")
         self.profile = profile
-        self.terms = tmap
         self.valid_to_q = v
+        self.rows = self.bounds = self.width = self.den = None
+        self._terms = tmap
 
     @classmethod
     def _raw(cls, profile, terms, valid_to_q):
-        """Internal constructor: terms already pruned and within caps."""
+        """Internal constructor of a term-map series: terms already within caps."""
         s = object.__new__(cls)
-        s.profile = profile
-        s.terms = terms
-        s.valid_to_q = valid_to_q
+        s.profile, s.valid_to_q, s._terms = profile, valid_to_q, terms
+        s.rows = s.bounds = s.width = s.den = None
         return s
+
+    @classmethod
+    def _from_rows(cls, profile, rows, bounds, width, den, valid_to_q):
+        """Internal constructor of a packed series: rows nonzero, within caps, fitting W."""
+        s = object.__new__(cls)
+        s.profile, s.valid_to_q, s._terms = profile, valid_to_q, None
+        s.rows, s.bounds, s.width, s.den = rows, bounds, width, den
+        return s
+
+    def _with_rows(self, rows, bounds, den, profile=None, valid_to_q=None):
+        return TruncatedSeries._from_rows(
+            self.profile if profile is None else profile, rows, bounds, self.width, den,
+            self.valid_to_q if valid_to_q is None else valid_to_q,
+        )
 
     # ---------------------------------------------------------------- basics
 
     @classmethod
     def zero(cls, profile, valid_to_q=None):
-        return cls._raw(profile, {}, profile.cap_q if valid_to_q is None else valid_to_q)
+        v = profile.cap_q if valid_to_q is None else valid_to_q
+        return cls._from_rows(profile, {}, {}, _slot_width(0), 1, v)
 
     @classmethod
     def one(cls, profile):
-        return cls._raw(profile, {MONO_ONE: 1}, profile.cap_q)
+        return cls.constant(profile, 1)
 
     @classmethod
     def constant(cls, profile, value):
-        if value == 0:
-            return cls.zero(profile)
-        return cls._raw(profile, {MONO_ONE: value}, profile.cap_q)
+        return cls.term(profile, value)
 
     @classmethod
     def term(cls, profile, coeff, e_a=0, e_b=0, e_t=0, e_q=0):
@@ -234,10 +532,26 @@ class TruncatedSeries:
             raise NegativeExponentError(f"monomial {m!r} has a negative exponent")
         if coeff == 0 or not profile.admits(m):
             return cls.zero(profile)
-        return cls._raw(profile, {m: coeff}, profile.cap_q)
+        num, den = _num_den(coeff)
+        width = _slot_width(abs(num))
+        return cls._from_rows(
+            profile, {m[:3]: num << width * e_q}, {m[:3]: abs(num)}, width, den, profile.cap_q
+        )
+
+    @property
+    def terms(self):
+        """The term map {(e_a, e_b, e_t, e_q): coefficient}, unpacked on first use."""
+        if self._terms is None:
+            width, den, out = self.width, self.den, {}
+            for (a, b, t), row in self.rows.items():
+                for q, d in enumerate(_unpack(row, width)):
+                    if d:
+                        out[(a, b, t, q)] = d if den == 1 else Fraction(d, den)
+            self._terms = out
+        return self._terms
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self.terms if self.rows is None else self.rows)
 
     @property
     def constant_term(self) -> Coeff:
@@ -249,6 +563,45 @@ class TruncatedSeries:
         items.sort(key=lambda mc: mc[0].order_key())
         return items
 
+    # ----------------------------------------------------------- packed rows
+
+    def _packed(self) -> "TruncatedSeries":
+        """This series on packed rows (itself if it already is)."""
+        if self.rows is not None:
+            return self
+        den = lcm(*(Fraction(c).denominator for c in self._terms.values()))
+        digits: dict = {}
+        for (a, b, t, q), c in self._terms.items():
+            if c:
+                digits.setdefault((a, b, t), {})[q] = c.numerator * (den // c.denominator)
+        bounds = {k: sum(map(abs, row.values())) for k, row in digits.items()}
+        width = _slot_width(max(bounds.values(), default=0))
+        rows = {k: sum(d << width * q for q, d in row.items()) for k, row in digits.items()}
+        return TruncatedSeries._from_rows(self.profile, rows, bounds, width, den, self.valid_to_q)
+
+    def _widened(self, width: int) -> "TruncatedSeries":
+        """The same rows repacked in slots of ``width`` bits."""
+        rows = {k: _respace(v, self.width, width) for k, v in self.rows.items()}
+        return TruncatedSeries._from_rows(
+            self.profile, rows, self.bounds, width, self.den, self.valid_to_q
+        )
+
+    def _scaled(self, k: int) -> "TruncatedSeries":
+        """The same value over a denominator k times larger."""
+        bounds = {key: v * k for key, v in self.bounds.items()}
+        s = self if _fits(bounds, self.width) else self._widened(
+            _slot_width(max(bounds.values())))
+        rows = {key: v * k for key, v in s.rows.items()}
+        return s._with_rows(rows, bounds, s.den * k)
+
+    def _fit(self, kernel, *args) -> "TruncatedSeries":
+        """kernel(self, *args) -> (rows, bounds, den) as a series, run again on
+        rows widened to the guard's W when a bound does not fit this one."""
+        rows, bounds, den = kernel(self, *args)
+        if not _fits(bounds, self.width):
+            return self._widened(_slot_width(max(bounds.values())))._fit(kernel, *args)
+        return self._with_rows(rows, bounds, den)
+
     # ------------------------------------------------------------ arithmetic
 
     def _check_profile(self, other: "TruncatedSeries") -> None:
@@ -257,42 +610,51 @@ class TruncatedSeries:
                 f"mixed profiles: {self.profile.caps} vs {other.profile.caps}"
             )
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
         if isinstance(other, (int, Fraction)):
             other = TruncatedSeries.constant(self.profile, other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_profile(other)
-        merged = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = merged.get(m)
-            acc = c if acc is None else acc + c
-            if acc == 0:
-                merged.pop(m, None)
-            else:
-                merged[m] = acc
-        return TruncatedSeries._raw(
-            self.profile, merged, min(self.valid_to_q, other.valid_to_q)
-        )
+        valid = min(self.valid_to_q, other.valid_to_q)
+        if self.rows is None or other.rows is None:
+            merged = dict(self.terms)
+            for m, c in other.terms.items():
+                acc = merged.get(m)
+                acc = sign * c if acc is None else acc + sign * c
+                if acc == 0:
+                    merged.pop(m, None)
+                else:
+                    merged[m] = acc
+            return TruncatedSeries._raw(self.profile, merged, valid)
+        x, y = _aligned(self, other)
+        rows, bounds = _add_rows(x, y, sign)
+        if not _fits(bounds, x.width):
+            width = _slot_width(max(bounds.values()))
+            x, y = x._widened(width), y._widened(width)
+            rows, bounds = _add_rows(x, y, sign)
+        return x._with_rows(rows, bounds, x.den, valid_to_q=valid)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TruncatedSeries._raw(
-            self.profile, {m: -c for m, c in self.terms.items()}, self.valid_to_q
-        )
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(self.profile, other)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        if self.rows is None:
+            return TruncatedSeries._raw(
+                self.profile, {m: -c for m, c in self.terms.items()}, self.valid_to_q
+            )
+        return self._with_rows({k: -v for k, v in self.rows.items()}, self.bounds, self.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        """Sparse convolution of the term maps (a term map comes back)."""
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return TruncatedSeries._raw(self.profile, {}, self.valid_to_q)
@@ -338,31 +700,17 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def times_binomial(self, c: Coeff, m) -> "TruncatedSeries":
-        """self * (1 - c * x^m) in one pass over the terms."""
+        """self * (1 - c * x^m) in one pass over the rows."""
         m = _binomial_monomial(m)
         if c == 0 or not self.profile.admits(m):
             return self
-        ma, mb, mt, mq = m
-        ca, cb, ct, cq = self.profile.caps
-        out = dict(self.terms)
-        for (ea, eb, et, eq), v in self.terms.items():
-            if ea + ma <= ca and eb + mb <= cb and et + mt <= ct and eq + mq <= cq:
-                k = (ea + ma, eb + mb, et + mt, eq + mq)
-                acc = out.get(k, 0) - c * v
-                if acc:
-                    out[k] = acc
-                else:
-                    out.pop(k, None)
-        return TruncatedSeries._raw(self.profile, out, self.valid_to_q)
+        return self._packed()._fit(_multiply, c, m)
 
     def over_binomial(self, c: Coeff, m) -> "TruncatedSeries":
         """self / (1 - c * x^m), exact in the truncated ring, in one ascending pass.
 
-        The quotient y satisfies y = self + c * x^m * y.  Terms are bucketed
-        by one exponent that m raises (q when it can), so a bucket is final
-        once every lower bucket has pushed its terms on by x^m; each output
-        term is pushed forward once.  A constant m is refused, as
-        ``invert_one_minus`` refuses a constant term.
+        The quotient y satisfies y = self + c * x^m * y.  A constant m is
+        refused, as ``invert_one_minus`` refuses a constant term.
         """
         m = _binomial_monomial(m)
         if not any(m):
@@ -371,32 +719,14 @@ class TruncatedSeries:
             )
         if c == 0 or not self.profile.admits(m):
             return self
-        axis = 3 if m[3] else next(i for i in range(3) if m[i])
-        step, top = m[axis], self.profile.caps[axis]
-        ma, mb, mt, mq = m
-        ca, cb, ct, cq = self.profile.caps
-        buckets: dict = {}
-        for k, v in self.terms.items():
-            bucket = buckets.get(k[axis])
-            if bucket is None:
-                buckets[k[axis]] = {k: v}
-            else:
-                bucket[k] = v
-        out = {}
-        for e in range(min(buckets, default=top), top + 1):
-            bucket = buckets.pop(e, None)
-            if not bucket:
-                continue
-            nxt = buckets.setdefault(e + step, {})
-            for k, v in bucket.items():
-                if not v:
-                    continue  # cancelled: neither stored nor pushed
-                out[k] = v
-                ea, eb, et, eq = k
-                if ea + ma <= ca and eb + mb <= cb and et + mt <= ct and eq + mq <= cq:
-                    k = (ea + ma, eb + mb, et + mt, eq + mq)
-                    nxt[k] = nxt.get(k, 0) + c * v
-        return TruncatedSeries._raw(self.profile, out, self.valid_to_q)
+        return self._packed()._fit(_divide, c, m)
+
+    def times_monomial(self, c: Coeff, m) -> "TruncatedSeries":
+        """self * c * x^m: each row moves by m's (a, b, t) exponents and shifts by its q one."""
+        m = _binomial_monomial(m)
+        if c == 0 or not self.profile.admits(m):
+            return TruncatedSeries.zero(self.profile, self.valid_to_q)
+        return self._packed()._fit(_times_monomial, c, m)
 
     def __eq__(self, other):
         """Mathematical equality in the quotient ring (term maps agree)."""
@@ -404,7 +734,12 @@ class TruncatedSeries:
             other = TruncatedSeries.constant(self.profile, other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.profile == other.profile and self.terms == other.terms
+        if self.profile != other.profile:
+            return False
+        if self.rows is not None and other.rows is not None and self.den == other.den:
+            x, y = _aligned(self, other)
+            return x.rows == y.rows
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -536,14 +871,21 @@ def substitute_q_power(s: TruncatedSeries, k: int) -> TruncatedSeries:
     if not isinstance(k, int) or k < 1:
         raise SeriesError(f"substitution power must be an integer >= 1, got {k!r}")
     cap_q = s.profile.cap_q
-    out = {}
-    for m, c in s.terms.items():
-        eq = m[3] * k
-        if eq > cap_q:
-            continue
-        out[(m[0], m[1], m[2], eq)] = c
     valid = min(cap_q, k * s.valid_to_q + (k - 1))
-    return TruncatedSeries._raw(s.profile, out, valid)
+    if s.rows is None:
+        out = {}
+        for m, c in s.terms.items():
+            eq = m[3] * k
+            if eq <= cap_q:
+                out[(m[0], m[1], m[2], eq)] = c
+        return TruncatedSeries._raw(s.profile, out, valid)
+    width, rows, bounds = s.width, {}, {}
+    for key, v in s.rows.items():
+        if _low(v, width) * k <= cap_q:
+            x = _respace(v, width, k * width)
+            rows[key] = _cut(x, width * (cap_q + 1)) if _top(x, width) > cap_q else x
+            bounds[key] = s.bounds[key]
+    return s._with_rows(rows, bounds, s.den, valid_to_q=valid)
 
 
 def shift_a_by_q(s: TruncatedSeries, j: int) -> TruncatedSeries:
@@ -557,26 +899,37 @@ def shift_a_by_q(s: TruncatedSeries, j: int) -> TruncatedSeries:
     if not isinstance(j, int):
         raise SeriesError(f"shift must be an integer, got {j!r}")
     cap_q = s.profile.cap_q
-    out = {}
-    for m, c in s.terms.items():
-        eq = m[3] + j * m[0]
-        if eq < 0:
-            raise NegativeExponentError(
-                f"monomial {Monomial(*m)} would land at q^{eq} under a -> a*q^{j}"
-            )
-        if eq > cap_q:
-            continue
-        out[(m[0], m[1], m[2], eq)] = c
     penalty = (-j) * s.profile.cap_a if j < 0 else 0
     valid = max(-1, s.valid_to_q - penalty)
-    return TruncatedSeries._raw(s.profile, out, valid)
+    if s.rows is None:
+        s = s._packed()
+    width, rows, bounds = s.width, {}, {}
+    for key, v in s.rows.items():
+        e = j * key[0]
+        if e < 0:
+            low = _low(v, width)
+            if low + e < 0:
+                raise NegativeExponentError(
+                    f"monomial {Monomial(*key, low)} would land at q^{low + e} under a -> a*q^{j}"
+                )
+            rows[key], bounds[key] = v >> width * -e, s.bounds[key]
+        else:
+            x = _shifted(v, e, width, cap_q)
+            if x is not None:
+                rows[key], bounds[key] = x, s.bounds[key]
+    return s._with_rows(rows, bounds, s.den, valid_to_q=valid)
 
 
 def swap_b_t(s: TruncatedSeries) -> TruncatedSeries:
     """Exchange the exponents of b and t in every monomial, and cap_b with cap_t."""
     a, b, t, q = s.profile.caps
-    out = {(m[0], m[2], m[1], m[3]): c for m, c in s.terms.items()}
-    return TruncatedSeries._raw(TruncationProfile(a, t, b, q), out, s.valid_to_q)
+    profile = TruncationProfile(a, t, b, q)
+    if s.rows is None:
+        out = {(m[0], m[2], m[1], m[3]): c for m, c in s.terms.items()}
+        return TruncatedSeries._raw(profile, out, s.valid_to_q)
+    rows = {(k[0], k[2], k[1]): v for k, v in s.rows.items()}
+    bounds = {(k[0], k[2], k[1]): v for k, v in s.bounds.items()}
+    return s._with_rows(rows, bounds, s.den, profile=profile)
 
 
 def coefficient(s: TruncatedSeries, m) -> Coeff:
@@ -601,21 +954,37 @@ def compare_series(x: TruncatedSeries, y: TruncatedSeries):
     """Mismatch rows (monomial, x-coeff, y-coeff) on the joint validity region.
 
     Only monomials with e_q <= min(valid_to_q) are compared; rows come back
-    in canonical monomial order.
+    in canonical monomial order.  Packed series over one denominator
+    compare row ints, and only unequal rows are unpacked.
     """
     if x.profile != y.profile:
         raise ProfileMismatchError(
             f"cannot compare series with profiles {x.profile.caps} vs {y.profile.caps}"
         )
-    if x.terms == y.terms:
-        return []  # equal maps leave no key to differ on, whatever the region
     v = min(x.valid_to_q, y.valid_to_q)
-    keys = {m for m in x.terms if m[3] <= v} | {m for m in y.terms if m[3] <= v}
     rows = []
-    for m in keys:
-        cx = x.terms.get(m, 0)
-        cy = y.terms.get(m, 0)
-        if cx != cy:
-            rows.append((Monomial(*m), cx, cy))
+    if x.rows is not None and y.rows is not None and x.den == y.den:
+        wx, wy, den = x.width, y.width, x.den
+        for k in x.rows.keys() | y.rows.keys():
+            rx, ry = x.rows.get(k, 0), y.rows.get(k, 0)
+            if wx == wy and rx == ry:
+                continue
+            dx, dy = _unpack(rx, wx), _unpack(ry, wy)
+            n = min(max(len(dx), len(dy)), v + 1)
+            dx += [0] * (n - len(dx))
+            dy += [0] * (n - len(dy))
+            for q in range(n):
+                cx, cy = dx[q], dy[q]
+                if cx != cy:
+                    if den != 1:
+                        cx, cy = Fraction(cx, den), Fraction(cy, den)
+                    rows.append((Monomial(*k, q), cx, cy))
+    elif x.terms != y.terms:  # equal maps leave no key to differ on, whatever the region
+        keys = {m for m in x.terms if m[3] <= v} | {m for m in y.terms if m[3] <= v}
+        for m in keys:
+            cx = x.terms.get(m, 0)
+            cy = y.terms.get(m, 0)
+            if cx != cy:
+                rows.append((Monomial(*m), cx, cy))
     rows.sort(key=lambda r: r[0].order_key())
     return rows
