@@ -65,7 +65,6 @@ from .partitions import (  # noqa: F401
     Partition,
     UnboundedConstraintError,
     enumerate_partitions,
-    generating_polynomial,
 )
 from .bijections import (  # noqa: F401
     AuditReport,
@@ -74,7 +73,6 @@ from .bijections import (  # noqa: F401
     audit_bijection,
     gamma,
     gamma_inverse,
-    ordinary_conjugate,
     sigma_gamma,
     two_modular_conjugate,
 )

@@ -52,7 +52,6 @@ __all__ = [
     "audit_bijection",
     "gamma",
     "gamma_inverse",
-    "ordinary_conjugate",
     "sigma_gamma",
     "two_modular_conjugate",
 ]
@@ -140,16 +139,6 @@ def two_modular_conjugate(lam: Partition) -> Partition:
     cols = list(accumulate(steps[width:0:-1]))
     cols.reverse()
     return tuple.__new__(Partition, cols)  # column sums never increase
-
-
-def ordinary_conjugate(p: Partition) -> Partition:
-    """Ordinary (Young diagram) conjugate; independent cross-check helper."""
-    if not p.parts:
-        return Partition()
-    cols = tuple(
-        sum(1 for x in p.parts if x >= j) for j in range(1, p.largest + 1)
-    )
-    return Partition(cols)
 
 
 def sigma_gamma(p: Partition, M: int) -> Partition:

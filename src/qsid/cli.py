@@ -26,6 +26,8 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
@@ -163,8 +165,17 @@ def _json(value: object, nl: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(type(x) is int for x in value):
+        kinds = set(map(type, value))
+        if kinds == {int}:
             items = map(int.__repr__, value)
+        elif kinds <= {Partition} or (
+            all(issubclass(k, (list, tuple)) for k in kinds)
+            and set(map(type, chain.from_iterable(value))) <= {int}
+        ):  # rows of ints (a Partition's parts are ints by construction)
+            deeper = inner + "  "
+            start, sep, end = "[" + deeper, "," + deeper, inner + "]"
+            items = [start + sep.join(map(int.__repr__, row)) + end if row else "[]"
+                     for row in value]
         else:
             items = _rows_json(value, inner) or [_json(x, inner) for x in value]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
@@ -176,48 +187,44 @@ def _json(value: object, nl: str) -> str:
     return json.dumps(value, indent=2).replace("\n", nl)
 
 
-def _leaf(value: object) -> Optional[str]:
-    if type(value) is int:
-        return int.__repr__(value)
-    return _encode_str(value) if type(value) is str else None
+def _field(key: str) -> str:
+    """A key's JSON text and separator, as a template literal."""
+    return _encode_str(key).replace("%", "%%") + ": "
 
 
 def _rows_json(rows, nl: str) -> Optional[List[str]]:
-    """Rows written after ``nl``, when each is a dict with the first row's
-    keys whose values are ints, strings, or dicts of those with the first
-    row's keys there; otherwise None."""
+    """Rows written after ``nl`` from one template, or None unless every
+    row is a dict with the first row's string keys, and each key's values
+    are all ints, all strings, or all dicts of those with one set of
+    string keys."""
     first = rows[0]
-    if type(first) is not dict or not first or not all(type(k) is str for k in first):
+    if set(map(type, rows)) != {dict} or set(map(tuple, rows)) != {tuple(first)}:
         return None
-    shape = [(k, tuple(v) if type(v) is dict else None) for k, v in first.items()]
-    inner, deeper, parts = nl + "  ", nl + "    ", []
-    for key, sub in shape:
-        head = _encode_str(key).replace("%", "%%") + ": "
-        if sub is None:
-            parts.append(head + "%s")
-        elif sub and all(type(k) is str for k in sub):
-            fields = [_encode_str(k).replace("%", "%%") + ": %s" for k in sub]
-            parts.append(head + "{" + deeper + ("," + deeper).join(fields) + inner + "}")
-        else:
+    if not all(type(k) is str for k in first):
+        return None
+    inner, deeper, parts, columns = nl + "  ", nl + "    ", [], []
+    for key, value in first.items():
+        values = list(map(itemgetter(key), rows))
+        if type(value) is not dict:
+            parts.append(_field(key) + "%s")
+            columns.append(values)
+            continue
+        sub = tuple(value)
+        if not sub or set(map(type, values)) != {dict} or set(map(tuple, values)) != {sub}:
             return None
+        if not all(type(k) is str for k in sub):
+            return None
+        fields = [_field(k) + "%s" for k in sub]
+        parts.append(_field(key) + "{" + deeper + ("," + deeper).join(fields) + inner + "}")
+        columns += [list(map(itemgetter(k), values)) for k in sub]
+    written = []
+    for column in columns:
+        kinds = set(map(type, column))
+        if kinds not in ({int}, {str}):
+            return None
+        written.append(map(int.__repr__ if kinds == {int} else _encode_str, column))
     template = "{" + inner + ("," + inner).join(parts) + nl + "}"
-    keys, leaves = tuple(first), []
-    for row in rows:
-        if type(row) is not dict or tuple(row) != keys:
-            return None
-        for key, sub in shape:
-            value = row[key]
-            if sub is None:
-                leaves.append(value)
-            elif type(value) is dict and tuple(value) == sub:
-                leaves.extend(value.values())
-            else:
-                return None
-    written = list(map(_leaf, leaves))
-    if None in written:
-        return None
-    n = len(written) // len(rows)
-    return [template % tuple(written[i:i + n]) for i in range(0, len(written), n)]
+    return [template % values for values in zip(*written)]
 
 
 def strip_volatile(d: Dict[str, object]) -> Dict[str, object]:

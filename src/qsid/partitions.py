@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -34,7 +34,6 @@ __all__ = [
     "count_partitions",
     "enumerate_partitions",
     "env_enum_limit",
-    "generating_polynomial",
 ]
 
 DEFAULT_ENUM_LIMIT = 200_000
@@ -359,17 +358,3 @@ class GeneratingPolynomial:
             body = "*".join(mono) if mono else "1"
             bits.append(body if n == 1 and mono else f"{n}*{body}" if mono else str(n))
         return " + ".join(bits)
-
-
-def generating_polynomial(c: ConstraintSet, weight_cap: int) -> GeneratingPolynomial:
-    """Exact generating polynomial of the family, restricted to weight <= cap."""
-    if c.weight is not None:
-        if c.weight > weight_cap:
-            return GeneratingPolynomial({})
-        capped = c
-    else:
-        w_hi = c.weight_max if c.weight_max is not None else None
-        new_hi = weight_cap if w_hi is None else min(w_hi, weight_cap)
-        capped = replace(c, weight_max=new_hi)
-    return GeneratingPolynomial.from_partitions(enumerate_partitions(capped))
-

@@ -211,8 +211,8 @@ _WIDTH_STEP = 32
 def _slot_width(bound: int) -> int:
     """Slot width W for rows whose digit sums are at most ``bound``.
 
-    W = bits + 2: a sign bit, and one more so that the sign correction of
-    a cut (``_cut``) and the top-degree read (``_top``) stay exact.
+    W = bits + 2: a sign bit, and one more so that a cut (``_cut``) and
+    the top-degree read (bit_length // W) stay exact.
     """
     return -(-(bound.bit_length() + 2) // _WIDTH_STEP) * _WIDTH_STEP
 
@@ -250,19 +250,19 @@ def _respace(row: int, width: int, stride: int) -> int:
     return int.from_bytes(spread, "little") - _offset(width, n, stride)
 
 
-def _top(row: int, width: int) -> int:
-    """Highest nonzero q-degree of a nonzero packed row."""
-    return row.bit_length() // width
-
-
 def _low(row: int, width: int) -> int:
     """Lowest nonzero q-degree of a nonzero packed row."""
     return ((row & -row).bit_length() - 1) // width
 
 
 def _cut(x: int, size: int) -> int:
-    """The packed row x without its slots from bit ``size`` on (balanced: the
-    kept part is x - hi * 2^size with hi rounded to nearest)."""
+    """The packed row x without its slots from bit ``size`` on (0 if none stays).
+
+    The kept part is x - hi * 2^size, hi rounded to nearest, since its
+    digits sum below 2^(W-2) (the top slot of a row is bit_length // W).
+    """
+    if x.bit_length() < size:
+        return x
     return x - ((((x >> (size - 1)) + 1) >> 1) << size)
 
 
@@ -272,21 +272,13 @@ def _num_den(c: Coeff) -> Tuple[int, int]:
     return c, 1
 
 
-def _shifted(v: int, e: int, width: int, cap_q: int):
-    """v * q^e cut at cap_q, or None when the whole row lands past cap_q."""
-    if _top(v, width) + e <= cap_q:
-        return v << width * e
-    if _low(v, width) + e > cap_q:
-        return None
-    return _cut(v << width * e, width * (cap_q + 1))
-
-
 def _multiply(s: "TruncatedSeries", c: Coeff, m: Monomial):
     """Rows, bounds and denominator of s * (1 - c*x^m) at s's width."""
     num, r = _num_den(c)
     ma, mb, mt, e = m
     ca, cb, ct, cq = s.profile.caps
     width, rows, bounds = s.width, s.rows, s.bounds
+    shift, size = width * e, width * (cq + 1)
     if r == 1:
         out, ob = dict(rows), dict(bounds)
     else:
@@ -297,8 +289,8 @@ def _multiply(s: "TruncatedSeries", c: Coeff, m: Monomial):
         a, b, t = k[0] + ma, k[1] + mb, k[2] + mt
         if a > ca or b > cb or t > ct:
             continue
-        x = _shifted(v, e, width, cq) if e else v
-        if x is None:
+        x = _cut(v << shift, size)
+        if not x:
             continue
         nk = (a, b, t)
         y = out.get(nk, 0) - (x if num == 1 else num * x)
@@ -326,6 +318,7 @@ def _divide(s: "TruncatedSeries", c: Coeff, m: Monomial):
     caps = s.profile.caps
     ca, cb, ct, cq = caps
     width, mag = s.width, abs(num)
+    shift, size = width * e, width * (cq + 1)
     axis = 0 if ma else 1 if mb else 2
     step = m[axis]
     levels = caps[axis] // step
@@ -350,8 +343,8 @@ def _divide(s: "TruncatedSeries", c: Coeff, m: Monomial):
             a, b, t = k[0] + ma, k[1] + mb, k[2] + mt
             if a > ca or b > cb or t > ct:
                 continue
-            x = _shifted(v, e, width, cq) if e else v
-            if x is None:
+            x = _cut(v << shift, size)
+            if not x:
                 continue
             nk = (a, b, t)
             prev = work.get(nk)
@@ -392,8 +385,7 @@ def _divide_q(s: "TruncatedSeries", num: int, r: int, e: int):
     out, ob = {}, {}
     for k, v in s.rows.items():
         g, total = geometric((cq - _low(v, width)) // e if r == 1 else cq // e)
-        y = v * g
-        out[k] = _cut(y, size) if _top(y, width) > cq else y
+        out[k] = _cut(v * g, size)
         ob[k] = s.bounds[k] * total
     return out, ob, s.den * r ** (cq // e if r != 1 else 0)
 
@@ -404,13 +396,14 @@ def _times_monomial(s: "TruncatedSeries", c: Coeff, m: Monomial):
     ma, mb, mt, e = m
     ca, cb, ct, cq = s.profile.caps
     width, mag = s.width, abs(num)
+    shift, size = width * e, width * (cq + 1)
     out, ob = {}, {}
     for k, v in s.rows.items():
         a, b, t = k[0] + ma, k[1] + mb, k[2] + mt
         if a > ca or b > cb or t > ct:
             continue
-        x = _shifted(v, e, width, cq) if e else v
-        if x is not None:
+        x = _cut(v << shift, size)
+        if x:
             out[(a, b, t)] = x if num == 1 else num * x
             ob[(a, b, t)] = mag * s.bounds[k]
     return out, ob, s.den * r
@@ -881,10 +874,9 @@ def substitute_q_power(s: TruncatedSeries, k: int) -> TruncatedSeries:
         return TruncatedSeries._raw(s.profile, out, valid)
     width, rows, bounds = s.width, {}, {}
     for key, v in s.rows.items():
-        if _low(v, width) * k <= cap_q:
-            x = _respace(v, width, k * width)
-            rows[key] = _cut(x, width * (cap_q + 1)) if _top(x, width) > cap_q else x
-            bounds[key] = s.bounds[key]
+        x = _cut(_respace(v, width, k * width), width * (cap_q + 1))
+        if x:
+            rows[key], bounds[key] = x, s.bounds[key]
     return s._with_rows(rows, bounds, s.den, valid_to_q=valid)
 
 
@@ -914,8 +906,8 @@ def shift_a_by_q(s: TruncatedSeries, j: int) -> TruncatedSeries:
                 )
             rows[key], bounds[key] = v >> width * -e, s.bounds[key]
         else:
-            x = _shifted(v, e, width, cap_q)
-            if x is not None:
+            x = _cut(v << width * e, width * (cap_q + 1))
+            if x:
                 rows[key], bounds[key] = x, s.bounds[key]
     return s._with_rows(rows, bounds, s.den, valid_to_q=valid)
 

@@ -12,7 +12,6 @@ from qsid.bijections import (
     audit_bijection,
     gamma,
     gamma_inverse,
-    ordinary_conjugate,
     sigma_gamma,
     two_modular_conjugate,
 )
@@ -161,6 +160,11 @@ def test_sigma_involution_and_statistics_small():
         assert image.odd_count == p.odd_count
         assert image.length == (p.largest + 1) // 2
         assert (image.largest + 1) // 2 == p.length
+
+
+def ordinary_conjugate(p: Partition) -> Partition:
+    """Ordinary (Young diagram) conjugate, an independent cross-check."""
+    return Partition(tuple(sum(1 for x in p.parts if x >= j) for j in range(1, p.largest + 1)))
 
 
 def test_sigma_on_even_parts_is_doubled_ordinary_conjugate():

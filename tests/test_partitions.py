@@ -15,8 +15,8 @@ from qsid.partitions import (
     Partition,
     UnboundedConstraintError,
     count_partitions,
+    GeneratingPolynomial,
     enumerate_partitions,
-    generating_polynomial,
 )
 from qsid.series import (
     MONO_ONE,
@@ -271,6 +271,16 @@ def test_enumeration_against_brute_force_filter():
 
 
 # --------------------------------------------------- generating polynomials
+
+
+def generating_polynomial(c: ConstraintSet, weight_cap: int) -> GeneratingPolynomial:
+    """Generating polynomial of the family, restricted to weight <= cap."""
+    if c.weight is not None:
+        if c.weight > weight_cap:
+            return GeneratingPolynomial({})
+        return GeneratingPolynomial.from_partitions(enumerate_partitions(c))
+    top = weight_cap if c.weight_max is None else min(c.weight_max, weight_cap)
+    return GeneratingPolynomial.from_partitions(enumerate_partitions(replace(c, weight_max=top)))
 
 
 def test_generating_polynomial_single_part_window():
