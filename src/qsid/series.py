@@ -409,8 +409,10 @@ def _times_monomial(s: "TruncatedSeries", c: Coeff, m: Monomial):
     return out, ob, s.den * r
 
 
-def _add_rows(x: "TruncatedSeries", y: "TruncatedSeries", sign: int):
-    """Rows and bounds of x + sign*y, two series of one width and denominator."""
+def _add(x: "TruncatedSeries", y: "TruncatedSeries", sign: int):
+    """Rows, bounds and denominator of x + sign*y at x's width (y no wider, one denominator)."""
+    if y.width < x.width:
+        y = y._widened(x.width)
     rows, bounds = dict(x.rows), dict(x.bounds)
     for k, v in y.rows.items():
         prev = rows.get(k)
@@ -424,7 +426,7 @@ def _add_rows(x: "TruncatedSeries", y: "TruncatedSeries", sign: int):
             bounds[k] += y.bounds[k]
         else:
             del rows[k], bounds[k]
-    return rows, bounds
+    return rows, bounds, x.den
 
 
 def _aligned(x: "TruncatedSeries", y: "TruncatedSeries"):
@@ -589,11 +591,17 @@ class TruncatedSeries:
 
     def _fit(self, kernel, *args) -> "TruncatedSeries":
         """kernel(self, *args) -> (rows, bounds, den) as a series, run again on
-        rows widened to the guard's W when a bound does not fit this one."""
-        rows, bounds, den = kernel(self, *args)
-        if not _fits(bounds, self.width):
-            return self._widened(_slot_width(max(bounds.values())))._fit(kernel, *args)
-        return self._with_rows(rows, bounds, den)
+        rows widened to the guard's W while a bound does not fit this one."""
+        s = self
+        while True:
+            rows, bounds, den = kernel(s, *args)
+            if _fits(bounds, s.width):
+                return s._with_rows(rows, bounds, den)
+            width = _slot_width(max(bounds.values()))
+            if width <= s.width:
+                raise SeriesError(f"slot width {width} cannot hold a row bound of "
+                                  f"{max(bounds.values()).bit_length()} bits")
+            s = s._widened(width)
 
     # ------------------------------------------------------------ arithmetic
 
@@ -621,12 +629,8 @@ class TruncatedSeries:
                     merged[m] = acc
             return TruncatedSeries._raw(self.profile, merged, valid)
         x, y = _aligned(self, other)
-        rows, bounds = _add_rows(x, y, sign)
-        if not _fits(bounds, x.width):
-            width = _slot_width(max(bounds.values()))
-            x, y = x._widened(width), y._widened(width)
-            rows, bounds = _add_rows(x, y, sign)
-        return x._with_rows(rows, bounds, x.den, valid_to_q=valid)
+        total = x._fit(_add, y, sign)
+        return total._with_rows(total.rows, total.bounds, total.den, valid_to_q=valid)
 
     def __add__(self, other):
         return self._combine(other, 1)

@@ -9,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsid
 from qsid.cli import (
@@ -18,6 +20,7 @@ from qsid.cli import (
     audit_report_to_dict,
     main,
     parse_monomial,
+    report_json,
     strip_volatile,
     verification_report_to_dict,
 )
@@ -493,3 +496,68 @@ def test_enumerate_limit_from_environment(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert err == "error: QSID_ENUM_LIMIT must be an integer, got 'many'\n"
+
+
+def test_verify_with_a_huge_q_cap_finishes(tmp_path):
+    # Rows are only as long as their highest q-degree, at most 2*3*3 here,
+    # so a q-cap of 10^9 costs nothing; it used to walk every q bucket.
+    target = tmp_path / "report.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(qsid.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "qsid", "verify", "--identity", "thm1_1", "--amax", "3",
+         "--bmax", "3", "--tmax", "3", "--qmax", "1000000000",
+         "--format", "json", "--output", str(target)],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    payload = json.loads(target.read_text())
+    assert payload["status"] == "verified"
+    assert payload["details"]["joint_valid_to_q"] == 10**9
+
+
+# -------------------------------------------------------------- the writer
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers(0, 3)), inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@st.composite
+def _row_lists(draw):
+    """Lists of dicts sharing keys, some with a nested dict, as report rows are."""
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True))
+    sub = draw(st.lists(st.text(max_size=3), max_size=3, unique=True))
+    leaf = st.one_of(st.integers(), st.text(max_size=4), st.booleans())
+    shape = {k: st.fixed_dictionaries({j: leaf for j in sub}) if i == 0 and sub else leaf
+             for i, k in enumerate(keys)}
+    return draw(st.lists(st.fixed_dictionaries(shape), min_size=1, max_size=5))
+
+
+@given(st.one_of(_JSON_VALUES, _row_lists(), st.lists(st.lists(st.integers(), max_size=4))))
+@settings(max_examples=300, deadline=None)
+def test_report_writer_matches_json_dumps(value):
+    assert report_json(value) == json.dumps(value, indent=2)
+    assert report_json({"rows": value, "n": 1}) == json.dumps({"rows": value, "n": 1}, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "thm3_4", "--amax", "4", "--bmax", "4", "--tmax", "0", "--qmax", "12"],
+    ["audit", "--j", "3", "--M", "4"],
+    ["map", "--op", "gamma", "--M", "5", "--partition", "20,13,12,12,10"],
+    ["coeff", "--side", "thm1_1:left", "--monomial", "a1b1t1q2"],
+    ["enumerate", "--max-weight", "9", "--odd-distinct"],
+], ids=lambda argv: argv[0])
+def test_every_report_is_written_as_json_dumps_writes_it(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code in (EXIT_OK, EXIT_MISMATCH)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -20,9 +20,11 @@ from qsid.partitions import (
 )
 from qsid.series import (
     MONO_ONE,
+    Monomial,
     SeriesError,
     TruncatedSeries,
     TruncationProfile,
+    compare_series,
     invert_one_minus,
     pochhammer_infinite,
 )
@@ -390,3 +392,18 @@ def test_partition_case_refuses_over_the_limit_before_listing(monkeypatch, capsy
         f"error: the partition windows enumerate {total} partitions, "
         f"over the limit {total - 1}\n"
     )
+
+
+def test_term_map_side_compares_with_the_packed_side():
+    # The enumerated side keeps its term map; the series side is packed rows.
+    prof = TruncationProfile(3, 5, 3, 14)
+    enumerated, packed = build_eq31_partition_side(prof), build_eq31_side(prof)
+    assert enumerated.rows is None and packed.rows is not None
+    assert compare_series(enumerated, packed) == [] and enumerated == packed
+    terms = dict(enumerated.terms)
+    terms[(1, 2, 2, 13)] = terms.get((1, 2, 2, 13), 0) + 1
+    wrong = TruncatedSeries(prof, terms)
+    assert compare_series(packed, wrong) == [
+        (Monomial(1, 2, 2, 13), packed.terms.get((1, 2, 2, 13), 0), terms[(1, 2, 2, 13)])
+    ]
+    assert wrong != packed

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsid import series
 from qsid.series import (
     MONO_ONE,
     Monomial,
     NegativeExponentError,
     NonNilpotentError,
     ProfileMismatchError,
+    SeriesError,
     TruncatedSeries,
     TruncationProfile,
     ValidityError,
@@ -437,3 +439,176 @@ def test_compare_fast_path_is_not_fooled_by_stored_zeros():
     # ... and a real difference next to it is still reported.
     other = TruncatedSeries._raw(PROF, {**padded.terms, Monomial(0, 0, 0, 1): 3}, 8)
     assert compare_series(other, x) == [(Monomial(0, 0, 0, 1), 3, 1)]
+
+
+# ------------------------------------------------------------- packed q-rows
+
+# The dict-of-monomials passes the packed kernel replaced, kept here as the
+# reference it must reproduce term for term.
+
+
+def _moved(k, m, caps):
+    n = tuple(x + y for x, y in zip(k, m))
+    return n if all(x <= cap for x, cap in zip(n, caps)) else None
+
+
+def dict_times_binomial(terms, caps, c, m):
+    out = dict(terms)
+    for k, v in terms.items():
+        n = _moved(k, m, caps)
+        if n is not None:
+            acc = out.get(n, 0) - c * v
+            if acc:
+                out[n] = acc
+            else:
+                out.pop(n, None)
+    return out
+
+
+def dict_over_binomial(terms, caps, c, m):
+    axis = 3 if m[3] else next(i for i in range(3) if m[i])
+    buckets = {}
+    for k, v in terms.items():
+        buckets.setdefault(k[axis], {})[k] = v
+    out = {}
+    for e in range(min(buckets, default=caps[axis]), caps[axis] + 1):
+        bucket = buckets.pop(e, None)
+        if not bucket:
+            continue
+        nxt = buckets.setdefault(e + m[axis], {})
+        for k, v in bucket.items():
+            if v:
+                out[k] = v
+                n = _moved(k, m, caps)
+                if n is not None:
+                    nxt[n] = nxt.get(n, 0) + c * v
+    return out
+
+
+def dict_times_monomial(terms, caps, c, m):
+    moved = ((_moved(k, m, caps), v) for k, v in terms.items())
+    return {n: c * v for n, v in moved if n is not None}
+
+
+def dict_add(x, y, sign):
+    out = dict(x)
+    for k, v in y.items():
+        acc = out.get(k, 0) + sign * v
+        if acc:
+            out[k] = acc
+        else:
+            out.pop(k, None)
+    return out
+
+
+def two_complement_bits(d):
+    """Bits a balanced (signed) slot needs to hold d."""
+    return (d if d >= 0 else ~d).bit_length() + 1
+
+
+def balanced_digits(row, width, n):
+    """The first n balanced base-2^width digits of row, by definition."""
+    digits = []
+    for _ in range(n):
+        d = row & ((1 << width) - 1)
+        if d >> (width - 1):
+            d -= 1 << width
+        digits.append(d)
+        row = (row - d) >> width
+    return digits
+
+
+pass_coeffs = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.sampled_from([2**20 + 7, -(2**19) - 3]),  # large enough to widen the slots
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 3)),
+)
+pass_steps = st.lists(
+    st.tuples(st.sampled_from(["times", "over", "over then times", "monomial", "add", "sub"]),
+              pass_coeffs, binomial_monomials),
+    min_size=1, max_size=6,
+)
+
+
+def run_passes(s, steps):
+    """The packed series and the dict reference after the same pass sequence."""
+    ref, caps = dict(s.terms), KERNEL.caps
+    s = s._packed()  # a pass whose monomial is over the caps returns its input
+    for op, c, m in steps:
+        if op == "over" or op == "over then times":
+            s, ref = s.over_binomial(c, m), dict_over_binomial(ref, caps, c, m)
+        if op == "times" or op == "over then times":  # the latter cancels whole chains
+            s, ref = s.times_binomial(c, m), dict_times_binomial(ref, caps, c, m)
+        if op == "monomial":
+            s, ref = s.times_monomial(c, m), dict_times_monomial(ref, caps, c, m)
+        if op in ("add", "sub"):
+            other = TruncatedSeries.term(KERNEL, c, *(min(e, cap) for e, cap in zip(m, caps)))
+            other = other.over_binomial(1, (0, 1, 0, 1))
+            sign = 1 if op == "add" else -1
+            s = s + other if sign == 1 else s - other
+            ref = dict_add(ref, other.terms, sign)
+    return s, ref
+
+
+@given(sparse_series(), pass_steps)
+@settings(max_examples=100, deadline=None)
+def test_packed_passes_match_dict_reference(s, steps):
+    got, ref = run_passes(s, steps)
+    assert got.rows is not None
+    assert got.terms == ref
+    assert got.valid_to_q == s.valid_to_q
+    assert all(got.rows.values())  # a row that cancels to zero is dropped
+
+
+@given(sparse_series(), pass_steps)
+@settings(max_examples=100, deadline=None)
+def test_slot_width_guard_holds_every_digit(s, steps):
+    got, _ = run_passes(s, steps)
+    for key, row in got.rows.items():
+        digits = series._unpack(row, got.width)
+        want = [got.terms.get((*key, q), 0) * got.den for q in range(len(digits))]
+        assert digits == want
+        assert got.bounds[key] >= sum(map(abs, digits))  # the majorant bounds the row
+        # the guard never picks a W the digits need more bits than
+        assert got.width >= max(map(two_complement_bits, digits)) + 1
+
+
+@given(sparse_series(), pass_steps)
+@settings(max_examples=100, deadline=None)
+def test_slot_width_one_bit_short_unpacks_wrong(s, steps):
+    got, _ = run_passes(s, steps)
+    for row in got.rows.values():
+        digits = series._unpack(row, got.width)
+        short = max(map(two_complement_bits, digits)) - 1
+        assert balanced_digits(row, got.width, len(digits)) == digits
+        if short >= 1:
+            repacked = sum(d << short * q for q, d in enumerate(digits))
+            assert balanced_digits(repacked, short, len(digits)) != digits
+
+
+def test_too_narrow_slot_width_is_caught(monkeypatch):
+    # A guard without its two spare bits, rounded down to whole bytes: the
+    # series it packs unpack wrong, and a pass refuses the width it offers.
+    want = {(0, 0, 0, 1): 3**30, (0, 1, 0, 3): 3**30}
+    assert term(KERNEL, 3**30, q=1).times_binomial(-1, (0, 1, 0, 2)).terms == want
+    monkeypatch.setattr(series, "_slot_width", lambda bound: bound.bit_length() // 8 * 8)
+    narrow = term(KERNEL, 3**30, q=1)
+    assert narrow.width == 48 and narrow.terms != {(0, 0, 0, 1): 3**30}
+    with pytest.raises(SeriesError, match="slot width 40 cannot hold a row bound of 42 bits"):
+        term(KERNEL, 2**40, q=1).times_binomial(-3, (0, 1, 0, 2))
+
+
+def test_rows_past_cap_are_cut_and_rows_wholly_past_drop_out():
+    prof = TruncationProfile(0, 2, 0, 5)
+    s = term(prof, 1, q=2) + term(prof, -1, q=5)
+    got = s.times_binomial(1, (0, 1, 0, 2))  # -b*q^4 stays, b*q^7 is cut
+    assert got.terms == {(0, 0, 0, 2): 1, (0, 0, 0, 5): -1, (0, 1, 0, 4): -1}
+    assert s.times_monomial(1, (0, 1, 0, 3)).terms == {(0, 1, 0, 5): 1}
+    assert s.times_monomial(1, (0, 0, 0, 4)).rows == {}
+
+
+def test_huge_q_cap_builds_rows_only_as_long_as_their_degree():
+    prof = TruncationProfile(0, 3, 0, 10**9)
+    s = TruncatedSeries.one(prof).over_binomial(1, (0, 1, 0, 1)).times_binomial(-1, (0, 1, 0, 7))
+    assert max(row.bit_length() for row in s.rows.values()) <= s.width * 10
+    assert s.terms[(0, 3, 0, 9)] == 1
