@@ -289,9 +289,9 @@ def _multiply(s: "TruncatedSeries", c: Coeff, m: Monomial):
         a, b, t = k[0] + ma, k[1] + mb, k[2] + mt
         if a > ca or b > cb or t > ct:
             continue
-        x = _cut(v << shift, size)
-        if not x:
-            continue
+        x = v << shift
+        if x.bit_length() >= size and not (x := _cut(x, size)):
+            continue  # the whole row lands past cap_q
         nk = (a, b, t)
         y = out.get(nk, 0) - (x if num == 1 else num * x)
         if y:
@@ -343,8 +343,8 @@ def _divide(s: "TruncatedSeries", c: Coeff, m: Monomial):
             a, b, t = k[0] + ma, k[1] + mb, k[2] + mt
             if a > ca or b > cb or t > ct:
                 continue
-            x = _cut(v << shift, size)
-            if not x:
+            x = v << shift
+            if x.bit_length() >= size and not (x := _cut(x, size)):
                 continue
             nk = (a, b, t)
             prev = work.get(nk)
@@ -867,15 +867,8 @@ def substitute_q_power(s: TruncatedSeries, k: int) -> TruncatedSeries:
     """
     if not isinstance(k, int) or k < 1:
         raise SeriesError(f"substitution power must be an integer >= 1, got {k!r}")
-    cap_q = s.profile.cap_q
+    s, cap_q = s._packed(), s.profile.cap_q
     valid = min(cap_q, k * s.valid_to_q + (k - 1))
-    if s.rows is None:
-        out = {}
-        for m, c in s.terms.items():
-            eq = m[3] * k
-            if eq <= cap_q:
-                out[(m[0], m[1], m[2], eq)] = c
-        return TruncatedSeries._raw(s.profile, out, valid)
     width, rows, bounds = s.width, {}, {}
     for key, v in s.rows.items():
         x = _cut(_respace(v, width, k * width), width * (cap_q + 1))
@@ -897,8 +890,7 @@ def shift_a_by_q(s: TruncatedSeries, j: int) -> TruncatedSeries:
     cap_q = s.profile.cap_q
     penalty = (-j) * s.profile.cap_a if j < 0 else 0
     valid = max(-1, s.valid_to_q - penalty)
-    if s.rows is None:
-        s = s._packed()
+    s = s._packed()
     width, rows, bounds = s.width, {}, {}
     for key, v in s.rows.items():
         e = j * key[0]
@@ -919,10 +911,7 @@ def shift_a_by_q(s: TruncatedSeries, j: int) -> TruncatedSeries:
 def swap_b_t(s: TruncatedSeries) -> TruncatedSeries:
     """Exchange the exponents of b and t in every monomial, and cap_b with cap_t."""
     a, b, t, q = s.profile.caps
-    profile = TruncationProfile(a, t, b, q)
-    if s.rows is None:
-        out = {(m[0], m[2], m[1], m[3]): c for m, c in s.terms.items()}
-        return TruncatedSeries._raw(profile, out, s.valid_to_q)
+    s, profile = s._packed(), TruncationProfile(a, t, b, q)
     rows = {(k[0], k[2], k[1]): v for k, v in s.rows.items()}
     bounds = {(k[0], k[2], k[1]): v for k, v in s.bounds.items()}
     return s._with_rows(rows, bounds, s.den, profile=profile)
@@ -969,12 +958,11 @@ def compare_series(x: TruncatedSeries, y: TruncatedSeries):
             n = min(max(len(dx), len(dy)), v + 1)
             dx += [0] * (n - len(dx))
             dy += [0] * (n - len(dy))
-            for q in range(n):
-                cx, cy = dx[q], dy[q]
-                if cx != cy:
-                    if den != 1:
-                        cx, cy = Fraction(cx, den), Fraction(cy, den)
-                    rows.append((Monomial(*k, q), cx, cy))
+            a, b, t = k
+            rows += [(Monomial(a, b, t, q), cx, cy)
+                     for q, cx, cy in zip(range(n), dx, dy) if cx != cy]
+        if den != 1:
+            rows = [(m, Fraction(cx, den), Fraction(cy, den)) for m, cx, cy in rows]
     elif x.terms != y.terms:  # equal maps leave no key to differ on, whatever the region
         keys = {m for m in x.terms if m[3] <= v} | {m for m in y.terms if m[3] <= v}
         for m in keys:

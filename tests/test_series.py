@@ -520,7 +520,8 @@ def balanced_digits(row, width, n):
 
 pass_coeffs = st.one_of(
     st.integers(-3, 3).filter(bool),
-    st.sampled_from([2**20 + 7, -(2**19) - 3]),  # large enough to widen the slots
+    # large enough to widen the slots, or (squared) to sit just under 2^32
+    st.sampled_from([2**20 + 7, -(2**19) - 3, 46341, -46340]),
     st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 3)),
 )
 pass_steps = st.lists(
@@ -598,6 +599,14 @@ def test_too_narrow_slot_width_is_caught(monkeypatch):
         term(KERNEL, 2**40, q=1).times_binomial(-3, (0, 1, 0, 2))
 
 
+def test_guard_widens_before_a_digit_reaches_the_sign_bits():
+    # 2^16 + 1 fits 32-bit slots; times (1 + 2^15 q) it makes a digit of
+    # 2^31 + 2^15, which balanced 32-bit slots cannot hold.
+    s = term(KERNEL, 2**16 + 1).times_binomial(-(2**15), (0, 0, 0, 1))
+    assert term(KERNEL, 2**16 + 1).width == 32 and s.width == 64
+    assert s.terms == {(0, 0, 0, 0): 2**16 + 1, (0, 0, 0, 1): 2**31 + 2**15}
+
+
 def test_rows_past_cap_are_cut_and_rows_wholly_past_drop_out():
     prof = TruncationProfile(0, 2, 0, 5)
     s = term(prof, 1, q=2) + term(prof, -1, q=5)
@@ -612,3 +621,16 @@ def test_huge_q_cap_builds_rows_only_as_long_as_their_degree():
     s = TruncatedSeries.one(prof).over_binomial(1, (0, 1, 0, 1)).times_binomial(-1, (0, 1, 0, 7))
     assert max(row.bit_length() for row in s.rows.values()) <= s.width * 10
     assert s.terms[(0, 3, 0, 9)] == 1
+
+
+@given(small_series(), st.integers(-1, 2))
+@settings(max_examples=60, deadline=None)
+def test_shift_a_moves_each_term(x, j):
+    moved = {(a, b, t, q + j * a): c for (a, b, t, q), c in x.terms.items()}
+    if any(m[3] < 0 for m in moved):
+        with pytest.raises(NegativeExponentError):
+            shift_a_by_q(x, j)
+        return
+    got = shift_a_by_q(x, j)
+    assert got.terms == {m: c for m, c in moved.items() if m[3] <= SMALL.cap_q}
+    assert got == shift_a_by_q(x._packed(), j)
