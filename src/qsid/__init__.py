@@ -3,7 +3,9 @@
 The package has four layers:
 
 - ``series``: exact truncated power series in a, b, t, q over the
-  rationals, with q-shifted-factorial constructors and substitutions.
+  rationals, stored as packed q-rows (one big integer per (a, b, t) row),
+  with one-pass binomial factors, q-shifted-factorial constructors and
+  substitutions.
 - ``identities``: builders for both sides of every cataloged identity,
   the case table ``CASES`` (one entry per case) and ``run_case``, the one
   checker that compares the sides of an entry coefficient by coefficient.

@@ -258,8 +258,10 @@ def _low(row: int, width: int) -> int:
 def _cut(x: int, size: int) -> int:
     """The packed row x without its slots from bit ``size`` on (0 if none stays).
 
-    The kept part is x - hi * 2^size, hi rounded to nearest, since its
-    digits sum below 2^(W-2) (the top slot of a row is bit_length // W).
+    A row reaches bit ``size`` = W*(cap_q + 1) exactly when its top slot,
+    bit_length // W, is past cap_q.  The kept digits sum below 2^(W-2), so
+    the kept part is the one x - hi * 2^size within 2^(size-1) of zero:
+    hi is x / 2^size rounded to nearest.
     """
     if x.bit_length() < size:
         return x
