@@ -622,9 +622,10 @@ class TruncatedSeries:
         valid = min(self.valid_to_q, other.valid_to_q)
         if self.rows is None or other.rows is None:
             merged = dict(self.terms)
-            for m, c in other.terms.items():
+            items = other.terms.items() if sign == 1 else ((m, -c) for m, c in other.terms.items())
+            for m, c in items:
                 acc = merged.get(m)
-                acc = sign * c if acc is None else acc + sign * c
+                acc = c if acc is None else acc + c
                 if acc == 0:
                     merged.pop(m, None)
                 else:

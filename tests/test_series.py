@@ -564,11 +564,10 @@ def test_packed_passes_match_dict_reference(s, steps):
 @given(sparse_series(), pass_steps)
 @settings(max_examples=100, deadline=None)
 def test_slot_width_guard_holds_every_digit(s, steps):
-    got, _ = run_passes(s, steps)
+    got, ref = run_passes(s, steps)
     for key, row in got.rows.items():
         digits = series._unpack(row, got.width)
-        want = [got.terms.get((*key, q), 0) * got.den for q in range(len(digits))]
-        assert digits == want
+        assert digits == [ref.get((*key, q), 0) * got.den for q in range(len(digits))]
         assert got.bounds[key] >= sum(map(abs, digits))  # the majorant bounds the row
         # the guard never picks a W the digits need more bits than
         assert got.width >= max(map(two_complement_bits, digits)) + 1
