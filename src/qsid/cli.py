@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -467,7 +468,14 @@ def _add_caps(sub) -> None:
     sub.add_argument("--qmax", type=int, default=16, help="degree cap for q")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qsid`` parser, built once per process (``parse_args`` leaves it as it is).
+
+    It names each subcommand and nothing else: ``main`` looks up the
+    ``cmd_*`` function for it when it is called, so a wrapper installed on
+    this module later still sees every call.
+    """
     parser = argparse.ArgumentParser(
         prog="qsid",
         description="Exact q-series identity verification and partition bijection audits",
@@ -486,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--k2", type=int, default=None, help="second base as q^k2")
     verify.add_argument("--N", type=int, default=None, help="terminating index")
     _add_common(verify)
-    verify.set_defaults(func=cmd_verify)
 
     audit = subs.add_parser("audit", help="audit the bijection over a finite box")
     audit.add_argument("--j", type=int, required=True)
@@ -494,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--limit", type=int, default=None,
                        help="enumeration guard (default from QSID_ENUM_LIMIT)")
     _add_common(audit)
-    audit.set_defaults(func=cmd_audit)
 
     enum = subs.add_parser("enumerate", help="list partitions under constraints")
     enum.add_argument("--weight", type=int, default=None)
@@ -506,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--max-length", type=int, default=None)
     enum.add_argument("--odd-distinct", action="store_true")
     _add_common(enum)
-    enum.set_defaults(func=cmd_enumerate)
 
     mp = subs.add_parser("map", help="apply a partition map")
     mp.add_argument("--op", choices=_MAP_OPS, required=True)
@@ -515,23 +520,21 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--M", type=int, default=None)
     mp.add_argument("--j", type=int, default=None)
     _add_common(mp)
-    mp.set_defaults(func=cmd_map)
 
     coeff = subs.add_parser("coeff", help="print one exact coefficient of a side")
     coeff.add_argument("--side", required=True, help="case:side, e.g. thm1_1:left")
     coeff.add_argument("--monomial", required=True, help="e.g. a1b1t1q2")
     _add_caps(coeff)
     _add_common(coeff)
-    coeff.set_defaults(func=cmd_coeff)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]
     try:
-        code, to_json, to_text = args.func(args)
+        code, to_json, to_text = command(args)
     except _UnknownName as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE

@@ -47,17 +47,22 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .partitions import ConstraintSet, count_partitions, enumerate_partitions, env_enum_limit
 from .rational import (
     DegenerateParameterError,
+    Dense,
     Factor,
     RationalAssignment,
     accumulate,
     apply_factors,
+    convolve,
     dense_series,
     over_binomial,
     pochhammer_factors,
     product_series,
+    reduce_dense,
     require_frozen,
+    scale,
     sum_with_geometric_tail,
     times_binomial,
+    times_q,
 )
 from .series import (
     Monomial,
@@ -66,7 +71,6 @@ from .series import (
     TruncatedSeries,
     TruncationProfile,
     compare_series,
-    q_only_profile,
     shift_a_by_q,
     substitute_q_power,
     swap_b_t,
@@ -333,7 +337,7 @@ def build_thm31_side(which: str, profile: TruncationProfile) -> TruncatedSeries:
 # ------------------------------------------------------------- rational sides
 
 
-def _qps_summand(assign: RationalAssignment, n: int, cap_q: int) -> TruncatedSeries:
+def _qps_summand(assign: RationalAssignment, n: int, cap_q: int) -> Dense:
     a, b, c, N = assign.a, assign.b, assign.c, assign.N
     fac = []
     fac += pochhammer_factors(a, 0, 1, n)
@@ -345,14 +349,14 @@ def _qps_summand(assign: RationalAssignment, n: int, cap_q: int) -> TruncatedSer
     return product_series(fac, cap_q, q_shift=n, label=f"balanced-sum term n={n}")
 
 
-def _qps_lhs(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
-    total = TruncatedSeries.zero(q_only_profile(cap_q))
+def _qps_lhs(assign: RationalAssignment, cap_q: int) -> Dense:
+    total = Dense.zero(cap_q)
     for n in range(assign.N + 1):
-        total = total + _qps_summand(assign, n, cap_q)
+        accumulate(total, _qps_summand(assign, n, cap_q))
     return total
 
 
-def _qps_rhs(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
+def _qps_rhs(assign: RationalAssignment, cap_q: int) -> Dense:
     a, b, c, N = assign.a, assign.b, assign.c, assign.N
     fac = []
     fac += pochhammer_factors(Fraction(c) / a, 0, 1, N)
@@ -362,7 +366,7 @@ def _qps_rhs(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
     return product_series(fac, cap_q, label="balanced-sum product side")
 
 
-def _eq22_rhs(assign: RationalAssignment, cap_q: int, with_qn: bool) -> TruncatedSeries:
+def _eq22_rhs(assign: RationalAssignment, cap_q: int, with_qn: bool) -> Dense:
     a, b, c, N = assign.a, assign.b, assign.c, assign.N
     c_ab = Fraction(c) / (Fraction(a) * b)
     pref = product_series(
@@ -371,7 +375,7 @@ def _eq22_rhs(assign: RationalAssignment, cap_q: int, with_qn: bool) -> Truncate
         cap_q,
         label="rewrite prefactor",
     )
-    total = TruncatedSeries.zero(q_only_profile(cap_q))
+    total = Dense.zero(cap_q)
     for n in range(N + 1):
         fac = []
         fac += pochhammer_factors(a, 0, 1, n)
@@ -380,20 +384,20 @@ def _eq22_rhs(assign: RationalAssignment, cap_q: int, with_qn: bool) -> Truncate
         fac += pochhammer_factors(c, 0, 1, n, inverted=True)
         fac += pochhammer_factors(1, 1, 1, n, inverted=True)
         fac += pochhammer_factors(1, 1, 1, N - n, inverted=True)
-        total = total + product_series(
+        accumulate(total, product_series(
             fac,
             cap_q,
             scalar=c_ab**n,
             q_shift=n if with_qn else 0,
             label=f"rewrite term n={n}",
-        )
-    return pref * total
+        ))
+    return convolve(pref, total)
 
 
-def _eq23_lhs(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
+def _eq23_lhs(assign: RationalAssignment, cap_q: int) -> Dense:
     a, b, N = assign.a, assign.b, assign.N
     inv_a = 1 / Fraction(a)
-    total = TruncatedSeries.zero(q_only_profile(cap_q))
+    total = Dense.zero(cap_q)
     for n in range(N + 1):
         fac = []
         fac += pochhammer_factors(a, 0, 1, n)
@@ -401,13 +405,13 @@ def _eq23_lhs(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
         fac += pochhammer_factors(1, 1, 1, n, inverted=True)
         fac += pochhammer_factors(1, 1, 1, N - n, inverted=True)
         fac += [Factor(Fraction(b), n, True)]
-        total = total + product_series(
+        accumulate(total, product_series(
             fac, cap_q, scalar=inv_a**n, q_shift=n, label=f"specialized term n={n}"
-        )
+        ))
     return total
 
 
-def _eq23_rhs(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
+def _eq23_rhs(assign: RationalAssignment, cap_q: int) -> Dense:
     a, b, N = assign.a, assign.b, assign.N
     fac = pochhammer_factors(Fraction(b) / a, 1, 1, N)
     fac += pochhammer_factors(b, 0, 1, N + 1, inverted=True)
@@ -422,10 +426,10 @@ def _eq23_rhs(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
 # Each steps its summands by their term ratios (a few binomial passes and
 # one scalar each), sums explicitly up to the freeze index, checks that
 # the ratio has become the scalar t there, and closes the tail in exact
-# arithmetic.
+# arithmetic.  The numerators are reduced by their gcd once per outer step.
 
 
-def _chain_double_unshifted(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
+def _chain_double_unshifted(assign: RationalAssignment, cap_q: int) -> Dense:
     """sum_{n>=0} sum_{N>=n} (a;q)_n (q/a;q)_{N-n} q^n t^N
     / ((q;q)_n (q;q)_{N-n} (1 - b*q^(N+n)) a^n),
 
@@ -434,7 +438,7 @@ def _chain_double_unshifted(assign: RationalAssignment, cap_q: int) -> Truncated
     factors of t, so row cap_q + 1 closes them as a geometric tail."""
     a, b, t = Fraction(assign.a), Fraction(assign.b), Fraction(assign.t)
     t_over_a = t / a
-    total = [0] * (cap_q + 1)
+    total = Dense.zero(cap_q)
 
     def row_step(M: int) -> List[Factor]:
         """Summand (M + 1, 0) over summand (M, 0), apart from the scalar t."""
@@ -445,13 +449,14 @@ def _chain_double_unshifted(assign: RationalAssignment, cap_q: int) -> Truncated
             Factor(b, M + 1, True),
         ]
 
-    first = [Fraction(1)] + [0] * cap_q
+    first = Dense.zero(cap_q)
+    first[0] = 1
     over_binomial(first, b, 0)  # summand (0, 0)
     for M in range(cap_q + 2):
         if M == cap_q + 1:
             require_frozen((f.q_exp for f in row_step(M)), cap_q, "the unshifted double sum")
-            first = [x / (1 - t) for x in first]
-        term = list(first)
+            scale(first, 1 / (1 - t))
+        term = first.copy()
         accumulate(total, term)
         for n in range(cap_q):
             # summand (M, n + 1) over (M, n):
@@ -460,21 +465,24 @@ def _chain_double_unshifted(assign: RationalAssignment, cap_q: int) -> Truncated
             times_binomial(term, b, M + 2 * n)
             over_binomial(term, 1, n + 1)
             over_binomial(term, b, M + 2 * n + 2)
-            term = [0] + [x * t_over_a for x in term[:-1]]
+            term = times_q(term, t_over_a)
             accumulate(total, term)
         apply_factors(first, row_step(M))
-        first = [x * t for x in first]
-    return dense_series(total, cap_q)
+        scale(first, t)
+        reduce_dense(first)
+        reduce_dense(total)
+    return total
 
 
-def _chain_double_shifted(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
+def _chain_double_shifted(assign: RationalAssignment, cap_q: int) -> Dense:
     """sum_{n>=0} sum_{N>=0} (a;q)_n (q/a;q)_N q^n t^(N+n)
     / ((q;q)_n (q;q)_N (1 - b*q^(N+2n)) a^n)."""
     a, b, t = Fraction(assign.a), Fraction(assign.b), Fraction(assign.t)
     inv_a = 1 / a
     tail_scale = 1 / (1 - t)
-    total = [0] * (cap_q + 1)
-    outer = [Fraction(1)] + [0] * cap_q
+    total = Dense.zero(cap_q)
+    outer = Dense.zero(cap_q)
+    outer[0] = 1
     n_freeze = cap_q + 1
     for n in range(cap_q + 1):
 
@@ -487,22 +495,25 @@ def _chain_double_shifted(assign: RationalAssignment, cap_q: int) -> TruncatedSe
                 Factor(b, N + 2 * n + 1, True),
             ]
 
-        term = list(outer)  # summand (0, n)
+        term = outer.copy()  # summand (0, n)
         over_binomial(term, b, 2 * n)
         for N in range(n_freeze):
             accumulate(total, term)
             apply_factors(term, step(N))
-            term = [x * t for x in term]
+            scale(term, t)
         require_frozen((f.q_exp for f in step(n_freeze)), cap_q, "the shifted double sum")
-        accumulate(total, [x * tail_scale for x in term])
+        scale(term, tail_scale)
+        accumulate(total, term)
         # outer factor n -> n + 1: times (1 - a*q^n) * q * t / ((1 - q^(n+1)) * a)
         times_binomial(outer, a, n)
         over_binomial(outer, 1, n + 1)
-        outer = [0] + [x * inv_a * t for x in outer[:-1]]
-    return dense_series(total, cap_q)
+        outer = times_q(outer, inv_a * t)
+        reduce_dense(outer)
+        reduce_dense(total)
+    return total
 
 
-def _chain_product_form(assign: RationalAssignment, cap_q: int) -> TruncatedSeries:
+def _chain_product_form(assign: RationalAssignment, cap_q: int) -> Dense:
     a, b, t = assign.a, assign.b, assign.t
     t_over_a = Fraction(t) / Fraction(a)
     pref = product_series(
@@ -512,7 +523,7 @@ def _chain_product_form(assign: RationalAssignment, cap_q: int) -> TruncatedSeri
         label="product-form prefactor",
     )
 
-    def cterm(n: int) -> TruncatedSeries:
+    def cterm(n: int) -> Dense:
         fac = []
         fac += pochhammer_factors(t, 0, 1, n)
         fac += pochhammer_factors(t_over_a, 1, 1, n, inverted=True)
@@ -524,14 +535,14 @@ def _chain_product_form(assign: RationalAssignment, cap_q: int) -> TruncatedSeri
             fac, cap_q, scalar=Fraction(b) ** n, label=f"product-form term n={n}"
         )
 
-    return pref * sum_with_geometric_tail(cterm, b, cap_q + 1, cap_q)
+    return convolve(pref, sum_with_geometric_tail(cterm, b, cap_q + 1, cap_q))
 
 
-def _chain_single_sum(assign: RationalAssignment, cap_q: int, reciprocal: bool) -> TruncatedSeries:
+def _chain_single_sum(assign: RationalAssignment, cap_q: int, reciprocal: bool) -> Dense:
     a, b, t = assign.a, assign.b, assign.t
     x = Fraction(t) / Fraction(a) if reciprocal else Fraction(a) * Fraction(t)
 
-    def dterm(n: int) -> TruncatedSeries:
+    def dterm(n: int) -> Dense:
         fac = pochhammer_factors(x, n + 1, 1, n)
         fac += pochhammer_factors(t, n, 1, n + 1, inverted=True)
         return product_series(
@@ -541,7 +552,7 @@ def _chain_single_sum(assign: RationalAssignment, cap_q: int, reciprocal: bool) 
     return sum_with_geometric_tail(dterm, b, cap_q + 1, cap_q)
 
 
-def _f_rational(assign: RationalAssignment, cap_q: int, exchanged: bool) -> TruncatedSeries:
+def _f_rational(assign: RationalAssignment, cap_q: int, exchanged: bool) -> Dense:
     """f(alpha, beta), or f(beta, alpha) when exchanged, with bases q^k1 and q^k2.
 
     With (first, second) the two arguments in that order and k1, k2 the
@@ -556,7 +567,7 @@ def _f_rational(assign: RationalAssignment, cap_q: int, exchanged: bool) -> Trun
     k1, k2 = assign.x_exp, assign.y_exp
     step = min(k1, k2)
 
-    def term(n: int) -> TruncatedSeries:
+    def term(n: int) -> Dense:
         fac = [Factor(first, k1 * (n - k) + k2 * k, True) for k in range(n + 1)]
         return product_series(
             fac, cap_q, scalar=second**n, label=f"symmetric-function term n={n}"
@@ -689,9 +700,12 @@ def _reflected_left(run: "_Run") -> TruncatedSeries:
     return swap_b_t(run["left"])
 
 
-def _rational(builder: Callable[..., TruncatedSeries], **kwargs) -> Builder:
-    """Side builder for a rational-mode ``builder(assign, cap_q, **kwargs)``."""
-    return lambda r: builder(r.assign, r.cap_q, **kwargs)
+def _rational(builder: Callable[..., Dense], **kwargs) -> Builder:
+    """Side builder for a rational-mode ``builder(assign, cap_q, **kwargs)``.
+
+    The builder works on a ``Dense``; its finished side becomes a q-only
+    series here, once."""
+    return lambda r: dense_series(builder(r.assign, r.cap_q, **kwargs), r.cap_q)
 
 
 _AS_FOUND = "mismatch table reported as found; equality is not assumed"
@@ -790,7 +804,7 @@ _CHECKS = [
             "form": "all_N_product",
             "normalization": "product side evaluated with every subscript N",
             "terminates_at": r.assign.N,
-            "next_summand_zero": _qps_summand(r.assign, r.assign.N + 1, r.cap_q).is_zero(),
+            "next_summand_zero": not any(_qps_summand(r.assign, r.assign.N + 1, r.cap_q)),
         },
     ),
     # The q^n-free variant is the one that matches: the q^n of the original

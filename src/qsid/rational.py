@@ -4,18 +4,37 @@ Rational mode handles expressions that are not polynomial in the
 parameters, such as q/a or q^(1-N)*a*b/c: parameters become exact
 ``Fraction`` values and only q stays formal.
 
-While a side is being built its series is *dense*: a list of the
-cap_q + 1 exact coefficients of q^0 .. q^cap_q.  Every factor in rational
-mode is a binomial (1 - v*q^m)^(+-1), and each one costs a single in-place
-pass over that list:
+While a side is being built its series is a ``Dense``: a list of the
+cap_q + 1 integer numerators of q^0 .. q^cap_q over one common positive
+denominator ``den``.  Every factor in rational mode is a binomial
+(1 - v*q^m)^(+-1) with v = p/d in lowest terms, and each one costs a
+single in-place pass over the numerators, with no gcd in it:
 
-    times (1 - v*q^m):  c[i] -= v*c[i-m]   for i from cap_q down to m
-    over  (1 - v*q^m):  c[i] += v*c[i-m]   for i from m up to cap_q
+    times (1 - v*q^m):  c[i] = d*c[i] - p*c[i-m]   for i from cap_q down,
+                        den *= d
+    over  (1 - v*q^m):  w[i] = d^(i//m)*c[i] + p*w[i-m]   for i from m up,
+                        then c[i] = w[i]*d^(J - i//m), den *= d^J,
+                        where J = cap_q//m
 
-(the second is the geometric series 1 + v*q^m + v^2*q^(2m) + ... applied
-by recurrence).  A finished side becomes a ``TruncatedSeries`` over the
-q-only profile once, so comparisons and reports see the same values as
-any other series.
+The second is the geometric series 1 + v*q^m + v^2*q^(2m) + ... applied
+by recurrence.  Its exact value is W[i] = C[i] + v*W[i-m], and w[i] is
+W[i]*den*d^(i//m): one more power of d per step of m is exactly what
+clears the new denominator of v*W[i-m], so every w[i] is an integer, and
+the rescale by d^(J - i//m) puts all of them over den*d^J.  With d = 1
+both passes are the one-multiply loops c[i] -= p*c[i-m] and
+c[i] += p*c[i-m], and den does not change.  A factor with m > cap_q is
+1 within the truncation and is skipped.
+
+Sums add numerators after aligning unequal denominators by their gcd
+(``accumulate``), scalars multiply the numerators and ``den``
+(``scale``), and a product of two sides is a q-only convolution of the
+numerators over the product of the denominators (``convolve``).  Nothing
+is reduced per pass: ``reduce_dense`` divides by gcd(den, *nums) once per
+outer step of the chain double sums and once per finished side, and a
+finished side becomes a ``TruncatedSeries`` over the q-only profile once
+(``dense_series``), so comparisons and reports see the same values as
+any other series.  Two ``Dense`` values are equal when their coefficient
+values are, whatever their denominators.
 
 ``product_series`` evaluates a product of factors (1 - v*q^m)^(+-1) with
 rational v and integer m of either sign.  A factor with m < 0 is flipped
@@ -43,6 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, List, Optional
 
 from .series import (
@@ -54,20 +74,23 @@ from .series import (
 
 __all__ = [
     "DegenerateParameterError",
+    "Dense",
     "Factor",
     "RationalAssignment",
     "accumulate",
     "apply_factors",
+    "convolve",
     "dense_series",
     "over_binomial",
     "pochhammer_factors",
     "product_series",
+    "reduce_dense",
     "require_frozen",
+    "scale",
     "sum_with_geometric_tail",
     "times_binomial",
+    "times_q",
 ]
-
-Dense = List[Fraction]
 
 
 class DegenerateParameterError(SeriesError):
@@ -119,29 +142,87 @@ def pochhammer_factors(
 # ------------------------------------------------------------- dense kernel
 
 
+class Dense(list):
+    """Integer numerators of q^0 .. q^cap_q over one positive denominator ``den``.
+
+    Equality compares values: the same numerators over another ``den``
+    are a different series, and a plain list is never equal to one.
+
+    >>> Dense([1, 2], 2) == Dense([2, 4], 4), Dense([1, 2], 2) == Dense([1, 2], 3)
+    (True, False)
+    """
+
+    __slots__ = ("den",)
+
+    def __init__(self, nums=(), den: int = 1):
+        super().__init__(nums)
+        self.den = den
+
+    @classmethod
+    def zero(cls, cap_q: int) -> "Dense":
+        return cls([0] * (cap_q + 1))
+
+    def copy(self) -> "Dense":
+        return Dense(self, self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, Dense) or len(self) != len(other):
+            return False
+        a, b = other.den, self.den
+        if a == b:
+            return list.__eq__(self, other)
+        return all(x * a == y * b for x, y in zip(self, other))
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Dense({list.__repr__(self)}, den={self.den})"
+
+
 def times_binomial(c: Dense, v, m: int) -> None:
     """c <- c * (1 - v*q^m) in place, truncated at q^(len(c) - 1); m >= 0."""
-    if not v:
+    if not v or m >= len(c):
         return
-    for i in range(len(c) - 1, m - 1, -1):
-        x = c[i - m]
-        if x:
-            c[i] -= v * x
+    p, d = v.numerator, v.denominator
+    if d == 1:
+        c[m:] = [x - p * y for x, y in zip(c[m:], c)]
+    else:
+        c[:] = [d * x for x in c[:m]] + [d * x - p * y for x, y in zip(c[m:], c)]
+        c.den *= d
 
 
 def over_binomial(c: Dense, v, m: int) -> None:
     """c <- c / (1 - v*q^m) in place, truncated at q^(len(c) - 1); m >= 0."""
-    if not v:
+    n = len(c)
+    if not v or m >= n:
         return
+    p, d = v.numerator, v.denominator
     if m == 0:
-        if v == 1:
+        if p == d:
             raise DegenerateParameterError("denominator factor (1 - v) with v = 1")
-        c[:] = [x / (1 - v) for x in c]
+        e = d - p  # c / (1 - p/d) = c * d / (d - p)
+        if e < 0:
+            d, e = -d, -e
+        c[:] = [d * x for x in c]
+        c.den *= e
         return
-    for i in range(m, len(c)):
-        x = c[i - m]
-        if x:
-            c[i] += v * x
+    if d == 1:
+        for i in range(m, n):
+            x = c[i - m]
+            if x:
+                c[i] += p * x
+        return
+    J = (n - 1) // m
+    pw = [1] * (J + 1)
+    for k in range(1, J + 1):
+        pw[k] = pw[k - 1] * d
+    for i in range(m, n):
+        c[i] = pw[i // m] * c[i] + p * c[i - m]
+    c[:] = [x * pw[J - i // m] for i, x in enumerate(c)]
+    c.den *= pw[J]
 
 
 def apply_factors(c: Dense, factors: Iterable[Factor]) -> None:
@@ -150,17 +231,58 @@ def apply_factors(c: Dense, factors: Iterable[Factor]) -> None:
         (over_binomial if f.inverted else times_binomial)(c, f.value, f.q_exp)
 
 
+def scale(c: Dense, v) -> None:
+    """c <- v * c in place."""
+    p, d = v.numerator, v.denominator
+    if p != 1:
+        c[:] = [p * x for x in c]
+    c.den *= d
+
+
+def times_q(c: Dense, v) -> Dense:
+    """v * q * c, truncated at the same cap."""
+    p, d = v.numerator, v.denominator
+    return Dense([0] + [p * x for x in c[:-1]], c.den * d)
+
+
 def accumulate(total: Dense, c: Dense) -> None:
-    """total <- total + c in place."""
-    for i, x in enumerate(c):
-        if x:
-            total[i] += x
+    """total <- total + c in place, over the lcm of the two denominators."""
+    a, b = total.den, c.den
+    if a == b:
+        total[:] = [x + y for x, y in zip(total, c)]
+        return
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    total[:] = [b * x + a * y for x, y in zip(total, c)]
+    total.den *= b
+
+
+def convolve(x: Dense, y: Dense) -> Dense:
+    """The q-only product x * y, truncated at the same cap."""
+    n = len(x)
+    out = [0] * n
+    for i, u in enumerate(x):
+        if u:
+            for j, w in enumerate(y[: n - i], i):
+                out[j] += u * w
+    return Dense(out, x.den * y.den)
+
+
+def reduce_dense(c: Dense) -> Dense:
+    """Divide the numerators and ``den`` by their gcd, in place; returns c."""
+    g = gcd(c.den, *c)
+    if g > 1:
+        c[:] = [x // g for x in c]
+        c.den //= g
+    return c
 
 
 def dense_series(c: Dense, cap_q: int) -> TruncatedSeries:
-    """The finished dense coefficient list as a q-only ``TruncatedSeries``."""
+    """A finished ``Dense`` as a q-only ``TruncatedSeries`` (reduced first)."""
+    den = reduce_dense(c).den
     return TruncatedSeries(
-        q_only_profile(cap_q), [((0, 0, 0, i), x) for i, x in enumerate(c) if x]
+        q_only_profile(cap_q),
+        [((0, 0, 0, i), Fraction(x, den) if den > 1 else x) for i, x in enumerate(c) if x],
     )
 
 
@@ -185,8 +307,8 @@ def product_series(
     scalar=1,
     q_shift: int = 0,
     label: str = "",
-) -> TruncatedSeries:
-    """Exact value of scalar * q^q_shift * prod(factors) as a q-only series.
+) -> Dense:
+    """Exact value of scalar * q^q_shift * prod(factors) as a ``Dense`` to q^cap_q.
 
     Negative-exponent factors are flipped into the scalar/shift prefactor;
     a net negative shift means the product has a pole at q = 0 and raises.
@@ -198,13 +320,12 @@ def product_series(
     shift = q_shift
     regular: List[Factor] = []
     factors = list(factors)
-    zero = TruncatedSeries.zero(q_only_profile(cap_q))
 
     # A zero numerator factor annihilates the product regardless of any
     # degenerate denominator factor elsewhere (terminating sums rely on it).
     for f in factors:
         if not f.inverted and f.q_exp == 0 and f.value == 1:
-            return zero
+            return Dense.zero(cap_q)
 
     for f in factors:
         v = f.value
@@ -229,7 +350,7 @@ def product_series(
                 scalar /= c
             else:
                 if c == 0:
-                    return zero
+                    return Dense.zero(cap_q)
                 scalar *= c
         else:
             regular.append(f)
@@ -239,20 +360,24 @@ def product_series(
             f"product has a pole of order {-shift} at q = 0{where}"
         )
     if shift > cap_q:
-        return zero
+        return Dense.zero(cap_q)
 
-    acc = [0] * (cap_q + 1)
-    acc[shift] = scalar
+    # the factors act on q^shift .. q^cap_q only: build that window alone
+    acc = Dense.zero(cap_q - shift)
+    acc[0] = scalar.numerator
+    acc.den = scalar.denominator
     apply_factors(acc, regular)
-    return dense_series(acc, cap_q)
+    if shift:
+        acc[:0] = [0] * shift
+    return acc
 
 
 def sum_with_geometric_tail(
-    term: Callable[[int], TruncatedSeries],
+    term: Callable[[int], Dense],
     ratio,
     freeze_index: int,
     cap_q: int,
-) -> TruncatedSeries:
+) -> Dense:
     """Exact sum over n >= 0 of term(n) when term(n+1) = ratio*term(n) past the freeze.
 
     The tail from ``freeze_index`` on sums to term(freeze)/(1 - ratio).  The
@@ -262,16 +387,19 @@ def sum_with_geometric_tail(
     ratio = Fraction(ratio)
     if ratio == 1:
         raise DegenerateParameterError("geometric tail ratio equals 1")
-    total = TruncatedSeries.zero(q_only_profile(cap_q))
+    total = Dense.zero(cap_q)
     for n in range(freeze_index):
-        total = total + term(n)
+        accumulate(total, term(n))
     frozen = term(freeze_index)
-    if term(freeze_index + 1) != frozen * ratio:
+    expected = frozen.copy()
+    scale(expected, ratio)
+    if term(freeze_index + 1) != expected:
         raise SeriesError(
             f"freeze index {freeze_index} too early: term {freeze_index + 1} is not "
             f"{ratio} times term {freeze_index}"
         )
-    total = total + frozen * (Fraction(1) / (1 - ratio))
+    scale(frozen, 1 / (1 - ratio))
+    accumulate(total, frozen)
     return total
 
 

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -13,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsid
+from qsid import cli
 from qsid.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
     audit_report_to_dict,
+    build_parser,
     main,
     parse_monomial,
     report_json,
@@ -381,6 +385,51 @@ def test_rational_assignment_encodes_as_exact_strings():
     assert list(payload) == [
         "case", "mode", "caps", "assignment", "status", "mismatches", "details", "volatile",
     ]
+
+
+# --------------------------------------------------------------------- parser
+
+_SEQUENCE = [
+    ["verify", "--identity", "qps_2_1", "--a=2", "--b=1/3", "--c=5", "--N", "2",
+     "--qmax", "6", "--format", "json"],
+    ["verify", "--qmax", "6"],  # usage error: --identity is required
+    ["enumerate", "--weight", "12", "--odd-distinct", "--format", "json"],
+]
+
+
+def _call(argv):
+    """Exit code, stdout (volatile section dropped) and stderr of one in-process call."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    text = out.getvalue()
+    if text.startswith("{"):
+        payload = json.loads(text)
+        payload.pop("volatile", None)
+        text = json.dumps(payload, indent=2)
+    return code, text, err.getvalue()
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    assert build_parser() is build_parser()
+    in_turn = [_call(argv) for argv in _SEQUENCE]
+    fresh = []
+    for argv in _SEQUENCE:
+        build_parser.cache_clear()
+        fresh.append(_call(argv))
+    assert in_turn == fresh
+    assert [code for code, _, _ in in_turn] == [EXIT_OK, EXIT_USAGE, EXIT_OK]
+    assert "the following arguments are required: --identity" in in_turn[1][2]
+    assert json.loads(in_turn[2][1])["count"] == 28
+    # the cached parser names the command; main finds cmd_* when it is called
+    calls = []
+    verify = cli.cmd_verify
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args.identity) or verify(args))
+    assert _call(_SEQUENCE[0]) == in_turn[0]
+    assert calls == ["qps_2_1"]
 
 
 # ------------------------------------------------------------------ error path

@@ -4,8 +4,10 @@ Each invocation runs ``qsid.cli.main`` in-process.  JSON output is compared
 byte for byte after dropping the ``volatile`` section (durations, version);
 text output and stderr are compared as they are, and so is the exit code.
 The fixtures under ``tests/golden/`` were recorded before the case catalog
-and the report codec were rewritten, and the ``*_q16`` rational ones
-before the dense rational kernel replaced the sparse products; the three
+and the report codec were rewritten, the ``*_q16`` rational ones
+before the dense rational kernel replaced the sparse products, and the
+``*_q40`` rational ones before that kernel moved from ``Fraction``
+coefficients to integer numerators over one denominator; the three
 audit fixtures were re-recorded when the audit box stopped echoing a
 requested variant; ``enumerate_max_weight_8`` (ends with the empty
 partition), ``enumerate_empty_family``, ``enumerate_weight_12_text`` and
@@ -123,6 +125,14 @@ INVOCATIONS = {
     "verify_f_sym_rational_q16": [
         "verify", "--identity", "f_sym", "--mode", "rational", "--alpha=-3/4",
         "--beta=2/7", "--k1", "2", "--k2", "3", "--qmax", "16",
+    ],
+    "verify_chain_final_q40": [
+        "verify", "--identity", "chain_final", "--a=-3/2", "--b=2/3", "--t=1/5",
+        "--qmax", "40",
+    ],
+    "verify_f_sym_rational_q40": [
+        "verify", "--identity", "f_sym", "--mode", "rational", "--alpha=-3/4",
+        "--beta=2/7", "--k1", "1", "--k2", "2", "--qmax", "40",
     ],
     "audit_2_3": ["audit", "--j", "2", "--M", "3"],
     "audit_1_2_printed": ["audit", "--j", "1", "--M", "2"],

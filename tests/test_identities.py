@@ -558,6 +558,35 @@ def test_formal_sides_multiply_no_two_multi_term_series(monkeypatch):
         reference_sum_side(prof, "t", "b", 1, True)
 
 
+RATIONAL_CASES = [name for name, case in CASES.items() if "rational" in case.modes]
+
+
+@pytest.mark.parametrize("cap_q", [4, 7])
+def test_rational_sides_use_no_sparse_series_arithmetic(monkeypatch, cap_q):
+    # Rational sides are built on integer numerators over one denominator
+    # and become a series once, for the comparison: no term-map product or
+    # sum is left on their path.
+    expected = {}
+    for name in RATIONAL_CASES:
+        report = run_case(name, "rational", assign=NC_ASSIGN, cap_q=cap_q)
+        expected[name] = (report.status, report.details.get("matched_form"))
+
+    def forbidden(self, other):
+        raise AssertionError("sparse series arithmetic in a rational side")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(TruncatedSeries, name, forbidden)
+    for name in RATIONAL_CASES:
+        report = run_case(name, "rational", assign=NC_ASSIGN, cap_q=cap_q)
+        assert (report.status, report.details.get("matched_form")) == expected[name]
+    assert len(expected) == 7
+    assert all(status == "verified" for status, _ in expected.values())
+    assert expected["rewrite_2_2"][1] == "without_qn"
+    assert expected["chain_final"][1] == "t_over_a"
+    with pytest.raises(AssertionError, match="sparse series arithmetic"):
+        TruncatedSeries.one(PROF) + TruncatedSeries.one(PROF)
+
+
 @pytest.mark.parametrize(
     "case, q_mult, with_numerator, size",
     [("thm1_1", 1, True, 57), ("f_sym", 1, False, 35), ("eq3_1_consistency", 2, True, 28)],

@@ -1,6 +1,10 @@
-"""Rational-mode factor products, negative-exponent flips, geometric tails."""
+"""Rational-mode factor products, negative-exponent flips, geometric tails.
+
+The integer kernel (``Dense`` numerators over one denominator) is checked
+against a private copy of the ``Fraction`` list kernel it replaced."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +14,21 @@ from qsid import identities, rational
 from qsid.identities import _chain_double_shifted, _chain_double_unshifted
 from qsid.rational import (
     DegenerateParameterError,
+    Dense,
     Factor,
     RationalAssignment,
+    accumulate,
+    convolve,
+    dense_series,
+    over_binomial,
     pochhammer_factors,
     product_series,
+    reduce_dense,
     require_frozen,
+    scale,
     sum_with_geometric_tail,
+    times_binomial,
+    times_q,
 )
 from qsid.series import (
     MONO_ONE,
@@ -27,10 +40,11 @@ from qsid.series import (
 )
 
 
-def q_coeffs(s, cap):
+def q_coeffs(c, cap):
+    """The coefficient values of a ``Dense``, read through its q-only series."""
     out = [Fraction(0)] * (cap + 1)
-    for m, c in s.terms.items():
-        out[m[3]] += c
+    for m, x in dense_series(c, cap).terms.items():
+        out[m[3]] += x
     return out
 
 
@@ -66,7 +80,7 @@ def test_negative_exponent_flip_in_denominator():
 
 def test_zero_numerator_factor_annihilates():
     got = product_series([Factor(Fraction(1), 0), Factor(Fraction(1), 1, True)], 3)
-    assert got.is_zero()
+    assert dense_series(got, 3).is_zero()
 
 
 def test_unit_denominator_factor_raises():
@@ -101,14 +115,12 @@ def test_cached_poch_series_matches_direct():
     # agree with the sparse formal kernel's q-shifted factorial
     direct = product_series(pochhammer_factors(Fraction(1, 3), 1, 1, 4), 8)
     cached = pochhammer_finite(Fraction(1, 3), MONO_ONE, 1, 1, 4, q_only_profile(8))
-    assert cached == direct
+    assert cached == dense_series(direct, 8)
 
 
 def test_geometric_tail_constant_terms():
-    prof = q_only_profile(4)
-
     def term(n):
-        return TruncatedSeries.constant(prof, Fraction(1, 3) ** n)
+        return product_series([], 4, scalar=Fraction(1, 3) ** n)
 
     got = sum_with_geometric_tail(term, Fraction(1, 3), 0, 4)
     assert q_coeffs(got, 4)[0] == Fraction(3, 2)
@@ -116,10 +128,8 @@ def test_geometric_tail_constant_terms():
 
 def test_geometric_tail_with_moving_terms():
     # term(n) = (1/2)^n * q^min(n, 3): frozen from n = 3 on with ratio 1/2
-    prof = q_only_profile(3)
-
     def term(n):
-        return TruncatedSeries.term(prof, Fraction(1, 2) ** n, e_q=min(n, 3))
+        return product_series([], 3, scalar=Fraction(1, 2) ** n, q_shift=min(n, 3))
 
     got = sum_with_geometric_tail(term, Fraction(1, 2), 3, 3)
     # explicit: 1 + q/2 + q^2/4 + q^3 * (1/8) * (1/(1 - 1/2))
@@ -148,7 +158,9 @@ def test_geometric_tail_freeze_insensitive_factorial_terms():
 
     def term(n):
         # (t; q)_n style prefactors freeze once their factors leave the window
-        return product_series(pochhammer_factors(t, 0, 1, n), cap) * (Fraction(1, 4) ** n)
+        c = product_series(pochhammer_factors(t, 0, 1, n), cap)
+        scale(c, Fraction(1, 4) ** n)
+        return c
 
     early = sum_with_geometric_tail(term, Fraction(1, 4), cap + 1, cap)
     late = sum_with_geometric_tail(term, Fraction(1, 4), cap + 9, cap)
@@ -158,10 +170,8 @@ def test_geometric_tail_freeze_insensitive_factorial_terms():
 def test_geometric_tail_rejects_early_freeze():
     # term(n) = (1/2)^n * q^min(n, 3) only freezes at n = 3; closing the
     # tail at n = 2 would silently drop the q^3 correction
-    prof = q_only_profile(3)
-
     def term(n):
-        return TruncatedSeries.term(prof, Fraction(1, 2) ** n, e_q=min(n, 3))
+        return product_series([], 3, scalar=Fraction(1, 2) ** n, q_shift=min(n, 3))
 
     with pytest.raises(SeriesError, match="freeze index 2 too early"):
         sum_with_geometric_tail(term, Fraction(1, 2), 2, 3)
@@ -174,11 +184,8 @@ def test_require_frozen_rejects_step_factor_inside_window():
 
 
 def test_geometric_tail_ratio_one_raises():
-    prof = q_only_profile(2)
     with pytest.raises(DegenerateParameterError):
-        sum_with_geometric_tail(
-            lambda n: TruncatedSeries.one(prof), Fraction(1), 0, 2
-        )
+        sum_with_geometric_tail(lambda n: product_series([], 2), Fraction(1), 0, 2)
 
 
 def test_assignment_parsing_and_requirements():
@@ -274,6 +281,8 @@ def test_dense_product_matches_sparse_reference(fac, cap, scalar, q_shift):
             product_series(fac, cap, scalar=scalar, q_shift=q_shift)
         return
     got = product_series(fac, cap, scalar=scalar, q_shift=q_shift)
+    assert len(got) == cap + 1
+    got = dense_series(got, cap)
     assert got == want
     assert got.valid_to_q == cap
 
@@ -307,7 +316,9 @@ def double_sum_reference(assign, cap, shifted):
             fac += pochhammer_factors(1, 1, 1, j, inverted=True)
             fac += [Factor(b, N + 2 * n if shifted else N + n, True)]
             power = N + n if shifted else N
-            smd = product_series(fac, cap, scalar=inv_a**n * t**power, q_shift=n)
+            smd = dense_series(
+                product_series(fac, cap, scalar=inv_a**n * t**power, q_shift=n), cap
+            )
             # from j = cap + 1 on, summands only gain factors of t
             total = total + (smd * (1 / (1 - t)) if j == cap + 1 else smd)
     return total
@@ -323,8 +334,10 @@ def double_sum_reference(assign, cap, shifted):
 )
 def test_chain_double_sums_match_summand_reference(params, cap):
     assign = RationalAssignment.make(**params)
-    assert _chain_double_unshifted(assign, cap) == double_sum_reference(assign, cap, False)
-    assert _chain_double_shifted(assign, cap) == double_sum_reference(assign, cap, True)
+    unshifted = dense_series(_chain_double_unshifted(assign, cap), cap)
+    shifted = dense_series(_chain_double_shifted(assign, cap), cap)
+    assert unshifted == double_sum_reference(assign, cap, False)
+    assert shifted == double_sum_reference(assign, cap, True)
 
 
 def test_chain_double_sums_are_different_computations(monkeypatch):
@@ -344,3 +357,161 @@ def test_chain_double_sums_are_different_computations(monkeypatch):
     shifted = _chain_double_shifted(assign, 10)
     assert unshifted == shifted
     assert unshifted_log != log
+
+
+# ------------------------------------ integer kernel against the Fraction kernel
+
+
+def _ref_times_binomial(c, v, m):
+    """c <- c * (1 - v*q^m) on a list of Fractions (the replaced kernel)."""
+    if not v:
+        return
+    for i in range(len(c) - 1, m - 1, -1):
+        x = c[i - m]
+        if x:
+            c[i] -= v * x
+
+
+def _ref_over_binomial(c, v, m):
+    """c <- c / (1 - v*q^m) on a list of Fractions (the replaced kernel)."""
+    if not v:
+        return
+    if m == 0:
+        if v == 1:
+            raise DegenerateParameterError("denominator factor (1 - v) with v = 1")
+        c[:] = [x / (1 - v) for x in c]
+        return
+    for i in range(m, len(c)):
+        x = c[i - m]
+        if x:
+            c[i] += v * x
+
+
+def _ref_accumulate(total, c):
+    for i, x in enumerate(c):
+        if x:
+            total[i] += x
+
+
+def _ref_convolve(x, y):
+    out = [Fraction(0)] * len(x)
+    for i, u in enumerate(x):
+        for j, w in enumerate(y):
+            if i + j < len(x):
+                out[i + j] += u * w
+    return out
+
+
+def _dense_of(values):
+    den = 1
+    for v in values:
+        den = den * v.denominator // gcd(den, v.denominator)
+    return Dense([int(v * den) for v in values], den)
+
+
+def _values(c):
+    assert isinstance(c, Dense) and c.den > 0
+    return [Fraction(x, c.den) for x in c]
+
+
+kernel_values = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.integers(min_value=-6, max_value=-1).map(Fraction),
+    st.builds(
+        Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=2, max_value=9)
+    ).filter(lambda v: v.denominator > 1),
+)
+coefficient_values = st.builds(
+    Fraction, st.integers(min_value=-5, max_value=5), st.integers(min_value=1, max_value=6)
+)
+
+
+@st.composite
+def pass_sequences(draw):
+    cap = draw(st.integers(min_value=0, max_value=9))
+    start = [draw(st.lists(coefficient_values, min_size=cap + 1, max_size=cap + 1))
+             for _ in range(2)]
+    step = st.tuples(
+        st.sampled_from(["times", "over", "scale", "times_q", "accumulate", "convolve",
+                         "reduce"]),
+        st.integers(min_value=0, max_value=1),  # which register the step acts on
+        kernel_values,
+        st.integers(min_value=0, max_value=cap + 2),
+    )
+    return cap, start, draw(st.lists(step, min_size=1, max_size=14))
+
+
+@given(pass_sequences())
+@settings(max_examples=400, deadline=None)
+def test_integer_kernel_matches_fraction_kernel(sequence):
+    # Two registers, so accumulate and convolve meet unequal denominators.
+    cap, start, steps = sequence
+    dense = [_dense_of(values) for values in start]
+    ref = [list(values) for values in start]
+    for op, k, v, m in steps:
+        c, r, other = dense[k], ref[k], 1 - k
+        if op == "times":
+            times_binomial(c, v, m)
+            _ref_times_binomial(r, v, m)
+        elif op == "over":
+            if m == 0 and v == 1:
+                with pytest.raises(DegenerateParameterError):
+                    _ref_over_binomial(list(r), v, m)
+                with pytest.raises(DegenerateParameterError):
+                    over_binomial(c, v, m)
+                continue
+            over_binomial(c, v, m)
+            _ref_over_binomial(r, v, m)
+        elif op == "scale":
+            scale(c, v)
+            r[:] = [x * v for x in r]
+        elif op == "times_q":
+            dense[k] = times_q(c, v)
+            ref[k] = [Fraction(0)] + [x * v for x in r[:-1]]
+        elif op == "accumulate":
+            accumulate(c, dense[other])
+            _ref_accumulate(r, ref[other])
+        elif op == "convolve":
+            dense[k] = convolve(c, dense[other])
+            ref[k] = _ref_convolve(r, ref[other])
+        else:
+            before = c.den
+            assert reduce_dense(c) is c
+            assert before % c.den == 0 and gcd(c.den, *c) == 1
+        assert _values(dense[k]) == ref[k]
+        assert len(dense[k]) == cap + 1
+    assert [_values(c) for c in dense] == ref
+    assert dense[0] == _dense_of(ref[0]) and dense[1] == _dense_of(ref[1])
+
+
+def test_dense_equality_compares_values():
+    assert Dense([1, 2], 2) == Dense([2, 4], 4)
+    assert not Dense([1, 2], 2) != Dense([2, 4], 4)
+    # the same numerators over another denominator are another series
+    assert Dense([1, 2], 2) != Dense([1, 2], 3)
+    assert not Dense([1, 2], 2) == Dense([1, 2], 3)
+    assert Dense([1, 2]) != Dense([1, 2, 0])
+    # list equality is not inherited, in either direction
+    assert Dense([1, 2]) != [1, 2] and [1, 2] != Dense([1, 2])
+    assert not Dense([1, 2]) == [1, 2]
+    with pytest.raises(TypeError):
+        hash(Dense([1]))
+
+
+def test_integer_passes_keep_one_multiply_loops_for_integer_values():
+    # d = 1 leaves the denominator alone; a factor past the cap is skipped
+    c = Dense([1, 0, 0, 0], 3)
+    times_binomial(c, Fraction(2), 1)
+    over_binomial(c, -1, 2)
+    times_binomial(c, Fraction(1, 5), 4)
+    over_binomial(c, Fraction(1, 5), 4)
+    assert c.den == 3
+    assert _values(c) == [Fraction(x, 3) for x in (1, -2, -1, 2)]
+
+
+def test_dense_series_reduces_once_and_converts():
+    c = Dense([2, 0, -4, 6], 4)
+    s = dense_series(c, 3)
+    assert (list(c), c.den) == ([1, 0, -2, 3], 2)
+    assert s.terms == {(0, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 2): -1, (0, 0, 0, 3): Fraction(3, 2)}
+    assert s.valid_to_q == 3
