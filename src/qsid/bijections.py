@@ -309,6 +309,7 @@ _POINTWISE = (
     "sigma_involution",
     "middle_bounds",
 )
+_MEMBERSHIP = _POINTWISE.index("codomain_membership")
 
 
 def _pointwise(p: Partition, j: int, M: int, in_codomain: Callable[[Partition], bool]):
@@ -341,51 +342,51 @@ def _pointwise(p: Partition, j: int, M: int, in_codomain: Callable[[Partition], 
     )
 
 
-def _map_audit(
-    variant: str,
-    domain: List[Partition],
-    codomain: List[Partition],
-    gen_domain: GeneratingPolynomial,
-    gen_codomain: GeneratingPolynomial,
-    j: int,
-    M: int,
-) -> MapAudit:
-    tallies = [PropertyCount() for _ in _POINTWISE]
-    in_codomain = set(codomain).__contains__
-    middle: List[Partition] = []
-    image_index: Dict[Partition, List[Partition]] = {}
-    for p in domain:
-        lam, image, outcomes = _pointwise(p, j, M, in_codomain)
-        for tally, (ok, note) in zip(tallies, outcomes):
+class _Section:
+    """One audit section's tallies, recorded element by element as the
+    domain is walked, so no per-element record outlives its element."""
+
+    def __init__(self, variant: str, codomain: List[Partition]) -> None:
+        self.variant = variant
+        self.codomain = codomain
+        self.in_codomain = set(codomain).__contains__
+        self.tallies = [PropertyCount() for _ in _POINTWISE]
+        self.middle: List[Partition] = []
+        self.image_index: Dict[Partition, List[Partition]] = {}
+
+    def record(self, p: Partition, lam: Partition, image: Partition, outcomes) -> None:
+        for tally, (ok, note) in zip(self.tallies, outcomes):
             tally.record(ok, p, note)
-        middle.append(lam)
-        image_index.setdefault(image, []).append(p)
+        self.middle.append(lam)
+        self.image_index.setdefault(image, []).append(p)
 
-    collisions = [
-        (image.text(), sorted(p.text() for p in group))
-        for image, group in sorted(image_index.items(), reverse=True)
-        if len(group) > 1
-    ]
-    unhit = sorted((c for c in codomain if c not in image_index), reverse=True)
-
-    gen_rows = gen_domain.mismatches(gen_codomain)
-    gen_middle = GeneratingPolynomial.from_partitions(middle)
-
-    return MapAudit(
-        variant=variant,
-        domain_size=len(domain),
-        codomain_size=len(codomain),
-        **dict(zip(_POINTWISE, tallies)),
-        injective=not collisions,
-        collisions=collisions,
-        surjective=not unhit,
-        unhit=[u.text() for u in unhit],
-        genpoly_equal=not gen_rows,
-        genpoly_mismatches=gen_rows,
-        middle_multiset_distinct=len(set(middle)) == len(middle),
-        middle_equals_domain=not gen_middle.mismatches(gen_domain),
-        middle_equals_codomain=not gen_middle.mismatches(gen_codomain),
-    )
+    def audit(
+        self, gen_domain: GeneratingPolynomial, gen_codomain: GeneratingPolynomial
+    ) -> MapAudit:
+        image_index, middle = self.image_index, self.middle
+        collisions = [
+            (image.text(), sorted(p.text() for p in group))
+            for image, group in sorted(image_index.items(), reverse=True)
+            if len(group) > 1
+        ]
+        unhit = sorted((c for c in self.codomain if c not in image_index), reverse=True)
+        gen_rows = gen_domain.mismatches(gen_codomain)
+        gen_middle = GeneratingPolynomial.from_partitions(middle)
+        return MapAudit(
+            variant=self.variant,
+            domain_size=len(middle),
+            codomain_size=len(self.codomain),
+            **dict(zip(_POINTWISE, self.tallies)),
+            injective=not collisions,
+            collisions=collisions,
+            surjective=not unhit,
+            unhit=[u.text() for u in unhit],
+            genpoly_equal=not gen_rows,
+            genpoly_mismatches=gen_rows,
+            middle_multiset_distinct=len(set(middle)) == len(middle),
+            middle_equals_domain=not gen_middle.mismatches(gen_domain),
+            middle_equals_codomain=not gen_middle.mismatches(gen_codomain),
+        )
 
 
 def audit_bijection(
@@ -401,7 +402,12 @@ def audit_bijection(
     guarded by ``enum_limit`` (default from QSID_ENUM_LIMIT or 200000):
     the four families are counted exactly first, and a box over the limit
     is refused before any partition is listed.  Only the two <= families
-    are searched; the exact ones are filtered out of them.
+    are searched; the exact ones are filtered out of them.  The pointwise
+    properties are checked in one pass over the printed domain: each
+    element's ``gamma``, conjugate and property outcomes are computed once
+    and recorded in the printed section and, for a length-j element, in
+    the exact section too, where only codomain membership is tested again,
+    against the exact codomain.
     """
     started = time.perf_counter()
     if enum_limit is None:
@@ -419,19 +425,27 @@ def audit_bijection(
             f"over the limit {enum_limit}"
         )
     # each exact family is the length-j (length-M) part of its <= family
+    j, M = box.j, box.M
     d_printed, c_printed = map(enumerate_partitions, families[2:])
-    d_exact = [p for p in d_printed if p.length == box.j]
-    c_exact = [p for p in c_printed if p.length == box.M]
+    d_exact = [p for p in d_printed if len(p) == j]
+    c_exact = [p for p in c_printed if len(p) == M]
+
+    # one pointwise pass: a length-j element counts in both sections, and
+    # only codomain membership is tested against each section's own codomain
+    exact, printed = _Section("exact", c_exact), _Section("printed", c_printed)
+    for p in d_printed:
+        lam, image, outcomes = _pointwise(p, j, M, printed.in_codomain)
+        printed.record(p, lam, image, outcomes)
+        if len(p) == j:
+            outcomes = list(outcomes)
+            outcomes[_MEMBERSHIP] = (exact.in_codomain(image), outcomes[_MEMBERSHIP][1])
+            exact.record(p, lam, image, outcomes)
 
     gen_d_exact, gen_c_exact, gen_d_printed, gen_c_printed = map(
         GeneratingPolynomial.from_partitions, (d_exact, c_exact, d_printed, c_printed)
     )
-    exact_audit = _map_audit(
-        "exact", d_exact, c_exact, gen_d_exact, gen_c_exact, box.j, box.M
-    )
-    printed_audit = _map_audit(
-        "printed", d_printed, c_printed, gen_d_printed, gen_c_printed, box.j, box.M
-    )
+    exact_audit = exact.audit(gen_d_exact, gen_c_exact)
+    printed_audit = printed.audit(gen_d_printed, gen_c_printed)
     # the empty partition is the only one of weight 0, monomial a^0 q^0
     strict_rows = [row for row in printed_audit.genpoly_mismatches if row[0] != (0, 0)]
 

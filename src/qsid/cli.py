@@ -175,7 +175,9 @@ def _json(value: object, nl: str) -> str:
         ):  # rows of ints (a Partition's parts are ints by construction)
             deeper = inner + "  "
             start, sep, end = "[" + deeper, "," + deeper, inner + "]"
-            items = [start + sep.join(map(int.__repr__, row)) + end if row else "[]"
+            ints = set(chain.from_iterable(value))  # each distinct int written once
+            text = dict(zip(ints, map(int.__repr__, ints))).__getitem__
+            items = [start + sep.join(map(text, row)) + end if row else "[]"
                      for row in value]
         else:
             items = _rows_json(value, inner) or [_json(x, inner) for x in value]
@@ -234,9 +236,11 @@ def strip_volatile(d: Dict[str, object]) -> Dict[str, object]:
 
 
 def _emit(payload: str, path: Optional[str]) -> None:
+    # two writes: ``payload + "\n"`` would copy the whole report
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+            fh.write(payload)
+            fh.write("\n")
     else:
         print(payload)
 

@@ -200,37 +200,112 @@ class ConstraintSet:
         return True
 
 
+# Longest suffix list ``enumerate_partitions`` keeps; a subproblem with more
+# suffixes passes its prefix down instead, so no list of the family's size
+# is held twice.
+_SUFFIX_CUT = 256
+
+
 def enumerate_partitions(c: ConstraintSet) -> List[Partition]:
     """All partitions satisfying the constraints, descending-lexicographic.
 
     Exhaustive search over weakly decreasing part sequences, larger parts
-    first; recording each partition after its extensions gives that order.
-    The constraint set must be finite (see ``ConstraintSet.effective_bounds``).
+    first.  What may follow a prefix depends only on the bounds left: the
+    largest allowed part, the weight room and the weight still needed, the
+    length room and the length still needed.  A key of those bounds has one
+    list of suffixes, descending-lex and ending with the empty suffix, so
+    ``prefix + s`` for each ``s`` lists that prefix's partitions in the
+    enumeration order; each list is built once from its children's lists
+    and shared by every prefix that reaches its key.  The key carries a
+    room only where it binds: weight room only under a weight window,
+    length room only under a length bound (elsewhere the other bounds
+    imply them), so prefixes that differ only in a non-binding bound share
+    one list.  Lists longer than ``_SUFFIX_CUT`` are not kept: above them
+    the search passes the prefix down, and each partition is built once,
+    from its prefix and a kept suffix.  The constraint set must be finite
+    (see ``ConstraintSet.effective_bounds``).
     """
     w_hi_eff, l_hi_eff = c.effective_bounds()
     w_lo, w_hi = c.weight_window()
     l_lo, l_hi = c.length_window()
-    w_hi = w_hi_eff if w_hi is None else w_hi
-    l_hi = l_hi_eff if l_hi is None else l_hi
+    by_weight, by_length = w_hi is not None, l_hi is not None
     lo_part = c.min_part or 1
-    hi_part = c.max_part if c.max_part is not None else w_hi
-
+    hi_part = c.max_part if c.max_part is not None else w_hi_eff
     distinct = c.odd_parts_distinct
+
+    def children(key):
+        """(part, key of what may follow it) for each next part, largest first."""
+        top, room, need, l_room, l_need = key
+        if not l_room:
+            return []
+        l_room = l_room - 1 if by_length else 1
+        l_need = l_need - 1 if l_need else 0
+        out = []
+        for v in range(top, lo_part - 1, -1):
+            # an odd part may not repeat, so the next part is below it
+            nxt = v - 1 if distinct and v & 1 else v
+            rest = 0
+            if by_weight:
+                rest = room - v
+                nxt = min(nxt, rest)
+            out.append((v, (nxt, rest, need - v if need > v else 0, l_room, l_need)))
+        return out
+
+    def complete(key) -> bool:
+        """Whether the empty suffix is allowed: no weight or length still needed."""
+        return not key[2] and not key[4]
+
+    memo: Dict[tuple, Optional[List[Tuple[int, ...]]]] = {}
+
+    def suffixes(key) -> Optional[List[Tuple[int, ...]]]:
+        """The key's suffix list, built on first use; None above the cut."""
+        if key in memo:
+            return memo[key]
+        # depth first on an explicit stack, since a family's partitions can
+        # be longer than the interpreter's recursion limit: (key, None)
+        # lists a key's children, (key, children) joins their lists
+        todo = [(key, None)]
+        while todo:
+            k, kids = todo.pop()
+            if k in memo:  # reached twice before it was built
+                continue
+            if kids is None:
+                kids = children(k)
+                todo.append((k, kids))
+                todo += [(ck, None) for _, ck in kids if ck not in memo]
+                continue
+            lists = [memo[ck] for _, ck in kids]
+            empty = complete(k)
+            if None in lists or sum(map(len, lists)) + empty > _SUFFIX_CUT:
+                memo[k] = None
+                continue
+            out = [(v,) + s for (v, _), kept in zip(kids, lists) for s in kept]
+            if empty:
+                out.append(())
+            memo[k] = out
+        return memo[key]
+
     found: List[Partition] = []
-    stack: List[int] = []
-
-    def rec(top: int, weight: int) -> None:
-        depth = len(stack)
-        if depth < l_hi:
-            for v in range(min(top, w_hi - weight), lo_part - 1, -1):
-                stack.append(v)
-                # an odd part may not repeat, so the next part is below it
-                rec(v - 1 if distinct and v & 1 else v, weight + v)
-                stack.pop()
-        if w_lo <= weight and l_lo <= depth:
-            found.append(tuple.__new__(Partition, stack))  # valid by construction
-
-    rec(hi_part, 0)
+    # (prefix, key), or (prefix, None) to list the prefix after its extensions
+    todo = [((), (
+        min(hi_part, w_hi) if by_weight else hi_part,
+        w_hi if by_weight else 0,
+        w_lo,
+        l_hi if by_length else 1,
+        l_lo,
+    ))]
+    while todo:
+        prefix, key = todo.pop()
+        if key is None:
+            found.append(tuple.__new__(Partition, prefix))  # valid by construction
+            continue
+        kept = suffixes(key)
+        if kept is not None:
+            found.extend([tuple.__new__(Partition, prefix + s) for s in kept])
+            continue
+        if complete(key):
+            todo.append((prefix, None))
+        todo += [(prefix + (v,), k) for v, k in reversed(children(key))]
     return found
 
 
@@ -244,8 +319,8 @@ def count_partitions(c: ConstraintSet) -> int:
     multichoose(n_even, L - k) ways; otherwise multichoose(n_values, L).
     Summing over L uses sum_{L<=l} multichoose(n, L) = C(n + l, l), so
     the cost does not follow the part range: two binomials, and with odd
-    parts distinct a sum over k for each, whose term steps from k to
-    k + 1 by its exact ratio, one multiply and one exact divide.
+    parts distinct a sum over k for each, whose terms step from k to
+    k + 1 by an exact ratio, summed by binary splitting.
 
     Under a weight window it is a DP over the part values whose states
     are the reachable (length, weight) pairs with their counts, so its
@@ -285,12 +360,34 @@ def _count_by_length(lo: int, hi: int, l_lo: int, l_hi: int, odd_distinct: bool)
     n_rep = n_values - n_odd  # values that may repeat
 
     def up_to(l: int) -> int:
-        """Length <= l: sum over k of C(n_odd, k) * multisets of <= l - k repeatable values."""
-        term = total = comb(n_rep + l, l) if l >= 0 else 0
-        for k in range(min(n_odd, l)):  # term k -> k + 1 by its exact ratio
-            term = term * ((n_odd - k) * (l - k)) // ((k + 1) * (n_rep + l - k))
-            total += term
-        return total
+        """Length <= l: sum over k of C(n_odd, k) * multisets of <= l - k repeatable values.
+
+        Term k + 1 is term k times p(k) / q(k), with p(k) = (n_odd - k)(l - k)
+        and q(k) = (k + 1)(n_rep + l - k).  Binary splitting sums the terms
+        as term 0 times 1 + T / Q over a product tree, with one exact
+        division at the end instead of a big-int multiply and divide per
+        term.
+        """
+        if l < 0:
+            return 0
+        first = comb(n_rep + l, l)
+        steps = min(n_odd, l)
+        if not steps:
+            return first
+
+        def split(a: int, b: int) -> Tuple[int, int, int]:
+            """(P, Q, T) over k in [a, b): P and Q the products of p(k) and
+            q(k), T / Q the sum over m in [a, b) of prod_{a <= k <= m} p(k) / q(k)."""
+            if b - a == 1:
+                p = (n_odd - a) * (l - a)
+                return p, (a + 1) * (n_rep + l - a), p
+            mid = (a + b) // 2
+            p1, q1, t1 = split(a, mid)
+            p2, q2, t2 = split(mid, b)
+            return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+        _, q, t = split(0, steps)
+        return first + first * t // q
 
     return up_to(l_hi) - up_to(l_lo - 1)
 

@@ -349,3 +349,42 @@ def test_failure_notes_are_formatted_only_on_failure(monkeypatch):
     assert report.exact.weight_preserved.failures == [
         (p.text(), f"weight {p.weight} -> {p.weight + 2}") for p in domain
     ]
+
+
+@pytest.mark.parametrize("j, M", [(2, 3), (3, 2), (3, 4)])
+def test_one_pass_exact_failures_are_printed_failures_of_length_j(monkeypatch, j, M):
+    # each element is checked once; its outcomes count in both sections
+    conjugate = bijections.two_modular_conjugate
+
+    def heavier(lam):  # the conjugate with 2 added to its largest part
+        parts = conjugate(lam).parts
+        return Partition((parts[0] + 2, *parts[1:]) if parts else ())
+
+    monkeypatch.setattr(bijections, "two_modular_conjugate", heavier)
+    report = audit_bijection(BijectionBox(j, M))
+    failing = 0
+    for name in bijections._POINTWISE:
+        if name == "codomain_membership":  # tested against each section's own codomain
+            continue
+        exact, printed = (getattr(s, name) for s in (report.exact, report.printed))
+        of_length_j = [f for f in printed.failures if P(f[0]).length == j]
+        assert exact.failures == of_length_j
+        assert (exact.passed, exact.failed) == (
+            report.exact.domain_size - len(of_length_j), len(of_length_j)
+        )
+        failing += len(of_length_j)
+    assert failing and not report.passed
+    assert report.revalidate()
+
+
+def test_one_pass_tests_membership_against_each_sections_codomain(monkeypatch):
+    # an image one part short is in the printed codomain (<= M parts) but
+    # not in the exact one (M parts)
+    conjugate = bijections.two_modular_conjugate
+    monkeypatch.setattr(bijections, "two_modular_conjugate", lambda lam: Partition(conjugate(lam)[:-1]))
+    box = BijectionBox(2, 3)
+    report = audit_bijection(box)
+    exact = enumerate_partitions(box.domain_constraints("exact"))
+    assert [w for w, _ in report.exact.codomain_membership.failures] == [p.text() for p in exact]
+    assert all(P(w).length != 2 for w, _ in report.printed.codomain_membership.failures)
+    assert report.revalidate()

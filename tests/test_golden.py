@@ -13,7 +13,9 @@ requested variant; ``enumerate_max_weight_8`` (ends with the empty
 partition), ``enumerate_empty_family``, ``enumerate_weight_12_text`` and
 ``map_sigma_empty`` were recorded before the enumerate report got its own
 writer; ``verify_eq3_1_partitions`` was recorded when that case was added
-to the catalog.  A refactor that changes any non-volatile byte fails here.
+to the catalog; ``enumerate_max_weight_20`` and ``audit_3_4`` were recorded
+before the enumerator shared its suffix lists and the audit checked each
+element once for both sections.  A refactor that changes any non-volatile byte fails here.
 
 To record the fixtures again (only at a commit whose output is trusted):
 
@@ -137,9 +139,11 @@ INVOCATIONS = {
     "audit_2_3": ["audit", "--j", "2", "--M", "3"],
     "audit_1_2_printed": ["audit", "--j", "1", "--M", "2"],
     "audit_1_2_printed_text": ["audit", "--j", "1", "--M", "2"],
+    "audit_3_4": ["audit", "--j", "3", "--M", "4"],
     "enumerate_weight_12": ["enumerate", "--weight", "12", "--odd-distinct"],
     "enumerate_weight_12_text": ["enumerate", "--weight", "12", "--odd-distinct"],
     "enumerate_max_weight_8": ["enumerate", "--odd-distinct", "--max-weight", "8"],
+    "enumerate_max_weight_20": ["enumerate", "--odd-distinct", "--max-weight", "20"],
     "enumerate_empty_family": ["enumerate", "--weight", "3", "--min-part", "5"],
     "map_gamma_sigma": ["map", "--op", "gamma-sigma", "--M", "5", "--partition", "20,13,12,12,10"],
     "map_sigma_empty": ["map", "--op", "sigma", "--partition", "()"],

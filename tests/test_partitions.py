@@ -1,13 +1,15 @@
 """Partitions: values, enumeration oracle, generating polynomials, the enumerate writer."""
 
 import json
+import sys
 from dataclasses import replace
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsid import identities
+from qsid import identities, partitions
 from qsid.cli import EXIT_USAGE, main, report_json
 from qsid.identities import build_eq31_partition_side, build_eq31_side, run_case
 from qsid.partitions import (
@@ -118,6 +120,88 @@ def test_enumerated_values_pass_the_partition_check(c):
         assert Partition(tuple(p)) == p
 
 
+def reference_enumerate(c: ConstraintSet):
+    """Private copy of the recursive enumerator that preceded the shared-suffix one."""
+    w_hi_eff, l_hi_eff = c.effective_bounds()
+    w_lo, w_hi = c.weight_window()
+    l_lo, l_hi = c.length_window()
+    w_hi = w_hi_eff if w_hi is None else w_hi
+    l_hi = l_hi_eff if l_hi is None else l_hi
+    lo_part = c.min_part or 1
+    hi_part = c.max_part if c.max_part is not None else w_hi
+
+    distinct = c.odd_parts_distinct
+    found = []
+    stack = []
+
+    def rec(top, weight):
+        depth = len(stack)
+        if depth < l_hi:
+            for v in range(min(top, w_hi - weight), lo_part - 1, -1):
+                stack.append(v)
+                rec(v - 1 if distinct and v & 1 else v, weight + v)
+                stack.pop()
+        if w_lo <= weight and l_lo <= depth:
+            found.append(tuple(stack))
+
+    rec(hi_part, 0)
+    return found
+
+
+def _matches_reference(c):
+    got = enumerate_partitions(c)
+    assert all(type(p) is Partition for p in got)
+    assert list(map(tuple, got)) == reference_enumerate(c)  # order included
+    return got
+
+
+@given(
+    st.sampled_from([None, "weight", "range", "max", "min"]),
+    st.integers(0, 16),
+    st.integers(0, 8),
+    st.one_of(st.none(), st.integers(1, 4)),
+    st.one_of(st.none(), st.integers(1, 10)),
+    st.sampled_from([None, "length", "max_length"]),
+    st.integers(0, 6),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_enumeration_matches_the_recursive_reference(
+    window, w, span, min_part, max_part, length_kind, length, odd_distinct
+):
+    weights = {
+        None: {},
+        "weight": {"weight": w},
+        "range": {"weight_min": w, "weight_max": w + span},
+        "max": {"weight_max": w},
+        "min": {"weight_min": w},
+    }[window]
+    if window in (None, "min") and (max_part is None or length_kind is None):
+        # without an upper weight bound the family needs part and length bounds
+        max_part, length_kind = max_part or 5, length_kind or "max_length"
+    _matches_reference(ConstraintSet(
+        min_part=min_part,
+        max_part=max_part,
+        odd_parts_distinct=odd_distinct,
+        **weights,
+        **({length_kind: length} if length_kind else {}),
+    ))
+
+
+@pytest.mark.parametrize("c", [
+    ConstraintSet(weight_max=30),
+    ConstraintSet(weight_max=30, odd_parts_distinct=True),
+    ConstraintSet(weight=30, odd_parts_distinct=True),
+    ConstraintSet(weight_min=20, weight_max=30, max_length=7),
+    ConstraintSet(max_part=12, max_length=6, odd_parts_distinct=True),
+    ConstraintSet(min_part=10, max_part=20, max_length=5, odd_parts_distinct=True),
+    ConstraintSet(weight_max=30, min_part=2, max_part=8, max_length=6, odd_parts_distinct=True),
+])
+def test_enumeration_past_the_suffix_cut_matches_the_reference(c):
+    # families with more members than one kept suffix list holds
+    assert len(_matches_reference(c)) > partitions._SUFFIX_CUT
+
+
 # ----------------------------------------------------------- enumerate writer
 
 
@@ -206,6 +290,52 @@ def test_count_families_too_large_to_list():
     assert count_partitions(ConstraintSet(max_part=10**8, max_length=2)) == (
         (10**8 + 1) * 10**8 // 2 + 10**8 + 1
     )
+
+
+def stepped_count_by_length(lo, hi, l_lo, l_hi, odd_distinct):
+    """Private copy of the closed-form count that stepped each term from the last."""
+    n_values = max(0, hi - lo + 1)
+    n_odd = max(0, (hi + 1) // 2 - lo // 2) if odd_distinct else 0
+    n_rep = n_values - n_odd
+
+    def up_to(l):
+        term = total = comb(n_rep + l, l) if l >= 0 else 0
+        for k in range(min(n_odd, l)):
+            term = term * ((n_odd - k) * (l - k)) // ((k + 1) * (n_rep + l - k))
+            total += term
+        return total
+
+    return up_to(l_hi) - up_to(l_lo - 1)
+
+
+@given(
+    st.integers(1, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(["length", "max_length"]),
+    st.integers(0, 300),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_count_by_binary_splitting_matches_the_stepped_sum(
+    min_part, extra, length_kind, length, odd_distinct
+):
+    c = ConstraintSet(
+        min_part=min_part,
+        max_part=min_part + extra,
+        odd_parts_distinct=odd_distinct,
+        **{length_kind: length},
+    )
+    l_lo = length if length_kind == "length" else 0
+    assert count_partitions(c) == stepped_count_by_length(
+        min_part, min_part + extra, l_lo, length, odd_distinct
+    )
+
+
+def test_enumeration_is_not_bounded_by_the_recursion_limit():
+    n = sys.getrecursionlimit() + 50
+    assert enumerate_partitions(ConstraintSet(weight=n, max_part=1)) == [Partition((1,) * n)]
+    twos = enumerate_partitions(ConstraintSet(weight=n, max_part=2))
+    assert twos == [(2,) * k + (1,) * (n - 2 * k) for k in range(n // 2, -1, -1)]
 
 
 def test_enumerate_unbounded_raises():
