@@ -192,8 +192,7 @@ def test_enumeration_matches_the_recursive_reference(c):
     _matches_reference(c)
 
 
-# families with more members than one kept suffix list holds
-PAST_THE_CUT = [
+@pytest.mark.parametrize("c", [
     ConstraintSet(weight_max=30),
     ConstraintSet(weight_max=30, odd_parts_distinct=True),
     ConstraintSet(weight=30, odd_parts_distinct=True),
@@ -201,11 +200,9 @@ PAST_THE_CUT = [
     ConstraintSet(max_part=12, max_length=6, odd_parts_distinct=True),
     ConstraintSet(min_part=10, max_part=20, max_length=5, odd_parts_distinct=True),
     ConstraintSet(weight_max=30, min_part=2, max_part=8, max_length=6, odd_parts_distinct=True),
-]
-
-
-@pytest.mark.parametrize("c", PAST_THE_CUT)
+])
 def test_enumeration_past_the_suffix_cut_matches_the_reference(c):
+    # families with more members than one kept suffix list holds
     assert len(_matches_reference(c)) > partitions._SUFFIX_CUT
 
 
@@ -214,14 +211,6 @@ def test_enumeration_past_the_suffix_cut_matches_the_reference(c):
 
 def _dumped(found):
     return json.dumps({"count": len(found), "partitions": [list(p) for p in found]}, indent=2)
-
-
-@pytest.mark.parametrize("c", FAMILIES + [ConstraintSet(weight=3, min_part=5)])
-def test_enumerate_writer_matches_json_dumps(c):
-    family = partition_family(c)
-    assert report_json({"count": len(family), "partitions": family}) == _dumped(
-        enumerate_partitions(c)
-    )
 
 
 _FLAGS = {"weight": "--weight", "weight_min": "--min-weight", "weight_max": "--max-weight",
@@ -245,6 +234,7 @@ def _enumerate_outputs(c):
 WRITER_FAMILIES = {
     "empty family": ConstraintSet(weight=3, min_part=5),
     "empty partition only": ConstraintSet(weight_max=0),
+    "one list without the empty partition": ConstraintSet(weight=12, odd_parts_distinct=True),
     "one list with the empty partition": ConstraintSet(weight_max=8, odd_parts_distinct=True),
     "past the cut with the empty partition": ConstraintSet(weight_max=16),
     "past the cut, window and part bounds": ConstraintSet(
@@ -263,6 +253,11 @@ def _written_as_members(c):
     assert as_json == _dumped(found)
     assert as_text == "\n".join(p.text() for p in found)
     return family
+
+
+@pytest.mark.parametrize("c", FAMILIES + [ConstraintSet(weight=3, min_part=5)])
+def test_enumerate_writer_matches_json_dumps(c):
+    _written_as_members(c)
 
 
 @pytest.mark.parametrize("c", WRITER_FAMILIES.values(), ids=WRITER_FAMILIES)
