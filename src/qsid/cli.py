@@ -188,8 +188,9 @@ def _json(value: object, nl: str) -> str:
             return "[]"
         deeper = inner + "  "
         chunks = _family_chunks(value, "[" + deeper, "," + deeper, inner + "]", "[]", "," + inner)
-        chunks[0] = "[" + inner + chunks[0]  # the brackets on the end chunks:
-        chunks[-1] += nl + "]"  # the family's text is copied once
+        # brackets on the end chunks, so the family's text is copied once
+        chunks[0] = "[" + inner + chunks[0]
+        chunks[-1] += nl + "]"
         return ("," + inner).join(chunks)
     if isinstance(value, dict) and all(type(k) is str for k in value):
         if not value:
