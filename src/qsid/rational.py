@@ -32,8 +32,9 @@ numerators over the product of the denominators (``convolve``).  Nothing
 is reduced per pass: ``reduce_dense`` divides by gcd(den, *nums) once per
 outer step of the chain double sums and once per finished side, and a
 finished side becomes a ``TruncatedSeries`` over the q-only profile once
-(``dense_series``), so comparisons and reports see the same values as
-any other series.  Two ``Dense`` values are equal when their coefficient
+(``dense_series``, which packs the reduced numerators into one row over
+``den``), so comparisons and reports see the same values as any other
+series.  Two ``Dense`` values are equal when their coefficient
 values are, whatever their denominators.
 
 ``product_series`` evaluates a product of factors (1 - v*q^m)^(+-1) with
@@ -278,12 +279,10 @@ def reduce_dense(c: Dense) -> Dense:
 
 
 def dense_series(c: Dense, cap_q: int) -> TruncatedSeries:
-    """A finished ``Dense`` as a q-only ``TruncatedSeries`` (reduced first)."""
-    den = reduce_dense(c).den
-    return TruncatedSeries(
-        q_only_profile(cap_q),
-        [((0, 0, 0, i), Fraction(x, den) if den > 1 else x) for i, x in enumerate(c) if x],
-    )
+    """A finished ``Dense`` as a q-only ``TruncatedSeries``: reduced first, its
+    numerators packed straight into the series' one row over ``den``."""
+    reduce_dense(c)
+    return TruncatedSeries.from_q_digits(q_only_profile(cap_q), c, c.den)
 
 
 def require_frozen(step_exponents: Iterable[int], cap_q: int, where: str) -> None:

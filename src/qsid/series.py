@@ -21,7 +21,7 @@ need one (for example shifting a series by q^(-1) per power of a when
 some monomial is a-heavy) raise ``NegativeExponentError`` instead of
 producing a Laurent term.
 
-Packed q-rows.  A formal series is stored as ``rows``, a map from the
+Packed q-rows.  A series is stored as ``rows``, a map from the
 (a, b, t) exponents to one Python int per row (Kronecker substitution).
 The int holds the row's coefficients of q^0, q^1, ... as balanced (signed)
 digits in W-bit slots: it is the row polynomial evaluated at q = 2^W.
@@ -50,10 +50,13 @@ below 2^(W-2).  A pass whose bounds would pass that limit runs again on
 rows repacked at a wider W.  ``terms`` is the unpacked term map, built on
 first use; equal rows compare as equal ints, without unpacking.
 
-A series made from a term map (``TruncatedSeries(profile, terms)``, as
-rational mode's finished q-only sides are) keeps it: ``+``, ``==`` and
-``compare_series`` between two such series, and ``*`` always, run on term
-maps.  A binomial pass packs its input first.
+Every series lives on rows.  A term map given to the constructor
+(``TruncatedSeries(profile, terms)``) is packed at once, over the lcm of
+its coefficients' denominators, and ``from_q_digits`` packs a list of
+q-numerators straight into one row.  ``+`` and ``==`` first bring two
+series over one denominator and to one W; ``*`` multiplies each pair of
+rows as two ints, a product row's bound being the sum of the pairs'
+bound products.
 
     >>> prof = TruncationProfile(cap_a=0, cap_b=2, cap_t=0, cap_q=4)
     >>> b = TruncatedSeries.term(prof, 1, e_b=1)
@@ -413,8 +416,7 @@ def _times_monomial(s: "TruncatedSeries", c: Coeff, m: Monomial):
 
 def _add(x: "TruncatedSeries", y: "TruncatedSeries", sign: int):
     """Rows, bounds and denominator of x + sign*y at x's width (y no wider, one denominator)."""
-    if y.width < x.width:
-        y = y._widened(x.width)
+    y = y._widened(x.width)
     rows, bounds = dict(x.rows), dict(x.bounds)
     for k, v in y.rows.items():
         prev = rows.get(k)
@@ -431,16 +433,19 @@ def _add(x: "TruncatedSeries", y: "TruncatedSeries", sign: int):
     return rows, bounds, x.den
 
 
+def _over_one_den(x: "TruncatedSeries", y: "TruncatedSeries"):
+    """x and y over one denominator, values unchanged."""
+    if x.den == y.den:
+        return x, y
+    d = lcm(x.den, y.den)
+    return x._scaled(d // x.den), y._scaled(d // y.den)
+
+
 def _aligned(x: "TruncatedSeries", y: "TruncatedSeries"):
     """x and y over one denominator and at one width, values unchanged."""
-    if x.den != y.den:
-        d = lcm(x.den, y.den)
-        x, y = x._scaled(d // x.den), y._scaled(d // y.den)
-    if x.width < y.width:
-        x = x._widened(y.width)
-    elif y.width < x.width:
-        y = y._widened(x.width)
-    return x, y
+    x, y = _over_one_den(x, y)
+    width = max(x.width, y.width)
+    return x._widened(width), y._widened(width)
 
 
 def _fits(bounds: dict, width: int) -> bool:
@@ -448,53 +453,56 @@ def _fits(bounds: dict, width: int) -> bool:
 
 
 class TruncatedSeries:
-    """Exact truncated series: packed q-rows, or a finite map from monomials to rationals.
+    """Exact truncated series on packed q-rows over one common denominator.
 
     Instances are immutable by convention: no method changes ``rows`` or
-    ``terms`` after construction.  ``rows`` is None for a term-map series.
+    ``terms`` after construction.
     """
 
     __slots__ = ("profile", "valid_to_q", "rows", "bounds", "width", "den", "_terms")
 
     def __init__(self, profile, terms=None, valid_to_q=None):
-        tmap = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for m, c in items:
-                m = Monomial(*m)
-                if min(m) < 0:
-                    raise NegativeExponentError(f"monomial {m!r} has a negative exponent")
-                if not profile.admits(m):
-                    raise SeriesError(
-                        f"monomial {m} exceeds the profile caps {profile.caps}"
-                    )
-                if c == 0:
-                    continue
-                prev = tmap.get(m)
-                acc = c if prev is None else prev + c
-                if acc == 0:
-                    tmap.pop(m, None)
-                else:
-                    tmap[m] = acc
+        """The series of a term map {monomial: coefficient} (or of (monomial,
+        coefficient) pairs, repeated monomials summed), packed at once."""
         v = profile.cap_q if valid_to_q is None else valid_to_q
         if v > profile.cap_q:
             raise SeriesError(f"valid_to_q={v} exceeds cap_q={profile.cap_q}")
-        self.profile = profile
-        self.valid_to_q = v
-        self.rows = self.bounds = self.width = self.den = None
-        self._terms = tmap
+        digits: dict = {}
+        items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        for m, c in items:
+            m = Monomial(*m)
+            if min(m) < 0:
+                raise NegativeExponentError(f"monomial {m!r} has a negative exponent")
+            if not profile.admits(m):
+                raise SeriesError(f"monomial {m} exceeds the profile caps {profile.caps}")
+            row = digits.setdefault(m[:3], {})
+            row[m[3]] = row.get(m[3], 0) + c
+        den = lcm(*(_num_den(c)[1] for row in digits.values() for c in row.values()))
+        digits = {k: {q: int(c * den) for q, c in row.items()} for k, row in digits.items()}
+        bounds = {k: b for k, row in digits.items() if (b := sum(map(abs, row.values())))}
+        width = _slot_width(max(bounds.values(), default=0))
+        self.profile, self.valid_to_q, self._terms = profile, v, None
+        self.rows = {k: sum(d << width * q for q, d in digits[k].items()) for k in bounds}
+        self.bounds, self.width, self.den = bounds, width, den
 
     @classmethod
-    def _raw(cls, profile, terms, valid_to_q):
-        """Internal constructor of a term-map series: terms already within caps."""
-        s = object.__new__(cls)
-        s.profile, s.valid_to_q, s._terms = profile, valid_to_q, terms
-        s.rows = s.bounds = s.width = s.den = None
-        return s
+    def from_q_digits(cls, profile, nums, den=1):
+        """The series sum_i nums[i]/den * q^i, nums packed straight into one row."""
+        if len(nums) > profile.cap_q + 1:
+            raise SeriesError(f"{len(nums)} q-digits exceed the profile cap_q={profile.cap_q}")
+        bound = sum(map(abs, nums))
+        if not bound:
+            return cls.zero(profile)
+        width = _slot_width(bound)
+        size, half = width // 8, 1 << (width - 1)
+        data = b"".join([(x + half).to_bytes(size, "little") for x in nums])
+        row = int.from_bytes(data, "little") - _offset(width, len(nums), width)
+        return cls._from_rows(
+            profile, {(0, 0, 0): row}, {(0, 0, 0): bound}, width, den, profile.cap_q)
 
     @classmethod
     def _from_rows(cls, profile, rows, bounds, width, den, valid_to_q):
-        """Internal constructor of a packed series: rows nonzero, within caps, fitting W."""
+        """Internal constructor: rows nonzero, within caps, fitting W."""
         s = object.__new__(cls)
         s.profile, s.valid_to_q, s._terms = profile, valid_to_q, None
         s.rows, s.bounds, s.width, s.den = rows, bounds, width, den
@@ -548,7 +556,7 @@ class TruncatedSeries:
         return self._terms
 
     def is_zero(self) -> bool:
-        return not (self.terms if self.rows is None else self.rows)
+        return not self.rows
 
     @property
     def constant_term(self) -> Coeff:
@@ -562,22 +570,10 @@ class TruncatedSeries:
 
     # ----------------------------------------------------------- packed rows
 
-    def _packed(self) -> "TruncatedSeries":
-        """This series on packed rows (itself if it already is)."""
-        if self.rows is not None:
-            return self
-        den = lcm(*(Fraction(c).denominator for c in self._terms.values()))
-        digits: dict = {}
-        for (a, b, t, q), c in self._terms.items():
-            if c:
-                digits.setdefault((a, b, t), {})[q] = c.numerator * (den // c.denominator)
-        bounds = {k: sum(map(abs, row.values())) for k, row in digits.items()}
-        width = _slot_width(max(bounds.values(), default=0))
-        rows = {k: sum(d << width * q for q, d in row.items()) for k, row in digits.items()}
-        return TruncatedSeries._from_rows(self.profile, rows, bounds, width, den, self.valid_to_q)
-
     def _widened(self, width: int) -> "TruncatedSeries":
-        """The same rows repacked in slots of ``width`` bits."""
+        """The same rows repacked in slots of ``width`` bits (itself at its own width)."""
+        if width == self.width:
+            return self
         rows = {k: _respace(v, self.width, width) for k, v in self.rows.items()}
         return TruncatedSeries._from_rows(
             self.profile, rows, self.bounds, width, self.den, self.valid_to_q
@@ -585,6 +581,8 @@ class TruncatedSeries:
 
     def _scaled(self, k: int) -> "TruncatedSeries":
         """The same value over a denominator k times larger."""
+        if k == 1:
+            return self
         bounds = {key: v * k for key, v in self.bounds.items()}
         s = self if _fits(bounds, self.width) else self._widened(
             _slot_width(max(bounds.values())))
@@ -619,20 +617,9 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_profile(other)
-        valid = min(self.valid_to_q, other.valid_to_q)
-        if self.rows is None or other.rows is None:
-            merged = dict(self.terms)
-            items = other.terms.items() if sign == 1 else ((m, -c) for m, c in other.terms.items())
-            for m, c in items:
-                acc = merged.get(m)
-                acc = c if acc is None else acc + c
-                if acc == 0:
-                    merged.pop(m, None)
-                else:
-                    merged[m] = acc
-            return TruncatedSeries._raw(self.profile, merged, valid)
         x, y = _aligned(self, other)
         total = x._fit(_add, y, sign)
+        valid = min(self.valid_to_q, other.valid_to_q)
         return total._with_rows(total.rows, total.bounds, total.den, valid_to_q=valid)
 
     def __add__(self, other):
@@ -644,57 +631,36 @@ class TruncatedSeries:
         return self._combine(other, -1)
 
     def __neg__(self):
-        if self.rows is None:
-            return TruncatedSeries._raw(
-                self.profile, {m: -c for m, c in self.terms.items()}, self.valid_to_q
-            )
         return self._with_rows({k: -v for k, v in self.rows.items()}, self.bounds, self.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        """Sparse convolution of the term maps (a term map comes back)."""
+        """Product: each pair of rows multiplies as two ints at a W that holds
+        the product rows' bounds (sums of the pairs' bound products)."""
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return TruncatedSeries._raw(self.profile, {}, self.valid_to_q)
-            return TruncatedSeries._raw(
-                self.profile,
-                {m: c * other for m, c in self.terms.items()},
-                self.valid_to_q,
-            )
+            return self.times_monomial(other, MONO_ONE)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_profile(other)
         ca, cb, ct, cq = self.profile.caps
-        x, y = self.terms, other.terms
-        if len(x) > len(y):
-            x, y = y, x
-        y_items = list(y.items())
-        out: dict = {}
-        for (xa, xb, xt, xq), cx in x.items():
-            for (ya, yb, yt, yq), cy in y_items:
-                ea = xa + ya
-                if ea > ca:
-                    continue
-                eb = xb + yb
-                if eb > cb:
-                    continue
-                et = xt + yt
-                if et > ct:
-                    continue
-                eq = xq + yq
-                if eq > cq:
-                    continue
-                k = (ea, eb, et, eq)
-                prev = out.get(k)
-                acc = cx * cy if prev is None else prev + cx * cy
-                if acc == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
-        return TruncatedSeries._raw(
-            self.profile, out, min(self.valid_to_q, other.valid_to_q)
+        pairs, bounds = [], {}
+        for kx, bx in self.bounds.items():
+            for ky, by in other.bounds.items():
+                k = (kx[0] + ky[0], kx[1] + ky[1], kx[2] + ky[2])
+                if k[0] <= ca and k[1] <= cb and k[2] <= ct:
+                    pairs.append((k, kx, ky))
+                    bounds[k] = bounds.get(k, 0) + bx * by
+        width = max(self.width, other.width, _slot_width(max(bounds.values(), default=0)))
+        x, y, size = self._widened(width).rows, other._widened(width).rows, width * (cq + 1)
+        rows: dict = {}
+        for k, kx, ky in pairs:
+            rows[k] = rows.get(k, 0) + x[kx] * y[ky]
+        rows = {k: row for k, v in rows.items() if (row := _cut(v, size))}
+        return TruncatedSeries._from_rows(
+            self.profile, rows, {k: bounds[k] for k in rows}, width, self.den * other.den,
+            min(self.valid_to_q, other.valid_to_q),
         )
 
     __rmul__ = __mul__
@@ -704,7 +670,7 @@ class TruncatedSeries:
         m = _binomial_monomial(m)
         if c == 0 or not self.profile.admits(m):
             return self
-        return self._packed()._fit(_multiply, c, m)
+        return self._fit(_multiply, c, m)
 
     def over_binomial(self, c: Coeff, m) -> "TruncatedSeries":
         """self / (1 - c * x^m), exact in the truncated ring, in one ascending pass.
@@ -719,27 +685,25 @@ class TruncatedSeries:
             )
         if c == 0 or not self.profile.admits(m):
             return self
-        return self._packed()._fit(_divide, c, m)
+        return self._fit(_divide, c, m)
 
     def times_monomial(self, c: Coeff, m) -> "TruncatedSeries":
         """self * c * x^m: each row moves by m's (a, b, t) exponents and shifts by its q one."""
         m = _binomial_monomial(m)
         if c == 0 or not self.profile.admits(m):
             return TruncatedSeries.zero(self.profile, self.valid_to_q)
-        return self._packed()._fit(_times_monomial, c, m)
+        return self._fit(_times_monomial, c, m)
 
     def __eq__(self, other):
-        """Mathematical equality in the quotient ring (term maps agree)."""
+        """Mathematical equality in the quotient ring (coefficients agree)."""
         if isinstance(other, (int, Fraction)):
             other = TruncatedSeries.constant(self.profile, other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         if self.profile != other.profile:
             return False
-        if self.rows is not None and other.rows is not None and self.den == other.den:
-            x, y = _aligned(self, other)
-            return x.rows == y.rows
-        return self.terms == other.terms
+        x, y = _aligned(self, other)
+        return x.rows == y.rows
 
     __hash__ = None
 
@@ -870,7 +834,7 @@ def substitute_q_power(s: TruncatedSeries, k: int) -> TruncatedSeries:
     """
     if not isinstance(k, int) or k < 1:
         raise SeriesError(f"substitution power must be an integer >= 1, got {k!r}")
-    s, cap_q = s._packed(), s.profile.cap_q
+    cap_q = s.profile.cap_q
     valid = min(cap_q, k * s.valid_to_q + (k - 1))
     width, rows, bounds = s.width, {}, {}
     for key, v in s.rows.items():
@@ -893,7 +857,6 @@ def shift_a_by_q(s: TruncatedSeries, j: int) -> TruncatedSeries:
     cap_q = s.profile.cap_q
     penalty = (-j) * s.profile.cap_a if j < 0 else 0
     valid = max(-1, s.valid_to_q - penalty)
-    s = s._packed()
     width, rows, bounds = s.width, {}, {}
     for key, v in s.rows.items():
         e = j * key[0]
@@ -914,7 +877,7 @@ def shift_a_by_q(s: TruncatedSeries, j: int) -> TruncatedSeries:
 def swap_b_t(s: TruncatedSeries) -> TruncatedSeries:
     """Exchange the exponents of b and t in every monomial, and cap_b with cap_t."""
     a, b, t, q = s.profile.caps
-    s, profile = s._packed(), TruncationProfile(a, t, b, q)
+    profile = TruncationProfile(a, t, b, q)
     rows = {(k[0], k[2], k[1]): v for k, v in s.rows.items()}
     bounds = {(k[0], k[2], k[1]): v for k, v in s.bounds.items()}
     return s._with_rows(rows, bounds, s.den, profile=profile)
@@ -935,43 +898,39 @@ def coefficient(s: TruncatedSeries, m) -> Coeff:
         raise ValidityError(
             f"q-degree {m.e_q} is beyond the guaranteed region (valid to {s.valid_to_q})"
         )
-    return s.terms.get(m, 0)
+    # the whole row: a slot read alone would miss the borrows from the slots below it
+    digits = _unpack(s.rows.get(m[:3], 0), s.width)
+    d = digits[m.e_q] if m.e_q < len(digits) else 0
+    return d if s.den == 1 or not d else Fraction(d, s.den)
 
 
 def compare_series(x: TruncatedSeries, y: TruncatedSeries):
     """Mismatch rows (monomial, x-coeff, y-coeff) on the joint validity region.
 
     Only monomials with e_q <= min(valid_to_q) are compared; rows come back
-    in canonical monomial order.  Packed series over one denominator
-    compare row ints, and only unequal rows are unpacked.
+    in canonical monomial order.  Series over unequal denominators are
+    first scaled to their lcm; row ints are compared, and only unequal rows
+    (every row, when the widths differ) are unpacked.
     """
     if x.profile != y.profile:
         raise ProfileMismatchError(
             f"cannot compare series with profiles {x.profile.caps} vs {y.profile.caps}"
         )
     v = min(x.valid_to_q, y.valid_to_q)
-    rows = []
-    if x.rows is not None and y.rows is not None and x.den == y.den:
-        wx, wy, den = x.width, y.width, x.den
-        for k in x.rows.keys() | y.rows.keys():
-            rx, ry = x.rows.get(k, 0), y.rows.get(k, 0)
-            if wx == wy and rx == ry:
-                continue
-            dx, dy = _unpack(rx, wx), _unpack(ry, wy)
-            n = min(max(len(dx), len(dy)), v + 1)
-            dx += [0] * (n - len(dx))
-            dy += [0] * (n - len(dy))
-            a, b, t = k
-            rows += [(Monomial(a, b, t, q), cx, cy)
-                     for q, cx, cy in zip(range(n), dx, dy) if cx != cy]
-        if den != 1:
-            rows = [(m, Fraction(cx, den), Fraction(cy, den)) for m, cx, cy in rows]
-    elif x.terms != y.terms:  # equal maps leave no key to differ on, whatever the region
-        keys = {m for m in x.terms if m[3] <= v} | {m for m in y.terms if m[3] <= v}
-        for m in keys:
-            cx = x.terms.get(m, 0)
-            cy = y.terms.get(m, 0)
-            if cx != cy:
-                rows.append((Monomial(*m), cx, cy))
+    x, y = _over_one_den(x, y)
+    wx, wy, den, rows = x.width, y.width, x.den, []
+    for k in x.rows.keys() | y.rows.keys():
+        rx, ry = x.rows.get(k, 0), y.rows.get(k, 0)
+        if wx == wy and rx == ry:
+            continue
+        dx, dy = _unpack(rx, wx), _unpack(ry, wy)
+        n = min(max(len(dx), len(dy)), v + 1)
+        dx += [0] * (n - len(dx))
+        dy += [0] * (n - len(dy))
+        a, b, t = k
+        rows += [(Monomial(a, b, t, q), cx, cy)
+                 for q, cx, cy in zip(range(n), dx, dy) if cx != cy]
+    if den != 1:
+        rows = [(m, Fraction(cx, den), Fraction(cy, den)) for m, cx, cy in rows]
     rows.sort(key=lambda r: r[0].order_key())
     return rows

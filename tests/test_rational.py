@@ -515,3 +515,21 @@ def test_dense_series_reduces_once_and_converts():
     assert (list(c), c.den) == ([1, 0, -2, 3], 2)
     assert s.terms == {(0, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 2): -1, (0, 0, 0, 3): Fraction(3, 2)}
     assert s.valid_to_q == 3
+
+
+def test_dense_series_of_zero_and_of_negative_numerators():
+    zero = dense_series(Dense.zero(5), 5)
+    assert zero.is_zero() and zero.rows == {} and zero == TruncatedSeries.zero(q_only_profile(5))
+    s = dense_series(Dense([-3, 0, -6, 9, 0], 6), 4)
+    assert s.den == 2 and s.terms == {
+        (0, 0, 0, 0): Fraction(-1, 2), (0, 0, 0, 2): -1, (0, 0, 0, 3): Fraction(3, 2)}
+
+
+@given(st.lists(st.integers(-(2**100), 2**100), min_size=1, max_size=12), st.integers(1, 50))
+@settings(max_examples=60, deadline=None)
+def test_dense_series_packs_each_numerator(nums, den):
+    cap = len(nums) - 1
+    s = dense_series(Dense(nums, den), cap)
+    want = {(0, 0, 0, i): Fraction(x, den) for i, x in enumerate(nums) if x}
+    assert s.terms == want
+    assert s == TruncatedSeries(q_only_profile(cap), want)

@@ -1,5 +1,6 @@
 """Series engine: operation examples, error contracts, and ring properties."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,21 @@ def dense_mul(xs, ys, cap):
             if i + j > cap:
                 break
             out[i + j] += x * y
+    return out
+
+
+def ref_mul(x, y, caps):
+    """Independent sparse convolution of two term maps, over-cap terms dropped."""
+    out = {}
+    for mx, cx in x.items():
+        for my, cy in y.items():
+            m = tuple(e + f for e, f in zip(mx, my))
+            if all(e <= cap for e, cap in zip(m, caps)):
+                acc = out.get(m, 0) + cx * cy
+                if acc:
+                    out[m] = acc
+                else:
+                    out.pop(m, None)
     return out
 
 
@@ -116,6 +132,44 @@ def test_mul_geometric_cancellation_in_b():
     )
     one_minus_b = TruncatedSeries.one(PROF) - term(PROF, 1, b=1)
     assert one_minus_b * geom == TruncatedSeries.one(PROF)
+
+
+mul_coeffs = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+    # products of these need wider slots than either factor
+    st.sampled_from([2**40 + 1, -(2**45) - 7, Fraction(3**30, 7)]),
+)
+
+
+@st.composite
+def mul_series(draw):
+    """Series on KERNEL with small, Fraction or wide coefficients and any valid_to_q."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        m = Monomial(*(draw(st.integers(0, cap)) for cap in KERNEL.caps))
+        terms[m] = draw(mul_coeffs)
+    return TruncatedSeries(KERNEL, terms, draw(st.integers(0, KERNEL.cap_q)))
+
+
+@given(mul_series(), mul_series())
+@settings(max_examples=150, deadline=None)
+def test_packed_product_matches_sparse_reference(x, y):
+    got = x * y
+    assert got.terms == ref_mul(x.terms, y.terms, KERNEL.caps)
+    assert got.valid_to_q == min(x.valid_to_q, y.valid_to_q)
+    assert all(got.rows.values())  # rows that cancel or lie past cap_q are dropped
+    for key, row in got.rows.items():
+        digits = series._unpack(row, got.width)
+        assert sum(map(abs, digits)) <= got.bounds[key] < 2 ** (got.width - 2)
+
+
+def test_product_widens_and_cuts_past_cap_q():
+    x = term(KERNEL, 1) + term(KERNEL, 2**40, q=5)
+    got = x * x  # 2^80 q^10 lies past cap_q = 9, and its bound needs 96-bit slots
+    assert got.terms == {(0, 0, 0, 0): 1, (0, 0, 0, 5): 2**41}
+    assert (x.width, got.width) == (64, 96)
+    assert x * 0 == TruncatedSeries.zero(KERNEL) and 3 * x == x + x + x
 
 
 def test_mul_valid_to_q_is_min():
@@ -272,6 +326,20 @@ def test_coefficient_reads_and_zero():
     assert coefficient(TruncatedSeries.zero(PROF), Monomial(1, 1, 1, 1)) == 0
 
 
+def test_constructor_validates_then_packs_over_one_denominator():
+    with pytest.raises(NegativeExponentError):
+        TruncatedSeries(PROF, {(0, 0, 0, -1): 1})
+    with pytest.raises(SeriesError, match="exceeds the profile caps"):
+        TruncatedSeries(PROF, {(0, 0, 0, PROF.cap_q + 1): 1})
+    with pytest.raises(SeriesError, match="valid_to_q=9 exceeds cap_q=8"):
+        TruncatedSeries(PROF, {}, valid_to_q=9)
+    with pytest.raises(SeriesError, match="4 q-digits exceed"):
+        TruncatedSeries.from_q_digits(TruncationProfile(0, 0, 0, 2), [1, 2, 3, 4])
+    s = TruncatedSeries(PROF, {(1, 0, 0, 2): Fraction(1, 6), (1, 0, 0, 0): Fraction(-1, 4)})
+    assert s.den == 12 and s.rows == {(1, 0, 0): -3 + (2 << 2 * s.width)}
+    assert s.bounds == {(1, 0, 0): 5}
+
+
 def test_coefficient_outside_caps():
     with pytest.raises(ValidityError):
         coefficient(TruncatedSeries.one(PROF), Monomial(0, 0, 0, PROF.cap_q + 1))
@@ -288,6 +356,58 @@ def test_compare_series_reports_in_canonical_order():
     y = term(PROF, 2, q=1) + term(PROF, 1, a=1) + term(PROF, 1, b=1)
     rows = compare_series(x, y)
     assert [r[0] for r in rows] == [Monomial(0, 1, 0, 0), Monomial(0, 0, 0, 1)]
+
+
+def test_coefficient_reads_one_row_without_the_term_view(monkeypatch):
+    # Negative digits borrow from the slot above them: reading a slot alone
+    # would be off by one, so the whole row is unpacked.
+    s = (TruncatedSeries.one(KERNEL).over_binomial(Fraction(-2, 3), (0, 1, 0, 1))
+         .times_binomial(5, (1, 0, 0, 2)).over_binomial(-1, (0, 0, 0, 1)))
+    view = dict(s.terms)
+    assert any(c < 0 for c in view.values()) and s.den > 1
+
+    def unpacked(self):
+        raise AssertionError("the term view was read")
+
+    monkeypatch.setattr(TruncatedSeries, "terms", property(unpacked))
+    caps = [range(cap + 1) for cap in KERNEL.caps]
+    for m in itertools.product(*caps):
+        assert coefficient(s, m) == view.get(m, 0)
+
+
+def ref_compare(x, y):
+    """The term-map comparison: each monomial of the joint region whose coefficients differ."""
+    v = min(x.valid_to_q, y.valid_to_q)
+    keys = {m for m in x.terms if m[3] <= v} | {m for m in y.terms if m[3] <= v}
+    rows = [(Monomial(*m), x.terms.get(m, 0), y.terms.get(m, 0)) for m in keys]
+    return sorted((r for r in rows if r[1] != r[2]), key=lambda r: r[0].order_key())
+
+
+def test_compare_and_eq_across_unequal_denominators():
+    from qsid.cli import _format_verification_text, report_json, verification_report_to_dict
+    from qsid.identities import build_report
+
+    x = TruncatedSeries(PROF, {(0, 0, 0, 0): 1, (0, 1, 0, 2): -2, (1, 0, 0, 3): 5,
+                               (0, 0, 2, 7): 4}, valid_to_q=6)
+    y = TruncatedSeries(PROF, {(0, 0, 0, 0): 1, (0, 1, 0, 2): Fraction(1, 3), (1, 0, 0, 3): 5,
+                               (2, 0, 0, 1): Fraction(-4, 3), (0, 0, 2, 7): 7})
+    assert (x.den, y.den) == (1, 3)
+    want = [(Monomial(2, 0, 0, 1), 0, Fraction(-4, 3)), (Monomial(0, 1, 0, 2), -2, Fraction(1, 3))]
+    assert ref_compare(x, y) == want
+
+    def text(rows):
+        report = build_report("c", "formal", {}, None, "mismatch", rows, {}, 0.0)
+        doc = verification_report_to_dict(report)
+        del doc["volatile"]
+        return _format_verification_text(report) + report_json(doc)
+
+    for got, ref in ((compare_series(x, y), want), (compare_series(y, x), ref_compare(y, x))):
+        assert got == ref and text(got) == text(ref)
+    assert x != y and y != x
+    # the same values over den 6 equal y, row for row after alignment
+    y6 = TruncatedSeries(PROF, {m: 2 * c for m, c in y.terms.items()}) * Fraction(1, 2)
+    assert y6.den == 6 and y6 == y and compare_series(y6, y) == [] and compare_series(y, y6) == []
+    assert y - y6 == TruncatedSeries.zero(PROF) and (y - x) + x == y
 
 
 # ---------------------------------------------------------------- properties
@@ -395,8 +515,8 @@ binomial_coeffs = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_times_binomial_matches_product(s, c, m):
     got = s.times_binomial(c, m)
-    factor = TruncatedSeries(KERNEL, [(MONO_ONE, 1)] + ([(m, -c)] if KERNEL.admits(m) else []))
-    assert got == s * factor
+    factor = {MONO_ONE: 1, **({m: -c} if KERNEL.admits(m) else {})}
+    assert got.terms == ref_mul(s.terms, factor, KERNEL.caps)
     assert got.valid_to_q == s.valid_to_q
     assert 0 not in got.terms.values()
 
@@ -405,7 +525,10 @@ def test_times_binomial_matches_product(s, c, m):
 @settings(max_examples=200, deadline=None)
 def test_over_binomial_matches_inverse_product(s, c, m):
     got = s.over_binomial(c, m)
-    assert got == s * invert_one_minus(TruncatedSeries.term(KERNEL, c, *m))
+    # 1 / (1 - c*x^m) is the sum of the powers c^j x^(j*m) within the caps
+    powers = ((j, tuple(j * e for e in m)) for j in range(sum(KERNEL.caps) + 1))
+    inverse = {p: Fraction(c) ** j for j, p in powers if KERNEL.admits(p)}
+    assert got.terms == ref_mul(s.terms, inverse, KERNEL.caps)
     assert got.valid_to_q == s.valid_to_q
     assert 0 not in got.terms.values()
     assert got.times_binomial(c, m) == s
@@ -431,13 +554,15 @@ def test_binomial_rejects_negative_exponent():
 def test_compare_fast_path_is_not_fooled_by_stored_zeros():
     x = term(PROF, 1, q=1) + term(PROF, 2, b=1)
     assert compare_series(x, TruncatedSeries(PROF, x.terms, valid_to_q=3)) == []
-    # A stored zero (only _raw can make one) makes the maps differ, so the
-    # full comparison runs and still finds the series equal ...
-    padded = TruncatedSeries._raw(PROF, {**x.terms, Monomial(1, 0, 0, 0): 0}, 8)
-    assert padded.terms != x.terms
-    assert compare_series(padded, x) == []
+    # An explicit zero coefficient, or two that cancel, leaves no row, so
+    # the series stays equal to x row for row ...
+    padded = TruncatedSeries(
+        PROF, [*x.terms.items(), (Monomial(1, 0, 0, 0), 0), ((0, 0, 1, 2), 5), ((0, 0, 1, 2), -5)]
+    )
+    assert padded.rows == x.rows and padded.bounds == x.bounds
+    assert compare_series(padded, x) == [] and padded == x
     # ... and a real difference next to it is still reported.
-    other = TruncatedSeries._raw(PROF, {**padded.terms, Monomial(0, 0, 0, 1): 3}, 8)
+    other = TruncatedSeries(PROF, {**x.terms, Monomial(1, 0, 0, 0): 0, Monomial(0, 0, 0, 1): 3})
     assert compare_series(other, x) == [(Monomial(0, 0, 0, 1), 3, 1)]
 
 
@@ -534,7 +659,6 @@ pass_steps = st.lists(
 def run_passes(s, steps):
     """The packed series and the dict reference after the same pass sequence."""
     ref, caps = dict(s.terms), KERNEL.caps
-    s = s._packed()  # a pass whose monomial is over the caps returns its input
     for op, c, m in steps:
         if op == "over" or op == "over then times":
             s, ref = s.over_binomial(c, m), dict_over_binomial(ref, caps, c, m)
@@ -555,7 +679,6 @@ def run_passes(s, steps):
 @settings(max_examples=100, deadline=None)
 def test_packed_passes_match_dict_reference(s, steps):
     got, ref = run_passes(s, steps)
-    assert got.rows is not None
     assert got.terms == ref
     assert got.valid_to_q == s.valid_to_q
     assert all(got.rows.values())  # a row that cancels to zero is dropped
@@ -632,4 +755,3 @@ def test_shift_a_moves_each_term(x, j):
         return
     got = shift_a_by_q(x, j)
     assert got.terms == {m: c for m, c in moved.items() if m[3] <= SMALL.cap_q}
-    assert got == shift_a_by_q(x._packed(), j)
