@@ -51,6 +51,7 @@ from .identities import (  # noqa: F401
     Check,
     IdentityCase,
     Mismatch,
+    MismatchTable,
     VerificationReport,
     build_eq31_partition_side,
     build_eq31_side,

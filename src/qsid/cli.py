@@ -12,6 +12,9 @@ JSON schema for ``verify``:
      mismatches: [{monomial: {a, b, t, q}, lhs: "p/q", rhs: "p/q"}],
      details: {...}, volatile: {duration_ms, version}}
 
+``lhs`` and ``rhs`` are written as ``str(Fraction)`` writes them ("-1",
+"1/3"); the writer fills them in straight from the report's integer rows.
+
 Monomials on the command line are concatenated variable-exponent tokens,
 e.g. ``a1b1t1q2``; omitted variables have exponent 0.  Rational parameters
 are exact ``p/q`` strings; no floats anywhere.
@@ -26,8 +29,9 @@ import json
 import os
 import re
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -42,7 +46,7 @@ from .bijections import (
     sigma_gamma,
     two_modular_conjugate,
 )
-from .identities import CASES, VerificationReport, run_case
+from .identities import CASES, MismatchTable, VerificationReport, run_case
 from .partitions import (
     ConstraintSet,
     Partition,
@@ -99,15 +103,16 @@ def _graded_rows(rows, *names: str) -> List[Dict[str, object]]:
 
 
 def verification_report_to_dict(report: VerificationReport) -> Dict[str, object]:
-    """The JSON object of a verify report, in the schema above."""
+    """The JSON object of a verify report, in the schema above.
+
+    The mismatch table is carried as the report's ``MismatchTable``, which
+    ``report_json`` writes from its ints; no row becomes a dict.
+    """
     out: Dict[str, object] = {"case": report.case, "mode": report.mode, "caps": report.caps}
     if report.assignment is not None:
         out["assignment"] = report.assignment
     out["status"] = report.status
-    out["mismatches"] = [
-        {"monomial": _monomial_dict(row.monomial), "lhs": str(row.lhs), "rhs": str(row.rhs)}
-        for row in report.mismatches
-    ]
+    out["mismatches"] = report.mismatches
     out["details"] = report.details
     out["volatile"] = _volatile(report.duration_ms)
     return out
@@ -157,10 +162,13 @@ def report_json(report: object) -> str:
 
     With ``indent`` set the stdlib encoder runs in pure Python.  This
     writer joins strings instead: a list of ints in one join, a list of
-    rows of one shape (mismatch rows, graded rows) from one template, and
-    a ``PartitionFamily`` (written as its list of partitions) from its
-    blocks.  What it has no path for (floats, True, False, None,
-    non-string keys) goes through ``json.dumps``.
+    rows of one shape (graded rows) from one template, a
+    ``MismatchTable`` (written as its list of
+    ``{monomial: {a, b, t, q}, lhs, rhs}`` rows) from one row template
+    filled straight from its ints, and a ``PartitionFamily`` (written as
+    its list of partitions) from its blocks.  What it has no path for
+    (floats, True, False, None, non-string keys) goes through
+    ``json.dumps``.
     """
     return _json(report, "\n")
 
@@ -183,6 +191,8 @@ def _json(value: object, nl: str) -> str:
         else:
             items = _rows_json(value, inner) or [_json(x, inner) for x in value]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(value, MismatchTable):
+        return _table_json(value, nl)
     if isinstance(value, PartitionFamily):
         if not len(value):
             return "[]"
@@ -244,6 +254,30 @@ def _rows_json(rows, nl: str) -> Optional[List[str]]:
         written.append(map(int.__repr__ if kinds == {int} else _encode_str, column))
     template = "{" + inner + ("," + inner).join(parts) + nl + "}"
     return [template % values for values in zip(*written)]
+
+
+def _value_text(x: int, den: int) -> str:
+    """``str(Fraction(x, den))``, without building the Fraction."""
+    g = gcd(x, den)
+    return int.__repr__(x // g) if g == den else f"{x // g}/{den // g}"
+
+
+def _table_json(table: MismatchTable, nl: str) -> str:
+    """The table written after ``nl`` as ``json.dumps`` writes its rows'
+    dicts, each row one fill of one template."""
+    if not table.rows:
+        return "[]"
+    inner, field, sub = nl + "  ", nl + "    ", nl + "      "
+    monomial = "{" + sub + ("," + sub).join(_field(k) + "%s" for k in "abtq") + field + "}"
+    template = ("{" + field + _field("monomial") + monomial + "," + field + _field("lhs")
+                + '"%s",' + field + _field("rhs") + '"%s"' + inner + "}")
+    den = table.den
+    if den == 1:
+        items = [template % (a, b, t, q, x, y) for q, a, b, t, x, y in table.rows]
+    else:
+        items = [template % (a, b, t, q, _value_text(x, den), _value_text(y, den))
+                 for q, a, b, t, x, y in table.rows]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 
 def _family_chunks(family: PartitionFamily, start: str, sep: str, end: str,
@@ -418,10 +452,8 @@ def cmd_enumerate(args) -> _Result:
     )
     total, limit = count_partitions(constraints), env_enum_limit()
     if total > limit:
-        # Decimal prints an int of any size; str() refuses one longer than
-        # sys.get_int_max_str_digits(), which a closed-form count can be.
         raise SeriesError(
-            f"the constraints enumerate {Decimal(total)} partitions, over the limit {limit}"
+            f"the constraints enumerate {_int_text(total)} partitions, over the limit {limit}"
         )
     family = partition_family(constraints)
     return (
@@ -429,6 +461,39 @@ def cmd_enumerate(args) -> _Result:
         lambda: report_json({"count": len(family), "partitions": family}),
         lambda: "\n".join(_family_chunks(family, "", ",", "", "()", "\n")),
     )
+
+
+# ints of at most this many bits are converted by Decimal() directly
+_SPLIT_BITS = 4096
+
+
+def _int_text(n: int) -> str:
+    """The decimal digits of an int n >= 0 of any size.
+
+    ``str()`` refuses an int longer than ``sys.get_int_max_str_digits()``
+    digits, which a closed-form count can be, and ``Decimal(n)`` takes
+    time quadratic in its length.  Here n is split at bit k into
+    hi*2^k + lo, each half converted the same way, and the halves joined
+    by one multiply and one add in an exact decimal context (any rounding
+    traps on ``Inexact``), where a long multiply is fast.
+    """
+    powers: Dict[int, Decimal] = {}
+
+    def power(k: int) -> Decimal:  # 2^k
+        if k not in powers:
+            powers[k] = (Decimal(1 << k) if k <= _SPLIT_BITS
+                         else power(k // 2) * power(k - k // 2))
+        return powers[k]
+
+    def convert(n: int, bits: int) -> Decimal:
+        if bits <= _SPLIT_BITS:
+            return Decimal(n)
+        k = bits // 2
+        hi = n >> k
+        return convert(hi, bits - k) * power(k) + convert(n - (hi << k), k)
+
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
+        return str(convert(n, n.bit_length()))
 
 
 _MAP_OPS = ("gamma", "gamma-inverse", "sigma", "gamma-sigma")

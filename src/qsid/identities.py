@@ -40,9 +40,11 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .partitions import ConstraintSet, count_partitions, enumerate_partitions, env_enum_limit
 from .rational import (
@@ -81,6 +83,7 @@ __all__ = [
     "Check",
     "IdentityCase",
     "Mismatch",
+    "MismatchTable",
     "VerificationReport",
     "build_eq31_partition_side",
     "build_eq31_side",
@@ -99,11 +102,60 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Mismatch:
-    """One disagreeing monomial with the two coefficient values."""
+    """One disagreeing monomial with the two coefficient values: one row of a
+    ``MismatchTable`` as it is read."""
 
     monomial: Monomial
     lhs: Fraction
     rhs: Fraction
+
+
+class MismatchTable(Sequence):
+    """A report's mismatch table, held as ints and read as ``Mismatch`` objects.
+
+    ``rows`` are ``compare_series`` rows (e_q, e_a, e_b, e_t, lhs, rhs),
+    the values over ``den``; a table of one comparison is sorted, which is
+    canonical monomial order.  A row becomes a ``Mismatch`` only when it is
+    read: ``len`` and the JSON writer build none.
+    """
+
+    __slots__ = ("rows", "den")
+
+    def __init__(self, rows: Sequence[tuple] = (), den: int = 1):
+        self.rows, self.den = list(rows), den
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._read(row) for row in self.rows[i]]
+        return self._read(self.rows[i])
+
+    def _read(self, row: tuple) -> Mismatch:
+        q, a, b, t, x, y = row
+        return Mismatch(Monomial(a, b, t, q), Fraction(x, self.den), Fraction(y, self.den))
+
+    def __eq__(self, other):
+        if isinstance(other, MismatchTable) and other.den == self.den:
+            return self.rows == other.rows
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<MismatchTable {len(self.rows)} rows over {self.den}>"
+
+
+def _joined(tables: Sequence[MismatchTable]) -> MismatchTable:
+    """The tables' rows one after another, over the lcm of their denominators."""
+    den, rows = lcm(*(table.den for table in tables)), []
+    for table in tables:
+        k = den // table.den
+        rows += table.rows if k == 1 else [(*r[:4], r[4] * k, r[5] * k) for r in table.rows]
+    return MismatchTable(rows, den)
 
 
 @dataclass
@@ -112,9 +164,10 @@ class VerificationReport:
 
     ``status`` is "verified" when the mismatch table is empty on the joint
     validity region, "mismatch" otherwise, and "error" when the check could
-    not be carried out.  ``details`` holds deterministic diagnostics only
-    (summation bounds, which printed variant matched, joint validity);
-    wall-clock time lives in the volatile section of serialized output.
+    not be carried out.  ``mismatches`` is the table as a ``MismatchTable``.
+    ``details`` holds deterministic diagnostics only (summation bounds,
+    which printed variant matched, joint validity); wall-clock time lives
+    in the volatile section of serialized output.
     """
 
     case: str
@@ -122,7 +175,7 @@ class VerificationReport:
     caps: Dict[str, int]
     assignment: Optional[Dict[str, str]]
     status: str
-    mismatches: List[Mismatch] = field(default_factory=list)
+    mismatches: MismatchTable = field(default_factory=MismatchTable)
     details: Dict[str, object] = field(default_factory=dict)
     duration_ms: float = 0.0
 
@@ -137,18 +190,18 @@ def build_report(
     caps: Dict[str, int],
     assignment: Optional[Dict[str, str]],
     status: str,
-    rows: Sequence[tuple],
+    mismatches: MismatchTable,
     details: Dict[str, object],
     started: float,
 ) -> VerificationReport:
-    """Assemble a report from (monomial, lhs, rhs) rows, timed from ``started``."""
+    """Assemble a report with its mismatch table, timed from ``started``."""
     return VerificationReport(
         case=case,
         mode=mode,
         caps=caps,
         assignment=assignment,
         status=status,
-        mismatches=[Mismatch(m, Fraction(x), Fraction(y)) for m, x, y in rows],
+        mismatches=mismatches,
         details=details,
         duration_ms=(time.perf_counter() - started) * 1000.0,
     )
@@ -678,7 +731,7 @@ class _Run:
         self.profile = profile
         self.assign = assign
         self.cap_q = cap_q
-        self.rows: Dict[str, list] = {}  # mismatch rows against each candidate side
+        self.rows: Dict[str, MismatchTable] = {}  # mismatches against each candidate side
         self.matched = "none"
         self._built: Dict[str, TruncatedSeries] = {}
 
@@ -945,7 +998,7 @@ def run_case(
     for precondition in check.preconditions:
         precondition(run)
 
-    status, table = "verified", []
+    status, failed = "verified", []
     for left, *candidates in check.comparisons:
         for candidate in candidates:
             low = min((left, candidate), key=lambda side: run[side].valid_to_q)
@@ -956,21 +1009,22 @@ def run_case(
                     f"(valid_to_q = {run[low].valid_to_q})"
                 )
                 return build_report(
-                    name, mode, caps, assignment, "error", [], {"error": error}, started
+                    name, mode, caps, assignment, "error", MismatchTable(), {"error": error},
+                    started,
                 )
-            run.rows[candidate] = compare_series(run[left], run[candidate])
+            run.rows[candidate] = MismatchTable(*compare_series(run[left], run[candidate]))
         matched = next((c for c in candidates if not run.rows[c]), None)
         if len(candidates) > 1:
             run.matched = matched or "none"
         if matched is None:
             status = "mismatch"
-            table += run.rows[candidates[0]]
+            failed.append(run.rows[candidates[0]])
     details = check.details(run)
     if mode == "formal":
         left, first, *_ = check.comparisons[0]
         details = {"joint_valid_to_q": min(run[left].valid_to_q, run[first].valid_to_q),
                    **details}
-    return build_report(name, mode, caps, assignment, status, table, details, started)
+    return build_report(name, mode, caps, assignment, status, _joined(failed), details, started)
 
 
 def rational_series_eval(

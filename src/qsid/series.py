@@ -53,10 +53,10 @@ first use; equal rows compare as equal ints, without unpacking.
 Every series lives on rows.  A term map given to the constructor
 (``TruncatedSeries(profile, terms)``) is packed at once, over the lcm of
 its coefficients' denominators, and ``from_q_digits`` packs a list of
-q-numerators straight into one row.  ``+`` and ``==`` first bring two
-series over one denominator and to one W; ``*`` multiplies each pair of
-rows as two ints, a product row's bound being the sum of the pairs'
-bound products.
+q-numerators straight into one row.  ``+``, ``==`` and ``compare_series``
+first bring two series over one denominator and to one W; ``*``
+multiplies each pair of rows as two ints, a product row's bound being the
+sum of the pairs' bound products.
 
     >>> prof = TruncationProfile(cap_a=0, cap_b=2, cap_t=0, cap_q=4)
     >>> b = TruncatedSeries.term(prof, 1, e_b=1)
@@ -905,12 +905,20 @@ def coefficient(s: TruncatedSeries, m) -> Coeff:
 
 
 def compare_series(x: TruncatedSeries, y: TruncatedSeries):
-    """Mismatch rows (monomial, x-coeff, y-coeff) on the joint validity region.
+    """Mismatch rows on the joint validity region, as ``(rows, den)``.
 
-    Only monomials with e_q <= min(valid_to_q) are compared; rows come back
-    in canonical monomial order.  Series over unequal denominators are
-    first scaled to their lcm; row ints are compared, and only unequal rows
-    (every row, when the widths differ) are unpacked.
+    A row is the int tuple (e_q, e_a, e_b, e_t, x_num, y_num) of a
+    monomial whose coefficients differ, those being x_num/den and
+    y_num/den; sorted rows are in canonical monomial order.  Only monomials
+    with e_q <= min(valid_to_q) are compared.  The series are brought to
+    one denominator and the narrower one is widened to the other's slot
+    width, once; equal row ints are then skipped, and only unequal rows are
+    unpacked, each side at its own width.
+
+    >>> prof = TruncationProfile(1, 1, 0, 3)
+    >>> x = TruncatedSeries.term(prof, 1, e_b=1) + TruncatedSeries.term(prof, 2, e_q=3)
+    >>> compare_series(x, TruncatedSeries.term(prof, Fraction(1, 2), e_b=1))
+    ([(0, 0, 1, 0, 2, 1), (3, 0, 0, 0, 4, 0)], 2)
     """
     if x.profile != y.profile:
         raise ProfileMismatchError(
@@ -918,19 +926,17 @@ def compare_series(x: TruncatedSeries, y: TruncatedSeries):
         )
     v = min(x.valid_to_q, y.valid_to_q)
     x, y = _over_one_den(x, y)
-    wx, wy, den, rows = x.width, y.width, x.den, []
-    for k in x.rows.keys() | y.rows.keys():
-        rx, ry = x.rows.get(k, 0), y.rows.get(k, 0)
-        if wx == wy and rx == ry:
+    wide_x, wide_y = _aligned(x, y)
+    rows = []
+    for k in wide_x.rows.keys() | wide_y.rows.keys():
+        if wide_x.rows.get(k, 0) == wide_y.rows.get(k, 0):
             continue
-        dx, dy = _unpack(rx, wx), _unpack(ry, wy)
+        # each side unpacked at its own width: a narrow one takes the fast path
+        dx, dy = _unpack(x.rows.get(k, 0), x.width), _unpack(y.rows.get(k, 0), y.width)
         n = min(max(len(dx), len(dy)), v + 1)
         dx += [0] * (n - len(dx))
         dy += [0] * (n - len(dy))
         a, b, t = k
-        rows += [(Monomial(a, b, t, q), cx, cy)
-                 for q, cx, cy in zip(range(n), dx, dy) if cx != cy]
-    if den != 1:
-        rows = [(m, Fraction(cx, den), Fraction(cy, den)) for m, cx, cy in rows]
-    rows.sort(key=lambda r: r[0].order_key())
-    return rows
+        rows += [(q, a, b, t, cx, cy) for q, cx, cy in zip(range(n), dx, dy) if cx != cy]
+    rows.sort()
+    return rows, x.den

@@ -20,6 +20,7 @@ import qsid
 from qsid.bijections import BijectionBox, audit_bijection
 from qsid.cli import (
     audit_report_to_dict,
+    report_json,
     strip_volatile,
     verification_report_to_dict,
 )
@@ -239,7 +240,7 @@ def test_criterion_10_determinism_across_processes():
     src = str(Path(qsid.__file__).resolve().parents[1])
     ok = True
     for argv, report in in_process.items():
-        expected = json.dumps(strip_volatile(report), indent=2)
+        expected = report_json(strip_volatile(report))
         for seed in ("1", "2"):
             env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
             out = subprocess.run(

@@ -2,12 +2,14 @@
 
 import dataclasses
 import hashlib
+from decimal import Decimal
 import json
 import os
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -29,12 +31,12 @@ from qsid.cli import (
     strip_volatile,
     verification_report_to_dict,
 )
-from qsid import bijections
+from qsid import bijections, identities
 from qsid.bijections import BijectionBox, audit_bijection
 from qsid.partitions import Partition
-from qsid.identities import run_case
+from qsid.identities import Mismatch, MismatchTable, build_report, build_thm31_side, run_case
 from qsid.rational import RationalAssignment
-from qsid.series import Monomial, SeriesError, TruncationProfile
+from qsid.series import Monomial, SeriesError, TruncatedSeries, TruncationProfile
 
 
 def run_cli(capsys, *argv):
@@ -408,7 +410,8 @@ def test_report_encoders_match_cli_reports(capsys):
     )
     assert code == EXIT_OK
     report = run_case("thm3_5", "formal", profile=TruncationProfile(0, 4, 0, 12))
-    encoded = json.loads(json.dumps(verification_report_to_dict(report)))
+    # the dict carries the report's mismatch table, which report_json writes
+    encoded = json.loads(report_json(verification_report_to_dict(report)))
     assert strip_volatile(encoded) == strip_volatile(json.loads(out))
 
     code, out, _ = run_cli(capsys, "audit", "--j", "1", "--M", "2", "--format", "json")
@@ -575,6 +578,15 @@ def test_enumerate_refusal_prints_counts_of_any_length(capsys, monkeypatch):
     assert digits.isdigit() and len(digits) > sys.get_int_max_str_digits()
 
 
+def test_int_text_is_the_decimal_text():
+    base = cli._SPLIT_BITS  # ints of more bits are split
+    around = (base - 1, base, base + 1, 2 * base, 2 * base + 1, 5 * base + 3)
+    for n in (0, 1, 9, 10, 12345, 2**64 - 1, 2**64, 2**64 + 1, 10**19 - 1, 10**1233 - 1,
+              10**1234 - 1, *(2**k + d for k in around for d in (-1, 0, 1)),
+              10**5000 - 1, 7**9000):
+        assert cli._int_text(n) == str(Decimal(n)), n.bit_length()
+
+
 def test_enumerate_limit_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("QSID_ENUM_LIMIT", "3")
     code, _, err = run_cli(capsys, "enumerate", "--weight", "5", "--odd-distinct")
@@ -654,3 +666,119 @@ def test_every_report_is_written_as_json_dumps_writes_it(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code in (EXIT_OK, EXIT_MISMATCH)
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# ------------------------------------------------------------ mismatch tables
+
+
+def _ref_rows(x, y):
+    """The term-map comparison of two series: (monomial, x-coeff, y-coeff)
+    Fraction rows, as the checker's tables once held them."""
+    v = min(x.valid_to_q, y.valid_to_q)
+    keys = {m for m in x.terms if m[3] <= v} | {m for m in y.terms if m[3] <= v}
+    rows = [(Monomial(*m), Fraction(x.terms.get(m, 0)), Fraction(y.terms.get(m, 0)))
+            for m in keys]
+    return sorted((r for r in rows if r[1] != r[2]), key=lambda r: r[0].order_key())
+
+
+def _ref_json(report, rows):
+    """The report without its volatile section, written as the writer wrote it
+    from Fraction rows: ``json.dumps(indent=2)`` of one dict per row."""
+    doc = strip_volatile(verification_report_to_dict(report))
+    doc["mismatches"] = [
+        {"monomial": {"a": m.e_a, "b": m.e_b, "t": m.e_t, "q": m.e_q},
+         "lhs": str(x), "rhs": str(y)}
+        for m, x, y in rows
+    ]
+    return json.dumps(doc, indent=2)
+
+
+def _ref_text_rows(rows, limit=25):
+    return [f"  {m}: lhs={x} rhs={y}" for m, x, y in rows[:limit]]
+
+
+def _assert_written_as_reference(report, rows):
+    assert report_json(strip_volatile(verification_report_to_dict(report))) == _ref_json(
+        report, rows)
+    text = cli._format_verification_text(report).split("\n")
+    if rows:
+        assert text[-min(len(rows), 25):] == _ref_text_rows(rows)
+        assert text[-min(len(rows), 25) - 1] == f"mismatches ({len(rows)} shown up to 25):"
+    else:
+        assert not text[-1].startswith("mismatches")
+
+
+def test_thm34_table_at_the_heavy_caps_is_written_as_from_fractions():
+    prof = TruncationProfile(12, 12, 12, 88)
+    report = run_case("thm3_4", profile=prof)
+    rows = _ref_rows(build_thm31_side("3_4_left", prof), build_thm31_side("3_4_right", prof))
+    assert report.mismatches.den == 1 and len(rows) > 1500
+    assert [(r.monomial, r.lhs, r.rhs) for r in report.mismatches] == rows
+    _assert_written_as_reference(report, rows)
+
+
+def test_table_over_a_denominator_is_written_reduced():
+    # x/6 for x = 2, -3, 6, 0 and 4, -4, -12, -1: 1/3, -1/2, 1, 0, 2/3, -2/3, -2, -1/6
+    table = MismatchTable([(0, 0, 0, 0, 2, 0), (1, 1, 0, 0, -3, 4), (2, 0, 1, 1, 6, -4),
+                           (3, 2, 2, 2, 0, -12), (3, 2, 2, 3, 0, -1)], 6)
+    rows = [(Monomial(a, b, t, q), Fraction(x, 6), Fraction(y, 6))
+            for q, a, b, t, x, y in table.rows]
+    report = build_report("c", "formal", {}, None, "mismatch", table, {}, 0.0)
+    _assert_written_as_reference(report, rows)
+    doc = json.loads(report_json(verification_report_to_dict(report)))
+    assert [(r["lhs"], r["rhs"]) for r in doc["mismatches"]] == [
+        ("1/3", "0"), ("-1/2", "2/3"), ("1", "-2/3"), ("0", "-2"), ("0", "-1/6")]
+
+
+def test_empty_table_is_written_as_an_empty_list():
+    for table in (MismatchTable(), MismatchTable([], 6)):
+        report = build_report("c", "formal", {}, None, "verified", table, {}, 0.0)
+        _assert_written_as_reference(report, [])
+        assert '"mismatches": [],' in report_json(verification_report_to_dict(report))
+
+
+def test_two_failed_comparisons_join_over_one_denominator(monkeypatch):
+    # eq3_1_consistency compares its left side with the substitution path
+    # and with the reflection; the two perturbed sides differ over 2 and 3.
+    prof = TruncationProfile(2, 2, 2, 6)
+    check = identities.CASES["eq3_1_consistency"].checks["formal"]
+    for side, extra in (("substitution path", Fraction(1, 2)), ("right", Fraction(-2, 3))):
+        def perturbed(run, build=check.sides[side], extra=extra):
+            return build(run) + extra
+
+        monkeypatch.setitem(check.sides, side, perturbed)
+    report = run_case("eq3_1_consistency", profile=prof)
+    run = identities._Run(check, profile=prof)
+    rows = (_ref_rows(run["left"], run["substitution path"])
+            + _ref_rows(run["left"], run["right"]))
+    assert report.status == "mismatch" and report.mismatches.den == 6
+    assert report.details["construction_mismatch_count"] == 1
+    assert report.details["symmetry_mismatch_count"] == 1
+    assert [(r.monomial, r.lhs, r.rhs) for r in report.mismatches] == rows
+    _assert_written_as_reference(report, rows)
+
+
+def test_mismatch_table_is_read_lazily(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Mismatch was built")
+
+    monkeypatch.setattr(identities, "Mismatch", refuse)
+    report = run_case("thm3_4", profile=TruncationProfile(4, 4, 0, 12))
+    assert len(report.mismatches) > 25 and report.mismatches
+    assert '"lhs": "0"' in report_json(verification_report_to_dict(report))
+    code, out, _ = run_cli(capsys, "verify", "--identity", "thm3_4", "--amax", "4",
+                           "--bmax", "4", "--tmax", "0", "--qmax", "12", "--format", "json")
+    assert code == EXIT_MISMATCH and len(json.loads(out)["mismatches"]) == len(report.mismatches)
+    # details count the rows of each comparison without reading them
+    check = identities.CASES["thm1_1"].checks["formal"]
+    monkeypatch.setitem(check.sides, "right", lambda run, build=check.sides["right"]:
+                        build(run) + TruncatedSeries.term(run.profile, 1, e_b=1, e_q=3))
+    swapped = run_case("thm1_1", profile=TruncationProfile(3, 3, 3, 8))
+    assert swapped.details["swap_mismatch_count"] == 1
+    assert not swapped.details["swap_fixed_point"]
+
+    built = []
+    monkeypatch.setattr(identities, "Mismatch", lambda *row: built.append(row) or Mismatch(*row))
+    text = cli._format_verification_text(report)
+    assert len(built) == 25
+    assert text.split("\n")[-25:] == [f"  {m}: lhs={x} rhs={y}" for m, x, y in built]

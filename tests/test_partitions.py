@@ -24,7 +24,6 @@ from qsid.partitions import (
 )
 from qsid.series import (
     MONO_ONE,
-    Monomial,
     SeriesError,
     TruncatedSeries,
     TruncationProfile,
@@ -628,11 +627,11 @@ def test_term_map_side_compares_with_the_packed_side():
     # The enumerated side is packed from a term map; the series side is built on rows.
     prof = TruncationProfile(3, 5, 3, 14)
     enumerated, packed = build_eq31_partition_side(prof), build_eq31_side(prof)
-    assert compare_series(enumerated, packed) == [] and enumerated == packed
+    assert compare_series(enumerated, packed) == ([], 1) and enumerated == packed
     terms = dict(enumerated.terms)
     terms[(1, 2, 2, 13)] = terms.get((1, 2, 2, 13), 0) + 1
     wrong = TruncatedSeries(prof, terms)
-    assert compare_series(packed, wrong) == [
-        (Monomial(1, 2, 2, 13), packed.terms.get((1, 2, 2, 13), 0), terms[(1, 2, 2, 13)])
-    ]
+    assert compare_series(packed, wrong) == (
+        [(13, 1, 2, 2, packed.terms.get((1, 2, 2, 13), 0), terms[(1, 2, 2, 13)])], 1
+    )
     assert wrong != packed

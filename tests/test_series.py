@@ -354,8 +354,8 @@ def test_coefficient_outside_validity():
 def test_compare_series_reports_in_canonical_order():
     x = term(PROF, 1, q=1) + term(PROF, 1, a=1)
     y = term(PROF, 2, q=1) + term(PROF, 1, a=1) + term(PROF, 1, b=1)
-    rows = compare_series(x, y)
-    assert [r[0] for r in rows] == [Monomial(0, 1, 0, 0), Monomial(0, 0, 0, 1)]
+    # rows (e_q, e_a, e_b, e_t, x, y): b before q
+    assert compare_series(x, y) == ([(0, 0, 1, 0, 0, 1), (1, 0, 0, 0, 1, 2)], 1)
 
 
 def test_coefficient_reads_one_row_without_the_term_view(monkeypatch):
@@ -383,10 +383,13 @@ def ref_compare(x, y):
     return sorted((r for r in rows if r[1] != r[2]), key=lambda r: r[0].order_key())
 
 
-def test_compare_and_eq_across_unequal_denominators():
-    from qsid.cli import _format_verification_text, report_json, verification_report_to_dict
-    from qsid.identities import build_report
+def as_terms(rows, den):
+    """compare_series rows as ref_compare rows: (monomial, x-coeff, y-coeff)."""
+    return [(Monomial(a, b, t, q), Fraction(cx, den), Fraction(cy, den))
+            for q, a, b, t, cx, cy in rows]
 
+
+def test_compare_and_eq_across_unequal_denominators():
     x = TruncatedSeries(PROF, {(0, 0, 0, 0): 1, (0, 1, 0, 2): -2, (1, 0, 0, 3): 5,
                                (0, 0, 2, 7): 4}, valid_to_q=6)
     y = TruncatedSeries(PROF, {(0, 0, 0, 0): 1, (0, 1, 0, 2): Fraction(1, 3), (1, 0, 0, 3): 5,
@@ -394,19 +397,16 @@ def test_compare_and_eq_across_unequal_denominators():
     assert (x.den, y.den) == (1, 3)
     want = [(Monomial(2, 0, 0, 1), 0, Fraction(-4, 3)), (Monomial(0, 1, 0, 2), -2, Fraction(1, 3))]
     assert ref_compare(x, y) == want
-
-    def text(rows):
-        report = build_report("c", "formal", {}, None, "mismatch", rows, {}, 0.0)
-        doc = verification_report_to_dict(report)
-        del doc["volatile"]
-        return _format_verification_text(report) + report_json(doc)
-
+    # x's numerators are scaled to y's denominator 3
+    assert compare_series(x, y) == ([(1, 2, 0, 0, 0, -4), (2, 0, 1, 0, -6, 1)], 3)
+    assert compare_series(y, x) == ([(1, 2, 0, 0, -4, 0), (2, 0, 1, 0, 1, -6)], 3)
     for got, ref in ((compare_series(x, y), want), (compare_series(y, x), ref_compare(y, x))):
-        assert got == ref and text(got) == text(ref)
+        assert as_terms(*got) == ref
     assert x != y and y != x
     # the same values over den 6 equal y, row for row after alignment
     y6 = TruncatedSeries(PROF, {m: 2 * c for m, c in y.terms.items()}) * Fraction(1, 2)
-    assert y6.den == 6 and y6 == y and compare_series(y6, y) == [] and compare_series(y, y6) == []
+    assert y6.den == 6 and y6 == y
+    assert compare_series(y6, y) == ([], 6) and compare_series(y, y6) == ([], 6)
     assert y - y6 == TruncatedSeries.zero(PROF) and (y - x) + x == y
 
 
@@ -553,17 +553,17 @@ def test_binomial_rejects_negative_exponent():
 
 def test_compare_fast_path_is_not_fooled_by_stored_zeros():
     x = term(PROF, 1, q=1) + term(PROF, 2, b=1)
-    assert compare_series(x, TruncatedSeries(PROF, x.terms, valid_to_q=3)) == []
+    assert compare_series(x, TruncatedSeries(PROF, x.terms, valid_to_q=3)) == ([], 1)
     # An explicit zero coefficient, or two that cancel, leaves no row, so
     # the series stays equal to x row for row ...
     padded = TruncatedSeries(
         PROF, [*x.terms.items(), (Monomial(1, 0, 0, 0), 0), ((0, 0, 1, 2), 5), ((0, 0, 1, 2), -5)]
     )
     assert padded.rows == x.rows and padded.bounds == x.bounds
-    assert compare_series(padded, x) == [] and padded == x
+    assert compare_series(padded, x) == ([], 1) and padded == x
     # ... and a real difference next to it is still reported.
     other = TruncatedSeries(PROF, {**x.terms, Monomial(1, 0, 0, 0): 0, Monomial(0, 0, 0, 1): 3})
-    assert compare_series(other, x) == [(Monomial(0, 0, 0, 1), 3, 1)]
+    assert compare_series(other, x) == ([(1, 0, 0, 0, 3, 1)], 1)
 
 
 # ------------------------------------------------------------- packed q-rows
