@@ -145,9 +145,6 @@ class MismatchTable(Sequence):
 
     __hash__ = None
 
-    def __repr__(self) -> str:
-        return f"<MismatchTable {len(self.rows)} rows over {self.den}>"
-
 
 def _joined(tables: Sequence[MismatchTable]) -> MismatchTable:
     """The tables' rows one after another, over the lcm of their denominators."""
