@@ -103,10 +103,13 @@ def _graded_rows(rows, *names: str) -> List[Dict[str, object]]:
 
 
 def verification_report_to_dict(report: VerificationReport) -> Dict[str, object]:
-    """The JSON object of a verify report, in the schema above.
+    """A verify report as the object of the schema above, to be written
+    with ``report_json``.
 
     The mismatch table is carried as the report's ``MismatchTable``, which
-    ``report_json`` writes from its ints; no row becomes a dict.
+    ``report_json`` writes from its ints; no row becomes a dict.  So when
+    the report holds a table, ``json.dumps`` refuses the result
+    (``TypeError``).
     """
     out: Dict[str, object] = {"case": report.case, "mode": report.mode, "caps": report.caps}
     if report.assignment is not None:
@@ -221,6 +224,20 @@ def _field(key: str) -> str:
     return _encode_str(key).replace("%", "%%") + ": "
 
 
+def _row_template(shape, nl: str) -> str:
+    """The template of a row written after ``nl``, one ``%s`` per value:
+    ``shape`` pairs each key with None (one value) or with its sub-keys
+    (a dict of one value per sub-key)."""
+    inner, deeper, parts = nl + "  ", nl + "    ", []
+    for key, sub in shape:
+        if sub is None:
+            parts.append(_field(key) + "%s")
+            continue
+        fields = [_field(k) + "%s" for k in sub]
+        parts.append(_field(key) + "{" + deeper + ("," + deeper).join(fields) + inner + "}")
+    return "{" + inner + ("," + inner).join(parts) + nl + "}"
+
+
 def _rows_json(rows, nl: str) -> Optional[List[str]]:
     """Rows written after ``nl`` from one template, or None unless every
     row is a dict with the first row's string keys, and each key's values
@@ -231,11 +248,11 @@ def _rows_json(rows, nl: str) -> Optional[List[str]]:
         return None
     if not all(type(k) is str for k in first):
         return None
-    inner, deeper, parts, columns = nl + "  ", nl + "    ", [], []
+    shape, columns = [], []
     for key, value in first.items():
         values = list(map(itemgetter(key), rows))
         if type(value) is not dict:
-            parts.append(_field(key) + "%s")
+            shape.append((key, None))
             columns.append(values)
             continue
         sub = tuple(value)
@@ -243,8 +260,7 @@ def _rows_json(rows, nl: str) -> Optional[List[str]]:
             return None
         if not all(type(k) is str for k in sub):
             return None
-        fields = [_field(k) + "%s" for k in sub]
-        parts.append(_field(key) + "{" + deeper + ("," + deeper).join(fields) + inner + "}")
+        shape.append((key, sub))
         columns += [list(map(itemgetter(k), values)) for k in sub]
     written = []
     for column in columns:
@@ -252,31 +268,28 @@ def _rows_json(rows, nl: str) -> Optional[List[str]]:
         if kinds not in ({int}, {str}):
             return None
         written.append(map(int.__repr__ if kinds == {int} else _encode_str, column))
-    template = "{" + inner + ("," + inner).join(parts) + nl + "}"
+    template = _row_template(shape, nl)
     return [template % values for values in zip(*written)]
 
 
-def _value_text(x: int, den: int) -> str:
-    """``str(Fraction(x, den))``, without building the Fraction."""
+def _value_json(x: int, den: int) -> str:
+    """``str(Fraction(x, den))`` as a JSON string, without building the Fraction."""
     g = gcd(x, den)
-    return int.__repr__(x // g) if g == den else f"{x // g}/{den // g}"
+    return f'"{x // g}"' if g == den else f'"{x // g}/{den // g}"'
+
+
+_TABLE_SHAPE = (("monomial", "abtq"), ("lhs", None), ("rhs", None))
 
 
 def _table_json(table: MismatchTable, nl: str) -> str:
     """The table written after ``nl`` as ``json.dumps`` writes its rows'
-    dicts, each row one fill of one template."""
+    dicts, each row one fill of the row template."""
     if not table.rows:
         return "[]"
-    inner, field, sub = nl + "  ", nl + "    ", nl + "      "
-    monomial = "{" + sub + ("," + sub).join(_field(k) + "%s" for k in "abtq") + field + "}"
-    template = ("{" + field + _field("monomial") + monomial + "," + field + _field("lhs")
-                + '"%s",' + field + _field("rhs") + '"%s"' + inner + "}")
-    den = table.den
-    if den == 1:
-        items = [template % (a, b, t, q, x, y) for q, a, b, t, x, y in table.rows]
-    else:
-        items = [template % (a, b, t, q, _value_text(x, den), _value_text(y, den))
-                 for q, a, b, t, x, y in table.rows]
+    inner, den = nl + "  ", table.den
+    template = _row_template(_TABLE_SHAPE, inner)
+    items = [template % (a, b, t, q, _value_json(x, den), _value_json(y, den))
+             for q, a, b, t, x, y in table.rows]
     return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 
