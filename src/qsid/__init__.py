@@ -49,8 +49,6 @@ from .rational import (  # noqa: F401
 from .identities import (  # noqa: F401
     CASES,
     Check,
-    IdentityCase,
-    Mismatch,
     MismatchTable,
     VerificationReport,
     build_eq31_partition_side,

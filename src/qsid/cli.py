@@ -13,7 +13,11 @@ JSON schema for ``verify``:
      details: {...}, volatile: {duration_ms, version}}
 
 ``lhs`` and ``rhs`` are written as ``str(Fraction)`` writes them ("-1",
-"1/3"); the writer fills them in straight from the report's integer rows.
+"1/3").  The mismatch rows, like the audit's graded generating-polynomial
+rows (``{monomial: {a, q}, domain, codomain}`` or ``{monomial: {a, q},
+count}``), are tables of one fixed shape: the report object carries each
+as its int rows (a ``MismatchTable``, a ``_Graded`` table), and
+``report_json`` writes every row as one fill of its shape's template.
 
 Monomials on the command line are concatenated variable-exponent tokens,
 e.g. ``a1b1t1q2``; omitted variables have exponent 0.  Rational parameters
@@ -32,7 +36,6 @@ import sys
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import gcd
-from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
@@ -94,21 +97,29 @@ def _volatile(duration_ms: float) -> Dict[str, object]:
     return {"duration_ms": round(duration_ms, 3), "version": __version__}
 
 
-def _graded_rows(rows, *names: str) -> List[Dict[str, object]]:
-    """Rows ((a, q), *values) of monomial a^i q^k, the values under ``names``."""
-    return [
-        {"monomial": {"a": a, "q": q}, **dict(zip(names, values))}
-        for (a, q), *values in rows
-    ]
+@dataclasses.dataclass(frozen=True)
+class _Graded:
+    """A graded table of an audit report, as ``report_json`` writes it:
+    rows ((i, k), *values) of monomial a^i q^k, each written as
+    ``{monomial: {a, q}, name: value, ...}`` (``shape`` as ``_row_template``
+    takes it).  It is neither a list nor a dict, so ``json.dumps`` refuses
+    it (``TypeError``)."""
+
+    shape: tuple
+    rows: List[tuple]
+
+
+def _graded(rows, *names: str) -> _Graded:
+    return _Graded((("monomial", "aq"), *((name, None) for name in names)), rows)
 
 
 def verification_report_to_dict(report: VerificationReport) -> Dict[str, object]:
     """A verify report as the object of the schema above, to be written
     with ``report_json``.
 
-    The mismatch table is carried as the report's ``MismatchTable``, which
-    ``report_json`` writes from its ints; no row becomes a dict.  So when
-    the report holds a table, ``json.dumps`` refuses the result
+    The mismatch table is carried as the report's ``MismatchTable`` of
+    int rows, which ``report_json`` writes as a table of one fixed shape;
+    no row becomes a dict, so ``json.dumps`` refuses the result
     (``TypeError``).
     """
     out: Dict[str, object] = {"case": report.case, "mode": report.mode, "caps": report.caps}
@@ -136,12 +147,18 @@ def _map_audit_dict(audit: MapAudit) -> Dict[str, object]:
     out["collisions"] = [
         {"image": image, "preimages": preimages} for image, preimages in audit.collisions
     ]
-    out["genpoly_mismatches"] = _graded_rows(audit.genpoly_mismatches, "domain", "codomain")
+    out["genpoly_mismatches"] = _graded(audit.genpoly_mismatches, "domain", "codomain")
     return out
 
 
 def audit_report_to_dict(report: AuditReport) -> Dict[str, object]:
-    """The JSON object of an audit report: box, gate, both sections, extras."""
+    """The JSON object of an audit report: box, gate, both sections, extras,
+    to be written with ``report_json``.
+
+    Its graded generating-polynomial tables are carried as their int rows
+    (``_Graded``), which ``report_json`` writes as tables of one fixed
+    shape, so ``json.dumps`` refuses the result (``TypeError``).
+    """
     return {
         "box": {"j": report.j, "M": report.M},
         "passed": report.passed,
@@ -149,12 +166,12 @@ def audit_report_to_dict(report: AuditReport) -> Dict[str, object]:
         "printed": _map_audit_dict(report.printed),
         "printed_genpoly_strict_empty": {
             "equal": report.printed_genpoly_strict_equal,
-            "mismatches": _graded_rows(
+            "mismatches": _graded(
                 report.printed_genpoly_strict_mismatches, "domain", "codomain"
             ),
         },
-        "le_adds_domain": _graded_rows(report.le_adds_domain, "count"),
-        "le_adds_codomain": _graded_rows(report.le_adds_codomain, "count"),
+        "le_adds_domain": _graded(report.le_adds_domain, "count"),
+        "le_adds_codomain": _graded(report.le_adds_codomain, "count"),
         "enum_limit": report.enum_limit,
         "volatile": _volatile(report.duration_ms),
     }
@@ -164,14 +181,12 @@ def report_json(report: object) -> str:
     """Any report as the bytes of ``json.dumps(report, indent=2)``.
 
     With ``indent`` set the stdlib encoder runs in pure Python.  This
-    writer joins strings instead: a list of ints in one join, a list of
-    rows of one shape (graded rows) from one template, a
-    ``MismatchTable`` (written as its list of
-    ``{monomial: {a, b, t, q}, lhs, rhs}`` rows) from one row template
-    filled straight from its ints, and a ``PartitionFamily`` (written as
-    its list of partitions) from its blocks.  What it has no path for
-    (floats, True, False, None, non-string keys) goes through
-    ``json.dumps``.
+    writer joins strings instead.  It writes a ``MismatchTable`` and a
+    ``_Graded`` audit table (each as its list of row dicts) with
+    ``_table_json``, one fill of the shape's row template per int row,
+    and a ``PartitionFamily`` (as its list of partitions) from its blocks.
+    What it has no path for (floats, True, False, None, non-string keys)
+    goes through ``json.dumps``.
     """
     return _json(report, "\n")
 
@@ -189,13 +204,13 @@ def _json(value: object, nl: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:
-            items = map(int.__repr__, value)
-        else:
-            items = _rows_json(value, inner) or [_json(x, inner) for x in value]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        return "[" + inner + ("," + inner).join([_json(x, inner) for x in value]) + nl + "]"
     if isinstance(value, MismatchTable):
-        return _table_json(value, nl)
+        den = value.den
+        return _table_json(_MISMATCH_SHAPE, [(a, b, t, q, _value_json(x, den), _value_json(y, den))
+                                             for q, a, b, t, x, y in value.rows], nl)
+    if isinstance(value, _Graded):
+        return _table_json(value.shape, [(*key, *values) for key, *values in value.rows], nl)
     if isinstance(value, PartitionFamily):
         if not len(value):
             return "[]"
@@ -219,57 +234,30 @@ def _json(value: object, nl: str) -> str:
     return json.dumps(value, indent=2).replace("\n", nl)
 
 
-def _field(key: str) -> str:
-    """A key's JSON text and separator, as a template literal."""
-    return _encode_str(key).replace("%", "%%") + ": "
-
-
 def _row_template(shape, nl: str) -> str:
     """The template of a row written after ``nl``, one ``%s`` per value:
     ``shape`` pairs each key with None (one value) or with its sub-keys
-    (a dict of one value per sub-key)."""
+    (a dict of one value per sub-key); keys are plain names, which JSON
+    writes as they are."""
     inner, deeper, parts = nl + "  ", nl + "    ", []
     for key, sub in shape:
         if sub is None:
-            parts.append(_field(key) + "%s")
+            parts.append(f'"{key}": %s')
             continue
-        fields = [_field(k) + "%s" for k in sub]
-        parts.append(_field(key) + "{" + deeper + ("," + deeper).join(fields) + inner + "}")
+        fields = [f'"{k}": %s' for k in sub]
+        parts.append(f'"{key}": {{' + deeper + ("," + deeper).join(fields) + inner + "}")
     return "{" + inner + ("," + inner).join(parts) + nl + "}"
 
 
-def _rows_json(rows, nl: str) -> Optional[List[str]]:
-    """Rows written after ``nl`` from one template, or None unless every
-    row is a dict with the first row's string keys, and each key's values
-    are all ints, all strings, or all dicts of those with one set of
-    string keys."""
-    first = rows[0]
-    if set(map(type, rows)) != {dict} or set(map(tuple, rows)) != {tuple(first)}:
-        return None
-    if not all(type(k) is str for k in first):
-        return None
-    shape, columns = [], []
-    for key, value in first.items():
-        values = list(map(itemgetter(key), rows))
-        if type(value) is not dict:
-            shape.append((key, None))
-            columns.append(values)
-            continue
-        sub = tuple(value)
-        if not sub or set(map(type, values)) != {dict} or set(map(tuple, values)) != {sub}:
-            return None
-        if not all(type(k) is str for k in sub):
-            return None
-        shape.append((key, sub))
-        columns += [list(map(itemgetter(k), values)) for k in sub]
-    written = []
-    for column in columns:
-        kinds = set(map(type, column))
-        if kinds not in ({int}, {str}):
-            return None
-        written.append(map(int.__repr__ if kinds == {int} else _encode_str, column))
-    template = _row_template(shape, nl)
-    return [template % values for values in zip(*written)]
+def _table_json(shape, rows: List[tuple], nl: str) -> str:
+    """Rows of one shape written after ``nl`` as ``json.dumps`` writes
+    their dicts, each row one fill of the shape's template with its
+    values in the template's order (ints, or strings in their JSON form)."""
+    if not rows:
+        return "[]"
+    inner = nl + "  "
+    template = _row_template(shape, inner)
+    return "[" + inner + ("," + inner).join([template % row for row in rows]) + nl + "]"
 
 
 def _value_json(x: int, den: int) -> str:
@@ -278,19 +266,7 @@ def _value_json(x: int, den: int) -> str:
     return f'"{x // g}"' if g == den else f'"{x // g}/{den // g}"'
 
 
-_TABLE_SHAPE = (("monomial", "abtq"), ("lhs", None), ("rhs", None))
-
-
-def _table_json(table: MismatchTable, nl: str) -> str:
-    """The table written after ``nl`` as ``json.dumps`` writes its rows'
-    dicts, each row one fill of the row template."""
-    if not table.rows:
-        return "[]"
-    inner, den = nl + "  ", table.den
-    template = _row_template(_TABLE_SHAPE, inner)
-    items = [template % (a, b, t, q, _value_json(x, den), _value_json(y, den))
-             for q, a, b, t, x, y in table.rows]
-    return "[" + inner + ("," + inner).join(items) + nl + "]"
+_MISMATCH_SHAPE = (("monomial", "abtq"), ("lhs", None), ("rhs", None))
 
 
 def _family_chunks(family: PartitionFamily, start: str, sep: str, end: str,
@@ -379,10 +355,12 @@ def _format_verification_text(report: VerificationReport, limit: int = 25) -> st
     lines.append(f"status: {report.status}")
     for key, value in sorted(report.details.items()):
         lines.append(f"  {key}: {value}")
-    if report.mismatches:
-        lines.append(f"mismatches ({len(report.mismatches)} shown up to {limit}):")
-        for row in report.mismatches[:limit]:
-            lines.append(f"  {row.monomial}: lhs={row.lhs} rhs={row.rhs}")
+    table = report.mismatches
+    if table:
+        lines.append(f"mismatches ({len(table)} shown up to {limit}):")
+        for q, a, b, t, x, y in table.rows[:limit]:
+            lines.append(f"  {Monomial(a, b, t, q)}: lhs={Fraction(x, table.den)} "
+                         f"rhs={Fraction(y, table.den)}")
     return "\n".join(lines)
 
 
@@ -566,8 +544,8 @@ def cmd_map(args) -> _Result:
 def cmd_coeff(args) -> _Result:
     sides = {
         f"{check.coeff_name}:{side}": (check, side)
-        for case in CASES.values()
-        for check in case.checks.values()
+        for checks in CASES.values()
+        for check in checks.values()
         if check.coeff_name
         for side in ("left", "right")
     }

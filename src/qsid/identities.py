@@ -81,8 +81,6 @@ from .series import (
 __all__ = [
     "CASES",
     "Check",
-    "IdentityCase",
-    "Mismatch",
     "MismatchTable",
     "VerificationReport",
     "build_eq31_partition_side",
@@ -100,23 +98,14 @@ __all__ = [
 # --------------------------------------------------------------------- reports
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    """One disagreeing monomial with the two coefficient values: one row of a
-    ``MismatchTable`` as it is read."""
-
-    monomial: Monomial
-    lhs: Fraction
-    rhs: Fraction
-
-
-class MismatchTable(Sequence):
-    """A report's mismatch table, held as ints and read as ``Mismatch`` objects.
+class MismatchTable:
+    """A report's mismatch table, held as ints.
 
     ``rows`` are ``compare_series`` rows (e_q, e_a, e_b, e_t, lhs, rhs),
     the values over ``den``; a table of one comparison is sorted, which is
-    canonical monomial order.  A row becomes a ``Mismatch`` only when it is
-    read: ``len`` and the JSON writer build none.
+    canonical monomial order.  Readers take the rows as they are: the JSON
+    writer fills one template per row from the ints, and the text report
+    builds the ``Monomial`` and ``Fraction`` of the rows it prints.
     """
 
     __slots__ = ("rows", "den")
@@ -126,24 +115,6 @@ class MismatchTable(Sequence):
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._read(row) for row in self.rows[i]]
-        return self._read(self.rows[i])
-
-    def _read(self, row: tuple) -> Mismatch:
-        q, a, b, t, x, y = row
-        return Mismatch(Monomial(a, b, t, q), Fraction(x, self.den), Fraction(y, self.den))
-
-    def __eq__(self, other):
-        if isinstance(other, MismatchTable) and other.den == self.den:
-            return self.rows == other.rows
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
 
 
 def _joined(tables: Sequence[MismatchTable]) -> MismatchTable:
@@ -161,7 +132,9 @@ class VerificationReport:
 
     ``status`` is "verified" when the mismatch table is empty on the joint
     validity region, "mismatch" otherwise, and "error" when the check could
-    not be carried out.  ``mismatches`` is the table as a ``MismatchTable``.
+    not be carried out.  ``mismatches`` is the table as a ``MismatchTable``
+    of int rows over one denominator, the one form a row has from
+    ``compare_series`` to the written report.
     ``details`` holds deterministic diagnostics only (summation bounds,
     which printed variant matched, joint validity); wall-clock time lives
     in the volatile section of serialized output.
@@ -708,18 +681,6 @@ class Check:
         return _Run(self, **settings)[self.right if name == "right" else name]
 
 
-@dataclass(frozen=True)
-class IdentityCase:
-    """A catalog case: its checks by mode, the default mode first."""
-
-    name: str
-    checks: Dict[str, Check] = field(default_factory=dict)
-
-    @property
-    def modes(self) -> Tuple[str, ...]:
-        return tuple(self.checks)
-
-
 class _Run:
     """One check in progress: its settings, and each side built once on first use."""
 
@@ -949,9 +910,10 @@ _CHECKS = [
     ),
 ]
 
-CASES: Dict[str, IdentityCase] = {}
+# case -> mode -> check, each case's default mode first
+CASES: Dict[str, Dict[str, Check]] = {}
 for _check in _CHECKS:
-    CASES.setdefault(_check.case, IdentityCase(_check.case)).checks[_check.mode] = _check
+    CASES.setdefault(_check.case, {})[_check.mode] = _check
 
 
 # -------------------------------------------------------------------- checker
@@ -974,11 +936,11 @@ def run_case(
     started = time.perf_counter()
     if name not in CASES:
         raise SeriesError(f"unknown identity case {name!r}")
-    modes = CASES[name].modes
-    mode = modes[0] if mode is None else mode
-    if mode not in modes:
-        raise SeriesError(f"case {name} supports mode(s) {', '.join(modes)}; got {mode!r}")
-    check = CASES[name].checks[mode]
+    checks = CASES[name]
+    mode = next(iter(checks)) if mode is None else mode
+    if mode not in checks:
+        raise SeriesError(f"case {name} supports mode(s) {', '.join(checks)}; got {mode!r}")
+    check = checks[mode]
     if mode == "formal":
         if profile is None:
             raise SeriesError("formal mode needs a truncation profile")
@@ -1028,7 +990,7 @@ def rational_series_eval(
     case: str, side: str, assign: RationalAssignment, cap_q: int
 ) -> TruncatedSeries:
     """Evaluate the left or right side of a rational-mode case as an exact q-series."""
-    check = CASES[case].checks.get("rational") if case in CASES else None
+    check = CASES.get(case, {}).get("rational")
     if check is None or side not in ("left", "right"):
         raise SeriesError(f"no rational-mode side {case}:{side}")
     assign.require(*check.params)

@@ -312,7 +312,8 @@ def product_series(
     Negative-exponent factors are flipped into the scalar/shift prefactor;
     a net negative shift means the product has a pole at q = 0 and raises.
     A vanishing numerator factor makes the whole product zero; a vanishing
-    denominator factor raises ``DegenerateParameterError``.
+    denominator factor raises ``DegenerateParameterError``, also over a
+    vanishing numerator factor (0/0).
     """
     where = f" in {label}" if label else ""
     scalar = Fraction(scalar)
@@ -320,11 +321,12 @@ def product_series(
     regular: List[Factor] = []
     factors = list(factors)
 
-    # A zero numerator factor annihilates the product regardless of any
-    # degenerate denominator factor elsewhere (terminating sums rely on it).
-    for f in factors:
-        if not f.inverted and f.q_exp == 0 and f.value == 1:
-            return Dense.zero(cap_q)
+    vanishing = {f.inverted for f in factors if f.q_exp == 0 and f.value == 1}
+    if True in vanishing:
+        zero = " over a vanishing numerator factor (0/0)" if False in vanishing else ""
+        raise DegenerateParameterError(f"denominator factor (1 - v) with v = 1{zero}{where}")
+    if vanishing:
+        return Dense.zero(cap_q)
 
     for f in factors:
         v = f.value
@@ -339,18 +341,8 @@ def product_series(
                 scalar *= -v
                 shift += m
             regular.append(Factor(1 / v, -m, f.inverted))
-        elif m == 0:
-            c = 1 - v
-            if f.inverted:
-                if c == 0:
-                    raise DegenerateParameterError(
-                        f"denominator factor (1 - v) with v = 1{where}"
-                    )
-                scalar /= c
-            else:
-                if c == 0:
-                    return Dense.zero(cap_q)
-                scalar *= c
+        elif m == 0:  # 1 - v != 0: no factor vanishes past the check above
+            scalar = scalar / (1 - v) if f.inverted else scalar * (1 - v)
         else:
             regular.append(f)
 

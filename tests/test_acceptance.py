@@ -124,14 +124,16 @@ def test_criterion_05_companion_series():
         m[3]: c for m, c in left34.terms.items() if m[0] == 0 and m[1] == 1 and m[3] <= 8
     }
     pinned = {1: -1, 2: -1, 3: -2, 4: -2, 5: -3, 6: -3, 7: -4, 8: -4}
-    first = r34a.mismatches[0]
+    q, a, b, t, x, y = r34a.mismatches.rows[0]
+    den = r34a.mismatches.den
     ok = (
         r35.verified
         and r34a.status == "mismatch"
-        and r34a.mismatches == r34b.mismatches  # deterministic report
+        # deterministic report
+        and (r34a.mismatches.rows, den) == (r34b.mismatches.rows, r34b.mismatches.den)
         and b_row == pinned
-        and first.monomial == Monomial(0, 1, 0, 0)
-        and (first.lhs, first.rhs) == (Fraction(0), Fraction(-1))
+        and Monomial(a, b, t, q) == Monomial(0, 1, 0, 0)
+        and (Fraction(x, den), Fraction(y, den)) == (Fraction(0), Fraction(-1))
     )
     report_line(
         5, ok,

@@ -88,6 +88,14 @@ def test_unit_denominator_factor_raises():
         product_series([Factor(Fraction(1), 0, True)], 3)
 
 
+@pytest.mark.parametrize("inverted_first", [False, True])
+def test_zero_over_zero_raises(inverted_first):
+    # (1 - q^0) / (1 - q^0) is 0/0, not zero, whichever factor comes first
+    fac = [Factor(Fraction(1), 0), Factor(Fraction(1, 2), 1), Factor(Fraction(1), 0, True)]
+    with pytest.raises(DegenerateParameterError, match="0/0"):
+        product_series(fac[::-1] if inverted_first else fac, 3)
+
+
 def test_pole_at_origin_raises():
     with pytest.raises(DegenerateParameterError):
         product_series([Factor(Fraction(2), -1)], 3)
@@ -226,15 +234,16 @@ def test_assignment_accepts_integral_values_for_exponents():
 def sparse_product(factors, cap, scalar=1, q_shift=0):
     """scalar * q^q_shift * prod(factors) from the sparse series multiply.
 
-    Follows the documented contract: a numerator (1 - q^0) makes the
-    product zero, an inverted (1 - q^0) or a net negative q-power raises
-    ``DegenerateParameterError``.
+    Follows the documented contract: an inverted (1 - q^0), also over a
+    numerator (1 - q^0), or a net negative q-power raises
+    ``DegenerateParameterError``, and a numerator (1 - q^0) makes the
+    product zero otherwise.
     """
     prof = q_only_profile(cap)
-    if any(not f.inverted and f.q_exp == 0 and f.value == 1 for f in factors):
-        return TruncatedSeries.zero(prof)
     if any(f.inverted and f.q_exp == 0 and f.value == 1 for f in factors):
         raise DegenerateParameterError("inverted (1 - q^0)")
+    if any(not f.inverted and f.q_exp == 0 and f.value == 1 for f in factors):
+        return TruncatedSeries.zero(prof)
     acc, scalar, shift = TruncatedSeries.one(prof), Fraction(scalar), q_shift
     for f in factors:
         v, m = f.value, f.q_exp
