@@ -214,21 +214,24 @@ def _graded_dicts(rows, *names):
             for (i, k), *values in rows]
 
 
+def _section_reference(audit):
+    """An audit section as dicts and lists alone, as ``dataclasses.asdict``
+    gives it with the collisions and graded rows as the report writes them."""
+    out = dataclasses.asdict(audit)
+    out["collisions"] = [{"image": image, "preimages": preimages}
+                         for image, preimages in audit.collisions]
+    out["genpoly_mismatches"] = _graded_dicts(audit.genpoly_mismatches, "domain", "codomain")
+    return out
+
+
 def _audit_reference(report):
     """The audit report's object as dicts and lists alone, built field by
     field from the report: ``json.dumps`` can write it."""
-    def section(audit):
-        out = dataclasses.asdict(audit)
-        out["collisions"] = [{"image": image, "preimages": preimages}
-                             for image, preimages in audit.collisions]
-        out["genpoly_mismatches"] = _graded_dicts(audit.genpoly_mismatches, "domain", "codomain")
-        return out
-
     return {
         "box": {"j": report.j, "M": report.M},
         "passed": report.passed,
-        "exact": section(report.exact),
-        "printed": section(report.printed),
+        "exact": _section_reference(report.exact),
+        "printed": _section_reference(report.printed),
         "printed_genpoly_strict_empty": {
             "equal": report.printed_genpoly_strict_equal,
             "mismatches": _graded_dicts(
@@ -264,15 +267,8 @@ def test_audit_sections_are_written_as_asdict_would_write_them(monkeypatch):
     report = audit_bijection(BijectionBox(2, 3))
     for section in (report.exact, report.printed):
         assert section.codomain_membership.failures
-        expected = dataclasses.asdict(section)
-        expected["collisions"] = [
-            {"image": image, "preimages": preimages} for image, preimages in section.collisions
-        ]
-        expected["genpoly_mismatches"] = _graded_dicts(
-            section.genpoly_mismatches, "domain", "codomain"
-        )
         written = cli._map_audit_dict(section)
-        assert report_json(written) == json.dumps(expected, indent=2)
+        assert report_json(written) == json.dumps(_section_reference(section), indent=2)
         # the tallies' lists are written as they are, not copied first
         assert written["codomain_membership"]["failures"] is section.codomain_membership.failures
 
