@@ -312,7 +312,7 @@ def build_thm31_side(which: str, profile: TruncationProfile) -> TruncatedSeries:
     """
     if which in ("3_4_left", "3_5_left"):
         with_a = which == "3_4_left"
-        total = TruncatedSeries.constant(profile, profile.cap_q)  # the cap_q ones of the sum
+        total = TruncatedSeries.term(profile, profile.cap_q)  # the cap_q ones of the sum
         ratio = TruncatedSeries.one(profile)
         for n in range(profile.cap_q):
             if with_a:
@@ -363,12 +363,12 @@ def build_thm31_side(which: str, profile: TruncationProfile) -> TruncatedSeries:
 def _qps_summand(assign: RationalAssignment, n: int, cap_q: int) -> Dense:
     a, b, c, N = assign.a, assign.b, assign.c, assign.N
     fac = []
-    fac += pochhammer_factors(a, 0, 1, n)
-    fac += pochhammer_factors(b, 0, 1, n)
-    fac += pochhammer_factors(1, -N, 1, n)
-    fac += pochhammer_factors(c, 0, 1, n, inverted=True)
-    fac += pochhammer_factors(1, 1, 1, n, inverted=True)
-    fac += pochhammer_factors(Fraction(a) * b / c, 1 - N, 1, n, inverted=True)
+    fac += pochhammer_factors(a, 0, n)
+    fac += pochhammer_factors(b, 0, n)
+    fac += pochhammer_factors(1, -N, n)
+    fac += pochhammer_factors(c, 0, n, inverted=True)
+    fac += pochhammer_factors(1, 1, n, inverted=True)
+    fac += pochhammer_factors(Fraction(a) * b / c, 1 - N, n, inverted=True)
     return product_series(fac, cap_q, q_shift=n, label=f"balanced-sum term n={n}")
 
 
@@ -382,10 +382,10 @@ def _qps_lhs(assign: RationalAssignment, cap_q: int) -> Dense:
 def _qps_rhs(assign: RationalAssignment, cap_q: int) -> Dense:
     a, b, c, N = assign.a, assign.b, assign.c, assign.N
     fac = []
-    fac += pochhammer_factors(Fraction(c) / a, 0, 1, N)
-    fac += pochhammer_factors(Fraction(c) / b, 0, 1, N)
-    fac += pochhammer_factors(c, 0, 1, N, inverted=True)
-    fac += pochhammer_factors(Fraction(c) / (Fraction(a) * b), 0, 1, N, inverted=True)
+    fac += pochhammer_factors(Fraction(c) / a, 0, N)
+    fac += pochhammer_factors(Fraction(c) / b, 0, N)
+    fac += pochhammer_factors(c, 0, N, inverted=True)
+    fac += pochhammer_factors(Fraction(c) / (Fraction(a) * b), 0, N, inverted=True)
     return product_series(fac, cap_q, label="balanced-sum product side")
 
 
@@ -393,20 +393,20 @@ def _eq22_rhs(assign: RationalAssignment, cap_q: int, with_qn: bool) -> Dense:
     a, b, c, N = assign.a, assign.b, assign.c, assign.N
     c_ab = Fraction(c) / (Fraction(a) * b)
     pref = product_series(
-        pochhammer_factors(1, 1, 1, N)
-        + pochhammer_factors(c_ab, 0, 1, N, inverted=True),
+        pochhammer_factors(1, 1, N)
+        + pochhammer_factors(c_ab, 0, N, inverted=True),
         cap_q,
         label="rewrite prefactor",
     )
     total = Dense.zero(cap_q)
     for n in range(N + 1):
         fac = []
-        fac += pochhammer_factors(a, 0, 1, n)
-        fac += pochhammer_factors(b, 0, 1, n)
-        fac += pochhammer_factors(c_ab, 0, 1, N - n)
-        fac += pochhammer_factors(c, 0, 1, n, inverted=True)
-        fac += pochhammer_factors(1, 1, 1, n, inverted=True)
-        fac += pochhammer_factors(1, 1, 1, N - n, inverted=True)
+        fac += pochhammer_factors(a, 0, n)
+        fac += pochhammer_factors(b, 0, n)
+        fac += pochhammer_factors(c_ab, 0, N - n)
+        fac += pochhammer_factors(c, 0, n, inverted=True)
+        fac += pochhammer_factors(1, 1, n, inverted=True)
+        fac += pochhammer_factors(1, 1, N - n, inverted=True)
         accumulate(total, product_series(
             fac,
             cap_q,
@@ -423,10 +423,10 @@ def _eq23_lhs(assign: RationalAssignment, cap_q: int) -> Dense:
     total = Dense.zero(cap_q)
     for n in range(N + 1):
         fac = []
-        fac += pochhammer_factors(a, 0, 1, n)
-        fac += pochhammer_factors(inv_a, 1, 1, N - n)
-        fac += pochhammer_factors(1, 1, 1, n, inverted=True)
-        fac += pochhammer_factors(1, 1, 1, N - n, inverted=True)
+        fac += pochhammer_factors(a, 0, n)
+        fac += pochhammer_factors(inv_a, 1, N - n)
+        fac += pochhammer_factors(1, 1, n, inverted=True)
+        fac += pochhammer_factors(1, 1, N - n, inverted=True)
         fac += [Factor(Fraction(b), n, True)]
         accumulate(total, product_series(
             fac, cap_q, scalar=inv_a**n, q_shift=n, label=f"specialized term n={n}"
@@ -436,8 +436,8 @@ def _eq23_lhs(assign: RationalAssignment, cap_q: int) -> Dense:
 
 def _eq23_rhs(assign: RationalAssignment, cap_q: int) -> Dense:
     a, b, N = assign.a, assign.b, assign.N
-    fac = pochhammer_factors(Fraction(b) / a, 1, 1, N)
-    fac += pochhammer_factors(b, 0, 1, N + 1, inverted=True)
+    fac = pochhammer_factors(Fraction(b) / a, 1, N)
+    fac += pochhammer_factors(b, 0, N + 1, inverted=True)
     return product_series(fac, cap_q, label="specialized product side")
 
 
@@ -540,20 +540,18 @@ def _chain_product_form(assign: RationalAssignment, cap_q: int) -> Dense:
     a, b, t = assign.a, assign.b, assign.t
     t_over_a = Fraction(t) / Fraction(a)
     pref = product_series(
-        pochhammer_factors(t_over_a, 1, 1, None, cap_q=cap_q)
-        + pochhammer_factors(t, 0, 1, None, inverted=True, cap_q=cap_q),
+        pochhammer_factors(t_over_a, 1, None, cap_q=cap_q)
+        + pochhammer_factors(t, 0, None, inverted=True, cap_q=cap_q),
         cap_q,
         label="product-form prefactor",
     )
 
     def cterm(n: int) -> Dense:
         fac = []
-        fac += pochhammer_factors(t, 0, 1, n)
-        fac += pochhammer_factors(t_over_a, 1, 1, n, inverted=True)
-        fac += pochhammer_factors(t, 2 * n + 1, 1, None, cap_q=cap_q)
-        fac += pochhammer_factors(
-            t_over_a, 2 * n + 1, 1, None, inverted=True, cap_q=cap_q
-        )
+        fac += pochhammer_factors(t, 0, n)
+        fac += pochhammer_factors(t_over_a, 1, n, inverted=True)
+        fac += pochhammer_factors(t, 2 * n + 1, None, cap_q=cap_q)
+        fac += pochhammer_factors(t_over_a, 2 * n + 1, None, inverted=True, cap_q=cap_q)
         return product_series(
             fac, cap_q, scalar=Fraction(b) ** n, label=f"product-form term n={n}"
         )
@@ -566,8 +564,8 @@ def _chain_single_sum(assign: RationalAssignment, cap_q: int, reciprocal: bool) 
     x = Fraction(t) / Fraction(a) if reciprocal else Fraction(a) * Fraction(t)
 
     def dterm(n: int) -> Dense:
-        fac = pochhammer_factors(x, n + 1, 1, n)
-        fac += pochhammer_factors(t, n, 1, n + 1, inverted=True)
+        fac = pochhammer_factors(x, n + 1, n)
+        fac += pochhammer_factors(t, n, n + 1, inverted=True)
         return product_series(
             fac, cap_q, scalar=Fraction(b) ** n, label=f"target term n={n}"
         )
@@ -621,6 +619,11 @@ def _a_nonzero(run: "_Run") -> None:
 def _c_nonzero(run: "_Run") -> None:
     if run.assign.c == 0:
         raise DegenerateParameterError("parameter c must be nonzero (a*b/c appears)")
+
+
+def _c_not_one(run: "_Run") -> None:
+    if run.assign.c == 1:
+        raise DegenerateParameterError("parameter c must differ from 1 ((c; q)_n vanishes)")
 
 
 def _chain_denominators(run: "_Run") -> None:
@@ -809,7 +812,7 @@ _CHECKS = [
     Check(
         "qps_2_1", "rational", "terminating balanced summation vs all-N product form",
         params=("a", "b", "c", "N"),
-        preconditions=(_terminating, _c_nonzero),
+        preconditions=(_terminating, _c_nonzero, _c_not_one),
         sides={"left": _rational(_qps_lhs), "right": _rational(_qps_rhs)},
         details=lambda r: {
             "form": "all_N_product",
@@ -823,7 +826,7 @@ _CHECKS = [
     Check(
         "rewrite_2_2", "rational", "finite rewrite of the balanced sum (q^n variant adjudicated)",
         params=("a", "b", "c", "N"),
-        preconditions=(_terminating, _c_nonzero),
+        preconditions=(_terminating, _c_nonzero, _c_not_one),
         sides={
             "left": _rational(_qps_lhs),
             "without_qn": _rational(_eq22_rhs, with_qn=False),

@@ -453,9 +453,6 @@ class GeneratingPolynomial:
             counter[(p.odd_count, p.weight)] += 1
         return cls(dict(counter))
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def mismatches(self, other: "GeneratingPolynomial"):
         """Rows ((a_exp, q_exp), self count, other count) where counts differ."""
         keys = set(self.counts) | set(other.counts)
@@ -476,21 +473,3 @@ class GeneratingPolynomial:
                 rows.append((k, d))
         rows.sort(key=lambda r: (r[0][1], r[0][0]))
         return rows
-
-    def __str__(self) -> str:
-        if not self.counts:
-            return "0"
-        bits = []
-        for (o, w), n in sorted(self.counts.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            mono = []
-            if o == 1:
-                mono.append("a")
-            elif o > 1:
-                mono.append(f"a^{o}")
-            if w == 1:
-                mono.append("q")
-            elif w > 1:
-                mono.append(f"q^{w}")
-            body = "*".join(mono) if mono else "1"
-            bits.append(body if n == 1 and mono else f"{n}*{body}" if mono else str(n))
-        return " + ".join(bits)

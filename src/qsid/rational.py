@@ -110,21 +110,18 @@ class Factor:
 def pochhammer_factors(
     value,
     q_offset: int,
-    q_step: int = 1,
     count: Optional[int] = None,
     *,
     inverted: bool = False,
     cap_q: Optional[int] = None,
 ) -> List[Factor]:
-    """Factor list for prod_k (1 - value * q^(q_offset + k*q_step)).
+    """Factor list for prod_k (1 - value * q^(q_offset + k)).
 
     ``count`` gives the number of factors; ``count=None`` means the infinite
     product, materialized only up to exponent cap_q (all later factors are 1
     within the truncation).  Zero ``value`` yields no factors.
     """
     value = Fraction(value)
-    if q_step < 1:
-        raise SeriesError(f"q_step must be >= 1, got {q_step}")
     if value == 0:
         return []
     if count is None:
@@ -134,10 +131,10 @@ def pochhammer_factors(
             raise NegativeExponentError(
                 f"infinite product starting at q^{q_offset} does not terminate"
             )
-        count = max(0, (cap_q - q_offset) // q_step + 1)
+        count = max(0, cap_q - q_offset + 1)
     elif count < 0:
         raise SeriesError(f"factor count must be >= 0, got {count}")
-    return [Factor(value, q_offset + k * q_step, inverted) for k in range(count)]
+    return [Factor(value, q_offset + k, inverted) for k in range(count)]
 
 
 # ------------------------------------------------------------- dense kernel

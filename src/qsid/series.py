@@ -187,15 +187,12 @@ class TruncationProfile:
             and m[3] <= self.cap_q
         )
 
-    def nilpotency_bound(self) -> int:
-        """Any product of more than this many constant-free factors is zero."""
-        return self.cap_a + self.cap_b + self.cap_t + self.cap_q
 
-
-def _binomial_monomial(m) -> Monomial:
+def _monomial(m, what: str = "monomial") -> Monomial:
+    """m as a ``Monomial``; ``NegativeExponentError`` if an exponent is negative."""
     m = Monomial(*m)
     if min(m) < 0:
-        raise NegativeExponentError(f"binomial monomial {m!r} has a negative exponent")
+        raise NegativeExponentError(f"{what} {m!r} has a negative exponent")
     return m
 
 
@@ -470,9 +467,7 @@ class TruncatedSeries:
         digits: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms or ()
         for m, c in items:
-            m = Monomial(*m)
-            if min(m) < 0:
-                raise NegativeExponentError(f"monomial {m!r} has a negative exponent")
+            m = _monomial(m)
             if not profile.admits(m):
                 raise SeriesError(f"monomial {m} exceeds the profile caps {profile.caps}")
             row = digits.setdefault(m[:3], {})
@@ -523,18 +518,12 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, profile):
-        return cls.constant(profile, 1)
-
-    @classmethod
-    def constant(cls, profile, value):
-        return cls.term(profile, value)
+        return cls.term(profile, 1)
 
     @classmethod
     def term(cls, profile, coeff, e_a=0, e_b=0, e_t=0, e_q=0):
         """Single-term series coeff * a^e_a b^e_b t^e_t q^e_q (dropped if over cap)."""
-        m = Monomial(e_a, e_b, e_t, e_q)
-        if min(m) < 0:
-            raise NegativeExponentError(f"monomial {m!r} has a negative exponent")
+        m = _monomial((e_a, e_b, e_t, e_q))
         if coeff == 0 or not profile.admits(m):
             return cls.zero(profile)
         num, den = _num_den(coeff)
@@ -561,12 +550,6 @@ class TruncatedSeries:
     @property
     def constant_term(self) -> Coeff:
         return self.terms.get(MONO_ONE, 0)
-
-    def sorted_items(self):
-        """Terms as (Monomial, coeff) pairs in canonical order."""
-        items = [(Monomial(*m), c) for m, c in self.terms.items()]
-        items.sort(key=lambda mc: mc[0].order_key())
-        return items
 
     # ----------------------------------------------------------- packed rows
 
@@ -613,7 +596,7 @@ class TruncatedSeries:
 
     def _combine(self, other, sign: int):
         if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(self.profile, other)
+            other = TruncatedSeries.term(self.profile, other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_profile(other)
@@ -667,7 +650,7 @@ class TruncatedSeries:
 
     def times_binomial(self, c: Coeff, m) -> "TruncatedSeries":
         """self * (1 - c * x^m) in one pass over the rows."""
-        m = _binomial_monomial(m)
+        m = _monomial(m, "binomial monomial")
         if c == 0 or not self.profile.admits(m):
             return self
         return self._fit(_multiply, c, m)
@@ -678,7 +661,7 @@ class TruncatedSeries:
         The quotient y satisfies y = self + c * x^m * y.  A constant m is
         refused, as ``invert_one_minus`` refuses a constant term.
         """
-        m = _binomial_monomial(m)
+        m = _monomial(m, "binomial monomial")
         if not any(m):
             raise NonNilpotentError(
                 "over_binomial needs a monomial carrying a capped variable"
@@ -689,7 +672,7 @@ class TruncatedSeries:
 
     def times_monomial(self, c: Coeff, m) -> "TruncatedSeries":
         """self * c * x^m: each row moves by m's (a, b, t) exponents and shifts by its q one."""
-        m = _binomial_monomial(m)
+        m = _monomial(m, "binomial monomial")
         if c == 0 or not self.profile.admits(m):
             return TruncatedSeries.zero(self.profile, self.valid_to_q)
         return self._fit(_times_monomial, c, m)
@@ -697,7 +680,7 @@ class TruncatedSeries:
     def __eq__(self, other):
         """Mathematical equality in the quotient ring (coefficients agree)."""
         if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(self.profile, other)
+            other = TruncatedSeries.term(self.profile, other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         if self.profile != other.profile:
@@ -711,8 +694,8 @@ class TruncatedSeries:
         if not self.terms:
             return "0"
         bits = []
-        for m, c in self.sorted_items():
-            cs = str(Fraction(c))
+        for m in sorted(map(Monomial._make, self.terms), key=Monomial.order_key):
+            cs = str(Fraction(self.terms[m]))
             if m == MONO_ONE:
                 bits.append(cs)
             elif cs == "1":
@@ -749,8 +732,8 @@ def invert_one_minus(x: TruncatedSeries) -> TruncatedSeries:
         )
     acc = TruncatedSeries.one(x.profile) + TruncatedSeries.zero(x.profile, x.valid_to_q)
     p = TruncatedSeries.one(x.profile)
-    limit = x.profile.nilpotency_bound() + 2
-    for _ in range(limit):
+    # a product of more than sum(caps) constant-free factors is zero
+    for _ in range(sum(x.profile.caps) + 2):
         p = p * x
         if p.is_zero():
             return acc
@@ -775,9 +758,7 @@ def pochhammer_finite(
         raise SeriesError(f"factor count must be a nonnegative integer, got {n!r}")
     if q_step < 1:
         raise SeriesError(f"q_step must be >= 1, got {q_step}")
-    base = Monomial(*base)
-    if min(base) < 0:
-        raise NegativeExponentError(f"base monomial {base!r} has a negative exponent")
+    base = _monomial(base, "base monomial")
     acc = TruncatedSeries.one(profile)
     for k in range(n):
         e_q = base.e_q + q_offset + k * q_step
@@ -800,16 +781,15 @@ def pochhammer_infinite(
     """Infinite product of factors (1 - coeff * base * q^(q_offset + k*q_step)).
 
     Exact within the profile: factors whose q-exponent exceeds cap_q are
-    identically 1 there, so only finitely many are multiplied.  When the
+    identically 1 there, so it is the finite product of those below
+    q^(cap_q + 1).  When the
     base involves a formal variable the leading factor must already move
     in q (effective offset >= 1), otherwise the product does not truncate
     factor by factor.
     """
     if q_step < 1:
         raise SeriesError(f"q_step must be >= 1, got {q_step}")
-    base = Monomial(*base)
-    if min(base) < 0:
-        raise NegativeExponentError(f"base monomial {base!r} has a negative exponent")
+    base = _monomial(base, "base monomial")
     start = base.e_q + q_offset
     if start < 0:
         raise NegativeExponentError(f"leading factor would sit at q^{start}")
@@ -817,13 +797,8 @@ def pochhammer_infinite(
         raise NonNilpotentError(
             "infinite product needs q_offset >= 1 when the base carries a formal variable"
         )
-    acc = TruncatedSeries.one(profile)
-    e_q = start
-    while e_q <= profile.cap_q:
-        moving = base._replace(e_q=e_q)
-        acc = acc.times_binomial(coeff, moving)
-        e_q += q_step
-    return acc
+    n = max(0, (profile.cap_q - start) // q_step + 1)
+    return pochhammer_finite(coeff, base, q_offset, q_step, n, profile)
 
 
 def substitute_q_power(s: TruncatedSeries, k: int) -> TruncatedSeries:
@@ -889,9 +864,7 @@ def coefficient(s: TruncatedSeries, m) -> Coeff:
     Raises ``ValidityError`` when the monomial exceeds the caps or its
     q-degree lies beyond the guaranteed-exact region.
     """
-    m = Monomial(*m)
-    if min(m) < 0:
-        raise NegativeExponentError(f"monomial {m!r} has a negative exponent")
+    m = _monomial(m)
     if not s.profile.admits(m):
         raise ValidityError(f"monomial {m} is outside the profile caps {s.profile.caps}")
     if m.e_q > s.valid_to_q:

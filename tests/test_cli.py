@@ -118,10 +118,21 @@ def test_verify_balanced_sum_rejects_zero_c(capsys, identity):
 
 
 @pytest.mark.parametrize("identity", ["qps_2_1", "rewrite_2_2"])
-def test_verify_balanced_sum_refuses_zero_over_zero(capsys, identity):
-    # a = c = 1: (a; q)_n / (c; q)_n is 0/0 from n = 1 on
+@pytest.mark.parametrize("N", ["0", "2"])
+def test_verify_balanced_sum_rejects_c_one(capsys, identity, N):
+    # (c; q)_n vanishes from n = 1 on; at N = 0 only qps_2_1's next-summand detail reaches it
     code, out, err = run_cli(
-        capsys, "verify", "--identity", identity, "--a", "1", "--b", "2", "--c", "1", "--N", "2",
+        capsys, "verify", "--identity", identity, "--a", "2", "--b", "3", "--c", "1", "--N", N,
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: parameter c must differ from 1 ((c; q)_n vanishes)\n"
+
+
+@pytest.mark.parametrize("identity", ["qps_2_1", "rewrite_2_2"])
+def test_verify_balanced_sum_refuses_zero_over_zero(capsys, identity):
+    # a = 1, c/(a*b) = 1: (a; q)_1 / (a*b/c * q^(1-N); q)_1 is 0/0 at n = 1
+    code, out, err = run_cli(
+        capsys, "verify", "--identity", identity, "--a", "1", "--b", "2", "--c", "2", "--N", "1",
     )
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: denominator factor (1 - v) with v = 1 over a vanishing "

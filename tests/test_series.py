@@ -89,7 +89,7 @@ def dense_from_series(s, cap):
 def test_add_cancellation():
     one_plus_q = TruncatedSeries.one(PROF) + term(PROF, 1, q=1)
     one_minus_q = TruncatedSeries.one(PROF) - term(PROF, 1, q=1)
-    assert one_plus_q + one_minus_q == TruncatedSeries.constant(PROF, 2)
+    assert one_plus_q + one_minus_q == term(PROF, 2)
 
 
 def test_add_identity_element():
@@ -265,6 +265,80 @@ def test_pochhammer_infinite_linear_t_terms():
 def test_pochhammer_infinite_rejects_stationary_formal_base():
     with pytest.raises(NonNilpotentError):
         pochhammer_infinite(1, Monomial(e_b=1), 0, 1, PROF)
+
+
+def binomial_product(coeff, base, exponents, profile):
+    """prod (1 - coeff * base * q^e) over the given exponents, by ``*`` alone."""
+    out = TruncatedSeries.one(profile)
+    for e in exponents:
+        m = base._replace(e_q=e)
+        out = out * (TruncatedSeries.one(profile) - term(profile, coeff, *m))
+    return out
+
+
+@pytest.mark.parametrize(
+    "base, q_offset, q_step, factors",
+    [
+        (Monomial(e_b=1), 8, 1, [8]),  # start = cap_q: one factor
+        (Monomial(e_b=1), 9, 1, []),  # start = cap_q + 1: the empty product
+        (Monomial(e_a=1), 1, 3, [1, 4, 7]),  # q_step does not divide cap_q - start
+        (Monomial(e_t=1, e_q=2), 1, 2, [3, 5, 7]),  # base carries its own q^2
+        (Monomial(e_a=1, e_q=3), -2, 4, [1, 5]),  # ... which a negative offset lowers
+        (MONO_ONE, 1, 8, [1]),
+    ],
+)
+def test_pochhammer_infinite_is_the_finite_product_below_the_cap(base, q_offset, q_step, factors):
+    got = pochhammer_infinite(Fraction(-2, 3), base, q_offset, q_step, PROF)
+    assert got == binomial_product(Fraction(-2, 3), base, factors, PROF)
+    assert got == pochhammer_finite(Fraction(-2, 3), base, q_offset, q_step, len(factors), PROF)
+    if not factors:
+        assert got == TruncatedSeries.one(PROF)
+
+
+@pytest.mark.parametrize(
+    "base, q_offset, error, message",
+    [
+        (Monomial(e_b=1), 0, NonNilpotentError,
+         "infinite product needs q_offset >= 1 when the base carries a formal variable"),
+        (Monomial(e_q=1), -2, NegativeExponentError, "leading factor would sit at q^-1"),
+        (Monomial(e_b=-1), 1, NegativeExponentError,
+         "base monomial Monomial(e_a=0, e_b=-1, e_t=0, e_q=0) has a negative exponent"),
+    ],
+)
+def test_pochhammer_infinite_refuses_before_building_a_product(
+    monkeypatch, base, q_offset, error, message
+):
+    def no_product(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(series, "pochhammer_finite", no_product)
+    monkeypatch.setattr(TruncatedSeries, "times_binomial", no_product)
+    with pytest.raises(error) as exc:
+        pochhammer_infinite(1, base, q_offset, 1, PROF)
+    assert str(exc.value) == message
+
+
+def test_negative_exponent_messages_are_exact():
+    one = TruncatedSeries.one(PROF)
+    cases = [
+        (lambda: one.times_binomial(1, (0, 1, 0, -1)), "binomial monomial", (0, 1, 0, -1)),
+        (lambda: one.over_binomial(1, (0, 1, 0, -1)), "binomial monomial", (0, 1, 0, -1)),
+        (lambda: one.times_monomial(1, (-1, 0, 0, 0)), "binomial monomial", (-1, 0, 0, 0)),
+        (lambda: TruncatedSeries(PROF, {(0, 0, -1, 2): 1}), "monomial", (0, 0, -1, 2)),
+        (lambda: TruncatedSeries.term(PROF, 1, e_q=-1), "monomial", (0, 0, 0, -1)),
+        (lambda: coefficient(one, (-2, 0, 0, 0)), "monomial", (-2, 0, 0, 0)),
+        (lambda: pochhammer_finite(1, (1, 0, -1, 0), 0, 1, 2, PROF),
+         "base monomial", (1, 0, -1, 0)),
+        (lambda: pochhammer_infinite(1, (0, -1, 0, 3), 0, 1, PROF),
+         "base monomial", (0, -1, 0, 3)),
+    ]
+    for call, what, m in cases:
+        with pytest.raises(NegativeExponentError) as exc:
+            call()
+        a, b, t, q = m
+        assert str(exc.value) == (
+            f"{what} Monomial(e_a={a}, e_b={b}, e_t={t}, e_q={q}) has a negative exponent"
+        )
 
 
 # ------------------------------------------------------------- substitutions
@@ -445,7 +519,7 @@ def test_ring_axioms(x, y, z):
 @given(small_series())
 @settings(max_examples=40, deadline=None)
 def test_invert_roundtrip_property(x):
-    x = x - TruncatedSeries.constant(SMALL, x.constant_term)
+    x = x - term(SMALL, x.constant_term)
     inv = invert_one_minus(x)
     assert (TruncatedSeries.one(SMALL) - x) * inv == TruncatedSeries.one(SMALL)
 
