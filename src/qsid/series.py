@@ -46,9 +46,13 @@ passes run at q = 1 with |c| in place of c, and a row that lies wholly
 past cap_q drops out of them as it drops out of the packed build.  Every
 digit, before and after a cut, is bounded by that sum, and a slot of W
 bits holds it, with the sign correction of a cut, while the bound stays
-below 2^(W-2).  A pass whose bounds would pass that limit runs again on
-rows repacked at a wider W.  ``terms`` is the unpacked term map, built on
-first use; equal rows compare as equal ints, without unpacking.
+below 2^(W-2).  A pass whose bounds would pass that limit first re-reads
+its input rows' bounds as their exact digit sums, once, and runs again:
+bounds compound loosely from pass to pass, and a row cut past cap_q keeps
+the bound of its digits before the cut.  Only if they still do not fit
+does it run again on rows repacked at a wider W.  ``terms`` is the
+unpacked term map, built on first use; equal rows compare as equal ints,
+without unpacking.
 
 Every series lives on rows.  A term map given to the constructor
 (``TruncatedSeries(profile, terms)``) is packed at once, over the lcm of
@@ -572,10 +576,20 @@ class TruncatedSeries:
         rows = {key: v * k for key, v in s.rows.items()}
         return s._with_rows(rows, bounds, s.den * k)
 
+    def _exact(self) -> "TruncatedSeries":
+        """The same rows, each bound re-read as the row's exact digit sum."""
+        bounds = {k: sum(map(abs, _unpack(v, self.width))) for k, v in self.rows.items()}
+        return self._with_rows(self.rows, bounds, self.den)
+
     def _fit(self, kernel, *args) -> "TruncatedSeries":
-        """kernel(self, *args) -> (rows, bounds, den) as a series, run again on
-        rows widened to the guard's W while a bound does not fit this one."""
-        s = self
+        """kernel(self, *args) -> (rows, bounds, den) as a series.
+
+        While a bound does not fit this W the pass runs again: first, once,
+        on the input series with their bounds re-read as exact digit sums
+        (bounds compound loosely from pass to pass, and a cut row keeps its
+        old one), then on rows widened to the guard's W.
+        """
+        s, exact = self, False
         while True:
             rows, bounds, den = kernel(s, *args)
             if _fits(bounds, s.width):
@@ -584,7 +598,12 @@ class TruncatedSeries:
             if width <= s.width:
                 raise SeriesError(f"slot width {width} cannot hold a row bound of "
                                   f"{max(bounds.values()).bit_length()} bits")
-            s = s._widened(width)
+            if exact:
+                s = s._widened(width)
+            else:
+                exact = True
+                s = s._exact()
+                args = [a._exact() if isinstance(a, TruncatedSeries) else a for a in args]
 
     # ------------------------------------------------------------ arithmetic
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsid import identities
+from qsid import identities, series
 from qsid.identities import (
     CASES,
     build_eq31_side,
@@ -539,6 +539,26 @@ def test_stepped_builders_match_reference(caps):
     for stepped, reference in pairs:
         assert stepped.terms == reference.terms
         assert stepped.valid_to_q == reference.valid_to_q
+
+
+BENCH_CAP_SIDES = [
+    ("3_4_left", (12, 12, 0, 88)),
+    ("3_4_right", (12, 12, 0, 88)),
+    ("3_5_left", (12, 12, 0, 64)),
+    ("3_5_right", (12, 12, 0, 64)),
+    ("thm1_1", (12, 12, 12, 116)),
+]
+
+
+@pytest.mark.parametrize("which, caps", BENCH_CAP_SIDES, ids=str)
+def test_sides_at_the_bench_caps_build_at_the_narrowest_width(which, caps):
+    # The digit sums need at most 18 bits; a bound compounded through the
+    # passes (98 bits on 3_4_right) is re-read before it widens a side.
+    prof = TruncationProfile(*caps)
+    side = build_thm11_side(prof) if which == "thm1_1" else build_thm31_side(which, prof)
+    assert side.width == 32
+    for k, row in side.rows.items():
+        assert side.bounds[k] >= sum(map(abs, series._unpack(row, side.width)))
 
 
 def test_formal_sides_multiply_no_two_multi_term_series(monkeypatch):

@@ -803,6 +803,35 @@ def test_guard_widens_before_a_digit_reaches_the_sign_bits():
     assert s.terms == {(0, 0, 0, 0): 2**16 + 1, (0, 0, 0, 1): 2**31 + 2**15}
 
 
+def test_compounded_bound_is_reread_before_it_widens():
+    # Six divisions by (1 - q) and six multiplications back: the bound
+    # compounds to 42 bits on the row 1, which a pass re-reads as its
+    # digit sum instead of widening to W = 64.
+    one = TruncatedSeries.one(TruncationProfile(0, 0, 0, 60))
+    s = one
+    for _ in range(6):
+        s = s.over_binomial(1, (0, 0, 0, 1))
+    for _ in range(6):
+        s = s.times_binomial(1, (0, 0, 0, 1))
+    assert s == one and s.width == 32 and s.rows == {(0, 0, 0): 1}
+
+
+def test_a_pass_re_reads_each_input_once_before_it_widens(monkeypatch):
+    exact, reads = TruncatedSeries._exact, []
+    monkeypatch.setattr(TruncatedSeries, "_exact", lambda s: reads.append(s) or exact(s))
+    # exact bounds that still do not fit: one re-read, then W = 64
+    assert term(KERNEL, 2**16 + 1).times_binomial(-(2**15), (0, 0, 0, 1)).width == 64
+    assert len(reads) == 1
+    # c * (1 - q^5) * (1 + q^5) is c once q^10 is cut, but its bound is 4c
+    c = 2**28 - 1
+    y = term(KERNEL, c).times_binomial(1, (0, 0, 0, 5)).times_binomial(-1, (0, 0, 0, 5))
+    assert y.rows == {(0, 0, 0): c} and y.bounds == {(0, 0, 0): 4 * c} and len(reads) == 1
+    # a sum re-reads both operands: c + 4c would not fit W = 32 either
+    reads.clear()
+    total = y + y
+    assert total.width == 32 and total.terms == {(0, 0, 0, 0): 2 * c} and len(reads) == 2
+
+
 def test_rows_past_cap_are_cut_and_rows_wholly_past_drop_out():
     prof = TruncationProfile(0, 2, 0, 5)
     s = term(prof, 1, q=2) + term(prof, -1, q=5)
