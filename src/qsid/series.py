@@ -236,10 +236,13 @@ def _slots(row: int, width: int) -> bytes:
 
 def _unpack(row: int, width: int) -> list:
     """Balanced digits of a packed row, q^0 first, up to its highest nonzero slot."""
-    data, size, half = _slots(row, width), width // 8, 1 << (width - 1)
+    n, size = row.bit_length() // width + 1, width // 8
     if size in (4, 8):
-        words = struct.unpack(f"<{len(data) // size}{'I' if size == 4 else 'Q'}", data)
-        return [w - half for w in words]
+        # slots of d + 2^(W-1) with the top bit flipped hold d in two's complement
+        offset = _offset(width, n, width)
+        data = ((row + offset) ^ offset).to_bytes(size * n, "little")
+        return list(struct.unpack(f"<{n}{'i' if size == 4 else 'q'}", data))
+    data, half = _slots(row, width), 1 << (width - 1)
     return [int.from_bytes(data[i:i + size], "little") - half for i in range(0, len(data), size)]
 
 
