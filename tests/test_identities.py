@@ -553,7 +553,7 @@ BENCH_CAP_SIDES = [
 @pytest.mark.parametrize("which, caps", BENCH_CAP_SIDES, ids=str)
 def test_sides_at_the_bench_caps_build_at_the_narrowest_width(which, caps):
     # The digit sums need at most 18 bits; a bound compounded through the
-    # passes (98 bits on 3_4_right) is re-read before it widens a side.
+    # passes (up to 98 bits on 3_4_right) is re-read before it widens a side.
     prof = TruncationProfile(*caps)
     side = build_thm11_side(prof) if which == "thm1_1" else build_thm31_side(which, prof)
     assert side.width == 32

@@ -804,9 +804,9 @@ def test_guard_widens_before_a_digit_reaches_the_sign_bits():
 
 
 def test_compounded_bound_is_reread_before_it_widens():
-    # Six divisions by (1 - q) and six multiplications back: the bound
-    # compounds to 42 bits on the row 1, which a pass re-reads as its
-    # digit sum instead of widening to W = 64.
+    # Six divisions by (1 - q) and six multiplications back give the row 1,
+    # whose bound would compound to 42 bits (W = 64) if the passes did not
+    # re-read it as its digit sum before widening.
     one = TruncatedSeries.one(TruncationProfile(0, 0, 0, 60))
     s = one
     for _ in range(6):
