@@ -54,6 +54,7 @@ from .partitions import (
     ConstraintSet,
     Partition,
     PartitionFamily,
+    SuffixList,
     count_partitions,
     env_enum_limit,
     partition_family,
@@ -110,7 +111,7 @@ class _Graded:
 
 
 def _graded(rows, *names: str) -> _Graded:
-    return _Graded((("monomial", "aq"), *((name, None) for name in names)), rows)
+    return _Graded((("monomial", ("a", "q")), *((name, "%s") for name in names)), rows)
 
 
 def verification_report_to_dict(report: VerificationReport) -> Dict[str, object]:
@@ -184,7 +185,8 @@ def report_json(report: object) -> str:
     writer joins strings instead.  It writes a ``MismatchTable`` and a
     ``_Graded`` audit table (each as its list of row dicts) with
     ``_table_json``, one fill of the shape's row template per int row,
-    and a ``PartitionFamily`` (as its list of partitions) from its blocks.
+    and a ``PartitionFamily`` (as its list of partitions) from its blocks,
+    each suffix's text its first part's text before its child list's.
     What it has no path for (floats, True, False, None, non-string keys)
     goes through ``json.dumps``.
     """
@@ -207,6 +209,9 @@ def _json(value: object, nl: str) -> str:
         return "[" + inner + ("," + inner).join([_json(x, inner) for x in value]) + nl + "]"
     if isinstance(value, MismatchTable):
         den = value.den
+        if den == 1:  # no gcd or division per value: the ints fill their slots
+            return _table_json(_INT_MISMATCH_SHAPE, [(a, b, t, q, x, y)
+                                                     for q, a, b, t, x, y in value.rows], nl)
         return _table_json(_MISMATCH_SHAPE, [(a, b, t, q, _value_json(x, den), _value_json(y, den))
                                              for q, a, b, t, x, y in value.rows], nl)
     if isinstance(value, _Graded):
@@ -235,14 +240,15 @@ def _json(value: object, nl: str) -> str:
 
 
 def _row_template(shape, nl: str) -> str:
-    """The template of a row written after ``nl``, one ``%s`` per value:
-    ``shape`` pairs each key with None (one value) or with its sub-keys
-    (a dict of one value per sub-key); keys are plain names, which JSON
-    writes as they are."""
+    """The template of a row written after ``nl``, one slot per value:
+    ``shape`` pairs each key with its value's slot (``%s`` for a value in
+    its JSON form, ``"%d"`` for an int written as a JSON string) or with
+    the tuple of its sub-keys (a dict of one ``%s`` per sub-key); keys are
+    plain names, which JSON writes as they are."""
     inner, deeper, parts = nl + "  ", nl + "    ", []
     for key, sub in shape:
-        if sub is None:
-            parts.append(f'"{key}": %s')
+        if isinstance(sub, str):
+            parts.append(f'"{key}": {sub}')
             continue
         fields = [f'"{k}": %s' for k in sub]
         parts.append(f'"{key}": {{' + deeper + ("," + deeper).join(fields) + inner + "}")
@@ -266,7 +272,9 @@ def _value_json(x: int, den: int) -> str:
     return f'"{x // g}"' if g == den else f'"{x // g}/{den // g}"'
 
 
-_MISMATCH_SHAPE = (("monomial", "abtq"), ("lhs", None), ("rhs", None))
+_MISMATCH_SHAPE = (("monomial", tuple("abtq")), ("lhs", "%s"), ("rhs", "%s"))
+# the shape of a table over den == 1: each value is an int's JSON string
+_INT_MISMATCH_SHAPE = (("monomial", tuple("abtq")), ("lhs", '"%d"'), ("rhs", '"%d"'))
 
 
 def _family_chunks(family: PartitionFamily, start: str, sep: str, end: str,
@@ -279,24 +287,51 @@ def _family_chunks(family: PartitionFamily, start: str, sep: str, end: str,
     per call, a suffix as ``sep + sep.join(parts) + end`` (``end`` alone for
     the empty suffix), and each prefix once per block, as ``start +
     sep.join(prefix)``; a block is then one join of its suffixes' texts
-    with the prefix's, and no member's text is built on its own.
+    with the prefix's, and no member's text is built on its own.  The
+    text of a suffix ``(v,) + s`` is ``sep + str(v)`` before the text of
+    ``s``, which its child list already has, so each suffix costs one
+    concatenation.  The texts are keyed by the id of their list, which
+    the family keeps alive for the whole call.
     """
     text = int.__repr__
     written: Dict[int, List[str]] = {}
+
+    def texts(kept: SuffixList, lead: str, last: str) -> List[str]:
+        """``lead + str(v)`` before each text of each child ``(v, child)``,
+        then ``last`` for a trailing empty suffix."""
+        out = []
+        for v, child in kept.children:
+            head = lead + text(v)
+            out += [head + t for t in written[id(child)]]
+        if kept and not kept[-1]:
+            out.append(last)
+        return out
+
+    def write(lists: List[SuffixList]) -> None:
+        """Write these lists and every list below them, children first, on
+        an explicit stack: lists nest as deep as the longest kept suffix."""
+        todo = lists
+        while todo:
+            kept = todo[-1]
+            if id(kept) in written:
+                todo.pop()
+                continue
+            kids = [child for _, child in kept.children if id(child) not in written]
+            if kids:
+                todo += kids
+                continue
+            todo.pop()
+            written[id(kept)] = texts(kept, sep, end)
+
     chunks = []
     for prefix, kept in family.blocks:
         if not prefix:  # the root: the whole family in one kept list, or ()
-            chunks.append(between.join(
-                [start + sep.join(map(text, s)) + end if s else empty for s in kept]
-            ))
+            write([child for _, child in kept.children])
+            chunks.append(between.join(texts(kept, start, empty)))
             continue
-        tails = written.get(id(kept))
-        if tails is None:
-            tails = written[id(kept)] = [
-                sep + sep.join(map(text, s)) + end if s else end for s in kept
-            ]
+        write([kept])
         head = start + sep.join(map(text, prefix))
-        chunks.append(head + (between + head).join(tails))
+        chunks.append(head + (between + head).join(written[id(kept)]))
     return chunks
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "GeneratingPolynomial",
     "Partition",
     "PartitionFamily",
+    "SuffixList",
     "UnboundedConstraintError",
     "count_partitions",
     "enumerate_partitions",
@@ -208,18 +209,40 @@ class ConstraintSet:
 _SUFFIX_CUT = 256
 
 
+class SuffixList(list):
+    """A kept suffix list: ``(v,) + s`` for each ``(v, child)`` of
+    ``children`` and each ``s`` in that child list, in order, then ``()``
+    when the empty suffix is allowed.
+
+    ``children`` keeps how the list was composed, so a writer can build
+    the text of ``(v,) + s`` as ``v``'s text before the text of ``s``,
+    which it wrote for the child list, instead of writing every part of
+    every suffix again.
+    """
+
+    __slots__ = ("children",)
+
+    def __init__(self, children: List[Tuple[int, "SuffixList"]], empty: bool):
+        super().__init__([(v,) + s for v, child in children for s in child])
+        if empty:
+            self.append(())
+        self.children = children
+
+
 class PartitionFamily:
     """A listed family as blocks: its members, in order, are ``prefix + s``
     for each ``(prefix, suffixes)`` block and each ``s`` in ``suffixes``,
-    a nonempty list that other blocks may share.
+    a nonempty ``SuffixList`` that other blocks may share.
 
-    A writer that turns each distinct suffix list into text once writes
-    the family without building its members.  ``len`` is their number.
+    A suffix's text is its first part's text before its child list's
+    text, so a writer that writes each distinct list once, children
+    first, writes the family without building its members.  ``len`` is
+    their number.
     """
 
     __slots__ = ("blocks", "size")
 
-    def __init__(self, blocks: List[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]]):
+    def __init__(self, blocks: List[Tuple[Tuple[int, ...], SuffixList]]):
         self.blocks = blocks
         self.size = sum([len(kept) for _, kept in blocks])
 
@@ -228,7 +251,7 @@ class PartitionFamily:
 
 
 # The suffix list of a prefix listed after its extensions: the prefix alone.
-_EMPTY_SUFFIX: List[Tuple[int, ...]] = [()]
+_EMPTY_SUFFIX = SuffixList([], True)
 
 
 def enumerate_partitions(c: ConstraintSet) -> List[Partition]:
@@ -247,8 +270,9 @@ def partition_family(c: ConstraintSet) -> PartitionFamily:
     length room and the length still needed.  A key of those bounds has one
     list of suffixes, descending-lex and ending with the empty suffix, so
     ``prefix + s`` for each ``s`` lists that prefix's partitions in the
-    enumeration order; each list is built once from its children's lists
-    and shared by every prefix that reaches its key.  The key carries a
+    enumeration order; each list is built once from its children's lists,
+    as a ``SuffixList`` that keeps those ``(part, child list)`` pairs, and
+    shared by every prefix that reaches its key.  The key carries a
     room only where it binds: weight room only under a weight window,
     length room only under a length bound (elsewhere the other bounds
     imply them), so prefixes that differ only in a non-binding bound share
@@ -258,10 +282,12 @@ def partition_family(c: ConstraintSet) -> PartitionFamily:
     its extensions is the block ``(prefix, [()])``.  Concatenated in
     order, the blocks list the family in descending-lex order.  The
     distinct suffix lists among them are few (109 lists of 7,738 suffixes
-    for the 33,772 odd-distinct partitions of weight at most 40), so a
-    writer that turns each list into text once, and each prefix once per
-    block, does text work that follows the lists, not the family.  The
-    constraint set must be finite (see ``ConstraintSet.effective_bounds``).
+    for the 33,772 odd-distinct partitions of weight at most 40), and a
+    suffix's text is its first part's text before its child list's text,
+    so a writer that builds each list's texts once from its children's,
+    one concatenation per suffix, and each prefix's once per block, does
+    text work that follows the lists, not the family.  The constraint set
+    must be finite (see ``ConstraintSet.effective_bounds``).
     """
     w_hi_eff, l_hi_eff = c.effective_bounds()
     w_lo, w_hi = c.weight_window()
@@ -293,9 +319,9 @@ def partition_family(c: ConstraintSet) -> PartitionFamily:
         """Whether the empty suffix is allowed: no weight or length still needed."""
         return not key[2] and not key[4]
 
-    memo: Dict[tuple, Optional[List[Tuple[int, ...]]]] = {}
+    memo: Dict[tuple, Optional[SuffixList]] = {}
 
-    def suffixes(key) -> Optional[List[Tuple[int, ...]]]:
+    def suffixes(key) -> Optional[SuffixList]:
         """The key's suffix list, built on first use; None above the cut."""
         if key in memo:
             return memo[key]
@@ -317,10 +343,7 @@ def partition_family(c: ConstraintSet) -> PartitionFamily:
             if None in lists or sum(map(len, lists)) + empty > _SUFFIX_CUT:
                 memo[k] = None
                 continue
-            out = [(v,) + s for (v, _), kept in zip(kids, lists) for s in kept]
-            if empty:
-                out.append(())
-            memo[k] = out
+            memo[k] = SuffixList([(v, kept) for (v, _), kept in zip(kids, lists)], empty)
         return memo[key]
 
     blocks = []

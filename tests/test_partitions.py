@@ -19,6 +19,7 @@ from qsid.partitions import (
     count_partitions,
     GeneratingPolynomial,
     PartitionFamily,
+    SuffixList,
     enumerate_partitions,
     partition_family,
 )
@@ -254,9 +255,34 @@ def _written_as_members(c):
     return family
 
 
-@pytest.mark.parametrize("c", FAMILIES + [ConstraintSet(weight=3, min_part=5)])
+@pytest.mark.parametrize("c", FAMILIES + [
+    ConstraintSet(weight=3, min_part=5),
+    ConstraintSet(weight_max=40, odd_parts_distinct=True),  # the benchmark's p90 family
+])
 def test_enumerate_writer_matches_json_dumps(c):
     _written_as_members(c)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_family_is_written_without_recursion():
+    # kept lists nest 255 deep here: the writer builds their texts children
+    # first on a stack of its own, not by recursing into each child list
+    c = ConstraintSet(max_part=1, weight_max=600)
+    family = partition_family(c)
+    assert (len(family), len(family.blocks)) == (601, 346)
+    assert max(len(s) for _, kept in family.blocks for s in kept) == 255
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        _written_as_members(c)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.mark.parametrize("c", WRITER_FAMILIES.values(), ids=WRITER_FAMILIES)
@@ -296,10 +322,21 @@ def test_blocks_share_their_suffix_lists():
 
 @st.composite
 def _block_families(draw):
-    """Families of any blocks, drawn over a few suffix lists that blocks share."""
-    parts = st.lists(st.integers(1, 10**6), max_size=4).map(tuple)
-    lists = draw(st.lists(st.lists(parts, min_size=1, max_size=4), min_size=1, max_size=3))
-    return PartitionFamily(draw(st.lists(st.tuples(parts, st.sampled_from(lists)), max_size=6)))
+    """Families of any blocks, drawn over a few suffix lists that blocks share.
+
+    Each list is composed as the search composes its lists, through
+    ``SuffixList``, from drawn ``(part, child list)`` pairs over the lists
+    drawn before it, with or without the empty suffix; empty lists are
+    children only, as in a family.
+    """
+    part = st.integers(1, 10**6)
+    lists = [SuffixList([], False), SuffixList([], True)]
+    for _ in range(draw(st.integers(0, 5))):
+        children = draw(st.lists(st.tuples(part, st.sampled_from(lists)), max_size=3))
+        lists.append(SuffixList(children, draw(st.booleans())))
+    kept = st.sampled_from([suffixes for suffixes in lists if suffixes])
+    prefixes = st.lists(part, max_size=4).map(tuple)
+    return PartitionFamily(draw(st.lists(st.tuples(prefixes, kept), max_size=6)))
 
 
 @given(_block_families())
