@@ -1,5 +1,6 @@
 """Partitions: values, enumeration oracle, generating polynomials, the enumerate writer."""
 
+import inspect
 import json
 import sys
 from dataclasses import replace
@@ -263,13 +264,6 @@ def test_enumerate_writer_matches_json_dumps(c):
     _written_as_members(c)
 
 
-def _stack_depth():
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_deep_family_is_written_without_recursion():
     # kept lists nest 255 deep here: the writer builds their texts children
     # first on a stack of its own, not by recursing into each child list
@@ -278,7 +272,7 @@ def test_deep_family_is_written_without_recursion():
     assert (len(family), len(family.blocks)) == (601, 346)
     assert max(len(s) for _, kept in family.blocks for s in kept) == 255
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 60)
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
     try:
         _written_as_members(c)
     finally:
