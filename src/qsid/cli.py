@@ -111,7 +111,7 @@ class _Graded:
 
 
 def _graded(rows, *names: str) -> _Graded:
-    return _Graded((("monomial", ("a", "q")), *((name, "%s") for name in names)), rows)
+    return _Graded((("monomial", "aq"), *((name, None) for name in names)), rows)
 
 
 def verification_report_to_dict(report: VerificationReport) -> Dict[str, object]:
@@ -186,7 +186,8 @@ def report_json(report: object) -> str:
     ``_Graded`` audit table (each as its list of row dicts) with
     ``_table_json``, one fill of the shape's row template per int row,
     and a ``PartitionFamily`` (as its list of partitions) from its blocks,
-    each suffix's text its first part's text before its child list's.
+    a suffix's text its first part's text before its child list's text
+    where that list is shared.
     What it has no path for (floats, True, False, None, non-string keys)
     goes through ``json.dumps``.
     """
@@ -209,9 +210,6 @@ def _json(value: object, nl: str) -> str:
         return "[" + inner + ("," + inner).join([_json(x, inner) for x in value]) + nl + "]"
     if isinstance(value, MismatchTable):
         den = value.den
-        if den == 1:  # no gcd or division per value: the ints fill their slots
-            return _table_json(_INT_MISMATCH_SHAPE, [(a, b, t, q, x, y)
-                                                     for q, a, b, t, x, y in value.rows], nl)
         return _table_json(_MISMATCH_SHAPE, [(a, b, t, q, _value_json(x, den), _value_json(y, den))
                                              for q, a, b, t, x, y in value.rows], nl)
     if isinstance(value, _Graded):
@@ -240,15 +238,14 @@ def _json(value: object, nl: str) -> str:
 
 
 def _row_template(shape, nl: str) -> str:
-    """The template of a row written after ``nl``, one slot per value:
-    ``shape`` pairs each key with its value's slot (``%s`` for a value in
-    its JSON form, ``"%d"`` for an int written as a JSON string) or with
-    the tuple of its sub-keys (a dict of one ``%s`` per sub-key); keys are
-    plain names, which JSON writes as they are."""
+    """The template of a row written after ``nl``, one ``%s`` per value:
+    ``shape`` pairs each key with None (one value) or with its sub-keys
+    (a dict of one value per sub-key); keys are plain names, which JSON
+    writes as they are."""
     inner, deeper, parts = nl + "  ", nl + "    ", []
     for key, sub in shape:
-        if isinstance(sub, str):
-            parts.append(f'"{key}": {sub}')
+        if sub is None:
+            parts.append(f'"{key}": %s')
             continue
         fields = [f'"{k}": %s' for k in sub]
         parts.append(f'"{key}": {{' + deeper + ("," + deeper).join(fields) + inner + "}")
@@ -272,9 +269,34 @@ def _value_json(x: int, den: int) -> str:
     return f'"{x // g}"' if g == den else f'"{x // g}/{den // g}"'
 
 
-_MISMATCH_SHAPE = (("monomial", tuple("abtq")), ("lhs", "%s"), ("rhs", "%s"))
-# the shape of a table over den == 1: each value is an int's JSON string
-_INT_MISMATCH_SHAPE = (("monomial", tuple("abtq")), ("lhs", '"%d"'), ("rhs", '"%d"'))
+_MISMATCH_SHAPE = (("monomial", "abtq"), ("lhs", None), ("rhs", None))
+
+
+def _written_lists(family: PartitionFamily) -> List[SuffixList]:
+    """The lists whose texts the family's writer builds, children first:
+    each block's list, and each list that two or more of them read (each
+    ``(part, child)`` of a written list or of the root is one read).
+
+    A list read once is left to its reader, so a chain of lists, each read
+    only by the next, is written at its top alone; and since a written
+    list's readers hold its suffixes again, at most as many suffixes are
+    written outside the blocks' lists as in them.
+    """
+    reads: Dict[int, int] = {}
+
+    def read(kept: SuffixList) -> None:
+        for _, child in kept.children:
+            reads[id(child)] = reads.get(id(child), 0) + 1
+
+    for prefix, kept in family.blocks:
+        if prefix:
+            reads[id(kept)] = 2
+        else:  # the root's texts lead with the member's start: never kept
+            read(kept)
+    for kept in reversed(family.lists):  # readers before the lists they read
+        if reads.get(id(kept), 0) > 1:
+            read(kept)
+    return [kept for kept in family.lists if reads.get(id(kept), 0) > 1]
 
 
 def _family_chunks(family: PartitionFamily, start: str, sep: str, end: str,
@@ -283,53 +305,41 @@ def _family_chunks(family: PartitionFamily, start: str, sep: str, end: str,
     for no parts), with ``between`` between each two, in one chunk per block:
     ``between.join`` of the chunks is the family's text.
 
-    Blocks share their suffix lists, so each distinct list is written once
-    per call, a suffix as ``sep + sep.join(parts) + end`` (``end`` alone for
-    the empty suffix), and each prefix once per block, as ``start +
+    Blocks share their suffix lists, so the texts of each block's list are
+    built once per call, and each prefix's once per block, as ``start +
     sep.join(prefix)``; a block is then one join of its suffixes' texts
-    with the prefix's, and no member's text is built on its own.  The
-    text of a suffix ``(v,) + s`` is ``sep + str(v)`` before the text of
-    ``s``, which its child list already has, so each suffix costs one
-    concatenation.  The texts are keyed by the id of their list, which
-    the family keeps alive for the whole call.
+    with the prefix's, and no member's text is built on its own.  A
+    suffix's text is ``sep + sep.join(parts) + end`` (``end`` alone for
+    the empty suffix), or, where its child list is written too
+    (``_written_lists``), ``sep + str(v)`` before the child's text of the
+    rest: one concatenation.  The texts are keyed by the id of their
+    list, which the family keeps alive for the whole call.
     """
     text = int.__repr__
     written: Dict[int, List[str]] = {}
 
     def texts(kept: SuffixList, lead: str, last: str) -> List[str]:
-        """``lead + str(v)`` before each text of each child ``(v, child)``,
-        then ``last`` for a trailing empty suffix."""
-        out = []
+        """``lead`` before each suffix's text, ``last`` for the empty suffix."""
+        out, at = [], 0
         for v, child in kept.children:
-            head = lead + text(v)
-            out += [head + t for t in written[id(child)]]
+            tails = written.get(id(child))
+            if tails is None:
+                out += [lead + sep.join(map(text, s)) + end for s in kept[at:at + len(child)]]
+            else:
+                head = lead + text(v)
+                out += [head + t for t in tails]
+            at += len(child)
         if kept and not kept[-1]:
             out.append(last)
         return out
 
-    def write(lists: List[SuffixList]) -> None:
-        """Write these lists and every list below them, children first, on
-        an explicit stack: lists nest as deep as the longest kept suffix."""
-        todo = lists
-        while todo:
-            kept = todo[-1]
-            if id(kept) in written:
-                todo.pop()
-                continue
-            kids = [child for _, child in kept.children if id(child) not in written]
-            if kids:
-                todo += kids
-                continue
-            todo.pop()
-            written[id(kept)] = texts(kept, sep, end)
-
+    for kept in _written_lists(family):
+        written[id(kept)] = texts(kept, sep, end)
     chunks = []
     for prefix, kept in family.blocks:
         if not prefix:  # the root: the whole family in one kept list, or ()
-            write([child for _, child in kept.children])
             chunks.append(between.join(texts(kept, start, empty)))
             continue
-        write([kept])
         head = start + sep.join(map(text, prefix))
         chunks.append(head + (between + head).join(written[id(kept)]))
     return chunks

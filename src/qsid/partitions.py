@@ -214,10 +214,9 @@ class SuffixList(list):
     ``children`` and each ``s`` in that child list, in order, then ``()``
     when the empty suffix is allowed.
 
-    ``children`` keeps how the list was composed, so a writer can build
-    the text of ``(v,) + s`` as ``v``'s text before the text of ``s``,
-    which it wrote for the child list, instead of writing every part of
-    every suffix again.
+    ``children`` keeps how the list was composed, so a writer that has
+    written a child list can build the text of ``(v,) + s`` as ``v``'s
+    text before the text of ``s``, instead of writing every part again.
     """
 
     __slots__ = ("children",)
@@ -234,16 +233,19 @@ class PartitionFamily:
     for each ``(prefix, suffixes)`` block and each ``s`` in ``suffixes``,
     a nonempty ``SuffixList`` that other blocks may share.
 
-    A suffix's text is its first part's text before its child list's
-    text, so a writer that writes each distinct list once, children
-    first, writes the family without building its members.  ``len`` is
-    their number.
+    ``lists`` holds every nonempty list the blocks reach, each after its
+    children, in the order they were built.  A suffix's text is its first
+    part's text before its child list's text, so a writer that writes
+    the lists it needs once each, in that order, writes the family
+    without building its members.  ``len`` is their number.
     """
 
-    __slots__ = ("blocks", "size")
+    __slots__ = ("blocks", "lists", "size")
 
-    def __init__(self, blocks: List[Tuple[Tuple[int, ...], SuffixList]]):
+    def __init__(self, blocks: List[Tuple[Tuple[int, ...], SuffixList]],
+                 lists: List[SuffixList]):
         self.blocks = blocks
+        self.lists = lists
         self.size = sum([len(kept) for _, kept in blocks])
 
     def __len__(self) -> int:
@@ -284,10 +286,11 @@ def partition_family(c: ConstraintSet) -> PartitionFamily:
     distinct suffix lists among them are few (109 lists of 7,738 suffixes
     for the 33,772 odd-distinct partitions of weight at most 40), and a
     suffix's text is its first part's text before its child list's text,
-    so a writer that builds each list's texts once from its children's,
-    one concatenation per suffix, and each prefix's once per block, does
-    text work that follows the lists, not the family.  The constraint set
-    must be finite (see ``ConstraintSet.effective_bounds``).
+    so a writer that builds each list's texts once, from a shared child
+    list's texts where it has them, and each prefix's once per block,
+    does text work that follows the lists, not the family.  The family
+    keeps the lists in the order they were built, children first.  The
+    constraint set must be finite (see ``ConstraintSet.effective_bounds``).
     """
     w_hi_eff, l_hi_eff = c.effective_bounds()
     w_lo, w_hi = c.weight_window()
@@ -368,7 +371,8 @@ def partition_family(c: ConstraintSet) -> PartitionFamily:
         if complete(key):
             todo.append((prefix, None))
         todo += [(prefix + (v,), k) for v, k in reversed(children(key))]
-    return PartitionFamily(blocks)
+    # the memo fills children first, so its kept lists are in build order
+    return PartitionFamily(blocks, [_EMPTY_SUFFIX] + [kept for kept in memo.values() if kept])
 
 
 def count_partitions(c: ConstraintSet) -> int:

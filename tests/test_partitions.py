@@ -253,7 +253,25 @@ def _written_as_members(c):
     as_json, as_text = _enumerate_outputs(c)
     assert as_json == _dumped(found)
     assert as_text == "\n".join(p.text() for p in found)
+    # the family's lists hold every block's list, each after its children
+    seen = set()
+    for kept in family.lists:
+        assert all(id(child) in seen for _, child in kept.children if child)
+        seen.add(id(kept))
+    assert all(id(kept) in seen for _, kept in family.blocks)
+    # the lists written beside the blocks' hold no more suffixes than they do
+    assert sum(map(len, _written_beside_blocks(family))) <= sum(map(len, _block_lists(family)))
     return family
+
+
+def _block_lists(family):
+    return list({id(kept): kept for _, kept in family.blocks}.values())
+
+
+def _written_beside_blocks(family):
+    """The lists the writer builds texts for that no block holds."""
+    blocks = {id(kept) for _, kept in family.blocks}
+    return [kept for kept in cli._written_lists(family) if id(kept) not in blocks]
 
 
 @pytest.mark.parametrize("c", FAMILIES + [
@@ -265,12 +283,15 @@ def test_enumerate_writer_matches_json_dumps(c):
 
 
 def test_deep_family_is_written_without_recursion():
-    # kept lists nest 255 deep here: the writer builds their texts children
-    # first on a stack of its own, not by recursing into each child list
+    # kept lists nest 255 deep here, each read only by the next: the writer
+    # neither recurses into them nor writes them, only the blocks' lists,
+    # so it builds no more text than the blocks' suffixes hold
     c = ConstraintSet(max_part=1, weight_max=600)
     family = partition_family(c)
     assert (len(family), len(family.blocks)) == (601, 346)
     assert max(len(s) for _, kept in family.blocks for s in kept) == 255
+    assert len(family.lists) == 257
+    assert _written_beside_blocks(family) == []
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
     try:
@@ -308,10 +329,15 @@ for _c in WRITER_FAMILIES.values():  # drawn on every run, whatever the seed
 def test_blocks_share_their_suffix_lists():
     # the writer writes each distinct list once: far fewer suffixes than members
     family = partition_family(ConstraintSet(weight_max=40, odd_parts_distinct=True))
-    lists = {id(kept): kept for _, kept in family.blocks}
+    lists = _block_lists(family)
     assert len(family) == 33772
     assert len(lists) < len(family.blocks)
-    assert sum(map(len, lists.values())) < len(family) / 4
+    assert sum(map(len, lists)) < len(family) / 4
+    # 31 of the 36 lists below the blocks' are read twice or more: their
+    # texts are built once, and 279 suffixes are written over them
+    beside = _written_beside_blocks(family)
+    assert (len(lists), len(family.lists) - len(lists)) == (109, 36)
+    assert (len(beside), sum(map(len, beside))) == (31, 279)
 
 
 @st.composite
@@ -321,16 +347,18 @@ def _block_families(draw):
     Each list is composed as the search composes its lists, through
     ``SuffixList``, from drawn ``(part, child list)`` pairs over the lists
     drawn before it, with or without the empty suffix; empty lists are
-    children only, as in a family.
+    children only, as in a family, and the nonempty ones, in the order
+    drawn, are the family's lists.
     """
     part = st.integers(1, 10**6)
     lists = [SuffixList([], False), SuffixList([], True)]
     for _ in range(draw(st.integers(0, 5))):
         children = draw(st.lists(st.tuples(part, st.sampled_from(lists)), max_size=3))
         lists.append(SuffixList(children, draw(st.booleans())))
-    kept = st.sampled_from([suffixes for suffixes in lists if suffixes])
+    kept = [suffixes for suffixes in lists if suffixes]
     prefixes = st.lists(part, max_size=4).map(tuple)
-    return PartitionFamily(draw(st.lists(st.tuples(prefixes, kept), max_size=6)))
+    return PartitionFamily(draw(st.lists(st.tuples(prefixes, st.sampled_from(kept)), max_size=6)),
+                           kept)
 
 
 @given(_block_families())
