@@ -272,33 +272,6 @@ def _value_json(x: int, den: int) -> str:
 _MISMATCH_SHAPE = (("monomial", "abtq"), ("lhs", None), ("rhs", None))
 
 
-def _written_lists(family: PartitionFamily) -> List[SuffixList]:
-    """The lists whose texts the family's writer builds, children first:
-    each block's list, and each list that two or more of them read (each
-    ``(part, child)`` of a written list or of the root is one read).
-
-    A list read once is left to its reader, so a chain of lists, each read
-    only by the next, is written at its top alone; and since a written
-    list's readers hold its suffixes again, at most as many suffixes are
-    written outside the blocks' lists as in them.
-    """
-    reads: Dict[int, int] = {}
-
-    def read(kept: SuffixList) -> None:
-        for _, child in kept.children:
-            reads[id(child)] = reads.get(id(child), 0) + 1
-
-    for prefix, kept in family.blocks:
-        if prefix:
-            reads[id(kept)] = 2
-        else:  # the root's texts lead with the member's start: never kept
-            read(kept)
-    for kept in reversed(family.lists):  # readers before the lists they read
-        if reads.get(id(kept), 0) > 1:
-            read(kept)
-    return [kept for kept in family.lists if reads.get(id(kept), 0) > 1]
-
-
 def _family_chunks(family: PartitionFamily, start: str, sep: str, end: str,
                    empty: str, between: str) -> List[str]:
     """The family's members, each ``start + sep.join(parts) + end`` (``empty``
@@ -310,8 +283,8 @@ def _family_chunks(family: PartitionFamily, start: str, sep: str, end: str,
     sep.join(prefix)``; a block is then one join of its suffixes' texts
     with the prefix's, and no member's text is built on its own.  A
     suffix's text is ``sep + sep.join(parts) + end`` (``end`` alone for
-    the empty suffix), or, where its child list is written too
-    (``_written_lists``), ``sep + str(v)`` before the child's text of the
+    the empty suffix), or, where its child list is written too (one of
+    ``family.lists``), ``sep + str(v)`` before the child's text of the
     rest: one concatenation.  The texts are keyed by the id of their
     list, which the family keeps alive for the whole call.
     """
@@ -333,7 +306,7 @@ def _family_chunks(family: PartitionFamily, start: str, sep: str, end: str,
             out.append(last)
         return out
 
-    for kept in _written_lists(family):
+    for kept in family.lists:  # children first
         written[id(kept)] = texts(kept, sep, end)
     chunks = []
     for prefix, kept in family.blocks:

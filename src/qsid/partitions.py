@@ -217,6 +217,9 @@ class SuffixList(list):
     ``children`` keeps how the list was composed, so a writer that has
     written a child list can build the text of ``(v,) + s`` as ``v``'s
     text before the text of ``s``, instead of writing every part again.
+    ``partition_family`` empties it on a list that no block holds and
+    that is not shared (see ``PartitionFamily``): no writer reads through
+    that list, and the lists below it can go.
     """
 
     __slots__ = ("children",)
@@ -233,20 +236,42 @@ class PartitionFamily:
     for each ``(prefix, suffixes)`` block and each ``s`` in ``suffixes``,
     a nonempty ``SuffixList`` that other blocks may share.
 
-    ``lists`` holds every nonempty list the blocks reach, each after its
-    children, in the order they were built.  A suffix's text is its first
-    part's text before its child list's text, so a writer that writes
-    the lists it needs once each, in that order, writes the family
-    without building its members.  ``len`` is their number.
+    A suffix's text is its first part's text before its child list's
+    text, so ``lists`` holds the lists a writer builds texts for, each
+    after its children: each block's list, and each list that two or more
+    of them read (each ``(part, child)`` of a written list is one read).
+    The root block's list (empty prefix: the whole family) is read, not
+    written, since its texts are whole members.  A list read once is left
+    to its reader, which writes those suffixes from their parts, so a
+    chain of lists, each read only by the next, is written at its top
+    alone; and since a shared list's readers hold its suffixes again,
+    ``lists`` holds at most as many suffixes outside the blocks' lists as
+    in them.  A writer that writes them once each, in that order, writes
+    the family without building its members.  ``len`` is their number.
     """
 
     __slots__ = ("blocks", "lists", "size")
 
     def __init__(self, blocks: List[Tuple[Tuple[int, ...], SuffixList]],
-                 lists: List[SuffixList]):
+                 built: List[SuffixList]):
+        """``built``: every nonempty list the blocks reach, each after its children."""
         self.blocks = blocks
-        self.lists = lists
         self.size = sum([len(kept) for _, kept in blocks])
+        reads: Dict[int, int] = {}
+
+        def read(kept: SuffixList) -> None:
+            for _, child in kept.children:
+                reads[id(child)] = reads.get(id(child), 0) + 1
+
+        for prefix, kept in blocks:
+            if prefix:
+                reads[id(kept)] = 2
+            else:
+                read(kept)
+        for kept in reversed(built):  # readers before the lists they read
+            if reads.get(id(kept), 0) > 1:
+                read(kept)
+        self.lists = [kept for kept in built if reads.get(id(kept), 0) > 1]
 
     def __len__(self) -> int:
         return self.size
@@ -289,8 +314,9 @@ def partition_family(c: ConstraintSet) -> PartitionFamily:
     so a writer that builds each list's texts once, from a shared child
     list's texts where it has them, and each prefix's once per block,
     does text work that follows the lists, not the family.  The family
-    keeps the lists in the order they were built, children first.  The
-    constraint set must be finite (see ``ConstraintSet.effective_bounds``).
+    keeps the shared lists in the order they were built, children first.
+    The constraint set must be finite (see
+    ``ConstraintSet.effective_bounds``).
     """
     w_hi_eff, l_hi_eff = c.effective_bounds()
     w_lo, w_hi = c.weight_window()
@@ -372,7 +398,13 @@ def partition_family(c: ConstraintSet) -> PartitionFamily:
             todo.append((prefix, None))
         todo += [(prefix + (v,), k) for v, k in reversed(children(key))]
     # the memo fills children first, so its kept lists are in build order
-    return PartitionFamily(blocks, [_EMPTY_SUFFIX] + [kept for kept in memo.values() if kept])
+    built = [_EMPTY_SUFFIX] + [kept for kept in memo.values() if kept]
+    family = PartitionFamily(blocks, built)
+    read = {id(kept) for kept in family.lists} | {id(kept) for _, kept in blocks}
+    for kept in built:
+        if id(kept) not in read:
+            kept.children = []
+    return family
 
 
 def count_partitions(c: ConstraintSet) -> int:

@@ -254,11 +254,11 @@ def _written_as_members(c):
     assert as_json == _dumped(found)
     assert as_text == "\n".join(p.text() for p in found)
     # the family's lists hold every block's list, each after its children
-    seen = set()
+    ids, seen = {id(kept) for kept in family.lists}, set()
     for kept in family.lists:
-        assert all(id(child) in seen for _, child in kept.children if child)
+        assert all(id(child) in seen for _, child in kept.children if id(child) in ids)
         seen.add(id(kept))
-    assert all(id(kept) in seen for _, kept in family.blocks)
+    assert all(id(kept) in seen for prefix, kept in family.blocks if prefix)
     # the lists written beside the blocks' hold no more suffixes than they do
     assert sum(map(len, _written_beside_blocks(family))) <= sum(map(len, _block_lists(family)))
     return family
@@ -271,7 +271,7 @@ def _block_lists(family):
 def _written_beside_blocks(family):
     """The lists the writer builds texts for that no block holds."""
     blocks = {id(kept) for _, kept in family.blocks}
-    return [kept for kept in cli._written_lists(family) if id(kept) not in blocks]
+    return [kept for kept in family.lists if id(kept) not in blocks]
 
 
 @pytest.mark.parametrize("c", FAMILIES + [
@@ -285,13 +285,18 @@ def test_enumerate_writer_matches_json_dumps(c):
 def test_deep_family_is_written_without_recursion():
     # kept lists nest 255 deep here, each read only by the next: the writer
     # neither recurses into them nor writes them, only the blocks' lists,
-    # so it builds no more text than the blocks' suffixes hold
+    # so it builds no more text than the blocks' suffixes hold, and the
+    # family lets go of every list below the one its block list reads
     c = ConstraintSet(max_part=1, weight_max=600)
     family = partition_family(c)
     assert (len(family), len(family.blocks)) == (601, 346)
     assert max(len(s) for _, kept in family.blocks for s in kept) == 255
-    assert len(family.lists) == 257
     assert _written_beside_blocks(family) == []
+    held = {id(kept): kept for _, kept in family.blocks}
+    for kept in list(held.values()):
+        held.update((id(child), child) for _, child in kept.children)
+    assert sorted(map(len, held.values())) == [1, 255, 256]
+    assert all(not kept.children for kept in held.values() if len(kept) < 256)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
     try:
@@ -336,8 +341,7 @@ def test_blocks_share_their_suffix_lists():
     # 31 of the 36 lists below the blocks' are read twice or more: their
     # texts are built once, and 279 suffixes are written over them
     beside = _written_beside_blocks(family)
-    assert (len(lists), len(family.lists) - len(lists)) == (109, 36)
-    assert (len(beside), sum(map(len, beside))) == (31, 279)
+    assert (len(lists), len(beside), sum(map(len, beside))) == (109, 31, 279)
 
 
 @st.composite
