@@ -400,9 +400,9 @@ def partition_family(c: ConstraintSet) -> PartitionFamily:
     # the memo fills children first, so its kept lists are in build order
     built = [_EMPTY_SUFFIX] + [kept for kept in memo.values() if kept]
     family = PartitionFamily(blocks, built)
-    read = {id(kept) for kept in family.lists} | {id(kept) for _, kept in blocks}
+    readers = {id(kept) for kept in family.lists} | {id(kept) for _, kept in blocks}
     for kept in built:
-        if id(kept) not in read:
+        if id(kept) not in readers:  # no writer reads through it
             kept.children = []
     return family
 
