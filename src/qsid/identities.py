@@ -39,11 +39,11 @@ mismatch.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .partitions import ConstraintSet, count_partitions, enumerate_partitions, env_enum_limit
@@ -72,7 +72,9 @@ from .series import (
     SeriesError,
     TruncatedSeries,
     TruncationProfile,
+    _slot_width,
     compare_series,
+    gaussian_binomials,
     shift_a_by_q,
     substitute_q_power,
     swap_b_t,
@@ -283,6 +285,49 @@ def eq31_substitution_path(profile: TruncationProfile) -> TruncatedSeries:
     return shift_a_by_q(substitute_q_power(base, 2), -1)
 
 
+def _thm31_left(profile: TruncationProfile, with_a: bool) -> TruncatedSeries:
+    """3_4_left (``with_a``) or 3_5_left from the closed form in ``build_thm31_side``.
+
+    One pass up N reads the live (i, m) pairs' products from the lists
+    N .. N + max(m, 1) - 1 of ``gaussian_binomials``; a deque keeps just
+    those lists, not one per N, so a large cap_q does not hold the table.
+    """
+    cap_a, cap_b, _, cap_q = profile.caps
+    live, bounds = [], {}
+    for i in range(min(cap_a, cap_b) + 1 if with_a else cap_b + 1):
+        for m in range(cap_b - i + 1 if with_a else 1):
+            step, low, first = i + m, i * (i + 1) // 2, max(i, 1)
+            if step and low + step * first <= cap_q:
+                last = (cap_q - low) // step
+                key = (i, i + m, 0) if with_a else (0, i, 0)
+                live.append((first, last, i, m, step, low, key))
+                bounds[key] = sum(comb(N, i) * comb(N + m - 1, m) for N in range(first, last + 1))
+    width = _slot_width(max(bounds.values(), default=0))
+    reach = max([1] + [pair[3] for pair in live])
+    table = gaussian_binomials(width, cap_q, cap_b)
+    window = deque([next(table) for _ in range(reach)], maxlen=reach)
+    sums = dict.fromkeys(bounds, 0)
+    for N in range(1, max([0] + [pair[1] for pair in live]) + 1):
+        window.append(next(table))  # lists N .. N + reach - 1
+        for first, last, i, m, step, low, key in live:
+            if not first <= N <= last:
+                continue
+            e = step * N + low
+            bits = width * (cap_q + 1 - e)
+            x = window[0][i]
+            if x.bit_length() > bits:
+                x &= (1 << bits) - 1
+            if m:
+                y = window[m - 1][m]
+                x *= y & ((1 << bits) - 1) if y.bit_length() > bits else y
+            sums[key] += x << width * e
+    mask, rows = (1 << width * (cap_q + 1)) - 1, {}
+    for key, x in sums.items():
+        x &= mask
+        rows[key] = x if (key[0] if with_a else key[1]) % 2 else -x
+    return TruncatedSeries._from_rows(profile, rows, bounds, width, 1, cap_q)
+
+
 def build_thm31_side(which: str, profile: TruncationProfile) -> TruncatedSeries:
     """Sides of the two companion series evaluations (variables a, b, q only).
 
@@ -295,39 +340,47 @@ def build_thm31_side(which: str, profile: TruncationProfile) -> TruncatedSeries:
     N up to cap_q is exact; the right sides carry b^n and (for 3_5) the
     pentagonal q-power, bounding n by cap_b and cap_q.
 
-    Each side steps its summands by their exact ratios, a few binomial
-    passes each; every divisor carries b or q, so it is a unit of the
-    truncated ring.  The left sides step the q-shifted factorial ratio
-    from N to N + 1, starting from 1 at N = 0:
+    The left sides are read row by row from a closed form.  By the
+    q-binomial theorem (Andrews, *The Theory of Partitions*, ch. 3;
+    Gasper-Rahman, *Basic Hypergeometric Series*, 1.3)
 
-    3_4_left   (1-abq^(2N+1)) (1-abq^(2N+2)) (1-bq^N)
-               / ((1-abq^(N+1)) (1-bq^(2N)) (1-bq^(2N+1)))
-    3_5_left   (1-bq^(2N+1)) (1-bq^(2N+2)) / (1-bq^(N+1))
+        (x*q^(N+1); q)_N = sum_i (-x)^i q^(i(N+1) + i(i-1)/2) [N, i]_q
+        1 / (b*q^N; q)_N = sum_m b^m q^(mN) [N+m-1, m]_q
 
-    The right sides step summand n to n + 1, starting from summand 1:
+    so the constant row of each summand 1 - ratio is 0, as is the whole
+    N = 0 summand, and with e(N) = i(N+1) + i(i-1)/2 + mN
+
+    3_4_left  row a^i b^(i+m) = -(-1)^i sum_{N=1..cap_q} q^e(N) [N, i] [N+m-1, m]
+    3_5_left  row b^i         = -(-1)^i sum_{N=1..cap_q} q^e(N) [N, i]
+
+    (the m = 0 part, [N-1, 0] being 1).  Only the live (N, i, m), those
+    with e(N) <= cap_q, are read.  Every term of a row's sum has digits
+    >= 0, so its sum at q = 1, sum C(N, i) C(N+m-1, m) over the live N,
+    bounds the row's digit sum (at most 627,198 at caps (12,12,12,88));
+    W is the slot width of the largest bound.
+
+    The masks are exact.  A product is read from ``gaussian_binomials``
+    entries kept to the cap_q + 1 - e(N) slots its shift keeps (the table
+    holds that many, since e(N) >= i(N-i+1) and e(N) >= mN), and each
+    summed row is masked once to its W*(cap_q + 1) low bits.  Reduction
+    modulo a power of two is a ring homomorphism, and a shift by q^e takes
+    residues modulo 2^(W*(cap_q + 1 - e)) to residues modulo
+    2^(W*(cap_q + 1)), so the masked sum is the residue of the row's sum at
+    q = 2^W, however far a table digit carried past its slot.  The row's
+    true digits on q^0 .. q^cap_q are >= 0 and sum below 2^(W-2), so their
+    packed value lies in [0, 2^(W*(cap_q + 1))) and is that residue.
+
+    The right sides step their summands by their exact ratios, a few
+    binomial passes each; every divisor carries b or q, so it is a unit of
+    the truncated ring.  They step summand n to n + 1, starting from
+    summand 1:
 
     3_4_right  b (1-aq^(2n+1)) (1-aq^(2n+2)) / (1-aq^(n+1))
                * (1-q^n) / ((1-q^(2n+1)) (1-q^(2n+2)))
     3_5_right  -b q^(3n+2) (1-q^n) / ((1-q^(2n+1)) (1-q^(2n+2)))
     """
     if which in ("3_4_left", "3_5_left"):
-        with_a = which == "3_4_left"
-        total = TruncatedSeries.term(profile, profile.cap_q)  # the cap_q ones of the sum
-        ratio = TruncatedSeries.one(profile)
-        for n in range(profile.cap_q):
-            if with_a:
-                ratio = ratio.times_binomial(1, Monomial(e_a=1, e_b=1, e_q=2 * n + 1))
-                ratio = ratio.times_binomial(1, Monomial(e_a=1, e_b=1, e_q=2 * n + 2))
-                ratio = ratio.times_binomial(1, Monomial(e_b=1, e_q=n))
-                ratio = ratio.over_binomial(1, Monomial(e_a=1, e_b=1, e_q=n + 1))
-                ratio = ratio.over_binomial(1, Monomial(e_b=1, e_q=2 * n))
-                ratio = ratio.over_binomial(1, Monomial(e_b=1, e_q=2 * n + 1))
-            else:
-                ratio = ratio.times_binomial(1, Monomial(e_b=1, e_q=2 * n + 1))
-                ratio = ratio.times_binomial(1, Monomial(e_b=1, e_q=2 * n + 2))
-                ratio = ratio.over_binomial(1, Monomial(e_b=1, e_q=n + 1))
-            total = total - ratio
-        return total
+        return _thm31_left(profile, which == "3_4_left")
     if which in ("3_4_right", "3_5_right"):
         with_a = which == "3_4_right"
         if with_a:

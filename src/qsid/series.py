@@ -31,8 +31,11 @@ only a row shifted past cap_q is cut back to cap_q + 1 slots.
 
 Every q-shifted factorial factor is a binomial (1 - c*x^m) in one
 monomial x^m, so ``times_binomial`` and ``over_binomial`` apply one such
-factor, or its inverse, in a single pass over the rows; the side builders
-use nothing else besides ``times_monomial`` shifts.  Multiplying is
+factor, or its inverse, in a single pass over the rows; with
+``times_monomial`` shifts they build every side but two.  The Theorem
+3.4/3.5 left sides have rows in closed form, sums of shifted products of
+Gaussian binomials, and read them from ``gaussian_binomials``, a packed
+table built by the q-Pascal recurrence.  Multiplying is
 ``row[k+m] -= c * (row[k] << W*e)`` per row (m = (a, b, t) step, e its
 q-exponent); dividing walks each chain up the step,
 ``out[k] = row[k] + c * (out[k-m] << W*e)``; a divisor in q alone is one
@@ -107,6 +110,7 @@ __all__ = [
     "ValidityError",
     "coefficient",
     "compare_series",
+    "gaussian_binomials",
     "invert_one_minus",
     "pochhammer_finite",
     "pochhammer_infinite",
@@ -454,6 +458,43 @@ def _aligned(x: "TruncatedSeries", y: "TruncatedSeries"):
 
 def _fits(bounds: dict, width: int) -> bool:
     return not max(bounds.values(), default=0) >> (width - 2)
+
+
+def gaussian_binomials(width: int, cap_q: int, top: int):
+    """The packed Gaussian binomials [n, k]_q, k = 0..top, one list per n = 0, 1, 2, ...
+
+    An endless generator: a reader keeps the lists it still needs and lets
+    the others go.  Entry [n, k] is built from the list before it by
+
+        [n, k] = [n-1, k-1] + q^k [n-1, k]
+
+    at slot width W: one shift, one add and, near cap_q, one mask.  It is
+    kept only to its lowest cap_q + 1 - k(n-k+1) slots (0 where none stays,
+    as for k > n), the slots that survive a shift by q^(k(n-k+1)) or more,
+    and the recurrence reads no more of the list before: [n-1, k-1] keeps
+    k - 1 more slots than [n, k] and [n-1, k] keeps k more.  Every digit is
+    >= 0, so a plain mask cuts an entry, not ``_cut``.  A digit may also
+    outgrow its slot and carry into the next one: an entry of s slots is
+    always [n, k] at q = 2^W modulo 2^(W*s), and reduction modulo a power
+    of two is a ring homomorphism, so sums and products of entries read to
+    fewer slots stay exact in the same sense.
+
+    At cap_q = 8, [4, 2] = 1 + q + 2q^2 + q^3 + q^4 keeps 9 - 2*3 slots:
+
+    >>> q, rows = 1 << 32, gaussian_binomials(32, 8, 2)
+    >>> [next(rows) for _ in range(5)][4] == [1, 1 + q + q**2 + q**3, 1 + q + 2 * q**2]
+    True
+    """
+    row, n = [1] + [0] * top, 0
+    while True:
+        yield row
+        n += 1
+        prev, row = row, [1] + [0] * top
+        for k in range(1, min(n, top) + 1):
+            bits = width * (cap_q + 1 - k * (n - k + 1))
+            if bits > 0:
+                x = prev[k - 1] + (prev[k] << width * k)
+                row[k] = x & ((1 << bits) - 1) if x.bit_length() > bits else x
 
 
 class TruncatedSeries:

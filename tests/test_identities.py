@@ -1,6 +1,8 @@
 """Identity catalog: builders, checkers, and adjudicated printed variants."""
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -541,6 +543,106 @@ def test_stepped_builders_match_reference(caps):
         assert stepped.valid_to_q == reference.valid_to_q
 
 
+def stepped_thm31_left(which, profile):
+    """The left sides summed over N from the q-shifted factorial ratio
+    R_N, stepped from N to N + 1 by its exact ratio, starting from 1 at
+    N = 0 (six binomial passes per N for 3_4_left, three for 3_5_left):
+
+    3_4_left   (1-abq^(2N+1)) (1-abq^(2N+2)) (1-bq^N)
+               / ((1-abq^(N+1)) (1-bq^(2N)) (1-bq^(2N+1)))
+    3_5_left   (1-bq^(2N+1)) (1-bq^(2N+2)) / (1-bq^(N+1))
+    """
+    with_a = which == "3_4_left"
+    total = TruncatedSeries.term(profile, profile.cap_q)  # the cap_q ones of the sum
+    ratio = TruncatedSeries.one(profile)
+    for n in range(profile.cap_q):
+        if with_a:
+            ratio = ratio.times_binomial(1, Monomial(e_a=1, e_b=1, e_q=2 * n + 1))
+            ratio = ratio.times_binomial(1, Monomial(e_a=1, e_b=1, e_q=2 * n + 2))
+            ratio = ratio.times_binomial(1, Monomial(e_b=1, e_q=n))
+            ratio = ratio.over_binomial(1, Monomial(e_a=1, e_b=1, e_q=n + 1))
+            ratio = ratio.over_binomial(1, Monomial(e_b=1, e_q=2 * n))
+            ratio = ratio.over_binomial(1, Monomial(e_b=1, e_q=2 * n + 1))
+        else:
+            ratio = ratio.times_binomial(1, Monomial(e_b=1, e_q=2 * n + 1))
+            ratio = ratio.times_binomial(1, Monomial(e_b=1, e_q=2 * n + 2))
+            ratio = ratio.over_binomial(1, Monomial(e_b=1, e_q=n + 1))
+        total = total - ratio
+    return total
+
+
+STEPPED_CAPS = REFERENCE_CAPS + [
+    # the bench rungs
+    (12, 12, 12, 88), (12, 12, 0, 88), (10, 12, 12, 72), (12, 12, 12, 64), (12, 12, 0, 64),
+    # cap_q below the live pairs' reach, no rows at all, and cap_a over cap_b
+    (12, 12, 12, 8), (0, 0, 0, 4), (5, 2, 2, 40),
+]
+
+
+@pytest.mark.parametrize("caps", STEPPED_CAPS, ids=str)
+@pytest.mark.parametrize("which", ["3_4_left", "3_5_left"])
+def test_left_sides_match_the_stepped_ratio(which, caps):
+    prof = TruncationProfile(*caps)
+    side, stepped = build_thm31_side(which, prof), stepped_thm31_left(which, prof)
+    width = max(side.width, stepped.width)
+    assert side._widened(width).rows == stepped._widened(width).rows
+    assert side.terms == stepped.terms
+    assert side.valid_to_q == stepped.valid_to_q == prof.cap_q
+    for k, row in side.rows.items():
+        assert side.bounds[k] >= sum(map(abs, series._unpack(row, side.width)))
+
+
+def test_left_sides_apply_no_binomial_pass(monkeypatch):
+    prof = TruncationProfile(6, 6, 6, 40)
+    expected = {which: stepped_thm31_left(which, prof) for which in ("3_4_left", "3_5_left")}
+
+    def forbidden(*args):
+        raise AssertionError("binomial pass in a left side")
+
+    for name in ("_multiply", "_divide", "_divide_q"):
+        monkeypatch.setattr(series, name, forbidden)
+    for which, stepped in expected.items():
+        assert build_thm31_side(which, prof) == stepped
+    with pytest.raises(AssertionError, match="binomial pass"):
+        build_thm31_side("3_4_right", prof)
+
+
+@lru_cache(maxsize=None)
+def list_gaussian_binomial(n, k):
+    """[n, k]_q as its coefficient tuple, q^0 first, by [n-1, k-1] + q^k [n-1, k] on lists."""
+    if k < 0 or k > n:
+        return ()
+    if k in (0, n):
+        return (1,)
+    low, high = list_gaussian_binomial(n - 1, k - 1), list_gaussian_binomial(n - 1, k)
+    out = list(low) + [0] * max(0, k + len(high) - len(low))
+    for j, d in enumerate(high):
+        out[k + j] += d
+    return tuple(out)
+
+
+@pytest.mark.parametrize("width", [32, 8])
+def test_gaussian_binomial_table_matches_the_list_recurrence(width):
+    # At W = 8 the middle digits outgrow their slots and carry: an entry
+    # is then [n, k] at q = 2^W modulo the slots it keeps.
+    cap_q, top = 200, 6
+    table = series.gaussian_binomials(width, cap_q, top)
+    widest = 0
+    for n in range(41):
+        row = next(table)
+        assert len(row) == top + 1
+        for k, entry in enumerate(row):
+            keep = max(0, cap_q + 1 - k * (n - k + 1))
+            digits = list_gaussian_binomial(n, k)[:keep]
+            widest = max(widest, *digits, 0)
+            assert entry == sum(d << width * j for j, d in enumerate(digits)) % (1 << width * keep)
+            if width == 32 and k <= n and keep > k * (n - k):  # uncut
+                assert sum(series._unpack(entry, width)) == comb(n, k)
+                if n - k <= top:
+                    assert entry == row[n - k]
+    assert widest >> width if width == 8 else not widest >> (width - 2)
+
+
 BENCH_CAP_SIDES = [
     ("3_4_left", (12, 12, 0, 88)),
     ("3_4_right", (12, 12, 0, 88)),
@@ -562,8 +664,9 @@ def test_sides_at_the_bench_caps_build_at_the_narrowest_width(which, caps):
 
 
 def test_formal_sides_multiply_no_two_multi_term_series(monkeypatch):
-    # The formal builders apply binomial passes; a product of two series
-    # with several terms each would be a convolution, which they never need.
+    # The formal builders apply binomial passes, and the Theorem 3.4/3.5
+    # left sides multiply Gaussian-binomial rows as ints; a product of two
+    # series with several terms each would be a convolution, which none needs.
     product = TruncatedSeries.__mul__
 
     def guarded(self, other):
