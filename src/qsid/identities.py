@@ -324,7 +324,7 @@ def _thm31_left(profile: TruncationProfile, with_a: bool) -> TruncatedSeries:
     mask, rows = (1 << width * (cap_q + 1)) - 1, {}
     for key, x in sums.items():
         x &= mask
-        rows[key] = x if (key[0] if with_a else key[1]) % 2 else -x
+        rows[key] = x if (key[0] if with_a else key[1]) % 2 else -x  # -(-1)^i times the sum
     return TruncatedSeries._from_rows(profile, rows, bounds, width, 1, cap_q)
 
 

@@ -472,7 +472,8 @@ def gaussian_binomials(width: int, cap_q: int, top: int):
     kept only to its lowest cap_q + 1 - k(n-k+1) slots (0 where none stays,
     as for k > n), the slots that survive a shift by q^(k(n-k+1)) or more,
     and the recurrence reads no more of the list before: [n-1, k-1] keeps
-    k - 1 more slots than [n, k] and [n-1, k] keeps k more.  Every digit is
+    n - k + 1 more slots than [n, k], and [n-1, k], read after a shift by
+    q^k, keeps k more.  Every digit is
     >= 0, so a plain mask cuts an entry, not ``_cut``.  A digit may also
     outgrow its slot and carry into the next one: an entry of s slots is
     always [n, k] at q = 2^W modulo 2^(W*s), and reduction modulo a power
