@@ -40,6 +40,7 @@ from .partitions import (
     count_partitions,
     enumerate_partitions,
     env_enum_limit,
+    refuse_over_limit,
 )
 from .series import SeriesError
 
@@ -419,11 +420,7 @@ def audit_bijection(
         for constraints in (box.domain_constraints, box.codomain_constraints)
     ]
     total = sum(count_partitions(c) for c in families)
-    if total > enum_limit:
-        raise BijectionError(
-            f"box j={box.j}, M={box.M} enumerates {total} partitions, "
-            f"over the limit {enum_limit}"
-        )
+    refuse_over_limit(f"box j={box.j}, M={box.M} enumerates", total, enum_limit, BijectionError)
     # each exact family is the length-j (length-M) part of its <= family
     j, M = box.j, box.M
     d_printed, c_printed = map(enumerate_partitions, families[2:])

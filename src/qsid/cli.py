@@ -33,7 +33,6 @@ import json
 import os
 import re
 import sys
-from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple
@@ -56,8 +55,8 @@ from .partitions import (
     PartitionFamily,
     SuffixList,
     count_partitions,
-    env_enum_limit,
     partition_family,
+    refuse_over_limit,
 )
 from .rational import RationalAssignment
 from .series import Monomial, SeriesError, TruncationProfile, coefficient
@@ -441,6 +440,11 @@ def _format_audit_text(report: AuditReport) -> str:
 
 def cmd_audit(args) -> _Result:
     report = audit_bijection(BijectionBox(args.j, args.M), enum_limit=args.limit)
+    # a failing audit's witnesses must replay, or the verdict is not one
+    if not report.passed and not report.revalidate():
+        raise SeriesError(
+            f"internal: a failure witness of box j={args.j}, M={args.M} does not replay"
+        )
     return (
         EXIT_OK if report.passed else EXIT_MISMATCH,
         lambda: report_json(audit_report_to_dict(report)),
@@ -459,50 +463,13 @@ def cmd_enumerate(args) -> _Result:
         max_length=args.max_length,
         odd_parts_distinct=args.odd_distinct,
     )
-    total, limit = count_partitions(constraints), env_enum_limit()
-    if total > limit:
-        raise SeriesError(
-            f"the constraints enumerate {_int_text(total)} partitions, over the limit {limit}"
-        )
+    refuse_over_limit("the constraints enumerate", count_partitions(constraints))
     family = partition_family(constraints)
     return (
         EXIT_OK,
         lambda: report_json({"count": len(family), "partitions": family}),
         lambda: "\n".join(_family_chunks(family, "", ",", "", "()", "\n")),
     )
-
-
-# ints of at most this many bits are converted by Decimal() directly
-_SPLIT_BITS = 4096
-
-
-def _int_text(n: int) -> str:
-    """The decimal digits of an int n >= 0 of any size.
-
-    ``str()`` refuses an int longer than ``sys.get_int_max_str_digits()``
-    digits, which a closed-form count can be, and ``Decimal(n)`` takes
-    time quadratic in its length.  Here n is split at bit k into
-    hi*2^k + lo, each half converted the same way, and the halves joined
-    by one multiply and one add in an exact decimal context (any rounding
-    traps on ``Inexact``), where a long multiply is fast.
-    """
-    powers: Dict[int, Decimal] = {}
-
-    def power(k: int) -> Decimal:  # 2^k
-        if k not in powers:
-            powers[k] = (Decimal(1 << k) if k <= _SPLIT_BITS
-                         else power(k // 2) * power(k - k // 2))
-        return powers[k]
-
-    def convert(n: int, bits: int) -> Decimal:
-        if bits <= _SPLIT_BITS:
-            return Decimal(n)
-        k = bits // 2
-        hi = n >> k
-        return convert(hi, bits - k) * power(k) + convert(n - (hi << k), k)
-
-    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
-        return str(convert(n, n.bit_length()))
 
 
 _MAP_OPS = ("gamma", "gamma-inverse", "sigma", "gamma-sigma")
@@ -673,7 +640,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(to_json() if args.format == "json" else to_text(), args.output)
+    payload = to_json() if args.format == "json" else to_text()
+    try:
+        _emit(payload, args.output)
+    except OSError as exc:  # a closed pipe is handled in _emit; any other write fails here
+        where = args.output or "stdout"
+        print(f"error: cannot write report to {where}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -37,6 +38,7 @@ __all__ = [
     "enumerate_partitions",
     "env_enum_limit",
     "partition_family",
+    "refuse_over_limit",
 ]
 
 DEFAULT_ENUM_LIMIT = 200_000
@@ -490,6 +492,39 @@ def _count_by_length(lo: int, hi: int, l_lo: int, l_hi: int, odd_distinct: bool)
     return up_to(l_hi) - up_to(l_lo - 1)
 
 
+# ints of at most this many bits are converted by Decimal() directly
+_SPLIT_BITS = 4096
+
+
+def _int_text(n: int) -> str:
+    """The decimal digits of an int n >= 0 of any size.
+
+    ``str()`` refuses an int longer than ``sys.get_int_max_str_digits()``
+    digits, which a closed-form count can be, and ``Decimal(n)`` takes
+    time quadratic in its length.  Here n is split at bit k into
+    hi*2^k + lo, each half converted the same way, and the halves joined
+    by one multiply and one add in an exact decimal context (any rounding
+    traps on ``Inexact``), where a long multiply is fast.
+    """
+    powers: Dict[int, Decimal] = {}
+
+    def power(k: int) -> Decimal:  # 2^k
+        if k not in powers:
+            powers[k] = (Decimal(1 << k) if k <= _SPLIT_BITS
+                         else power(k // 2) * power(k - k // 2))
+        return powers[k]
+
+    def convert(n: int, bits: int) -> Decimal:
+        if bits <= _SPLIT_BITS:
+            return Decimal(n)
+        k = bits // 2
+        hi = n >> k
+        return convert(hi, bits - k) * power(k) + convert(n - (hi << k), k)
+
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
+        return str(convert(n, n.bit_length()))
+
+
 def env_enum_limit() -> int:
     """Enumeration guard from QSID_ENUM_LIMIT, else ``DEFAULT_ENUM_LIMIT``."""
     text = os.environ.get("QSID_ENUM_LIMIT", str(DEFAULT_ENUM_LIMIT))
@@ -497,6 +532,15 @@ def env_enum_limit() -> int:
         return int(text)
     except ValueError:
         raise SeriesError(f"QSID_ENUM_LIMIT must be an integer, got {text!r}") from None
+
+
+def refuse_over_limit(what: str, total: int, limit: Optional[int] = None,
+                      error: type = SeriesError) -> None:
+    """Raise ``error`` if ``total`` partitions are over ``limit`` (default
+    ``env_enum_limit()``), the message giving the whole count, of any length."""
+    limit = env_enum_limit() if limit is None else limit
+    if total > limit:
+        raise error(f"{what} {_int_text(total)} partitions, over the limit {limit}")
 
 
 @dataclass

@@ -26,18 +26,22 @@ Packed q-rows.  A series is stored as ``rows``, a map from the
 The int holds the row's coefficients of q^0, q^1, ... as balanced (signed)
 digits in W-bit slots: it is the row polynomial evaluated at q = 2^W.
 Rational coefficients are integer rows over one common denominator
-``den``.  A row int is only as long as its highest nonzero q-degree, and
-only a row shifted past cap_q is cut back to cap_q + 1 slots.
+``den``, which only the series keeps.  A row int is only as long as its
+highest nonzero q-degree, and only a row shifted past cap_q is cut back
+to cap_q + 1 slots.
 
 Every q-shifted factorial factor is a binomial (1 - c*x^m) in one
-monomial x^m, so ``times_binomial`` and ``over_binomial`` apply one such
-factor, or its inverse, in a single pass over the rows; with
-``times_monomial`` shifts they build every side but two.  The Theorem
-3.4/3.5 left sides have rows in closed form, sums of shifted products of
-Gaussian binomials, and read them from ``gaussian_binomials``, a packed
-table built by the q-Pascal recurrence.  Multiplying is
-``row[k+m] -= c * (row[k] << W*e)`` per row (m = (a, b, t) step, e its
-q-exponent); dividing walks each chain up the step,
+monomial x^m, with c = +-1 in the paper's identities, so
+``times_binomial`` and ``over_binomial`` apply one such factor, or its
+inverse, in a single pass over the rows; with ``times_monomial`` shifts
+they build every side but two.  Their c is an int, and any other is
+refused (rational parameters belong to rational mode); a rational scalar
+p/r (``times_monomial``, ``*``) multiplies p into the rows and r into
+``den``.  The Theorem 3.4/3.5 left sides have rows in closed form,
+sums of shifted products of Gaussian binomials, and read them from
+``gaussian_binomials``, a packed table built by the q-Pascal recurrence.
+Multiplying is ``row[k+m] -= c * (row[k] << W*e)`` per row (m = (a, b, t)
+step, e its q-exponent); dividing walks each chain up the step,
 ``out[k] = row[k] + c * (out[k-m] << W*e)``; a divisor in q alone is one
 multiply per row by its truncated geometric series.  Dividing is exact
 because (1 - c*x^m) is a unit of the truncated ring whenever m is not
@@ -93,7 +97,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 import struct
-from typing import Mapping, NamedTuple, Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 Coeff = Union[int, Fraction]
 
@@ -285,19 +289,13 @@ def _num_den(c: Coeff) -> Tuple[int, int]:
     return c, 1
 
 
-def _multiply(s: "TruncatedSeries", c: Coeff, m: Monomial):
-    """Rows, bounds and denominator of s * (1 - c*x^m) at s's width."""
-    num, r = _num_den(c)
+def _multiply(s: "TruncatedSeries", c: int, m: Monomial):
+    """Rows and bounds of s * (1 - c*x^m) at s's width."""
     ma, mb, mt, e = m
     ca, cb, ct, cq = s.profile.caps
     width, rows, bounds = s.width, s.rows, s.bounds
     shift, size = width * e, width * (cq + 1)
-    if r == 1:
-        out, ob = dict(rows), dict(bounds)
-    else:
-        out = {k: v * r for k, v in rows.items()}
-        ob = {k: v * r for k, v in bounds.items()}
-    mag = abs(num)
+    out, ob, mag = dict(rows), dict(bounds), abs(c)
     for k, v in rows.items():
         a, b, t = k[0] + ma, k[1] + mb, k[2] + mt
         if a > ca or b > cb or t > ct:
@@ -306,41 +304,30 @@ def _multiply(s: "TruncatedSeries", c: Coeff, m: Monomial):
         if x.bit_length() >= size and not (x := _cut(x, size)):
             continue  # the whole row lands past cap_q
         nk = (a, b, t)
-        y = out.get(nk, 0) - (x if num == 1 else num * x)
+        y = out.get(nk, 0) - (x if c == 1 else c * x)
         if y:
             out[nk] = y
             ob[nk] = ob.get(nk, 0) + mag * bounds[k]
         else:
             del out[nk], ob[nk]
-    return out, ob, s.den * r
+    return out, ob
 
 
-def _divide(s: "TruncatedSeries", c: Coeff, m: Monomial):
-    """Rows, bounds and denominator of s / (1 - c*x^m) at s's width.
+def _divide(s: "TruncatedSeries", c: int, m: Monomial):
+    """Rows and bounds of s / (1 - c*x^m) at s's width.
 
     With an (a, b, t) step the quotient y = s + c*x^m*y is built up each
     chain k, k + m, k + 2m, ...: rows are visited by their exponent on
     one stepped axis, so out[k - m] is final before it is pushed on to k.
-    A Fraction c = p/r scales row k by r^(L - level(k)), level(k) being
-    k's axis exponent over the step's and L its cap's, over den * r^L.
     """
-    num, r = _num_den(c)
     ma, mb, mt, e = m
     if not (ma or mb or mt):
-        return _divide_q(s, num, r, e)
-    caps = s.profile.caps
-    ca, cb, ct, cq = caps
-    width, mag = s.width, abs(num)
+        return _divide_q(s, c, e)
+    ca, cb, ct, cq = s.profile.caps
+    width, mag = s.width, abs(c)
     shift, size = width * e, width * (cq + 1)
     axis = 0 if ma else 1 if mb else 2
-    step = m[axis]
-    levels = caps[axis] // step
     work, wb = dict(s.rows), dict(s.bounds)
-    if r != 1:
-        for k in work:
-            scale = r ** (k[axis] // step)
-            work[k] *= scale
-            wb[k] *= scale
     buckets: dict = {}
     for k in work:
         buckets.setdefault(k[axis], []).append(k)
@@ -363,52 +350,43 @@ def _divide(s: "TruncatedSeries", c: Coeff, m: Monomial):
             prev = work.get(nk)
             if prev is None:
                 buckets.setdefault(nk[axis], []).append(nk)
-                work[nk], wb[nk] = num * x, mag * bound
+                work[nk], wb[nk] = c * x, mag * bound
             else:
-                work[nk] = prev + (x if num == 1 else num * x)
+                work[nk] = prev + (x if c == 1 else c * x)
                 wb[nk] += mag * bound
         level += 1
-    if r != 1:
-        for k in out:
-            scale = r ** (levels - k[axis] // step)
-            out[k] *= scale
-            ob[k] *= scale
-    return out, ob, s.den * r ** levels
+    return out, ob
 
 
-def _divide_q(s: "TruncatedSeries", num: int, r: int, e: int):
-    """s / (1 - (num/r) q^e), e >= 1: each row times sum_{j <= J} (num/r)^j q^(e*j).
-
-    J = (cap_q - the row's lowest degree) // e, or cap_q // e for every
-    row when r != 1, so that they share the denominator r^J.
-    """
+def _divide_q(s: "TruncatedSeries", c: int, e: int):
+    """s / (1 - c q^e), e >= 1: each row times sum_{j <= J} c^j q^(e*j),
+    J = (cap_q - the row's lowest degree) // e."""
     width, cq = s.width, s.profile.cap_q
-    size, mag = width * (cq + 1), abs(num)
-    series: dict = {}  # J -> (packed geometric series, its sum at q = 1 with |num|)
+    size, mag = width * (cq + 1), abs(c)
+    series: dict = {}  # J -> (packed geometric series, its sum at q = 1 with |c|)
 
     def geometric(J):
         if J not in series:
             g = total = 0
             for j in range(J, -1, -1):
-                g = (g << width * e) + num**j * r ** (J - j)
-                total += mag**j * r ** (J - j)
+                g = (g << width * e) + c**j
+                total += mag**j
             series[J] = g, total
         return series[J]
 
     out, ob = {}, {}
     for k, v in s.rows.items():
-        g, total = geometric((cq - _low(v, width)) // e if r == 1 else cq // e)
+        g, total = geometric((cq - _low(v, width)) // e)
         out[k] = _cut(v * g, size)
         ob[k] = s.bounds[k] * total
-    return out, ob, s.den * r ** (cq // e if r != 1 else 0)
+    return out, ob
 
 
-def _times_monomial(s: "TruncatedSeries", c: Coeff, m: Monomial):
-    """Rows, bounds and denominator of s * c*x^m at s's width."""
-    num, r = _num_den(c)
+def _times_monomial(s: "TruncatedSeries", c: int, m: Monomial):
+    """Rows and bounds of s * c*x^m at s's width."""
     ma, mb, mt, e = m
     ca, cb, ct, cq = s.profile.caps
-    width, mag = s.width, abs(num)
+    width, mag = s.width, abs(c)
     shift, size = width * e, width * (cq + 1)
     out, ob = {}, {}
     for k, v in s.rows.items():
@@ -417,13 +395,13 @@ def _times_monomial(s: "TruncatedSeries", c: Coeff, m: Monomial):
             continue
         x = _cut(v << shift, size)
         if x:
-            out[(a, b, t)] = x if num == 1 else num * x
+            out[(a, b, t)] = x if c == 1 else c * x
             ob[(a, b, t)] = mag * s.bounds[k]
-    return out, ob, s.den * r
+    return out, ob
 
 
 def _add(x: "TruncatedSeries", y: "TruncatedSeries", sign: int):
-    """Rows, bounds and denominator of x + sign*y at x's width (y no wider, one denominator)."""
+    """Rows and bounds of x + sign*y at x's width (y no wider, one denominator)."""
     y = y._widened(x.width)
     rows, bounds = dict(x.rows), dict(x.bounds)
     for k, v in y.rows.items():
@@ -438,7 +416,7 @@ def _add(x: "TruncatedSeries", y: "TruncatedSeries", sign: int):
             bounds[k] += y.bounds[k]
         else:
             del rows[k], bounds[k]
-    return rows, bounds, x.den
+    return rows, bounds
 
 
 def _over_one_den(x: "TruncatedSeries", y: "TruncatedSeries"):
@@ -508,19 +486,16 @@ class TruncatedSeries:
     __slots__ = ("profile", "valid_to_q", "rows", "bounds", "width", "den", "_terms")
 
     def __init__(self, profile, terms=None, valid_to_q=None):
-        """The series of a term map {monomial: coefficient} (or of (monomial,
-        coefficient) pairs, repeated monomials summed), packed at once."""
+        """The series of a term map {monomial: coefficient}, packed at once."""
         v = profile.cap_q if valid_to_q is None else valid_to_q
         if v > profile.cap_q:
             raise SeriesError(f"valid_to_q={v} exceeds cap_q={profile.cap_q}")
         digits: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms or ()
-        for m, c in items:
+        for m, c in (terms or {}).items():
             m = _monomial(m)
             if not profile.admits(m):
                 raise SeriesError(f"monomial {m} exceeds the profile caps {profile.caps}")
-            row = digits.setdefault(m[:3], {})
-            row[m[3]] = row.get(m[3], 0) + c
+            digits.setdefault(m[:3], {})[m[3]] = c
         den = lcm(*(_num_den(c)[1] for row in digits.values() for c in row.values()))
         digits = {k: {q: int(c * den) for q, c in row.items()} for k, row in digits.items()}
         bounds = {k: b for k, row in digits.items() if (b := sum(map(abs, row.values())))}
@@ -552,11 +527,11 @@ class TruncatedSeries:
         s.rows, s.bounds, s.width, s.den = rows, bounds, width, den
         return s
 
-    def _with_rows(self, rows, bounds, den, profile=None, valid_to_q=None):
+    def _with_rows(self, rows, bounds, den=None, profile=None, valid_to_q=None):
+        """New rows at this W, over this den, profile and validity unless given."""
+        valid = self.valid_to_q if valid_to_q is None else valid_to_q
         return TruncatedSeries._from_rows(
-            self.profile if profile is None else profile, rows, bounds, self.width, den,
-            self.valid_to_q if valid_to_q is None else valid_to_q,
-        )
+            profile or self.profile, rows, bounds, self.width, den or self.den, valid)
 
     # ---------------------------------------------------------------- basics
 
@@ -624,10 +599,10 @@ class TruncatedSeries:
     def _exact(self) -> "TruncatedSeries":
         """The same rows, each bound re-read as the row's exact digit sum."""
         bounds = {k: sum(map(abs, _unpack(v, self.width))) for k, v in self.rows.items()}
-        return self._with_rows(self.rows, bounds, self.den)
+        return self._with_rows(self.rows, bounds)
 
     def _fit(self, kernel, *args) -> "TruncatedSeries":
-        """kernel(self, *args) -> (rows, bounds, den) as a series.
+        """kernel(self, *args) -> (rows, bounds) as a series over self's den.
 
         While a bound does not fit this W the pass runs again: first, once,
         on the input series with their bounds re-read as exact digit sums
@@ -636,9 +611,9 @@ class TruncatedSeries:
         """
         s, exact = self, False
         while True:
-            rows, bounds, den = kernel(s, *args)
+            rows, bounds = kernel(s, *args)
             if _fits(bounds, s.width):
-                return s._with_rows(rows, bounds, den)
+                return s._with_rows(rows, bounds)
             width = _slot_width(max(bounds.values()))
             if width <= s.width:
                 raise SeriesError(f"slot width {width} cannot hold a row bound of "
@@ -667,7 +642,7 @@ class TruncatedSeries:
         x, y = _aligned(self, other)
         total = x._fit(_add, y, sign)
         valid = min(self.valid_to_q, other.valid_to_q)
-        return total._with_rows(total.rows, total.bounds, total.den, valid_to_q=valid)
+        return total._with_rows(total.rows, total.bounds, valid_to_q=valid)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -678,7 +653,7 @@ class TruncatedSeries:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return self._with_rows({k: -v for k, v in self.rows.items()}, self.bounds, self.den)
+        return self._with_rows({k: -v for k, v in self.rows.items()}, self.bounds)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -712,19 +687,24 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def times_binomial(self, c: Coeff, m) -> "TruncatedSeries":
-        """self * (1 - c * x^m) in one pass over the rows."""
+    def times_binomial(self, c: int, m) -> "TruncatedSeries":
+        """self * (1 - c * x^m), c an int, in one pass over the rows."""
+        if type(c) is not int:
+            raise SeriesError(f"a binomial pass takes an int c, got {c!r}")
         m = _monomial(m, "binomial monomial")
         if c == 0 or not self.profile.admits(m):
             return self
         return self._fit(_multiply, c, m)
 
-    def over_binomial(self, c: Coeff, m) -> "TruncatedSeries":
+    def over_binomial(self, c: int, m) -> "TruncatedSeries":
         """self / (1 - c * x^m), exact in the truncated ring, in one ascending pass.
 
-        The quotient y satisfies y = self + c * x^m * y.  A constant m is
-        refused, as ``invert_one_minus`` refuses a constant term.
+        The quotient y satisfies y = self + c * x^m * y.  A c that is not an
+        int is refused (``SeriesError``) before any work, and a constant m
+        as ``invert_one_minus`` refuses a constant term.
         """
+        if type(c) is not int:
+            raise SeriesError(f"a binomial pass takes an int c, got {c!r}")
         m = _monomial(m, "binomial monomial")
         if not any(m):
             raise NonNilpotentError(
@@ -735,11 +715,14 @@ class TruncatedSeries:
         return self._fit(_divide, c, m)
 
     def times_monomial(self, c: Coeff, m) -> "TruncatedSeries":
-        """self * c * x^m: each row moves by m's (a, b, t) exponents and shifts by its q one."""
+        """self * c * x^m: each row moves by m's (a, b, t) exponents and shifts
+        by its q one; a Fraction c = p/r multiplies by p over den * r."""
         m = _monomial(m, "binomial monomial")
         if c == 0 or not self.profile.admits(m):
             return TruncatedSeries.zero(self.profile, self.valid_to_q)
-        return self._fit(_times_monomial, c, m)
+        num, r = _num_den(c)
+        s = self._fit(_times_monomial, num, m)
+        return s if r == 1 else s._with_rows(s.rows, s.bounds, s.den * r)
 
     def __eq__(self, other):
         """Mathematical equality in the quotient ring (coefficients agree)."""
@@ -880,7 +863,7 @@ def substitute_q_power(s: TruncatedSeries, k: int) -> TruncatedSeries:
         x = _cut(_respace(v, width, k * width), width * (cap_q + 1))
         if x:
             rows[key], bounds[key] = x, s.bounds[key]
-    return s._with_rows(rows, bounds, s.den, valid_to_q=valid)
+    return s._with_rows(rows, bounds, valid_to_q=valid)
 
 
 def shift_a_by_q(s: TruncatedSeries, j: int) -> TruncatedSeries:
@@ -910,7 +893,7 @@ def shift_a_by_q(s: TruncatedSeries, j: int) -> TruncatedSeries:
             x = _cut(v << width * e, width * (cap_q + 1))
             if x:
                 rows[key], bounds[key] = x, s.bounds[key]
-    return s._with_rows(rows, bounds, s.den, valid_to_q=valid)
+    return s._with_rows(rows, bounds, valid_to_q=valid)
 
 
 def swap_b_t(s: TruncatedSeries) -> TruncatedSeries:
@@ -919,7 +902,7 @@ def swap_b_t(s: TruncatedSeries) -> TruncatedSeries:
     profile = TruncationProfile(a, t, b, q)
     rows = {(k[0], k[2], k[1]): v for k, v in s.rows.items()}
     bounds = {(k[0], k[2], k[1]): v for k, v in s.bounds.items()}
-    return s._with_rows(rows, bounds, s.den, profile=profile)
+    return s._with_rows(rows, bounds, profile=profile)
 
 
 def coefficient(s: TruncatedSeries, m) -> Coeff:

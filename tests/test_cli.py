@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, report encoders, the error path."""
 
 import dataclasses
+import errno
 import hashlib
 from decimal import Decimal
 import json
@@ -31,9 +32,9 @@ from qsid.cli import (
     strip_volatile,
     verification_report_to_dict,
 )
-from qsid import bijections, identities
+from qsid import bijections, identities, partitions
 from qsid.bijections import BijectionBox, audit_bijection
-from qsid.partitions import Partition
+from qsid.partitions import Partition, count_partitions
 from qsid.identities import MismatchTable, build_report, build_thm31_side, run_case
 from qsid.rational import RationalAssignment
 from qsid.series import Monomial, SeriesError, TruncatedSeries, TruncationProfile
@@ -179,6 +180,34 @@ def test_verify_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["status"] == "verified"
 
 
+@pytest.mark.parametrize("where, reason", [("missing", "No such file or directory"),
+                                           ("directory", "Is a directory")])
+def test_verify_output_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, where, reason):
+    # the report is built, then refused by the path: exit 2, not the mismatch code
+    target = tmp_path / "nonexistent" / "x.json" if where == "missing" else tmp_path
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--identity", "thm3_5",
+        "--amax", "0", "--bmax", "2", "--tmax", "0", "--qmax", "4", "--output", str(target),
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: cannot write report to {target}: {reason}\n"
+
+
+def test_verify_to_a_stdout_that_cannot_be_written_is_a_usage_error(capsys, monkeypatch):
+    class Full(StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    code = main(["verify", "--identity", "thm3_5", "--amax", "0", "--bmax", "2", "--tmax", "0",
+                 "--qmax", "4"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: cannot write report to stdout: No space left on device\n"
+    )
+
+
 # ---------------------------------------------------------------------- audit
 
 
@@ -282,6 +311,47 @@ def test_audit_sections_are_written_as_asdict_would_write_them(monkeypatch):
         assert report_json(written) == json.dumps(_section_reference(section), indent=2)
         # the tallies' lists are written as they are, not copied first
         assert written["codomain_membership"]["failures"] is section.codomain_membership.failures
+
+
+def _conjugate_mutants():
+    conjugate = bijections.two_modular_conjugate
+
+    def heavier(lam):  # the conjugate with 2 added to its largest part
+        parts = conjugate(lam).parts
+        return Partition((parts[0] + 2, *parts[1:]) if parts else ())
+
+    return {"heavier": heavier, "one part short": lambda lam: Partition(conjugate(lam)[:-1])}
+
+
+@pytest.mark.parametrize("mutant", [None, "heavier", "one part short"])
+def test_failing_audit_replays_its_witnesses_before_its_verdict(capsys, monkeypatch, mutant):
+    if mutant:
+        monkeypatch.setattr(bijections, "two_modular_conjugate", _conjugate_mutants()[mutant])
+    replays, revalidate = [], bijections.AuditReport.revalidate
+    monkeypatch.setattr(bijections.AuditReport, "revalidate",
+                        lambda report: replays.append(report) or revalidate(report))
+    code, out, err = run_cli(capsys, "audit", "--j", "2", "--M", "3")
+    assert err == ""
+    if mutant is None:  # a passing audit replays nothing
+        assert code == EXIT_OK and out.endswith("result: pass\n") and not replays
+    else:
+        assert code == EXIT_MISMATCH and out.endswith("result: FAIL\n") and len(replays) == 1
+
+
+def test_audit_witness_that_does_not_replay_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(bijections, "two_modular_conjugate", _conjugate_mutants()["one part short"])
+
+    def tampered(box, enum_limit=None):
+        report = audit_bijection(box, enum_limit)
+        failures = report.exact.codomain_membership.failures
+        witness, note = failures[0]
+        failures[0] = (witness, note + " (edited)")
+        return report
+
+    monkeypatch.setattr(cli, "audit_bijection", tampered)
+    code, out, err = run_cli(capsys, "audit", "--j", "2", "--M", "3", "--format", "json")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: internal: a failure witness of box j=2, M=3 does not replay\n"
 
 
 # ------------------------------------------------------------------ enumerate
@@ -644,13 +714,27 @@ def test_enumerate_refusal_prints_counts_of_any_length(capsys, monkeypatch):
     assert digits.isdigit() and len(digits) > sys.get_int_max_str_digits()
 
 
+def test_audit_refusal_prints_counts_of_any_length(capsys, monkeypatch):
+    # the four families of this box count more digits than str() converts by default
+    monkeypatch.delenv("QSID_ENUM_LIMIT", raising=False)
+    box = BijectionBox(6000, 6000)
+    code, out, err = run_cli(capsys, "audit", "--j", "6000", "--M", "6000")
+    head, tail = "error: box j=6000, M=6000 enumerates ", " partitions, over the limit 200000\n"
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(head) and err.endswith(tail)
+    digits = err[len(head):-len(tail)]
+    total = sum(count_partitions(constraints(variant)) for variant in ("exact", "printed")
+                for constraints in (box.domain_constraints, box.codomain_constraints))
+    assert len(digits) > sys.get_int_max_str_digits() and digits == str(Decimal(total))
+
+
 def test_int_text_is_the_decimal_text():
-    base = cli._SPLIT_BITS  # ints of more bits are split
+    base = partitions._SPLIT_BITS  # ints of more bits are split
     around = (base - 1, base, base + 1, 2 * base, 2 * base + 1, 5 * base + 3)
     for n in (0, 1, 9, 10, 12345, 2**64 - 1, 2**64, 2**64 + 1, 10**19 - 1, 10**1233 - 1,
               10**1234 - 1, *(2**k + d for k in around for d in (-1, 0, 1)),
               10**5000 - 1, 7**9000):
-        assert cli._int_text(n) == str(Decimal(n)), n.bit_length()
+        assert partitions._int_text(n) == str(Decimal(n)), n.bit_length()
 
 
 def test_enumerate_limit_from_environment(capsys, monkeypatch):

@@ -288,9 +288,9 @@ def binomial_product(coeff, base, exponents, profile):
     ],
 )
 def test_pochhammer_infinite_is_the_finite_product_below_the_cap(base, q_offset, q_step, factors):
-    got = pochhammer_infinite(Fraction(-2, 3), base, q_offset, q_step, PROF)
-    assert got == binomial_product(Fraction(-2, 3), base, factors, PROF)
-    assert got == pochhammer_finite(Fraction(-2, 3), base, q_offset, q_step, len(factors), PROF)
+    got = pochhammer_infinite(-2, base, q_offset, q_step, PROF)
+    assert got == binomial_product(-2, base, factors, PROF)
+    assert got == pochhammer_finite(-2, base, q_offset, q_step, len(factors), PROF)
     if not factors:
         assert got == TruncatedSeries.one(PROF)
 
@@ -435,7 +435,7 @@ def test_compare_series_reports_in_canonical_order():
 def test_coefficient_reads_one_row_without_the_term_view(monkeypatch):
     # Negative digits borrow from the slot above them: reading a slot alone
     # would be off by one, so the whole row is unpacked.
-    s = (TruncatedSeries.one(KERNEL).over_binomial(Fraction(-2, 3), (0, 1, 0, 1))
+    s = (term(KERNEL, Fraction(1, 3)).over_binomial(-2, (0, 1, 0, 1))
          .times_binomial(5, (1, 0, 0, 2)).over_binomial(-1, (0, 0, 0, 1)))
     view = dict(s.terms)
     assert any(c < 0 for c in view.values()) and s.den > 1
@@ -579,10 +579,8 @@ def sparse_series(draw):
 binomial_monomials = st.tuples(
     st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.integers(0, 10)
 ).filter(any)
-binomial_coeffs = st.one_of(
-    st.integers(-3, 3).filter(bool),
-    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
-)
+# A pass takes an int c; the series it runs on may have Fraction coefficients.
+binomial_coeffs = st.integers(-3, 3).filter(bool)
 
 
 @given(sparse_series(), binomial_coeffs, binomial_monomials)
@@ -601,7 +599,7 @@ def test_over_binomial_matches_inverse_product(s, c, m):
     got = s.over_binomial(c, m)
     # 1 / (1 - c*x^m) is the sum of the powers c^j x^(j*m) within the caps
     powers = ((j, tuple(j * e for e in m)) for j in range(sum(KERNEL.caps) + 1))
-    inverse = {p: Fraction(c) ** j for j, p in powers if KERNEL.admits(p)}
+    inverse = {p: c**j for j, p in powers if KERNEL.admits(p)}
     assert got.terms == ref_mul(s.terms, inverse, KERNEL.caps)
     assert got.valid_to_q == s.valid_to_q
     assert 0 not in got.terms.values()
@@ -618,6 +616,29 @@ def test_binomial_by_constant(s, c):
         s.over_binomial(c, MONO_ONE)
 
 
+@pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(2), True, False, 1.0])
+def test_binomial_passes_refuse_a_non_int_coefficient(c, monkeypatch):
+    # a scalar p/r still multiplies p into the rows and r into den ...
+    half = term(KERNEL, 3, b=1) * Fraction(1, 2)
+    assert half.den == 2 and half.terms == {(0, 1, 0, 0): Fraction(3, 2)}
+
+    def no_work(*args):
+        raise AssertionError("a pass ran")
+
+    # ... but a binomial pass refuses any c that is not an int, before any work
+    monkeypatch.setattr(TruncatedSeries, "_fit", no_work)
+    one = TruncatedSeries.one(KERNEL)
+    for run in (
+        lambda: one.times_binomial(c, (0, 1, 0, 1)),
+        lambda: one.over_binomial(c, (0, 1, 0, 1)),
+        lambda: pochhammer_finite(c, Monomial(e_b=1), 1, 1, 2, KERNEL),
+        lambda: pochhammer_infinite(c, Monomial(e_b=1), 1, 1, KERNEL),
+    ):
+        with pytest.raises(SeriesError) as refused:
+            run()
+        assert str(refused.value) == f"a binomial pass takes an int c, got {c!r}"
+
+
 def test_binomial_rejects_negative_exponent():
     with pytest.raises(NegativeExponentError):
         TruncatedSeries.one(KERNEL).times_binomial(1, (0, 1, 0, -1))
@@ -630,11 +651,11 @@ def test_compare_fast_path_is_not_fooled_by_stored_zeros():
     assert compare_series(x, TruncatedSeries(PROF, x.terms, valid_to_q=3)) == ([], 1)
     # An explicit zero coefficient, or two that cancel, leaves no row, so
     # the series stays equal to x row for row ...
-    padded = TruncatedSeries(
-        PROF, [*x.terms.items(), (Monomial(1, 0, 0, 0), 0), ((0, 0, 1, 2), 5), ((0, 0, 1, 2), -5)]
-    )
-    assert padded.rows == x.rows and padded.bounds == x.bounds
-    assert compare_series(padded, x) == ([], 1) and padded == x
+    padded = TruncatedSeries(PROF, {**x.terms, Monomial(1, 0, 0, 0): 0, (0, 0, 1, 2): 0})
+    cancelled = x + term(PROF, 5, t=1, q=2) - term(PROF, 5, t=1, q=2)
+    for s in (padded, cancelled):
+        assert s.rows == x.rows and s.bounds == x.bounds
+        assert compare_series(s, x) == ([], 1) and s == x
     # ... and a real difference next to it is still reported.
     other = TruncatedSeries(PROF, {**x.terms, Monomial(1, 0, 0, 0): 0, Monomial(0, 0, 0, 1): 3})
     assert compare_series(other, x) == ([(1, 0, 0, 0, 3, 1)], 1)
@@ -721,11 +742,17 @@ pass_coeffs = st.one_of(
     st.integers(-3, 3).filter(bool),
     # large enough to widen the slots, or (squared) to sit just under 2^32
     st.sampled_from([2**20 + 7, -(2**19) - 3, 46341, -46340]),
-    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 3)),
+)
+# a scalar p/r (a monomial's, or a summand's) multiplies p into the rows and r into den
+scalar_coeffs = st.one_of(
+    pass_coeffs, st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 3))
 )
 pass_steps = st.lists(
-    st.tuples(st.sampled_from(["times", "over", "over then times", "monomial", "add", "sub"]),
-              pass_coeffs, binomial_monomials),
+    st.one_of(
+        st.tuples(st.sampled_from(["times", "over", "over then times"]),
+                  pass_coeffs, binomial_monomials),
+        st.tuples(st.sampled_from(["monomial", "add", "sub"]), scalar_coeffs, binomial_monomials),
+    ),
     min_size=1, max_size=6,
 )
 
