@@ -789,7 +789,7 @@ def invert_one_minus(x: TruncatedSeries) -> TruncatedSeries:
 
 
 def pochhammer_finite(
-    coeff: Coeff,
+    coeff: int,
     base: Monomial,
     q_offset: int,
     q_step: int,
@@ -799,8 +799,10 @@ def pochhammer_finite(
     """Product of n factors (1 - coeff * base * q^(q_offset + k*q_step)), k = 0..n-1.
 
     The empty product (n = 0) is 1.  The q-exponent of ``base`` adds to the
-    offset; every effective exponent must be nonnegative.
+    offset; every effective exponent must be nonnegative, and ``coeff`` an int.
     """
+    if type(coeff) is not int:
+        raise SeriesError(f"a binomial pass takes an int c, got {coeff!r}")
     if not isinstance(n, int) or n < 0:
         raise SeriesError(f"factor count must be a nonnegative integer, got {n!r}")
     if q_step < 1:
@@ -819,7 +821,7 @@ def pochhammer_finite(
 
 
 def pochhammer_infinite(
-    coeff: Coeff,
+    coeff: int,
     base: Monomial,
     q_offset: int,
     q_step: int,

@@ -633,6 +633,9 @@ def test_binomial_passes_refuse_a_non_int_coefficient(c, monkeypatch):
         lambda: one.over_binomial(c, (0, 1, 0, 1)),
         lambda: pochhammer_finite(c, Monomial(e_b=1), 1, 1, 2, KERNEL),
         lambda: pochhammer_infinite(c, Monomial(e_b=1), 1, 1, KERNEL),
+        # no factor left: still refused
+        lambda: pochhammer_finite(c, Monomial(e_b=1), 1, 1, 0, KERNEL),
+        lambda: pochhammer_infinite(c, Monomial(e_b=1), KERNEL.cap_q + 1, 1, KERNEL),
     ):
         with pytest.raises(SeriesError) as refused:
             run()
