@@ -23,15 +23,19 @@ The audit enumerates a finite box D(j, M) = odd-distinct partitions with
 parts in [2M, 4M] and j parts (exact variant; the printed variant reads
 the length bound as <= j), applies the composition, and checks every
 claimed property against brute force, including the generating-polynomial
-identity between D(j, M) and C(j, M) = D(M, j)-shaped codomain.
+identity between D(j, M) and C(j, M) = D(M, j)-shaped codomain.  One walk
+over the printed domain records per section only what the report holds:
+each property's failures, the (odd count, weight) gradings of the domain
+and of the marked forms, the set of marked forms and the image index.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .partitions import (
     ConstraintSet,
@@ -183,17 +187,9 @@ class BijectionBox:
 class PropertyCount:
     """Pass/fail tally for one pointwise property, with replayable failures."""
 
-    passed: int = 0
-    failed: int = 0
-    failures: List[Tuple[str, str]] = field(default_factory=list)
-
-    def record(self, ok: bool, witness: Partition, note: Callable[[], str]) -> None:
-        """Count one outcome; ``note`` is called only when ``ok`` is false."""
-        if ok:
-            self.passed += 1
-        else:
-            self.failed += 1
-            self.failures.append((witness.text(), note()))
+    passed: int
+    failed: int
+    failures: List[Tuple[str, str]]
 
     @property
     def ok(self) -> bool:
@@ -227,13 +223,7 @@ class MapAudit:
     @property
     def all_pass(self) -> bool:
         return (
-            self.weight_preserved.ok
-            and self.odd_count_preserved.ok
-            and self.codomain_membership.ok
-            and self.statistic_exchange.ok
-            and self.gamma_roundtrip.ok
-            and self.sigma_involution.ok
-            and self.middle_bounds.ok
+            all(getattr(self, name).ok for name in _POINTWISE)
             and self.injective
             and self.surjective
             and self.genpoly_equal
@@ -283,14 +273,14 @@ class AuditReport:
         for section in (self.exact, self.printed):
             in_domain = box.domain_constraints(section.variant).satisfied_by
             in_codomain = box.codomain_constraints(section.variant).satisfied_by
-            for k, name in enumerate(_POINTWISE):
+            for name in _POINTWISE:
                 for witness, note in getattr(section, name).failures:
                     try:
                         p = Partition.parse(witness)
-                        ok, again = _pointwise(p, self.j, self.M, in_codomain)[2][k]
+                        failed = _pointwise(p, self.j, self.M, in_codomain)[2]
                     except SeriesError:
                         return False
-                    if not in_domain(p) or ok or again() != note:
+                    if not in_domain(p) or (name, note) not in failed:
                         return False
             for image, preimages in section.collisions:
                 target = Partition.parse(image)
@@ -300,7 +290,7 @@ class AuditReport:
         return True
 
 
-# MapAudit's pointwise properties, in the order ``_pointwise`` returns them
+# MapAudit's pointwise properties; ``_pointwise`` names those an element fails
 _POINTWISE = (
     "weight_preserved",
     "odd_count_preserved",
@@ -310,61 +300,76 @@ _POINTWISE = (
     "sigma_involution",
     "middle_bounds",
 )
-_MEMBERSHIP = _POINTWISE.index("codomain_membership")
+
+
+def _not_in_codomain(image: Partition) -> Tuple[str, str]:
+    return "codomain_membership", f"image {image.text()} not in codomain"
 
 
 def _pointwise(p: Partition, j: int, M: int, in_codomain: Callable[[Partition], bool]):
-    """(gamma(p), its conjugate, one (holds, note) per pointwise property).
+    """(gamma(p), its conjugate, a (property, note) pair per pointwise
+    property that p fails); a note is formatted only for a failure.
 
-    A note is a callable that formats the failure, so an element that
-    passes formats nothing.
-    """
+    The inverse refusing the marked form fails the round trip, and the
+    conjugate refusing the image fails the involution, with the refusal's
+    text ending the note."""
     lam = gamma(p, M)
     image = two_modular_conjugate(lam)
+    failed = []
     weight, odd = p.weight, p.odd_count
     image_weight, image_odd = image.weight, image.odd_count
-    exchange = (
-        image.length == (lam.largest + 1) // 2
-        and (image.largest + 1) // 2 == lam.length
-        and image_weight == lam.weight
-        and image_odd == lam.odd_count
-    )
-    return lam, image, (
-        (image_weight == weight, lambda: f"weight {weight} -> {image_weight}"),
-        (image_odd == odd, lambda: f"odd {odd} -> {image_odd}"),
-        (in_codomain(image), lambda: f"image {image.text()} not in codomain"),
-        (exchange, lambda: f"conjugate of {lam.text()} is {image.text()}"),
-        (gamma_inverse(lam, len(p), M) == p, lambda: f"marked form {lam.text()}"),
-        (two_modular_conjugate(image) == lam, lambda: f"conjugate^2 of {lam.text()}"),
-        (
-            lam.largest <= 2 * M and lam.length <= 2 * j,
-            lambda: f"marked form {lam.text()} breaks the middle bounds",
-        ),
-    )
+    if image_weight != weight:
+        failed.append(("weight_preserved", f"weight {weight} -> {image_weight}"))
+    if image_odd != odd:
+        failed.append(("odd_count_preserved", f"odd {odd} -> {image_odd}"))
+    if not in_codomain(image):
+        failed.append(_not_in_codomain(image))
+    if (image.length, (image.largest + 1) // 2, image_weight, image_odd) != (
+        (lam.largest + 1) // 2, lam.length, lam.weight, lam.odd_count
+    ):
+        failed.append(("statistic_exchange", f"conjugate of {lam.text()} is {image.text()}"))
+    try:
+        if gamma_inverse(lam, len(p), M) != p:
+            failed.append(("gamma_roundtrip", f"marked form {lam.text()}"))
+    except BijectionError as refusal:
+        failed.append(("gamma_roundtrip", f"marked form {lam.text()}: {refusal}"))
+    try:
+        if two_modular_conjugate(image) != lam:
+            failed.append(("sigma_involution", f"conjugate^2 of {lam.text()}"))
+    except BijectionError as refusal:
+        failed.append(("sigma_involution", f"conjugate^2 of {lam.text()}: {refusal}"))
+    if lam.largest > 2 * M or lam.length > 2 * j:
+        failed.append(("middle_bounds", f"marked form {lam.text()} breaks the middle bounds"))
+    return lam, image, failed
 
 
 class _Section:
-    """One audit section's tallies, recorded element by element as the
-    domain is walked, so no per-element record outlives its element."""
+    """One audit section, recorded element by element as the domain is
+    walked: failures and gradings, and per element only the set of marked
+    forms and the image index."""
 
     def __init__(self, variant: str, codomain: List[Partition]) -> None:
         self.variant = variant
         self.codomain = codomain
         self.in_codomain = set(codomain).__contains__
-        self.tallies = [PropertyCount() for _ in _POINTWISE]
-        self.middle: List[Partition] = []
+        self.failures: Dict[str, List[Tuple[str, str]]] = {name: [] for name in _POINTWISE}
+        self.domain: Counter = Counter()
+        self.middle: Counter = Counter()
+        self.marked: Set[Partition] = set()
         self.image_index: Dict[Partition, List[Partition]] = {}
 
-    def record(self, p: Partition, lam: Partition, image: Partition, outcomes) -> None:
-        for tally, (ok, note) in zip(self.tallies, outcomes):
-            tally.record(ok, p, note)
-        self.middle.append(lam)
+    def record(self, p: Partition, lam: Partition, image: Partition, failed) -> None:
+        for name, note in failed:
+            self.failures[name].append((p.text(), note))
+        self.domain[p.odd_count, p.weight] += 1
+        self.middle[lam.odd_count, lam.weight] += 1
+        self.marked.add(lam)
         self.image_index.setdefault(image, []).append(p)
 
     def audit(
         self, gen_domain: GeneratingPolynomial, gen_codomain: GeneratingPolynomial
     ) -> MapAudit:
-        image_index, middle = self.image_index, self.middle
+        size, image_index = self.domain.total(), self.image_index
         collisions = [
             (image.text(), sorted(p.text() for p in group))
             for image, group in sorted(image_index.items(), reverse=True)
@@ -372,28 +377,25 @@ class _Section:
         ]
         unhit = sorted((c for c in self.codomain if c not in image_index), reverse=True)
         gen_rows = gen_domain.mismatches(gen_codomain)
-        gen_middle = GeneratingPolynomial.from_partitions(middle)
         return MapAudit(
             variant=self.variant,
-            domain_size=len(middle),
+            domain_size=size,
             codomain_size=len(self.codomain),
-            **dict(zip(_POINTWISE, self.tallies)),
+            **{name: PropertyCount(size - len(f), len(f), f) for name, f in self.failures.items()},
             injective=not collisions,
             collisions=collisions,
             surjective=not unhit,
             unhit=[u.text() for u in unhit],
             genpoly_equal=not gen_rows,
             genpoly_mismatches=gen_rows,
-            middle_multiset_distinct=len(set(middle)) == len(middle),
-            middle_equals_domain=not gen_middle.mismatches(gen_domain),
-            middle_equals_codomain=not gen_middle.mismatches(gen_codomain),
+            middle_multiset_distinct=len(self.marked) == size,
+            # neither grading holds a zero count, so equal maps mean no mismatch
+            middle_equals_domain=self.middle == self.domain,
+            middle_equals_codomain=self.middle == gen_codomain.counts,
         )
 
 
-def audit_bijection(
-    box: BijectionBox,
-    enum_limit: Optional[int] = None,
-) -> AuditReport:
+def audit_bijection(box: BijectionBox, enum_limit: Optional[int] = None) -> AuditReport:
     """Exhaustively audit the composition over a finite box.
 
     Always runs the exact-length audit (the bijection claim) and the
@@ -403,16 +405,15 @@ def audit_bijection(
     guarded by ``enum_limit`` (default from QSID_ENUM_LIMIT or 200000):
     the four families are counted exactly first, and a box over the limit
     is refused before any partition is listed.  Only the two <= families
-    are searched; the exact ones are filtered out of them.  The pointwise
-    properties are checked in one pass over the printed domain: each
-    element's ``gamma``, conjugate and property outcomes are computed once
-    and recorded in the printed section and, for a length-j element, in
-    the exact section too, where only codomain membership is tested again,
-    against the exact codomain.
+    are listed.  One walk over the printed domain checks each element's
+    pointwise properties once and records the failures and gradings in
+    the printed section and, for a length-j element, in the exact section
+    too, where codomain membership is tested against the exact codomain.
+    Each codomain is graded from its own listing, the independent side of
+    the generating-polynomial check.
     """
     started = time.perf_counter()
-    if enum_limit is None:
-        enum_limit = env_enum_limit()
+    enum_limit = env_enum_limit() if enum_limit is None else enum_limit
 
     families = [
         constraints(variant)
@@ -424,23 +425,20 @@ def audit_bijection(
     # each exact family is the length-j (length-M) part of its <= family
     j, M = box.j, box.M
     d_printed, c_printed = map(enumerate_partitions, families[2:])
-    d_exact = [p for p in d_printed if len(p) == j]
-    c_exact = [p for p in c_printed if len(p) == M]
+    c_exact = [c for c in c_printed if len(c) == M]
 
-    # one pointwise pass: a length-j element counts in both sections, and
-    # only codomain membership is tested against each section's own codomain
     exact, printed = _Section("exact", c_exact), _Section("printed", c_printed)
     for p in d_printed:
-        lam, image, outcomes = _pointwise(p, j, M, printed.in_codomain)
-        printed.record(p, lam, image, outcomes)
+        lam, image, failed = _pointwise(p, j, M, printed.in_codomain)
+        printed.record(p, lam, image, failed)
         if len(p) == j:
-            outcomes = list(outcomes)
-            outcomes[_MEMBERSHIP] = (exact.in_codomain(image), outcomes[_MEMBERSHIP][1])
-            exact.record(p, lam, image, outcomes)
+            # the exact codomain lies in the printed one: only here can it miss
+            if not exact.in_codomain(image) and printed.in_codomain(image):
+                failed = [*failed, _not_in_codomain(image)]
+            exact.record(p, lam, image, failed)
 
-    gen_d_exact, gen_c_exact, gen_d_printed, gen_c_printed = map(
-        GeneratingPolynomial.from_partitions, (d_exact, c_exact, d_printed, c_printed)
-    )
+    gen_d_exact, gen_d_printed = (GeneratingPolynomial(s.domain) for s in (exact, printed))
+    gen_c_exact, gen_c_printed = map(GeneratingPolynomial.from_partitions, (c_exact, c_printed))
     exact_audit = exact.audit(gen_d_exact, gen_c_exact)
     printed_audit = printed.audit(gen_d_printed, gen_c_printed)
     # the empty partition is the only one of weight 0, monomial a^0 q^0

@@ -21,6 +21,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
+from functools import lru_cache
 from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -458,38 +459,40 @@ def _count_by_length(lo: int, hi: int, l_lo: int, l_hi: int, odd_distinct: bool)
     n_values = max(0, hi - lo + 1)
     n_odd = max(0, (hi + 1) // 2 - lo // 2) if odd_distinct else 0
     n_rep = n_values - n_odd  # values that may repeat
+    return _up_to(n_odd, n_rep, l_hi) - _up_to(n_odd, n_rep, l_lo - 1)
 
-    def up_to(l: int) -> int:
-        """Length <= l: sum over k of C(n_odd, k) * multisets of <= l - k repeatable values.
 
-        Term k + 1 is term k times p(k) / q(k), with p(k) = (n_odd - k)(l - k)
-        and q(k) = (k + 1)(n_rep + l - k).  Binary splitting sums the terms
-        as term 0 times 1 + T / Q over a product tree, with one exact
-        division at the end instead of a big-int multiply and divide per
-        term.
-        """
-        if l < 0:
-            return 0
-        first = comb(n_rep + l, l)
-        steps = min(n_odd, l)
-        if not steps:
-            return first
+@lru_cache(maxsize=16)
+def _up_to(n_odd: int, n_rep: int, l: int) -> int:
+    """Length <= l: sum over k of C(n_odd, k) * multisets of <= l - k repeatable values.
 
-        def split(a: int, b: int) -> Tuple[int, int, int]:
-            """(P, Q, T) over k in [a, b): P and Q the products of p(k) and
-            q(k), T / Q the sum over m in [a, b) of prod_{a <= k <= m} p(k) / q(k)."""
-            if b - a == 1:
-                p = (n_odd - a) * (l - a)
-                return p, (a + 1) * (n_rep + l - a), p
-            mid = (a + b) // 2
-            p1, q1, t1 = split(a, mid)
-            p2, q2, t2 = split(mid, b)
-            return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    Term k + 1 is term k times p(k) / q(k), with p(k) = (n_odd - k)(l - k)
+    and q(k) = (k + 1)(n_rep + l - k).  Binary splitting sums the terms
+    as term 0 times 1 + T / Q over a product tree, with one exact
+    division at the end instead of a big-int multiply and divide per
+    term.  Cached: an audit's four families share part ranges and length
+    bounds, so with j = M one sum serves up to four of them.
+    """
+    if l < 0:
+        return 0
+    first = comb(n_rep + l, l)
+    steps = min(n_odd, l)
+    if not steps:
+        return first
 
-        _, q, t = split(0, steps)
-        return first + first * t // q
+    def split(a: int, b: int) -> Tuple[int, int, int]:
+        """(P, Q, T) over k in [a, b): P and Q the products of p(k) and
+        q(k), T / Q the sum over m in [a, b) of prod_{a <= k <= m} p(k) / q(k)."""
+        if b - a == 1:
+            p = (n_odd - a) * (l - a)
+            return p, (a + 1) * (n_rep + l - a), p
+        mid = (a + b) // 2
+        p1, q1, t1 = split(a, mid)
+        p2, q2, t2 = split(mid, b)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
-    return up_to(l_hi) - up_to(l_lo - 1)
+    _, q, t = split(0, steps)
+    return first + first * t // q
 
 
 # ints of at most this many bits are converted by Decimal() directly

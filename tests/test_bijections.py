@@ -1,14 +1,15 @@
 """Partition maps and the finite-box audit, against brute-force oracles."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsid import bijections
+from qsid import bijections, partitions
 from qsid.bijections import (
     BijectionBox,
     BijectionError,
-    PropertyCount,
     audit_bijection,
     gamma,
     gamma_inverse,
@@ -333,9 +334,16 @@ def test_revalidate_rejects_witnesses_that_do_not_fail_again(section, witness, n
 
 
 def test_failure_notes_are_formatted_only_on_failure(monkeypatch):
-    never = PropertyCount()
-    never.record(True, P("4"), lambda: pytest.fail("note formatted for a pass"))
-    assert (never.passed, never.failures) == (1, [])
+    # both sections of (1, 1) pass, so no note, and no partition text in
+    # one, is formatted
+    monkeypatch.setattr(Partition, "text", lambda p: pytest.fail("note formatted for a pass"))
+    report = audit_bijection(BijectionBox(1, 1))
+    for section in (report.exact, report.printed):
+        assert section.all_pass
+        for name in bijections._POINTWISE:
+            count = getattr(section, name)
+            assert (count.passed, count.failed, count.failures) == (section.domain_size, 0, [])
+    monkeypatch.undo()
 
     conjugate = bijections.two_modular_conjugate
 
@@ -388,3 +396,73 @@ def test_one_pass_tests_membership_against_each_sections_codomain(monkeypatch):
     assert [w for w, _ in report.exact.codomain_membership.failures] == [p.text() for p in exact]
     assert all(P(w).length != 2 for w, _ in report.printed.codomain_membership.failures)
     assert report.revalidate()
+
+
+def _gamma_mutants():
+    def one_marker_short(p, M):  # drops one of the len(p) markers 2M
+        marked = [x - 2 * M for x in p if x > 2 * M] + [2 * M] * (len(p) - 1)
+        return Partition(sorted(marked, reverse=True))
+
+    def markers_too_big(p, M):  # marks with 2M + 2 instead of 2M
+        marked = [x - 2 * M for x in p if x > 2 * M] + [2 * M + 2] * len(p)
+        return Partition(sorted(marked, reverse=True))
+
+    return {"one marker short": one_marker_short, "markers 2M + 2": markers_too_big}
+
+
+@pytest.mark.parametrize("mutant", ["one marker short", "markers 2M + 2"])
+def test_inverse_refusing_a_mutant_marked_form_fails_the_round_trip(monkeypatch, mutant):
+    # gamma_inverse refuses these marked forms; the refusal is the round
+    # trip's failure, not an error of the audit
+    monkeypatch.setattr(bijections, "gamma", _gamma_mutants()[mutant])
+    report = audit_bijection(BijectionBox(2, 3))
+    roundtrip = report.exact.gamma_roundtrip
+    assert roundtrip.failed == report.exact.domain_size
+    witness, note = roundtrip.failures[0]
+    with pytest.raises(BijectionError) as refusal:
+        bijections.gamma_inverse(bijections.gamma(P(witness), 3), 2, 3)
+    assert note.endswith(f": {refusal.value}")
+    assert report.exact.middle_bounds.failed == (mutant == "markers 2M + 2") * roundtrip.failed
+    assert not report.passed and report.revalidate()
+
+
+def test_conjugate_refusing_an_image_fails_the_involution(monkeypatch):
+    # a conjugate that refuses its own results, so every image
+    conjugate, made = bijections.two_modular_conjugate, {}
+
+    def refuses_images(lam):
+        if id(lam) in made:  # ``made`` keeps each result alive, so ids stay unique
+            raise BijectionError(f"refused {lam.text()}")
+        image = conjugate(lam)
+        made[id(image)] = image
+        return image
+
+    monkeypatch.setattr(bijections, "two_modular_conjugate", refuses_images)
+    report = audit_bijection(BijectionBox(2, 3))
+    involution = report.exact.sigma_involution
+    assert involution.failed == report.exact.domain_size
+    assert all(note.startswith("conjugate^2 of ") and ": refused " in note
+               for _, note in involution.failures)
+    assert not report.passed and report.revalidate()
+
+
+def test_audit_refusal_sums_each_closed_form_count_once(monkeypatch):
+    # with j = M the four families share one part range, so their counts
+    # need only two closed-form sums, lengths <= 300 and <= 299, one
+    # binomial each
+    box = BijectionBox(300, 300)
+    families = [f(v) for v in ("exact", "printed")
+                for f in (box.domain_constraints, box.codomain_constraints)]
+    total = sum(count_partitions(c) for c in families)
+    partitions._up_to.cache_clear()
+    binomials = []
+
+    def counted_comb(n, k):
+        binomials.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(partitions, "comb", counted_comb)
+    with pytest.raises(BijectionError) as refusal:
+        audit_bijection(box, enum_limit=10)
+    assert str(refusal.value) == f"box j=300, M=300 enumerates {total} partitions, over the limit 10"
+    assert len(binomials) == len(set(binomials)) == 2  # one per distinct count

@@ -354,6 +354,19 @@ def test_audit_witness_that_does_not_replay_is_an_internal_error(capsys, monkeyp
     assert err == "error: internal: a failure witness of box j=2, M=3 does not replay\n"
 
 
+def test_audit_of_a_gamma_the_inverse_refuses_reports_fail(capsys, monkeypatch):
+    # markers 2M + 2: gamma_inverse refuses every marked form, a round-trip
+    # failure of the audit, not a usage error
+    def markers_too_big(p, M):
+        marked = [x - 2 * M for x in p if x > 2 * M] + [2 * M + 2] * len(p)
+        return Partition(sorted(marked, reverse=True))
+
+    monkeypatch.setattr(bijections, "gamma", markers_too_big)
+    code, out, err = run_cli(capsys, "audit", "--j", "2", "--M", "3")
+    assert (code, err) == (EXIT_MISMATCH, "")
+    assert "  inverse roundtrip:   0/25\n" in out and out.endswith("result: FAIL\n")
+
+
 # ------------------------------------------------------------------ enumerate
 
 
