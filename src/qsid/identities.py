@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import time
 from collections import Counter, deque
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, islice
 from math import comb, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -52,6 +53,7 @@ from .rational import (
     Dense,
     Factor,
     RationalAssignment,
+    Summand,
     accumulate,
     apply_factors,
     convolve,
@@ -62,9 +64,9 @@ from .rational import (
     reduce_dense,
     require_frozen,
     scale,
+    shift_window,
     sum_with_geometric_tail,
     times_binomial,
-    times_q,
 )
 from .series import (
     Monomial,
@@ -409,7 +411,16 @@ def build_thm31_side(which: str, profile: TruncationProfile) -> TruncatedSeries:
 # ------------------------------------------------------------- rational sides
 
 
+ONE = Fraction(1)
+
+# Each sum steps its summand from index n to n + 1 by the exact term
+# ratio: the binomial factors that join the summand's factor list and the
+# ones that leave it, a scalar and a q-shift (``Summand.step``), normalised
+# and refused exactly as ``product_series`` treats the whole list.
+
+
 def _qps_summand(assign: RationalAssignment, n: int, cap_q: int) -> Dense:
+    """Summand n of the balanced sum from its factor list (the N + 1 check)."""
     a, b, c, N = assign.a, assign.b, assign.c, assign.N
     fac = []
     fac += pochhammer_factors(a, 0, n)
@@ -421,11 +432,29 @@ def _qps_summand(assign: RationalAssignment, n: int, cap_q: int) -> Dense:
     return product_series(fac, cap_q, q_shift=n, label=f"balanced-sum term n={n}")
 
 
-def _qps_lhs(assign: RationalAssignment, cap_q: int) -> Dense:
+def _finite_sum(terms: Iterator[Dense], n_terms: int, cap_q: int) -> Dense:
     total = Dense.zero(cap_q)
-    for n in range(assign.N + 1):
-        accumulate(total, _qps_summand(assign, n, cap_q))
+    for term in islice(terms, n_terms):
+        accumulate(total, term)
     return total
+
+
+def _qps_lhs(assign: RationalAssignment, cap_q: int) -> Dense:
+    """sum_{n=0..N} (a, b, q^-N; q)_n q^n / (c, q, a*b*q^(1-N)/c; q)_n."""
+    a, b, c, N = Fraction(assign.a), Fraction(assign.b), Fraction(assign.c), assign.N
+    ab_c = a * b / c
+
+    def terms() -> Iterator[Dense]:
+        term = Summand(cap_q)
+        for n in count():
+            yield term.value(f"balanced-sum term n={n}")
+            term.step(
+                [Factor(a, n), Factor(b, n), Factor(ONE, n - N),
+                 Factor(c, n, True), Factor(ONE, n + 1, True), Factor(ab_c, n + 1 - N, True)],
+                q_shift=1,
+            )
+
+    return _finite_sum(terms(), N + 1, cap_q)
 
 
 def _qps_rhs(assign: RationalAssignment, cap_q: int) -> Dense:
@@ -439,48 +468,56 @@ def _qps_rhs(assign: RationalAssignment, cap_q: int) -> Dense:
 
 
 def _eq22_rhs(assign: RationalAssignment, cap_q: int, with_qn: bool) -> Dense:
-    a, b, c, N = assign.a, assign.b, assign.c, assign.N
-    c_ab = Fraction(c) / (Fraction(a) * b)
+    """(q; q)_N / (c/(a*b); q)_N times
+    sum_{n=0..N} (a, b; q)_n (c/(a*b); q)_(N-n) (c/(a*b))^n [q^n]
+    / ((c, q; q)_n (q; q)_(N-n))."""
+    a, b, c, N = Fraction(assign.a), Fraction(assign.b), Fraction(assign.c), assign.N
+    c_ab = c / (a * b)
     pref = product_series(
         pochhammer_factors(1, 1, N)
         + pochhammer_factors(c_ab, 0, N, inverted=True),
         cap_q,
         label="rewrite prefactor",
     )
-    total = Dense.zero(cap_q)
-    for n in range(N + 1):
-        fac = []
-        fac += pochhammer_factors(a, 0, n)
-        fac += pochhammer_factors(b, 0, n)
-        fac += pochhammer_factors(c_ab, 0, N - n)
-        fac += pochhammer_factors(c, 0, n, inverted=True)
-        fac += pochhammer_factors(1, 1, n, inverted=True)
-        fac += pochhammer_factors(1, 1, N - n, inverted=True)
-        accumulate(total, product_series(
-            fac,
-            cap_q,
-            scalar=c_ab**n,
-            q_shift=n if with_qn else 0,
-            label=f"rewrite term n={n}",
-        ))
-    return convolve(pref, total)
+
+    def terms() -> Iterator[Dense]:
+        term = Summand(cap_q)
+        term.step(pochhammer_factors(c_ab, 0, N) + pochhammer_factors(1, 1, N, inverted=True))
+        for n in count():
+            yield term.value(f"rewrite term n={n}")
+            term.step(
+                [Factor(a, n), Factor(b, n), Factor(c, n, True), Factor(ONE, n + 1, True)],
+                [Factor(c_ab, N - n - 1), Factor(ONE, N - n, True)],
+                scalar=c_ab,
+                q_shift=1 if with_qn else 0,
+            )
+
+    return convolve(pref, _finite_sum(terms(), N + 1, cap_q))
 
 
 def _eq23_lhs(assign: RationalAssignment, cap_q: int) -> Dense:
-    a, b, N = assign.a, assign.b, assign.N
-    inv_a = 1 / Fraction(a)
-    total = Dense.zero(cap_q)
-    for n in range(N + 1):
-        fac = []
-        fac += pochhammer_factors(a, 0, n)
-        fac += pochhammer_factors(inv_a, 1, N - n)
-        fac += pochhammer_factors(1, 1, n, inverted=True)
-        fac += pochhammer_factors(1, 1, N - n, inverted=True)
-        fac += [Factor(Fraction(b), n, True)]
-        accumulate(total, product_series(
-            fac, cap_q, scalar=inv_a**n, q_shift=n, label=f"specialized term n={n}"
-        ))
-    return total
+    """sum_{n=0..N} (a; q)_n (q/a; q)_(N-n) q^n
+    / ((q; q)_n (q; q)_(N-n) (1 - b*q^n) a^n)."""
+    a, b, N = Fraction(assign.a), Fraction(assign.b), assign.N
+    inv_a = 1 / a
+
+    def terms() -> Iterator[Dense]:
+        term = Summand(cap_q)
+        term.step(
+            pochhammer_factors(inv_a, 1, N)
+            + pochhammer_factors(1, 1, N, inverted=True)
+            + [Factor(b, 0, True)]
+        )
+        for n in count():
+            yield term.value(f"specialized term n={n}")
+            term.step(
+                [Factor(a, n), Factor(ONE, n + 1, True), Factor(b, n + 1, True)],
+                [Factor(inv_a, N - n), Factor(ONE, N - n, True), Factor(b, n, True)],
+                scalar=inv_a,
+                q_shift=1,
+            )
+
+    return _finite_sum(terms(), N + 1, cap_q)
 
 
 def _eq23_rhs(assign: RationalAssignment, cap_q: int) -> Dense:
@@ -498,7 +535,9 @@ def _eq23_rhs(assign: RationalAssignment, cap_q: int) -> Dense:
 # Each steps its summands by their term ratios (a few binomial passes and
 # one scalar each), sums explicitly up to the freeze index, checks that
 # the ratio has become the scalar t there, and closes the tail in exact
-# arithmetic.  The numerators are reduced by their gcd once per outer step.
+# arithmetic.  Summand (., n) carries q^n, so it is kept on its window of
+# cap_q + 1 - n slots and added in at offset n.  The numerators are
+# reduced by their gcd once per outer step.
 
 
 def _chain_double_unshifted(assign: RationalAssignment, cap_q: int) -> Dense:
@@ -516,7 +555,7 @@ def _chain_double_unshifted(assign: RationalAssignment, cap_q: int) -> Dense:
         """Summand (M + 1, 0) over summand (M, 0), apart from the scalar t."""
         return [
             Factor(1 / a, M + 1),
-            Factor(Fraction(1), M + 1, True),
+            Factor(ONE, M + 1, True),
             Factor(b, M),
             Factor(b, M + 1, True),
         ]
@@ -531,14 +570,14 @@ def _chain_double_unshifted(assign: RationalAssignment, cap_q: int) -> Dense:
         term = first.copy()
         accumulate(total, term)
         for n in range(cap_q):
-            # summand (M, n + 1) over (M, n):
+            # summand (M, n + 1) over (M, n), on the window one slot higher:
             # (1 - a*q^n) (1 - b*q^(M+2n)) q*t / ((1 - q^(n+1)) (1 - b*q^(M+2n+2)) a)
+            shift_window(term, t_over_a)
             times_binomial(term, a, n)
             times_binomial(term, b, M + 2 * n)
             over_binomial(term, 1, n + 1)
             over_binomial(term, b, M + 2 * n + 2)
-            term = times_q(term, t_over_a)
-            accumulate(total, term)
+            accumulate(total, term, n + 1)
         apply_factors(first, row_step(M))
         scale(first, t)
         reduce_dense(first)
@@ -548,46 +587,51 @@ def _chain_double_unshifted(assign: RationalAssignment, cap_q: int) -> Dense:
 
 def _chain_double_shifted(assign: RationalAssignment, cap_q: int) -> Dense:
     """sum_{n>=0} sum_{N>=0} (a;q)_n (q/a;q)_N q^n t^(N+n)
-    / ((q;q)_n (q;q)_N (1 - b*q^(N+2n)) a^n)."""
+    / ((q;q)_n (q;q)_N (1 - b*q^(N+2n)) a^n).
+
+    Summand (N, n) carries q^n; on its window of cap_q + 1 - n slots every
+    binomial of the step in N lies past the window from N = cap_q + 1 - n on."""
     a, b, t = Fraction(assign.a), Fraction(assign.b), Fraction(assign.t)
     inv_a = 1 / a
     tail_scale = 1 / (1 - t)
     total = Dense.zero(cap_q)
-    outer = Dense.zero(cap_q)
+    outer = Dense.zero(cap_q)  # summand (0, n) but for its 1/(1 - b*q^(2n)), on its window
     outer[0] = 1
-    n_freeze = cap_q + 1
     for n in range(cap_q + 1):
 
         def step(N: int) -> List[Factor]:
             """Summand (N + 1, n) over summand (N, n), apart from the scalar t."""
             return [
                 Factor(inv_a, N + 1),
-                Factor(Fraction(1), N + 1, True),
+                Factor(ONE, N + 1, True),
                 Factor(b, N + 2 * n),
                 Factor(b, N + 2 * n + 1, True),
             ]
 
+        n_freeze = cap_q + 1 - n
         term = outer.copy()  # summand (0, n)
         over_binomial(term, b, 2 * n)
         for N in range(n_freeze):
-            accumulate(total, term)
+            accumulate(total, term, n)
             apply_factors(term, step(N))
             scale(term, t)
-        require_frozen((f.q_exp for f in step(n_freeze)), cap_q, "the shifted double sum")
+        require_frozen((f.q_exp for f in step(n_freeze)), cap_q - n, "the shifted double sum")
         scale(term, tail_scale)
-        accumulate(total, term)
+        accumulate(total, term, n)
         # outer factor n -> n + 1: times (1 - a*q^n) * q * t / ((1 - q^(n+1)) * a)
+        shift_window(outer, inv_a * t)
         times_binomial(outer, a, n)
         over_binomial(outer, 1, n + 1)
-        outer = times_q(outer, inv_a * t)
         reduce_dense(outer)
         reduce_dense(total)
     return total
 
 
 def _chain_product_form(assign: RationalAssignment, cap_q: int) -> Dense:
-    a, b, t = assign.a, assign.b, assign.t
-    t_over_a = Fraction(t) / Fraction(a)
+    """(t/a * q; q)_inf / (t; q)_inf times
+    sum_{n>=0} (t; q)_n (t*q^(2n+1); q)_inf b^n / ((t/a * q; q)_n (t/a * q^(2n+1); q)_inf)."""
+    a, b, t = Fraction(assign.a), Fraction(assign.b), Fraction(assign.t)
+    t_over_a = t / a
     pref = product_series(
         pochhammer_factors(t_over_a, 1, None, cap_q=cap_q)
         + pochhammer_factors(t, 0, None, inverted=True, cap_q=cap_q),
@@ -595,31 +639,42 @@ def _chain_product_form(assign: RationalAssignment, cap_q: int) -> Dense:
         label="product-form prefactor",
     )
 
-    def cterm(n: int) -> Dense:
-        fac = []
-        fac += pochhammer_factors(t, 0, n)
-        fac += pochhammer_factors(t_over_a, 1, n, inverted=True)
-        fac += pochhammer_factors(t, 2 * n + 1, None, cap_q=cap_q)
-        fac += pochhammer_factors(t_over_a, 2 * n + 1, None, inverted=True, cap_q=cap_q)
-        return product_series(
-            fac, cap_q, scalar=Fraction(b) ** n, label=f"product-form term n={n}"
+    def cterms() -> Iterator[Dense]:
+        term = Summand(cap_q)
+        term.step(
+            pochhammer_factors(t, 1, None, cap_q=cap_q)
+            + pochhammer_factors(t_over_a, 1, None, inverted=True, cap_q=cap_q)
         )
+        for n in count():
+            yield term.value(f"product-form term n={n}")
+            term.step(
+                [Factor(t, n), Factor(t_over_a, n + 1, True)],
+                [Factor(t, 2 * n + 1), Factor(t, 2 * n + 2),
+                 Factor(t_over_a, 2 * n + 1, True), Factor(t_over_a, 2 * n + 2, True)],
+                scalar=b,
+            )
 
-    return convolve(pref, sum_with_geometric_tail(cterm, b, cap_q + 1, cap_q))
+    return convolve(pref, sum_with_geometric_tail(cterms(), b, cap_q + 1, cap_q))
 
 
 def _chain_single_sum(assign: RationalAssignment, cap_q: int, reciprocal: bool) -> Dense:
-    a, b, t = assign.a, assign.b, assign.t
-    x = Fraction(t) / Fraction(a) if reciprocal else Fraction(a) * Fraction(t)
+    """sum_{n>=0} (x*q^(n+1); q)_n b^n / (t*q^n; q)_(n+1) with x = t/a, or a*t."""
+    a, b, t = Fraction(assign.a), Fraction(assign.b), Fraction(assign.t)
+    x = t / a if reciprocal else a * t
 
-    def dterm(n: int) -> Dense:
-        fac = pochhammer_factors(x, n + 1, n)
-        fac += pochhammer_factors(t, n, n + 1, inverted=True)
-        return product_series(
-            fac, cap_q, scalar=Fraction(b) ** n, label=f"target term n={n}"
-        )
+    def dterms() -> Iterator[Dense]:
+        term = Summand(cap_q)
+        term.step([Factor(t, 0, True)])
+        for n in count():
+            yield term.value(f"target term n={n}")
+            term.step(
+                [Factor(x, 2 * n + 1), Factor(x, 2 * n + 2),
+                 Factor(t, 2 * n + 1, True), Factor(t, 2 * n + 2, True)],
+                [Factor(x, n + 1), Factor(t, n, True)],
+                scalar=b,
+            )
 
-    return sum_with_geometric_tail(dterm, b, cap_q + 1, cap_q)
+    return sum_with_geometric_tail(dterms(), b, cap_q + 1, cap_q)
 
 
 def _f_rational(assign: RationalAssignment, cap_q: int, exchanged: bool) -> Dense:
@@ -638,12 +693,13 @@ def _f_rational(assign: RationalAssignment, cap_q: int, exchanged: bool) -> Dens
     step = min(k1, k2)
 
     def term(n: int) -> Dense:
+        # every exponent k1*(n - k) + k2*k moves with n: no binomial ratio to step by
         fac = [Factor(first, k1 * (n - k) + k2 * k, True) for k in range(n + 1)]
         return product_series(
             fac, cap_q, scalar=second**n, label=f"symmetric-function term n={n}"
         )
 
-    return sum_with_geometric_tail(term, second, cap_q // step + 1, cap_q)
+    return sum_with_geometric_tail(map(term, count()), second, cap_q // step + 1, cap_q)
 
 
 # --------------------------------------------------------------- preconditions

@@ -28,9 +28,13 @@ c[i] += p*c[i-m], and den does not change.  A factor with m > cap_q is
 Sums add numerators after aligning unequal denominators by their gcd
 (``accumulate``), scalars multiply the numerators and ``den``
 (``scale``), and a product of two sides is a q-only convolution of the
-numerators over the product of the denominators (``convolve``).  Nothing
-is reduced per pass: ``reduce_dense`` divides by gcd(den, *nums) once per
-outer step of the chain double sums and once per finished side, and a
+numerators over the product of the denominators (``convolve``).  A
+summand that carries q^k lives on its window: the numerators of q^k ..
+q^cap_q alone, so its passes run on cap_q + 1 - k slots; ``shift_window``
+moves a window up by a q-power and ``accumulate`` adds one in at its
+offset.  Nothing is reduced per pass: ``reduce_dense`` divides by
+gcd(den, *nums) once per summand step, once per outer step of the chain
+double sums and once per finished side, and a
 finished side becomes a ``TruncatedSeries`` over the q-only profile once
 (``dense_series``, which packs the reduced numerators into one row over
 ``den``), so comparisons and reports see the same values as any other
@@ -48,6 +52,14 @@ prefactor still has a negative q-power the product is genuinely Laurent
 and evaluation fails loudly; in the identities checked here the negative
 powers always cancel.
 
+A sum is built by stepping each summand to the next by its exact term
+ratio, a few binomial factors joining the summand's factor list and a few
+leaving it (``Summand``), rather than by rebuilding summand n from its n
+or more factors.  ``product_series`` is one such step from the constant
+1, so the flips, the folding of q^0 factors into the scalar and the
+refusals of a vanishing denominator factor (0/0 included) and of a pole
+at q = 0 are written once.
+
 ``sum_with_geometric_tail`` sums series whose q-expansion does not
 terminate index by index (the orders of the summands stop growing once
 every moving factor has left the truncation window).  Past that freeze
@@ -64,7 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from .series import (
     SeriesError,
@@ -78,6 +90,7 @@ __all__ = [
     "Dense",
     "Factor",
     "RationalAssignment",
+    "Summand",
     "accumulate",
     "apply_factors",
     "convolve",
@@ -88,9 +101,9 @@ __all__ = [
     "reduce_dense",
     "require_frozen",
     "scale",
+    "shift_window",
     "sum_with_geometric_tail",
     "times_binomial",
-    "times_q",
 ]
 
 
@@ -237,22 +250,34 @@ def scale(c: Dense, v) -> None:
     c.den *= d
 
 
-def times_q(c: Dense, v) -> Dense:
-    """v * q * c, truncated at the same cap."""
-    p, d = v.numerator, v.denominator
-    return Dense([0] + [p * x for x in c[:-1]], c.den * d)
+def shift_window(c: Dense, v, s: int = 1) -> None:
+    """c <- v * q^s * c in place, on the window s slots higher.
+
+    A ``Dense`` that holds the numerators of q^k .. q^cap_q of a series
+    q^k * c holds those of q^(k+s) .. q^cap_q after this: its top s
+    numerators, which the shift would push past q^cap_q, drop out.
+    """
+    if s:
+        del c[max(len(c) - s, 0):]
+    scale(c, v)
 
 
-def accumulate(total: Dense, c: Dense) -> None:
-    """total <- total + c in place, over the lcm of the two denominators."""
+def accumulate(total: Dense, c: Dense, offset: int = 0) -> None:
+    """total <- total + q^offset * c in place, over the lcm of the two denominators.
+
+    ``c`` is a window: its numerators are those of q^offset .. q^(offset + len(c) - 1).
+    """
     a, b = total.den, c.den
-    if a == b:
-        total[:] = [x + y for x, y in zip(total, c)]
-        return
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    total[:] = [b * x + a * y for x, y in zip(total, c)]
-    total.den *= b
+    if a != b:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if b != 1:
+            total[:] = [b * x for x in total]
+            total.den *= b
+        if a != 1:
+            c = [a * y for y in c]
+    end = offset + len(c)
+    total[offset:end] = [x + y for x, y in zip(total[offset:end], c)]
 
 
 def convolve(x: Dense, y: Dense) -> Dense:
@@ -296,6 +321,93 @@ def require_frozen(step_exponents: Iterable[int], cap_q: int, where: str) -> Non
         )
 
 
+class Summand:
+    """A summand stepped from one index to the next by its exact term ratio.
+
+    Its value is scalar * q^shift * prod(factors) over the factors that
+    have joined its factor list and not left it.  ``window`` holds the
+    numerators of q^shift .. q^cap_q alone, so each pass runs on those
+    cap_q + 1 - shift slots.  A step flips each factor with m < 0 into
+    the scalar and the shift and folds each (1 - v) with m = 0 into the
+    scalar, except a vanishing one (v = 1): that one is counted, in the
+    numerator or the denominator, until it leaves the list.
+
+    ``value`` refuses a summand that holds a vanishing denominator factor
+    (0/0 if it also holds a vanishing numerator factor) or a pole at
+    q = 0, and is zero while it holds a vanishing numerator factor.  A
+    step of negative net q-power would widen the window past the
+    numerators kept, so the window is dropped; only a summand refused or
+    zero until then can have taken one.
+    """
+
+    def __init__(self, cap_q: int):
+        self.cap_q = cap_q
+        self.shift = 0
+        self.window: Optional[Dense] = Dense([1] + [0] * cap_q)
+        self.vanishing = [0, 0]  # held (1 - q^0) factors: numerator, denominator
+
+    def step(self, enter: Iterable[Factor] = (), leave: Iterable[Factor] = (), *,
+             scalar=1, q_shift: int = 0) -> None:
+        """Multiply by scalar * q^q_shift * prod(enter) / prod(leave).
+
+        ``enter`` factors join the summand's factor list and ``leave``
+        factors leave it, each in the numerator or, inverted, the
+        denominator.
+        """
+        scalar = Fraction(scalar)
+        shift = q_shift
+        passes = []
+        for leaving, factors in ((False, enter), (True, leave)):
+            for f in factors:
+                v, m = f.value, f.q_exp
+                if not v:
+                    continue
+                if m == 0 and v == 1:
+                    self.vanishing[f.inverted] += -1 if leaving else 1
+                    continue
+                divide = f.inverted != leaving
+                if m < 0:
+                    scalar = scalar / -v if divide else scalar * -v
+                    shift += -m if divide else m
+                    v, m = 1 / v, -m
+                if m == 0:
+                    scalar = scalar / (1 - v) if divide else scalar * (1 - v)
+                else:
+                    passes.append((over_binomial if divide else times_binomial, v, m))
+        self.shift += shift
+        c = self.window
+        if c is None:
+            return
+        if shift < 0:
+            self.window = None
+            return
+        shift_window(c, scalar, shift)
+        for kernel, v, m in passes:
+            kernel(c, v, m)
+        reduce_dense(c)
+
+    def value(self, label: str = "") -> Dense:
+        """The summand to q^cap_q; refuses 1/0, 0/0 and a pole at q = 0.
+
+        With shift 0 this is ``window`` itself, valid until the next step.
+        """
+        where = f" in {label}" if label else ""
+        numerator, denominator = self.vanishing
+        if denominator > 0:
+            zero = " over a vanishing numerator factor (0/0)" if numerator > 0 else ""
+            raise DegenerateParameterError(f"denominator factor (1 - v) with v = 1{zero}{where}")
+        if numerator > 0 or self.shift > self.cap_q:
+            return Dense.zero(self.cap_q)
+        if self.shift < 0:
+            raise DegenerateParameterError(
+                f"product has a pole of order {-self.shift} at q = 0{where}"
+            )
+        c = self.window
+        if c is None:
+            raise SeriesError(f"a stepped summand's window cannot widen{where}")
+        return Dense([0] * self.shift + c, c.den) if self.shift else c
+
+
 def product_series(
     factors: Iterable[Factor],
     cap_q: int,
@@ -306,88 +418,47 @@ def product_series(
 ) -> Dense:
     """Exact value of scalar * q^q_shift * prod(factors) as a ``Dense`` to q^cap_q.
 
-    Negative-exponent factors are flipped into the scalar/shift prefactor;
-    a net negative shift means the product has a pole at q = 0 and raises.
-    A vanishing numerator factor makes the whole product zero; a vanishing
-    denominator factor raises ``DegenerateParameterError``, also over a
-    vanishing numerator factor (0/0).
+    One ``Summand`` step from the constant 1: a net negative q-power (a
+    pole at q = 0) and a vanishing denominator factor, also over a
+    vanishing numerator factor (0/0), raise ``DegenerateParameterError``;
+    a vanishing numerator factor alone makes the product zero.
     """
-    where = f" in {label}" if label else ""
-    scalar = Fraction(scalar)
-    shift = q_shift
-    regular: List[Factor] = []
-    factors = list(factors)
-
-    vanishing = {f.inverted for f in factors if f.q_exp == 0 and f.value == 1}
-    if True in vanishing:
-        zero = " over a vanishing numerator factor (0/0)" if False in vanishing else ""
-        raise DegenerateParameterError(f"denominator factor (1 - v) with v = 1{zero}{where}")
-    if vanishing:
-        return Dense.zero(cap_q)
-
-    for f in factors:
-        v = f.value
-        if v == 0:
-            continue
-        m = f.q_exp
-        if m < 0:
-            if f.inverted:
-                scalar /= -v
-                shift -= m
-            else:
-                scalar *= -v
-                shift += m
-            regular.append(Factor(1 / v, -m, f.inverted))
-        elif m == 0:  # 1 - v != 0: no factor vanishes past the check above
-            scalar = scalar / (1 - v) if f.inverted else scalar * (1 - v)
-        else:
-            regular.append(f)
-
-    if shift < 0:
-        raise DegenerateParameterError(
-            f"product has a pole of order {-shift} at q = 0{where}"
-        )
-    if shift > cap_q:
-        return Dense.zero(cap_q)
-
-    # the factors act on q^shift .. q^cap_q only: build that window alone
-    acc = Dense.zero(cap_q - shift)
-    acc[0] = scalar.numerator
-    acc.den = scalar.denominator
-    apply_factors(acc, regular)
-    if shift:
-        acc[:0] = [0] * shift
-    return acc
+    term = Summand(cap_q)
+    term.step(factors, scalar=scalar, q_shift=q_shift)
+    return term.value(label)
 
 
 def sum_with_geometric_tail(
-    term: Callable[[int], Dense],
+    terms: Iterator[Dense],
     ratio,
     freeze_index: int,
     cap_q: int,
 ) -> Dense:
-    """Exact sum over n >= 0 of term(n) when term(n+1) = ratio*term(n) past the freeze.
+    """Exact sum over n >= 0 of the terms when term n+1 = ratio*term n past the freeze.
 
-    The tail from ``freeze_index`` on sums to term(freeze)/(1 - ratio).  The
-    recurrence is checked at the freeze index itself: ``SeriesError`` is
-    raised unless term(freeze + 1) == ratio * term(freeze).
+    ``terms`` yields term 0, term 1, ... and is read up to term
+    freeze + 1; a yielded term is used before the next is drawn, so an
+    iterator may step one ``Dense`` in place.  The tail from
+    ``freeze_index`` on sums to term(freeze)/(1 - ratio).  The recurrence
+    is checked at the freeze index itself: ``SeriesError`` is raised
+    unless term(freeze + 1) == ratio * term(freeze).
     """
     ratio = Fraction(ratio)
     if ratio == 1:
         raise DegenerateParameterError("geometric tail ratio equals 1")
     total = Dense.zero(cap_q)
-    for n in range(freeze_index):
-        accumulate(total, term(n))
-    frozen = term(freeze_index)
-    expected = frozen.copy()
+    for _ in range(freeze_index):
+        accumulate(total, next(terms))
+    frozen = next(terms)
+    tail, expected = frozen.copy(), frozen.copy()
+    scale(tail, 1 / (1 - ratio))
     scale(expected, ratio)
-    if term(freeze_index + 1) != expected:
+    if next(terms) != expected:
         raise SeriesError(
             f"freeze index {freeze_index} too early: term {freeze_index + 1} is not "
             f"{ratio} times term {freeze_index}"
         )
-    scale(frozen, 1 / (1 - ratio))
-    accumulate(total, frozen)
+    accumulate(total, tail)
     return total
 
 

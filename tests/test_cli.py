@@ -140,6 +140,31 @@ def test_verify_balanced_sum_refuses_zero_over_zero(capsys, identity):
                           "numerator factor (0/0)")
 
 
+_ZERO_OVER_ZERO = "denominator factor (1 - v) with v = 1 over a vanishing numerator factor (0/0)"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # (a; q)_n vanishes from step 1 on, (a*b/c * q^(1-N); q)_n from term 3 on
+        (["qps_2_1", "--a", "1", "--b", "2", "--c", "2", "--N", "3"],
+         f"{_ZERO_OVER_ZERO} in balanced-sum term n=3"),
+        (["rewrite_2_2", "--a", "1", "--b", "2", "--c", "2", "--N", "3"],
+         f"{_ZERO_OVER_ZERO} in balanced-sum term n=3"),
+        (["rewrite_2_2", "--a", "2", "--b", "3", "--c", "6", "--N", "2"],
+         "denominator factor (1 - v) with v = 1 in balanced-sum term n=2"),
+        (["eq2_3", "--a", "1", "--b", "1", "--N", "2"],
+         "denominator factor (1 - v) with v = 1 in specialized term n=0"),
+        # a*b/c = 0 leaves the flipped (q^-N; q)_n with nothing to cancel its q^-2
+        (["qps_2_1", "--a", "0", "--b", "2", "--c", "3", "--N", "2"],
+         "product has a pole of order 1 at q = 0 in balanced-sum term n=1"),
+    ],
+)
+def test_stepped_sum_refusals_keep_their_summand(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", "--identity", *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,6 +4,7 @@ The integer kernel (``Dense`` numerators over one denominator) is checked
 against a private copy of the ``Fraction`` list kernel it replaced."""
 
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
 import pytest
@@ -11,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsid import identities, rational
-from qsid.identities import _chain_double_shifted, _chain_double_unshifted
+from qsid.identities import (
+    _chain_double_shifted,
+    _chain_double_unshifted,
+    _chain_product_form,
+    _chain_single_sum,
+)
 from qsid.rational import (
     DegenerateParameterError,
     Dense,
@@ -26,9 +32,9 @@ from qsid.rational import (
     reduce_dense,
     require_frozen,
     scale,
+    shift_window,
     sum_with_geometric_tail,
     times_binomial,
-    times_q,
 )
 from qsid.series import (
     SeriesError,
@@ -127,7 +133,7 @@ def test_geometric_tail_constant_terms():
     def term(n):
         return product_series([], 4, scalar=Fraction(1, 3) ** n)
 
-    got = sum_with_geometric_tail(term, Fraction(1, 3), 0, 4)
+    got = sum_with_geometric_tail(map(term, count()), Fraction(1, 3), 0, 4)
     assert q_coeffs(got, 4)[0] == Fraction(3, 2)
 
 
@@ -136,7 +142,7 @@ def test_geometric_tail_with_moving_terms():
     def term(n):
         return product_series([], 3, scalar=Fraction(1, 2) ** n, q_shift=min(n, 3))
 
-    got = sum_with_geometric_tail(term, Fraction(1, 2), 3, 3)
+    got = sum_with_geometric_tail(map(term, count()), Fraction(1, 2), 3, 3)
     # explicit: 1 + q/2 + q^2/4 + q^3 * (1/8) * (1/(1 - 1/2))
     assert q_coeffs(got, 3) == [1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
 
@@ -152,8 +158,8 @@ def test_geometric_tail_freeze_insensitive():
         return product_series(fac, cap, scalar=beta**n)
 
     n0 = cap // 1 + 1
-    early = sum_with_geometric_tail(term, beta, n0, cap)
-    late = sum_with_geometric_tail(term, beta, n0 + 7, cap)
+    early = sum_with_geometric_tail(map(term, count()), beta, n0, cap)
+    late = sum_with_geometric_tail(map(term, count()), beta, n0 + 7, cap)
     assert early == late
 
 
@@ -161,14 +167,24 @@ def test_geometric_tail_freeze_insensitive_factorial_terms():
     cap = 8
     t = Fraction(2, 7)
 
-    def term(n):
-        # (t; q)_n style prefactors freeze once their factors leave the window
-        c = product_series(pochhammer_factors(t, 0, n), cap)
-        scale(c, Fraction(1, 4) ** n)
-        return c
+    def terms():
+        # (t; q)_n style prefactors freeze once their factors leave the window;
+        # one Dense stepped in place, as the identities' sums step theirs
+        c = Dense.zero(cap)
+        c[0] = 1
+        for n in count():
+            yield c
+            times_binomial(c, t, n)
+            scale(c, Fraction(1, 4))
 
-    early = sum_with_geometric_tail(term, Fraction(1, 4), cap + 1, cap)
-    late = sum_with_geometric_tail(term, Fraction(1, 4), cap + 9, cap)
+    early = sum_with_geometric_tail(terms(), Fraction(1, 4), cap + 1, cap)
+    late = sum_with_geometric_tail(terms(), Fraction(1, 4), cap + 9, cap)
+    reference = sum_with_geometric_tail(
+        (product_series(pochhammer_factors(t, 0, n), cap, scalar=Fraction(1, 4) ** n)
+         for n in count()),
+        Fraction(1, 4), cap + 1, cap,
+    )
+    assert early == reference
     assert early == late
 
 
@@ -179,7 +195,7 @@ def test_geometric_tail_rejects_early_freeze():
         return product_series([], 3, scalar=Fraction(1, 2) ** n, q_shift=min(n, 3))
 
     with pytest.raises(SeriesError, match="freeze index 2 too early"):
-        sum_with_geometric_tail(term, Fraction(1, 2), 2, 3)
+        sum_with_geometric_tail(map(term, count()), Fraction(1, 2), 2, 3)
 
 
 def test_require_frozen_rejects_step_factor_inside_window():
@@ -190,7 +206,7 @@ def test_require_frozen_rejects_step_factor_inside_window():
 
 def test_geometric_tail_ratio_one_raises():
     with pytest.raises(DegenerateParameterError):
-        sum_with_geometric_tail(lambda n: product_series([], 2), Fraction(1), 0, 2)
+        sum_with_geometric_tail(iter([product_series([], 2)] * 2), Fraction(1), 0, 2)
 
 
 def test_assignment_parsing_and_requirements():
@@ -336,6 +352,8 @@ def double_sum_reference(assign, cap, shifted):
         ({"a": "-3/2", "b": "1/4", "t": "2/7"}, 10),
         ({"a": "2", "b": "-1/3", "t": "1/5"}, 7),
         ({"a": "5/3", "b": "0", "t": "-4"}, 5),
+        ({"a": "-2/3", "b": "3/4", "t": "5/2"}, 0),
+        ({"a": "7/11", "b": "-13/6", "t": "1/3"}, 1),
     ],
 )
 def test_chain_double_sums_match_summand_reference(params, cap):
@@ -347,22 +365,33 @@ def test_chain_double_sums_match_summand_reference(params, cap):
 
 
 def test_chain_double_sums_are_different_computations(monkeypatch):
-    # chain_shift compares the two double sums; it can only catch a defect
-    # if they do not run the same kernel passes in the same order.
+    # chain_shift, chain_fine and chain_final each compare two sides; a check
+    # can only catch a defect, a wrong step ratio among them, if its sides
+    # do not run the same kernel passes in the same order.
     log = []
     for module in (identities, rational):
         for name in ("times_binomial", "over_binomial"):
             def logged(c, v, m, name=name, kernel=getattr(rational, name)):
-                log.append((name, v, m))
+                log.append((name, v, m, len(c)))
                 kernel(c, v, m)
 
             monkeypatch.setattr(module, name, logged)
     assign = RationalAssignment.make(a="-3/2", b="2/3", t="1/5")
-    unshifted = _chain_double_unshifted(assign, 10)
-    unshifted_log, log[:] = list(log), []
-    shifted = _chain_double_shifted(assign, 10)
-    assert unshifted == shifted
-    assert unshifted_log != log
+
+    def run(builder, *args):
+        log.clear()
+        return builder(assign, 10, *args), list(log)
+
+    unshifted, unshifted_log = run(_chain_double_unshifted)
+    shifted, shifted_log = run(_chain_double_shifted)
+    product_form, product_form_log = run(_chain_product_form)
+    single_sum, single_sum_log = run(_chain_single_sum, True)
+    for left, right in ((unshifted, shifted), (shifted, product_form),
+                        (product_form, single_sum)):
+        assert left == right
+    for left_log, right_log in ((unshifted_log, shifted_log), (shifted_log, product_form_log),
+                                (product_form_log, single_sum_log)):
+        assert left_log and right_log and left_log != right_log
 
 
 # ------------------------------------ integer kernel against the Fraction kernel
@@ -438,7 +467,7 @@ def pass_sequences(draw):
     start = [draw(st.lists(coefficient_values, min_size=cap + 1, max_size=cap + 1))
              for _ in range(2)]
     step = st.tuples(
-        st.sampled_from(["times", "over", "scale", "times_q", "accumulate", "convolve",
+        st.sampled_from(["times", "over", "scale", "shift_window", "accumulate", "convolve",
                          "reduce"]),
         st.integers(min_value=0, max_value=1),  # which register the step acts on
         kernel_values,
@@ -471,9 +500,13 @@ def test_integer_kernel_matches_fraction_kernel(sequence):
         elif op == "scale":
             scale(c, v)
             r[:] = [x * v for x in r]
-        elif op == "times_q":
-            dense[k] = times_q(c, v)
-            ref[k] = [Fraction(0)] + [x * v for x in r[:-1]]
+        elif op == "shift_window":
+            # v * q^m * c: the window m slots higher, added back in at offset m
+            shift_window(c, v, m)
+            assert len(c) == max(cap + 1 - m, 0)
+            dense[k] = Dense.zero(cap)
+            accumulate(dense[k], c, m)
+            ref[k] = ([Fraction(0)] * m + [x * v for x in r])[: cap + 1]
         elif op == "accumulate":
             accumulate(c, dense[other])
             _ref_accumulate(r, ref[other])
