@@ -155,7 +155,7 @@ _ZERO_OVER_ZERO = "denominator factor (1 - v) with v = 1 over a vanishing numera
          "denominator factor (1 - v) with v = 1 in balanced-sum term n=2"),
         (["eq2_3", "--a", "1", "--b", "1", "--N", "2"],
          "denominator factor (1 - v) with v = 1 in specialized term n=0"),
-        # a*b/c = 0 leaves the flipped (q^-N; q)_n with nothing to cancel its q^-2
+        # a*b/c = 0: no flipped denominator factor offsets the q^-2 of (q^-2; q)_1
         (["qps_2_1", "--a", "0", "--b", "2", "--c", "3", "--N", "2"],
          "product has a pole of order 1 at q = 0 in balanced-sum term n=1"),
     ],

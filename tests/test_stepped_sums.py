@@ -238,7 +238,7 @@ def test_summand_holds_a_vanishing_factor_until_it_leaves():
 
 
 def test_summand_window_that_would_widen_is_refused_not_guessed():
-    # q^2 * (1 - q^-1) drops the top of the window; q^-2 then cannot get it back
+    # q^2 drops the top two numerators of the window; q^-2 cannot bring them back
     term = Summand(3)
     term.step([Factor(Fraction(1, 2), 1)], q_shift=2)
     term.step(q_shift=-2)
