@@ -24,9 +24,13 @@ parts in [2M, 4M] and j parts (exact variant; the printed variant reads
 the length bound as <= j), applies the composition, and checks every
 claimed property against brute force, including the generating-polynomial
 identity between D(j, M) and C(j, M) = D(M, j)-shaped codomain.  One walk
-over the printed domain records per section only what the report holds:
-each property's failures, the (odd count, weight) gradings of the domain
-and of the marked forms, the set of marked forms and the image index.
+over the printed domain reads each element's statistics once and records
+per section only what the report holds: each property's failures, the
+(odd count, weight) gradings of the domain and of the marked forms, the
+set of marked forms and the image index.  The index maps each image to
+its first preimage and keeps a list of preimages only for an image hit
+twice or more: the collisions are read from those lists, the unhit
+codomain members from the index.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .partitions import (
     count_partitions,
     enumerate_partitions,
     env_enum_limit,
+    graded,
     refuse_over_limit,
 )
 from .series import SeriesError
@@ -308,24 +313,28 @@ def _not_in_codomain(image: Partition) -> Tuple[str, str]:
 
 def _pointwise(p: Partition, j: int, M: int, in_codomain: Callable[[Partition], bool]):
     """(gamma(p), its conjugate, a (property, note) pair per pointwise
-    property that p fails); a note is formatted only for a failure.
+    property that p fails, p's grade, the marked form's grade); a grade
+    is the (odd count, weight) pair, and a note is formatted only for a
+    failure.
 
-    The inverse refusing the marked form fails the round trip, and the
-    conjugate refusing the image fails the involution, with the refusal's
-    text ending the note."""
+    Each partition's statistics are read once.  The inverse refusing the
+    marked form fails the round trip, and the conjugate refusing the
+    image fails the involution, with the refusal's text ending the note."""
     lam = gamma(p, M)
     image = two_modular_conjugate(lam)
     failed = []
-    weight, odd = p.weight, p.odd_count
-    image_weight, image_odd = image.weight, image.odd_count
+    grade, lam_grade, image_grade = graded(p), graded(lam), graded(image)
+    (odd, weight), (image_odd, image_weight) = grade, image_grade
+    lam_length, lam_largest = len(lam), lam[0] if lam else 0
+    image_largest = image[0] if image else 0
     if image_weight != weight:
         failed.append(("weight_preserved", f"weight {weight} -> {image_weight}"))
     if image_odd != odd:
         failed.append(("odd_count_preserved", f"odd {odd} -> {image_odd}"))
     if not in_codomain(image):
         failed.append(_not_in_codomain(image))
-    if (image.length, (image.largest + 1) // 2, image_weight, image_odd) != (
-        (lam.largest + 1) // 2, lam.length, lam.weight, lam.odd_count
+    if (len(image), (image_largest + 1) // 2, image_grade) != (
+        (lam_largest + 1) // 2, lam_length, lam_grade
     ):
         failed.append(("statistic_exchange", f"conjugate of {lam.text()} is {image.text()}"))
     try:
@@ -338,15 +347,17 @@ def _pointwise(p: Partition, j: int, M: int, in_codomain: Callable[[Partition], 
             failed.append(("sigma_involution", f"conjugate^2 of {lam.text()}"))
     except BijectionError as refusal:
         failed.append(("sigma_involution", f"conjugate^2 of {lam.text()}: {refusal}"))
-    if lam.largest > 2 * M or lam.length > 2 * j:
+    if lam_largest > 2 * M or lam_length > 2 * j:
         failed.append(("middle_bounds", f"marked form {lam.text()} breaks the middle bounds"))
-    return lam, image, failed
+    return lam, image, failed, grade, lam_grade
 
 
 class _Section:
     """One audit section, recorded element by element as the domain is
     walked: failures and gradings, and per element only the set of marked
-    forms and the image index."""
+    forms and the image index.  The index maps each image to its first
+    preimage; ``repeats`` lists the preimages of an image hit twice or
+    more, so an image hit once costs no list."""
 
     def __init__(self, variant: str, codomain: List[Partition]) -> None:
         self.variant = variant
@@ -356,26 +367,29 @@ class _Section:
         self.domain: Counter = Counter()
         self.middle: Counter = Counter()
         self.marked: Set[Partition] = set()
-        self.image_index: Dict[Partition, List[Partition]] = {}
+        self.first: Dict[Partition, Partition] = {}
+        self.repeats: Dict[Partition, List[Partition]] = {}
 
-    def record(self, p: Partition, lam: Partition, image: Partition, failed) -> None:
+    def record(self, p: Partition, lam: Partition, image: Partition, failed,
+               grade: Tuple[int, int], lam_grade: Tuple[int, int]) -> None:
         for name, note in failed:
             self.failures[name].append((p.text(), note))
-        self.domain[p.odd_count, p.weight] += 1
-        self.middle[lam.odd_count, lam.weight] += 1
+        self.domain[grade] += 1
+        self.middle[lam_grade] += 1
         self.marked.add(lam)
-        self.image_index.setdefault(image, []).append(p)
+        first = self.first.setdefault(image, p)
+        if first is not p:
+            self.repeats.setdefault(image, [first]).append(p)
 
     def audit(
         self, gen_domain: GeneratingPolynomial, gen_codomain: GeneratingPolynomial
     ) -> MapAudit:
-        size, image_index = self.domain.total(), self.image_index
+        size, first, repeats = self.domain.total(), self.first, self.repeats
         collisions = [
-            (image.text(), sorted(p.text() for p in group))
-            for image, group in sorted(image_index.items(), reverse=True)
-            if len(group) > 1
+            (image.text(), sorted(p.text() for p in repeats[image]))
+            for image in sorted(repeats, reverse=True)
         ]
-        unhit = sorted((c for c in self.codomain if c not in image_index), reverse=True)
+        unhit = sorted((c for c in self.codomain if c not in first), reverse=True)
         gen_rows = gen_domain.mismatches(gen_codomain)
         return MapAudit(
             variant=self.variant,
@@ -429,13 +443,13 @@ def audit_bijection(box: BijectionBox, enum_limit: Optional[int] = None) -> Audi
 
     exact, printed = _Section("exact", c_exact), _Section("printed", c_printed)
     for p in d_printed:
-        lam, image, failed = _pointwise(p, j, M, printed.in_codomain)
-        printed.record(p, lam, image, failed)
+        lam, image, failed, *grades = _pointwise(p, j, M, printed.in_codomain)
+        printed.record(p, lam, image, failed, *grades)
         if len(p) == j:
             # the exact codomain lies in the printed one: only here can it miss
             if not exact.in_codomain(image) and printed.in_codomain(image):
                 failed = [*failed, _not_in_codomain(image)]
-            exact.record(p, lam, image, failed)
+            exact.record(p, lam, image, failed, *grades)
 
     gen_d_exact, gen_d_printed = (GeneratingPolynomial(s.domain) for s in (exact, printed))
     gen_c_exact, gen_c_printed = map(GeneratingPolynomial.from_partitions, (c_exact, c_printed))

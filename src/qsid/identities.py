@@ -457,13 +457,26 @@ def _qps_lhs(assign: RationalAssignment, cap_q: int) -> Dense:
     return _finite_sum(terms(), N + 1, cap_q)
 
 
+def _divisors(assign: RationalAssignment, appears: str) -> Tuple[Fraction, Fraction]:
+    """a and b, refused when zero, since the product side divides c by them.
+
+    No precondition refuses a = 0 or b = 0: the sum side may refuse a pole
+    first, and that refusal names its summand."""
+    for name in ("a", "b"):
+        if getattr(assign, name) == 0:
+            raise DegenerateParameterError(
+                f"parameter {name} must be nonzero ({appears.format(name)} appears)"
+            )
+    return Fraction(assign.a), Fraction(assign.b)
+
+
 def _qps_rhs(assign: RationalAssignment, cap_q: int) -> Dense:
-    a, b, c, N = assign.a, assign.b, assign.c, assign.N
+    (a, b), c, N = _divisors(assign, "c/{}"), Fraction(assign.c), assign.N
     fac = []
-    fac += pochhammer_factors(Fraction(c) / a, 0, N)
-    fac += pochhammer_factors(Fraction(c) / b, 0, N)
+    fac += pochhammer_factors(c / a, 0, N)
+    fac += pochhammer_factors(c / b, 0, N)
     fac += pochhammer_factors(c, 0, N, inverted=True)
-    fac += pochhammer_factors(Fraction(c) / (Fraction(a) * b), 0, N, inverted=True)
+    fac += pochhammer_factors(c / (a * b), 0, N, inverted=True)
     return product_series(fac, cap_q, label="balanced-sum product side")
 
 
@@ -471,7 +484,7 @@ def _eq22_rhs(assign: RationalAssignment, cap_q: int, with_qn: bool) -> Dense:
     """(q; q)_N / (c/(a*b); q)_N times
     sum_{n=0..N} (a, b; q)_n (c/(a*b); q)_(N-n) (c/(a*b))^n [q^n]
     / ((c, q; q)_n (q; q)_(N-n))."""
-    a, b, c, N = Fraction(assign.a), Fraction(assign.b), Fraction(assign.c), assign.N
+    (a, b), c, N = _divisors(assign, "c/(a*b)"), Fraction(assign.c), assign.N
     c_ab = c / (a * b)
     pref = product_series(
         pochhammer_factors(1, 1, N)

@@ -38,6 +38,7 @@ __all__ = [
     "count_partitions",
     "enumerate_partitions",
     "env_enum_limit",
+    "graded",
     "partition_family",
     "refuse_over_limit",
 ]
@@ -124,6 +125,11 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition(parts={tuple(self)!r})"
+
+
+def graded(parts: Tuple[int, ...]) -> Tuple[int, int]:
+    """(odd-part count, weight) of a partition, both read in one call."""
+    return sum([p & 1 for p in parts]), sum(parts)
 
 
 @dataclass(frozen=True)
@@ -554,10 +560,7 @@ class GeneratingPolynomial:
 
     @classmethod
     def from_partitions(cls, parts: Iterable[Partition]) -> "GeneratingPolynomial":
-        counter: Counter = Counter()
-        for p in parts:
-            counter[(p.odd_count, p.weight)] += 1
-        return cls(dict(counter))
+        return cls(dict(Counter(map(graded, parts))))
 
     def mismatches(self, other: "GeneratingPolynomial"):
         """Rows ((a_exp, q_exp), self count, other count) where counts differ."""

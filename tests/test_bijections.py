@@ -466,3 +466,51 @@ def test_audit_refusal_sums_each_closed_form_count_once(monkeypatch):
         audit_bijection(box, enum_limit=10)
     assert str(refusal.value) == f"box j=300, M=300 enumerates {total} partitions, over the limit 10"
     assert len(binomials) == len(set(binomials)) == 2  # one per distinct count
+
+
+@pytest.mark.parametrize("j, M", [(2, 3), (3, 4)])
+def test_image_index_matches_brute_force_preimages(monkeypatch, j, M):
+    # a conjugate cut to its first two parts sends many marked forms to
+    # one image; collisions and unhit members must match a map of each
+    # image to all its preimages
+    conjugate = bijections.two_modular_conjugate
+
+    def first_two(lam):
+        return Partition(conjugate(lam)[:2])
+
+    monkeypatch.setattr(bijections, "two_modular_conjugate", first_two)
+    box = BijectionBox(j, M)
+    report = audit_bijection(box)
+    for section in (report.exact, report.printed):
+        preimages = {}
+        for p in enumerate_partitions(box.domain_constraints(section.variant)):
+            preimages.setdefault(first_two(gamma(p, M)), []).append(p.text())
+        collisions = [(image.text(), sorted(group))
+                      for image, group in sorted(preimages.items(), reverse=True)
+                      if len(group) > 1]
+        codomain = enumerate_partitions(box.codomain_constraints(section.variant))
+        unhit = [c.text() for c in sorted(codomain, reverse=True) if c not in preimages]
+        assert collisions and unhit
+        assert (section.collisions, section.unhit) == (collisions, unhit)
+        assert not section.injective and not section.surjective
+    assert report.revalidate()
+
+
+def test_audit_grades_each_element_once(monkeypatch):
+    # the walk grades each partition from its parts once and the codomain
+    # from its own listing; neither reads the odd_count or weight property
+    # element by element
+    reads = []
+    for name in ("odd_count", "weight"):
+        getter = getattr(Partition, name).fget
+
+        def counted(p, getter=getter):
+            reads.append(p)
+            return getter(p)
+
+        monkeypatch.setattr(Partition, name, property(counted))
+    box = BijectionBox(3, 4)
+    report = audit_bijection(box)
+    assert report.passed
+    codomain = enumerate_partitions(box.codomain_constraints("printed"))
+    assert len(reads) <= len(codomain)

@@ -165,6 +165,16 @@ def test_stepped_sum_refusals_keep_their_summand(capsys, argv, message):
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("identity, appears", [("qps_2_1", "c/{}"), ("rewrite_2_2", "c/(a*b)")])
+@pytest.mark.parametrize("params, zero", [(["--a", "1", "--b", "0"], "b"), (["--a", "0", "--b", "2"], "a")])
+def test_product_sides_refuse_a_zero_divisor(capsys, identity, appears, params, zero):
+    # at N = 1 the sum side builds, so the product side, which divides c by
+    # a and b, meets the zero first: a usage error, not a ZeroDivisionError
+    code, out, err = run_cli(capsys, "verify", "--identity", identity, *params, "--c", "3", "--N", "1")
+    message = f"parameter {zero} must be nonzero ({appears.format(zero)} appears)"
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
