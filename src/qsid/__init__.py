@@ -54,10 +54,8 @@ from .identities import (  # noqa: F401
     build_eq31_partition_side,
     build_eq31_side,
     build_f_series,
-    build_report,
     build_thm11_side,
     build_thm31_side,
-    rational_series_eval,
     run_case,
 )
 from .partitions import (  # noqa: F401

@@ -317,11 +317,6 @@ def _family_chunks(family: PartitionFamily, start: str, sep: str, end: str,
     return chunks
 
 
-def strip_volatile(d: Dict[str, object]) -> Dict[str, object]:
-    """Copy of a report dict without the volatile section (for diffing)."""
-    return {k: v for k, v in d.items() if k != "volatile"}
-
-
 def _emit(payload: str, path: Optional[str]) -> None:
     # two writes: ``payload + "\n"`` would copy the whole report
     if path:

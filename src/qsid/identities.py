@@ -28,8 +28,7 @@ declares the required parameters, the preconditions, the side builders,
 the comparisons (with the printed variants an adjudicated comparison
 tries, in order) and the deterministic details of the report.
 ``run_case`` is the one checker that turns an entry into a
-``VerificationReport``, and ``build_report`` is the one place a report is
-assembled.  Adding a case means adding one entry to ``CASES``.
+``VerificationReport``.  Adding a case means adding one entry to ``CASES``.
 
 ``run_case`` raises for configuration problems (bad caps, missing or
 degenerate parameters) and never raises for a plain mathematical
@@ -90,11 +89,9 @@ __all__ = [
     "build_eq31_partition_side",
     "build_eq31_side",
     "build_f_series",
-    "build_report",
     "build_thm11_side",
     "build_thm31_side",
     "eq31_substitution_path",
-    "rational_series_eval",
     "run_case",
 ]
 
@@ -156,29 +153,6 @@ class VerificationReport:
     @property
     def verified(self) -> bool:
         return self.status == "verified"
-
-
-def build_report(
-    case: str,
-    mode: str,
-    caps: Dict[str, int],
-    assignment: Optional[Dict[str, str]],
-    status: str,
-    mismatches: MismatchTable,
-    details: Dict[str, object],
-    started: float,
-) -> VerificationReport:
-    """Assemble a report with its mismatch table, timed from ``started``."""
-    return VerificationReport(
-        case=case,
-        mode=mode,
-        caps=caps,
-        assignment=assignment,
-        status=status,
-        mismatches=mismatches,
-        details=details,
-        duration_ms=(time.perf_counter() - started) * 1000.0,
-    )
 
 
 # ---------------------------------------------------------------- formal sides
@@ -779,10 +753,9 @@ class Check:
     first candidate into the mismatch table.  Formal reports lead their
     ``details`` with the joint validity of the first comparison.
 
-    ``right`` is the side ``rational_series_eval`` and ``qsid coeff`` call
-    "right", ``coeff_name`` the name ``qsid coeff`` gives the formal sides
-    (None: not offered there), and ``restrict`` maps the requested formal
-    profile to the one checked and reported.
+    ``coeff_name`` is the name ``qsid coeff`` gives the formal sides (None:
+    not offered there), and ``restrict`` maps the requested formal profile
+    to the one checked and reported.
     """
 
     case: str
@@ -793,13 +766,12 @@ class Check:
     comparisons: Tuple[Tuple[str, ...], ...] = (("left", "right"),)
     params: Tuple[str, ...] = ()
     preconditions: Tuple[Callable[["_Run"], None], ...] = ()
-    right: str = "right"
     coeff_name: Optional[str] = None
     restrict: Optional[Callable[[TruncationProfile], TruncationProfile]] = None
 
     def side(self, name: str, **settings) -> TruncatedSeries:
-        """Build the "left" or "right" side alone, without preconditions."""
-        return _Run(self, **settings)[self.right if name == "right" else name]
+        """Build the side called ``name`` alone, without preconditions."""
+        return _Run(self, **settings)[name]
 
 
 class _Run:
@@ -951,7 +923,6 @@ _CHECKS = [
             "with_qn": _rational(_eq22_rhs, with_qn=True),
         },
         comparisons=(("left", "without_qn", "with_qn"),),
-        right="without_qn",
         details=lambda r: {
             "matched_form": r.matched,
             "with_qn_mismatch_count": len(r.rows["with_qn"]),
@@ -1003,7 +974,6 @@ _CHECKS = [
             "a_times_t": _rational(_chain_single_sum, reciprocal=False),
         },
         comparisons=(("left", "t_over_a", "a_times_t"),),
-        right="t_over_a",
         details=lambda r: {
             "index_bounds": "both single sums closed by geometric tails in b past index "
             "cap_q + 1",
@@ -1088,9 +1058,9 @@ def run_case(
                     f"{low} has empty validity region; cap_q must exceed cap_a "
                     f"(valid_to_q = {run[low].valid_to_q})"
                 )
-                return build_report(
-                    name, mode, caps, assignment, "error", MismatchTable(), {"error": error},
-                    started,
+                return VerificationReport(
+                    name, mode, caps, assignment, "error", details={"error": error},
+                    duration_ms=(time.perf_counter() - started) * 1000.0,
                 )
             run.rows[candidate] = MismatchTable(*compare_series(run[left], run[candidate]))
         matched = next((c for c in candidates if not run.rows[c]), None)
@@ -1104,15 +1074,7 @@ def run_case(
         left, first, *_ = check.comparisons[0]
         details = {"joint_valid_to_q": min(run[left].valid_to_q, run[first].valid_to_q),
                    **details}
-    return build_report(name, mode, caps, assignment, status, _joined(failed), details, started)
-
-
-def rational_series_eval(
-    case: str, side: str, assign: RationalAssignment, cap_q: int
-) -> TruncatedSeries:
-    """Evaluate the left or right side of a rational-mode case as an exact q-series."""
-    check = CASES.get(case, {}).get("rational")
-    if check is None or side not in ("left", "right"):
-        raise SeriesError(f"no rational-mode side {case}:{side}")
-    assign.require(*check.params)
-    return check.side(side, assign=assign, cap_q=cap_q)
+    return VerificationReport(
+        name, mode, caps, assignment, status, _joined(failed), details,
+        duration_ms=(time.perf_counter() - started) * 1000.0,
+    )

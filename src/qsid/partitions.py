@@ -1,7 +1,7 @@
 """Integer partitions: values, constrained enumeration, generating polynomials.
 
 A partition is a weakly decreasing tuple of positive integers.  Its
-statistics (weight, length, odd-part count, largest and smallest part) are
+statistics (weight, length, odd-part count, largest part) are
 pure functions of the parts.  A partition is odd-distinct when no odd
 value occurs more than once; odd-distinct partitions are exactly the ones
 whose 2-modular conjugate is again a partition.
@@ -93,11 +93,6 @@ class Partition(tuple):
     def largest(self) -> int:
         """Largest part; 0 for the empty partition."""
         return self[0] if self else 0
-
-    @property
-    def smallest(self) -> int:
-        """Smallest part; 0 for the empty partition."""
-        return self[-1] if self else 0
 
     def is_odd_distinct(self) -> bool:
         """True iff no odd part value occurs more than once."""

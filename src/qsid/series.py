@@ -655,9 +655,6 @@ class TruncatedSeries:
     def __neg__(self):
         return self._with_rows({k: -v for k, v in self.rows.items()}, self.bounds)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         """Product: each pair of rows multiplies as two ints at a W that holds
         the product rows' bounds (sums of the pairs' bound products)."""

@@ -29,15 +29,19 @@ from qsid.cli import (
     main,
     parse_monomial,
     report_json,
-    strip_volatile,
     verification_report_to_dict,
 )
 from qsid import bijections, identities, partitions
 from qsid.bijections import BijectionBox, audit_bijection
 from qsid.partitions import Partition, count_partitions
-from qsid.identities import MismatchTable, build_report, build_thm31_side, run_case
+from qsid.identities import MismatchTable, VerificationReport, build_thm31_side, run_case
 from qsid.rational import RationalAssignment
 from qsid.series import Monomial, SeriesError, TruncatedSeries, TruncationProfile
+
+
+def strip_volatile(d):
+    """Copy of a report dict without the volatile section (for diffing)."""
+    return {k: v for k, v in d.items() if k != "volatile"}
 
 
 def run_cli(capsys, *argv):
@@ -931,7 +935,7 @@ def test_table_over_a_denominator_is_written_reduced():
                            (3, 2, 2, 2, 0, -12), (3, 2, 2, 3, 0, -1)], 6)
     rows = [(Monomial(a, b, t, q), Fraction(x, 6), Fraction(y, 6))
             for q, a, b, t, x, y in table.rows]
-    report = build_report("c", "formal", {}, None, "mismatch", table, {}, 0.0)
+    report = VerificationReport("c", "formal", {}, None, "mismatch", table)
     _assert_written_as_reference(report, rows)
     doc = json.loads(report_json(verification_report_to_dict(report)))
     assert [(r["lhs"], r["rhs"]) for r in doc["mismatches"]] == [
@@ -940,7 +944,7 @@ def test_table_over_a_denominator_is_written_reduced():
 
 def test_empty_table_is_written_as_an_empty_list():
     for table in (MismatchTable(), MismatchTable([], 6)):
-        report = build_report("c", "formal", {}, None, "verified", table, {}, 0.0)
+        report = VerificationReport("c", "formal", {}, None, "verified", table)
         _assert_written_as_reference(report, [])
         assert '"mismatches": [],' in report_json(verification_report_to_dict(report))
 

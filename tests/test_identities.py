@@ -14,7 +14,6 @@ from qsid.identities import (
     build_thm11_side,
     build_thm31_side,
     eq31_substitution_path,
-    rational_series_eval,
     run_case,
 )
 from qsid.rational import DegenerateParameterError, RationalAssignment
@@ -223,9 +222,9 @@ EQ23_ASSIGNMENTS = [
 
 def test_eq23_trivial_n0_is_geometric_in_b():
     assign = RationalAssignment.make(a=2, b="1/3", N=0)
-    lhs = rational_series_eval("eq2_3", "left", assign, 8)
-    rhs = rational_series_eval("eq2_3", "right", assign, 8)
-    assert lhs == rhs
+    check = CASES["eq2_3"]["rational"]
+    lhs = check.side("left", assign=assign, cap_q=8)
+    assert lhs == check.side("right", assign=assign, cap_q=8)
     assert lhs.terms[Monomial(0, 0, 0, 0)] == Fraction(3, 2)  # 1/(1 - 1/3)
 
 
@@ -288,9 +287,9 @@ def test_chain_closes_the_symmetric_identity_loop():
     # target with b and t exchanged; together with the chain this verifies
     # the flagship exchange symmetry itself at rational parameters
     for assign in CHAIN_ASSIGNMENTS:
-        double = rational_series_eval("chain_shift", "left", assign, 12)
+        double = CASES["chain_shift"]["rational"].side("left", assign=assign, cap_q=12)
         swapped = RationalAssignment.make(a=assign.a, b=assign.t, t=assign.b)
-        target = rational_series_eval("chain_final", "right", swapped, 12)
+        target = CASES["chain_final"]["rational"].side("t_over_a", assign=swapped, cap_q=12)
         rows, _ = compare_series(double, target)
         assert rows == []
 
@@ -298,8 +297,9 @@ def test_chain_closes_the_symmetric_identity_loop():
 def test_rational_checks_stable_under_lower_cap():
     # a verified case stays verified on the shared region at any lower cap
     assign = RationalAssignment.make(a=2, b="1/3", t="1/5")
-    hi = rational_series_eval("chain_final", "left", assign, 12)
-    lo = rational_series_eval("chain_final", "left", assign, 8)
+    check = CASES["chain_final"]["rational"]
+    hi = check.side("left", assign=assign, cap_q=12)
+    lo = check.side("left", assign=assign, cap_q=8)
     hi_restricted = {m: c for m, c in hi.terms.items() if m[3] <= 8}
     assert hi_restricted == lo.terms
 
@@ -331,6 +331,36 @@ def test_f_sym_rational_rejects_unit_argument():
             "f_sym", "rational",
             assign=RationalAssignment.make(alpha=1, beta="1/3", x_exp=1, y_exp=2), cap_q=8,
         )
+
+
+def f_closed_form(alpha, beta, k1, k2, cap_q):
+    """f(alpha, beta) = sum_n beta^n / prod_{k=0..n} (1 - alpha q^(k1(n-k) + k2 k))
+    by its closed form, as {e_q: coefficient}: with k = min(k1, k2) and
+    d = |k2 - k1|,
+
+        1/(1-alpha) + 1/(1-beta) - 1
+          + sum_{m,n>=1} alpha^m beta^n q^(k*m*n) [m+n, m]_{q^d}.
+    """
+    k, d = min(k1, k2), abs(k2 - k1)
+    out = {0: 1 / (1 - alpha) + 1 / (1 - beta) - 1}
+    for m in range(1, cap_q // k + 1):
+        for n in range(1, cap_q // (k * m) + 1):
+            for j, c in enumerate(list_gaussian_binomial(m + n, m)):
+                e = k * m * n + d * j
+                if e <= cap_q:
+                    out[e] = out.get(e, 0) + c * alpha**m * beta**n
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("k1, k2", [(1, 2), (2, 3), (1, 1), (3, 1), (2, 5)])
+@pytest.mark.parametrize("alpha, beta", [(Fraction(2, 3), Fraction(-1, 2)),
+                                         (Fraction(5, 2), Fraction(1, 3))])
+def test_f_sym_rational_left_side_matches_the_closed_form(k1, k2, alpha, beta):
+    # the closed form reads k1 and k2 only through min(k1, k2) and |k2 - k1|,
+    # so an exponent edit that keeps f symmetric still changes this side
+    assign = RationalAssignment.make(alpha=alpha, beta=beta, x_exp=k1, y_exp=k2)
+    left = CASES["f_sym"]["rational"].side("left", assign=assign, cap_q=16)
+    assert {m[3]: c for m, c in left.terms.items()} == f_closed_form(alpha, beta, k1, k2, 16)
 
 
 # --------------------------------------------------------- companion series
@@ -420,17 +450,12 @@ def test_case_registry_modes():
     assert tuple(CASES["qps_2_1"]) == ("rational",)
 
 
-def test_rational_series_eval_examples():
+def test_rational_check_side_examples():
+    eq23, qps21 = CASES["eq2_3"]["rational"], CASES["qps_2_1"]["rational"]
     assign = RationalAssignment.make(a=2, b="1/3", N=2)
-    lhs = rational_series_eval("eq2_3", "left", assign, 8)
-    rhs = rational_series_eval("eq2_3", "right", assign, 8)
-    assert lhs == rhs
+    assert eq23.side("left", assign=assign, cap_q=8) == eq23.side("right", assign=assign, cap_q=8)
     qps = RationalAssignment.make(a=2, b=3, c=5, N=1)
-    assert rational_series_eval("qps_2_1", "left", qps, 8) == rational_series_eval(
-        "qps_2_1", "right", qps, 8
-    )
-    with pytest.raises(SeriesError):
-        rational_series_eval("eq2_3", "middle", assign, 8)
+    assert qps21.side("left", assign=qps, cap_q=8) == qps21.side("right", assign=qps, cap_q=8)
 
 
 # ---------------------------------------------------------- negative control

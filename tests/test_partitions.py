@@ -44,7 +44,6 @@ def test_partition_statistics():
     assert p.length == 5
     assert p.odd_count == 1
     assert p.largest == 20
-    assert p.smallest == 10
     assert p.text() == "20,13,12,12,10"
 
 
@@ -52,7 +51,7 @@ def test_empty_partition():
     p = Partition.parse("")
     assert p == Partition.parse("()")
     assert p.weight == 0 and p.length == 0 and p.odd_count == 0
-    assert p.largest == 0 and p.smallest == 0
+    assert p.largest == 0
     assert p.text() == "()"
 
 

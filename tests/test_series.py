@@ -359,6 +359,11 @@ def test_substitute_validity_formula():
     assert substitute_q_power(s, 2).valid_to_q == min(PROF.cap_q, 7)
 
 
+def test_substitute_rejects_power_zero():
+    with pytest.raises(SeriesError):
+        substitute_q_power(TruncatedSeries.one(PROF), 0)
+
+
 def test_shift_a_simple():
     assert shift_a_by_q(term(PROF, 1, a=1, b=1, q=2), -1) == term(PROF, 1, a=1, b=1, q=1)
 
@@ -662,6 +667,18 @@ def test_compare_fast_path_is_not_fooled_by_stored_zeros():
     # ... and a real difference next to it is still reported.
     other = TruncatedSeries(PROF, {**x.terms, Monomial(1, 0, 0, 0): 0, Monomial(0, 0, 0, 1): 3})
     assert compare_series(other, x) == ([(1, 0, 0, 0, 3, 1)], 1)
+
+
+def test_compare_reports_a_row_on_one_side_only_that_packs_to_plus_or_minus_one():
+    # b alone packs its row (0, 1, 0) to the int 1, and -b to -1; the zero
+    # series has no row there, so the missing row must read as 0
+    prof = TruncationProfile(0, 1, 0, 2)
+    zero = TruncatedSeries.zero(prof)
+    for c in (1, -1):
+        s = term(prof, c, b=1)
+        assert s.rows == {(0, 1, 0): c}
+        assert compare_series(s, zero) == ([(0, 0, 1, 0, c, 0)], 1)
+        assert compare_series(zero, s) == ([(0, 0, 1, 0, 0, c)], 1)
 
 
 # ------------------------------------------------------------- packed q-rows

@@ -1,0 +1,131 @@
+"""Replay the mutation ledger: each listed mutant must be killed by its named test.
+
+A mutant is one textual edit of one line of ``src/``.  For each entry of
+``LEDGER`` this script copies ``src/`` to a temporary directory, replaces
+the line there (refusing if the line text is not found exactly once), and
+runs the entry's killing test node against the copy; that run must fail.
+The same node must pass against the unmutated tree.
+
+Run from anywhere, stdlib only (pytest must be importable):
+
+    python tools/replay_mutants.py
+
+Exit status 0 when every mutant is killed and every killer passes
+unmutated, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    path: str  # relative to the repository root
+    line: str  # the exact line text, indentation included
+    mutated: str  # what the line becomes
+    killer: str  # pytest node id that must fail against the mutant
+
+
+_COMPARE = "        if wide_x.rows.get(k, 0) == wide_y.rows.get(k, 0):"
+_COMPARE_KILLER = (
+    "tests/test_series.py::"
+    "test_compare_reports_a_row_on_one_side_only_that_packs_to_plus_or_minus_one"
+)
+_F_TERM = "        fac = [Factor(first, k1 * (n - k) + k2 * k, True) for k in range(n + 1)]"
+
+LEDGER = [
+    # compare_series: a row missing on one side must read as 0, not as a packed +-1
+    *(
+        Mutant("src/qsid/series.py", _COMPARE, _COMPARE.replace(old, new), _COMPARE_KILLER)
+        for old, new in (
+            ("wide_x.rows.get(k, 0)", "wide_x.rows.get(k, 1)"),
+            ("wide_x.rows.get(k, 0)", "wide_x.rows.get(k, -1)"),
+            ("wide_y.rows.get(k, 0)", "wide_y.rows.get(k, 1)"),
+            ("wide_y.rows.get(k, 0)", "wide_y.rows.get(k, -1)"),
+        )
+    ),
+    # substitute_q_power: q -> q^0 is refused
+    Mutant(
+        "src/qsid/series.py",
+        "    if not isinstance(k, int) or k < 1:",
+        "    if not isinstance(k, int) or k < 0:",
+        "tests/test_series.py::test_substitute_rejects_power_zero",
+    ),
+    # _f_rational: an exponent edit that keeps f(alpha, beta) symmetric
+    Mutant(
+        "src/qsid/identities.py",
+        _F_TERM,
+        _F_TERM.replace("k1 * (n - k)", "k1 * (n + k)"),
+        "tests/test_identities.py::test_f_sym_rational_left_side_matches_the_closed_form",
+    ),
+]
+
+
+def mutate(text: str, line: str, mutated: str) -> str:
+    """``text`` with its one line equal to ``line`` replaced by ``mutated``."""
+    lines = text.split("\n")
+    hits = [i for i, have in enumerate(lines) if have == line]
+    if len(hits) != 1:
+        raise ValueError(f"line found {len(hits)} times, not once: {line.strip()!r}")
+    lines[hits[0]] = mutated
+    return "\n".join(lines)
+
+
+def run_node(node: str, src: Path) -> Optional[int]:
+    """Exit status of pytest on ``node`` with ``src`` first on the path (None: timed out)."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", node]
+    try:
+        done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    return done.returncode
+
+
+def replay(mutant: Mutant) -> str:
+    """'' when the killer fails against the mutant, else what went wrong."""
+    with tempfile.TemporaryDirectory(prefix="qsid-mutant-") as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", copy)
+        target = Path(tmp) / mutant.path
+        try:
+            target.write_text(mutate(target.read_text(), mutant.line, mutant.mutated))
+        except ValueError as exc:
+            return str(exc)
+        code = run_node(mutant.killer, copy)
+    if code is None:
+        return f"killer timed out after {TIMEOUT_S} s"
+    if code == 0:
+        return "survived: the killer passes against the mutant"
+    if code != 1:  # 2-5: interrupted, internal or usage error, nothing collected
+        return f"killer did not run to a failure (pytest exit {code})"
+    return ""
+
+
+def main() -> int:
+    problems = 0
+    for node in dict.fromkeys(m.killer for m in LEDGER):
+        code = run_node(node, ROOT / "src")
+        if code != 0:
+            problems += 1
+            print(f"FAIL  {node} does not pass unmutated (pytest exit {code})")
+    for mutant in LEDGER:
+        where = f"{mutant.path}: {mutant.mutated.strip()}"
+        problem = replay(mutant)
+        problems += bool(problem)
+        print(f"FAIL  {where}: {problem}" if problem else f"ok    {where}")
+    print(f"{len(LEDGER)} mutants, {problems} problem(s)")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
