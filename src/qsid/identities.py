@@ -55,7 +55,6 @@ from .rational import (
     Summand,
     accumulate,
     apply_factors,
-    convolve,
     dense_series,
     over_binomial,
     pochhammer_factors,
@@ -457,19 +456,19 @@ def _qps_rhs(assign: RationalAssignment, cap_q: int) -> Dense:
 def _eq22_rhs(assign: RationalAssignment, cap_q: int, with_qn: bool) -> Dense:
     """(q; q)_N / (c/(a*b); q)_N times
     sum_{n=0..N} (a, b; q)_n (c/(a*b); q)_(N-n) (c/(a*b))^n [q^n]
-    / ((c, q; q)_n (q; q)_(N-n))."""
+    / ((c, q; q)_n (q; q)_(N-n)).
+
+    The prefactor rides in summand 0: the summand steps by the
+    prefactor's factor list, refuses on its own, then steps by summand
+    0's, both as printed."""
     (a, b), c, N = _divisors(assign, "c/(a*b)"), Fraction(assign.c), assign.N
     c_ab = c / (a * b)
-    pref = product_series(
-        pochhammer_factors(1, 1, N)
-        + pochhammer_factors(c_ab, 0, N, inverted=True),
-        cap_q,
-        label="rewrite prefactor",
-    )
+    term = Summand(cap_q)
+    term.step(pochhammer_factors(1, 1, N) + pochhammer_factors(c_ab, 0, N, inverted=True))
+    term.value("rewrite prefactor")
+    term.step(pochhammer_factors(c_ab, 0, N) + pochhammer_factors(1, 1, N, inverted=True))
 
     def terms() -> Iterator[Dense]:
-        term = Summand(cap_q)
-        term.step(pochhammer_factors(c_ab, 0, N) + pochhammer_factors(1, 1, N, inverted=True))
         for n in count():
             yield term.value(f"rewrite term n={n}")
             term.step(
@@ -479,7 +478,7 @@ def _eq22_rhs(assign: RationalAssignment, cap_q: int, with_qn: bool) -> Dense:
                 q_shift=1 if with_qn else 0,
             )
 
-    return convolve(pref, _finite_sum(terms(), N + 1, cap_q))
+    return _finite_sum(terms(), N + 1, cap_q)
 
 
 def _eq23_lhs(assign: RationalAssignment, cap_q: int) -> Dense:
@@ -616,22 +615,24 @@ def _chain_double_shifted(assign: RationalAssignment, cap_q: int) -> Dense:
 
 def _chain_product_form(assign: RationalAssignment, cap_q: int) -> Dense:
     """(t/a * q; q)_inf / (t; q)_inf times
-    sum_{n>=0} (t; q)_n (t*q^(2n+1); q)_inf b^n / ((t/a * q; q)_n (t/a * q^(2n+1); q)_inf)."""
+    sum_{n>=0} (t; q)_n (t*q^(2n+1); q)_inf b^n / ((t/a * q; q)_n (t/a * q^(2n+1); q)_inf).
+
+    The prefactor rides in summand 0, stepped and refused on its own
+    before the tail's ratio is checked."""
     a, b, t = Fraction(assign.a), Fraction(assign.b), Fraction(assign.t)
     t_over_a = t / a
-    pref = product_series(
+    term = Summand(cap_q)
+    term.step(
         pochhammer_factors(t_over_a, 1, None, cap_q=cap_q)
-        + pochhammer_factors(t, 0, None, inverted=True, cap_q=cap_q),
-        cap_q,
-        label="product-form prefactor",
+        + pochhammer_factors(t, 0, None, inverted=True, cap_q=cap_q)
+    )
+    term.value("product-form prefactor")
+    term.step(
+        pochhammer_factors(t, 1, None, cap_q=cap_q)
+        + pochhammer_factors(t_over_a, 1, None, inverted=True, cap_q=cap_q)
     )
 
     def cterms() -> Iterator[Dense]:
-        term = Summand(cap_q)
-        term.step(
-            pochhammer_factors(t, 1, None, cap_q=cap_q)
-            + pochhammer_factors(t_over_a, 1, None, inverted=True, cap_q=cap_q)
-        )
         for n in count():
             yield term.value(f"product-form term n={n}")
             term.step(
@@ -641,7 +642,7 @@ def _chain_product_form(assign: RationalAssignment, cap_q: int) -> Dense:
                 scalar=b,
             )
 
-    return convolve(pref, sum_with_geometric_tail(cterms(), b, cap_q + 1, cap_q))
+    return sum_with_geometric_tail(cterms(), b, cap_q + 1, cap_q)
 
 
 def _chain_single_sum(assign: RationalAssignment, cap_q: int, reciprocal: bool) -> Dense:

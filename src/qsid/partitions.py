@@ -322,7 +322,7 @@ def partition_family(c: ConstraintSet) -> PartitionFamily:
     The constraint set must be finite (see
     ``ConstraintSet.effective_bounds``).
     """
-    w_hi_eff, l_hi_eff = c.effective_bounds()
+    w_hi_eff = c.effective_bounds()[0]
     w_lo, w_hi = c.weight_window()
     l_lo, l_hi = c.length_window()
     by_weight, by_length = w_hi is not None, l_hi is not None

@@ -26,19 +26,19 @@ c[i] += p*c[i-m], and den does not change.  A factor with m > cap_q is
 1 within the truncation and is skipped.
 
 Sums add numerators after aligning unequal denominators by their gcd
-(``accumulate``), scalars multiply the numerators and ``den``
-(``scale``), and a product of two sides is a q-only convolution of the
-numerators over the product of the denominators (``convolve``).  A
-summand that carries q^k lives on its window: the numerators of q^k ..
-q^cap_q alone, so its passes run on cap_q + 1 - k slots; ``shift_window``
-moves a window up by a q-power and ``accumulate`` adds one in at its
-offset.  Nothing is reduced per pass: ``reduce_dense`` divides by
-gcd(den, *nums) once per summand step, once per outer step of the chain
-double sums and once per finished side, and a
-finished side becomes a ``TruncatedSeries`` over the q-only profile once
-(``dense_series``, which packs the reduced numerators into one row over
-``den``), so comparisons and reports see the same values as any other
-series.  Two ``Dense`` values are equal when their coefficient
+(``accumulate``) and scalars multiply the numerators and ``den``
+(``scale``).  No side multiplies two built series: a prefactor rides in
+summand 0 of its sum, stepped in by its factor list and refused on its
+own (``Summand``).  A summand that carries q^k lives on its window: the
+numerators of q^k .. q^cap_q alone, so its passes run on cap_q + 1 - k
+slots; ``shift_window`` moves a window up by a q-power and
+``accumulate`` adds one in at its offset.  Nothing is reduced per pass:
+``reduce_dense`` divides by gcd(den, *nums) once per summand step, once
+per outer step of the chain double sums and once per finished side, and
+a finished side becomes a ``TruncatedSeries`` over the q-only profile
+once (``dense_series``, which packs the reduced numerators into one row
+over ``den``), so comparisons and reports see the same values as any
+other series.  Two ``Dense`` values are equal when their coefficient
 values are, whatever their denominators.
 
 ``product_series`` evaluates a product of factors (1 - v*q^m)^(+-1) with
@@ -93,7 +93,6 @@ __all__ = [
     "Summand",
     "accumulate",
     "apply_factors",
-    "convolve",
     "dense_series",
     "over_binomial",
     "pochhammer_factors",
@@ -278,17 +277,6 @@ def accumulate(total: Dense, c: Dense, offset: int = 0) -> None:
             c = [a * y for y in c]
     end = offset + len(c)
     total[offset:end] = [x + y for x, y in zip(total[offset:end], c)]
-
-
-def convolve(x: Dense, y: Dense) -> Dense:
-    """The q-only product x * y, truncated at the same cap."""
-    n = len(x)
-    out = [0] * n
-    for i, u in enumerate(x):
-        if u:
-            for j, w in enumerate(y[: n - i], i):
-                out[j] += u * w
-    return Dense(out, x.den * y.den)
 
 
 def reduce_dense(c: Dense) -> Dense:

@@ -24,7 +24,6 @@ from qsid.rational import (
     Factor,
     RationalAssignment,
     accumulate,
-    convolve,
     dense_series,
     over_binomial,
     pochhammer_factors,
@@ -428,15 +427,6 @@ def _ref_accumulate(total, c):
             total[i] += x
 
 
-def _ref_convolve(x, y):
-    out = [Fraction(0)] * len(x)
-    for i, u in enumerate(x):
-        for j, w in enumerate(y):
-            if i + j < len(x):
-                out[i + j] += u * w
-    return out
-
-
 def _dense_of(values):
     den = 1
     for v in values:
@@ -467,8 +457,7 @@ def pass_sequences(draw):
     start = [draw(st.lists(coefficient_values, min_size=cap + 1, max_size=cap + 1))
              for _ in range(2)]
     step = st.tuples(
-        st.sampled_from(["times", "over", "scale", "shift_window", "accumulate", "convolve",
-                         "reduce"]),
+        st.sampled_from(["times", "over", "scale", "shift_window", "accumulate", "reduce"]),
         st.integers(min_value=0, max_value=1),  # which register the step acts on
         kernel_values,
         st.integers(min_value=0, max_value=cap + 2),
@@ -479,7 +468,7 @@ def pass_sequences(draw):
 @given(pass_sequences())
 @settings(max_examples=400, deadline=None)
 def test_integer_kernel_matches_fraction_kernel(sequence):
-    # Two registers, so accumulate and convolve meet unequal denominators.
+    # Two registers, so accumulate meets unequal denominators.
     cap, start, steps = sequence
     dense = [_dense_of(values) for values in start]
     ref = [list(values) for values in start]
@@ -510,9 +499,6 @@ def test_integer_kernel_matches_fraction_kernel(sequence):
         elif op == "accumulate":
             accumulate(c, dense[other])
             _ref_accumulate(r, ref[other])
-        elif op == "convolve":
-            dense[k] = convolve(c, dense[other])
-            ref[k] = _ref_convolve(r, ref[other])
         else:
             before = c.den
             assert reduce_dense(c) is c

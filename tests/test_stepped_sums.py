@@ -28,7 +28,6 @@ from qsid.rational import (
     RationalAssignment,
     Summand,
     accumulate,
-    convolve,
     pochhammer_factors,
     product_series,
     sum_with_geometric_tail,
@@ -45,6 +44,16 @@ CAPS = (0, 1, 2, 12, 20, 24)
 
 
 # ------------------------------------------------------------------ references
+
+
+def convolve(x, y):
+    """The q-only product x * y to the same cap: the references multiply a
+    prefactor and its sum as two built series, which no builder does."""
+    out = [0] * len(x)
+    for i, u in enumerate(x):
+        for j, w in enumerate(y[: len(x) - i], i):
+            out[j] += u * w
+    return Dense(out, x.den * y.den)
 
 
 def reference_qps_lhs(assign, cap_q):
@@ -206,6 +215,25 @@ def test_terminating_sums_refuse_as_their_references(name, stepped, reference):
         refused += want[0] == "refused"
         assert outcome(stepped, assign, 6) == want, assign
     assert refused > 0
+
+
+@pytest.mark.parametrize("name, stepped, reference", CHAIN, ids=[t[0] for t in CHAIN])
+def test_chain_sums_refuse_as_their_references(name, stepped, reference):
+    # t or b = 1 makes a factor vanish or the tail ratio 1, 0 drops factors
+    # out; a nonzero: every chain sum divides by it.  The product form's
+    # prefactor refuses t = 1 on its own, before its sum's ratio or summands.
+    values = [Fraction(v) for v in ("0", "1", "-1", "2", "1/2")]
+    refused = 0
+    for a, b, t in product(values[1:], values, values):
+        assign = RationalAssignment.make(a=a, b=b, t=t)
+        want = outcome(reference, assign, 6)
+        refused += want[0] == "refused"
+        assert outcome(stepped, assign, 6) == want, assign
+    assert refused > 0
+    if name == "product_form":
+        want = ("refused", "denominator factor (1 - v) with v = 1 in product-form prefactor")
+        for b in values:
+            assert outcome(stepped, RationalAssignment.make(a=2, b=b, t=1), 6) == want, b
 
 
 def test_summand_steps_equal_the_product_of_their_factor_lists():

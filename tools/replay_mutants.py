@@ -41,6 +41,11 @@ _COMPARE_KILLER = (
     "test_compare_reports_a_row_on_one_side_only_that_packs_to_plus_or_minus_one"
 )
 _F_TERM = "        fac = [Factor(first, k1 * (n - k) + k2 * k, True) for k in range(n + 1)]"
+_STEPPED = "tests/test_stepped_sums.py::"
+_EQ22_PREFACTOR = (
+    "    term.step(pochhammer_factors(1, 1, N) + pochhammer_factors(c_ab, 0, N, inverted=True))"
+)
+_PRODUCT_PREFACTOR = "        + pochhammer_factors(t, 0, None, inverted=True, cap_q=cap_q)"
 
 LEDGER = [
     # compare_series: a row missing on one side must read as 0, not as a packed +-1
@@ -66,6 +71,32 @@ LEDGER = [
         _F_TERM,
         _F_TERM.replace("k1 * (n - k)", "k1 * (n + k)"),
         "tests/test_identities.py::test_f_sym_rational_left_side_matches_the_closed_form",
+    ),
+    # a prefactor stepped into summand 0 must refuse on its own, under its own label
+    Mutant(
+        "src/qsid/identities.py",
+        '    term.value("rewrite prefactor")',
+        "    pass",
+        _STEPPED + "test_terminating_sums_refuse_as_their_references[eq22_without_qn]",
+    ),
+    Mutant(
+        "src/qsid/identities.py",
+        '    term.value("product-form prefactor")',
+        "    pass",
+        _STEPPED + "test_chain_sums_refuse_as_their_references[product_form]",
+    ),
+    # ... and must step by its factor list as printed
+    Mutant(
+        "src/qsid/identities.py",
+        _EQ22_PREFACTOR,
+        _EQ22_PREFACTOR.replace("(c_ab, 0, N,", "(c_ab, 1, N,"),
+        _STEPPED + "test_terminating_sums_match_their_summand_references[eq22_without_qn]",
+    ),
+    Mutant(
+        "src/qsid/identities.py",
+        _PRODUCT_PREFACTOR,
+        _PRODUCT_PREFACTOR.replace("(t, 0,", "(t, 1,"),
+        _STEPPED + "test_chain_sums_match_their_summand_references[product_form]",
     ),
 ]
 
@@ -119,7 +150,7 @@ def main() -> int:
             problems += 1
             print(f"FAIL  {node} does not pass unmutated (pytest exit {code})")
     for mutant in LEDGER:
-        where = f"{mutant.path}: {mutant.mutated.strip()}"
+        where = f"{mutant.path}: {mutant.line.strip()} -> {mutant.mutated.strip()}"
         problem = replay(mutant)
         problems += bool(problem)
         print(f"FAIL  {where}: {problem}" if problem else f"ok    {where}")
