@@ -110,7 +110,7 @@ class _Graded:
 
 
 def _graded(rows, *names: str) -> _Graded:
-    return _Graded((("monomial", "aq"), *((name, None) for name in names)), rows)
+    return _Graded((("monomial", tuple("aq")), *((name, "%s") for name in names)), rows)
 
 
 def verification_report_to_dict(report: VerificationReport) -> Dict[str, object]:
@@ -183,10 +183,13 @@ def report_json(report: object) -> str:
     With ``indent`` set the stdlib encoder runs in pure Python.  This
     writer joins strings instead.  It writes a ``MismatchTable`` and a
     ``_Graded`` audit table (each as its list of row dicts) with
-    ``_table_json``, one fill of the shape's row template per int row,
-    and a ``PartitionFamily`` (as its list of partitions) from its blocks,
-    a suffix's text its first part's text before its child list's text
-    where that list is shared.
+    one fill of the shape's row template per int row: the mismatch
+    template's ``lhs``/``rhs`` slots are quoted, so over den = 1 (every
+    formal table) a row fills from its ints in JSON order (a, b, t, q,
+    lhs, rhs), over den > 1 from its values' reduced fractions' text.  It
+    writes a ``PartitionFamily`` (as its list of partitions) from its
+    blocks, a suffix's text its first part's text before its child list's
+    text where that list is shared.
     What it has no path for (floats, True, False, None, non-string keys)
     goes through ``json.dumps``.
     """
@@ -204,15 +207,18 @@ def _json(value: object, nl: str) -> str:
         return int.__repr__(value)
     inner = nl + "  "
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_json(x, inner) for x in value]) + nl + "]"
+        return _list_json([_json(x, inner) for x in value], nl)
     if isinstance(value, MismatchTable):
-        den = value.den
-        return _table_json(_MISMATCH_SHAPE, [(a, b, t, q, _value_json(x, den), _value_json(y, den))
-                                             for q, a, b, t, x, y in value.rows], nl)
+        template, den = _row_template(_MISMATCH_SHAPE, inner), value.den
+        if den == 1:
+            texts = [template % (a, b, t, q, x, y) for q, a, b, t, x, y in value.rows]
+        else:
+            texts = [template % (a, b, t, q, _fraction_text(x, den), _fraction_text(y, den))
+                     for q, a, b, t, x, y in value.rows]
+        return _list_json(texts, nl)
     if isinstance(value, _Graded):
-        return _table_json(value.shape, [(*key, *values) for key, *values in value.rows], nl)
+        template = _row_template(value.shape, inner)
+        return _list_json([template % (*key, *values) for key, *values in value.rows], nl)
     if isinstance(value, PartitionFamily):
         if not len(value):
             return "[]"
@@ -237,38 +243,36 @@ def _json(value: object, nl: str) -> str:
 
 
 def _row_template(shape, nl: str) -> str:
-    """The template of a row written after ``nl``, one ``%s`` per value:
-    ``shape`` pairs each key with None (one value) or with its sub-keys
-    (a dict of one value per sub-key); keys are plain names, which JSON
-    writes as they are."""
+    """The template of a row written after ``nl``: ``shape`` pairs each
+    key with its slot (``%s`` for an int, ``"%s"`` for a string's text,
+    which needs no escape) or with the tuple of its sub-keys (a dict of one
+    int per sub-key); keys are plain names, which JSON writes as they are."""
     inner, deeper, parts = nl + "  ", nl + "    ", []
     for key, sub in shape:
-        if sub is None:
-            parts.append(f'"{key}": %s')
+        if isinstance(sub, str):
+            parts.append(f'"{key}": {sub}')
             continue
         fields = [f'"{k}": %s' for k in sub]
         parts.append(f'"{key}": {{' + deeper + ("," + deeper).join(fields) + inner + "}")
     return "{" + inner + ("," + inner).join(parts) + nl + "}"
 
 
-def _table_json(shape, rows: List[tuple], nl: str) -> str:
-    """Rows of one shape written after ``nl`` as ``json.dumps`` writes
-    their dicts, each row one fill of the shape's template with its
-    values in the template's order (ints, or strings in their JSON form)."""
-    if not rows:
+def _list_json(texts: List[str], nl: str) -> str:
+    """A list written after ``nl`` as ``json.dumps`` writes it, from its
+    items' texts (each written after ``nl`` + 2 spaces)."""
+    if not texts:
         return "[]"
     inner = nl + "  "
-    template = _row_template(shape, inner)
-    return "[" + inner + ("," + inner).join([template % row for row in rows]) + nl + "]"
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
-def _value_json(x: int, den: int) -> str:
-    """``str(Fraction(x, den))`` as a JSON string, without building the Fraction."""
+def _fraction_text(x: int, den: int) -> str:
+    """``str(Fraction(x, den))``, without building the Fraction."""
     g = gcd(x, den)
-    return f'"{x // g}"' if g == den else f'"{x // g}/{den // g}"'
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
-_MISMATCH_SHAPE = (("monomial", "abtq"), ("lhs", None), ("rhs", None))
+_MISMATCH_SHAPE = (("monomial", tuple("abtq")), ("lhs", '"%s"'), ("rhs", '"%s"'))
 
 
 def _family_chunks(family: PartitionFamily, start: str, sep: str, end: str,

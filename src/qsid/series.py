@@ -42,8 +42,8 @@ sums of shifted products of Gaussian binomials, and read them from
 ``gaussian_binomials``, a packed table built by the q-Pascal recurrence.
 Multiplying is ``row[k+m] -= c * (row[k] << W*e)`` per row (m = (a, b, t)
 step, e its q-exponent); dividing walks each chain up the step,
-``out[k] = row[k] + c * (out[k-m] << W*e)``; a divisor in q alone is one
-multiply per row by its truncated geometric series.  Dividing is exact
+``out[k] = row[k] + c * (out[k-m] << W*e)``; a divisor in q alone applies
+its truncated geometric series to each row by doubling.  Dividing is exact
 because (1 - c*x^m) is a unit of the truncated ring whenever m is not
 constant.
 
@@ -359,26 +359,25 @@ def _divide(s: "TruncatedSeries", c: int, m: Monomial):
 
 
 def _divide_q(s: "TruncatedSeries", c: int, e: int):
-    """s / (1 - c q^e), e >= 1: each row times sum_{j <= J} c^j q^(e*j),
-    J = (cap_q - the row's lowest degree) // e."""
+    """s / (1 - c q^e), e >= 1: each row v times sum_{j <= J} c^j q^(e*j),
+    J = (cap_q - v's lowest degree) // e, by doubling, as 1/(1 - x) =
+    (1 + x)(1 + x^2)(1 + x^4)...: while v holds the n <= J terms j < n,
+    v + c^n q^(e*n) v holds 2n, cut past cap_q.  Each cut is exact: the
+    kept digits are partial sums of the final ones, which the row's bound
+    sum_{j <= J} |c|^j * bound covers, and terms j > J start past cap_q.
+    """
     width, cq = s.width, s.profile.cap_q
     size, mag = width * (cq + 1), abs(c)
-    series: dict = {}  # J -> (packed geometric series, its sum at q = 1 with |c|)
-
-    def geometric(J):
-        if J not in series:
-            g = total = 0
-            for j in range(J, -1, -1):
-                g = (g << width * e) + c**j
-                total += mag**j
-            series[J] = g, total
-        return series[J]
-
     out, ob = {}, {}
     for k, v in s.rows.items():
-        g, total = geometric((cq - _low(v, width)) // e)
-        out[k] = _cut(v * g, size)
-        ob[k] = s.bounds[k] * total
+        J = (cq - _low(v, width)) // e
+        p, n = c, 1
+        while n <= J:
+            x = v << width * e * n
+            v = _cut(v + (x if p == 1 else p * x), size)
+            p, n = p * p, 2 * n
+        out[k] = v
+        ob[k] = s.bounds[k] * (J + 1 if mag == 1 else (mag ** (J + 1) - 1) // (mag - 1))
     return out, ob
 
 

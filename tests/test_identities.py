@@ -568,6 +568,15 @@ def test_stepped_builders_match_reference(caps):
         assert stepped.valid_to_q == reference.valid_to_q
 
 
+@pytest.mark.parametrize("which", ["3_4_right", "3_5_right"])
+def test_right_sides_match_reference_at_a_long_window(which):
+    # divisors in q alone over a window of 200: up to 8 doubling steps a row
+    prof = TruncationProfile(2, 3, 0, 200)
+    stepped, reference = build_thm31_side(which, prof), reference_thm31_side(which, prof)
+    assert stepped.terms == reference.terms and stepped.terms
+    assert stepped.valid_to_q == reference.valid_to_q
+
+
 def stepped_thm31_left(which, profile):
     """The left sides summed over N from the q-shifted factorial ratio
     R_N, stepped from N to N + 1 by its exact ratio, starting from 1 at

@@ -895,6 +895,44 @@ def test_huge_q_cap_builds_rows_only_as_long_as_their_degree():
     assert s.terms[(0, 3, 0, 9)] == 1
 
 
+def product_divide_q(s, c, e):
+    """s / (1 - c q^e) as the kernel first built it: each row times its
+    packed geometric sum over j <= J, one full product per row, then cut."""
+    width, cq = s.width, s.profile.cap_q
+    size, mag = width * (cq + 1), abs(c)
+    out, ob = {}, {}
+    for k, v in s.rows.items():
+        g = total = 0
+        for j in range((cq - series._low(v, width)) // e, -1, -1):
+            g = (g << width * e) + c**j
+            total += mag**j
+        out[k], ob[k] = series._cut(v * g, size), s.bounds[k] * total
+    return out, ob
+
+
+LONG = TruncationProfile(0, 2, 0, 300)
+
+
+@pytest.mark.parametrize("c, e", [
+    *itertools.product((1, -1, 2, -3), (1, 2, 7, 150, 300)),
+    # J <= 2 here, so the guard widens W without slots thousands of bits wide
+    (2**20 + 7, 150), (2**20 + 7, 300),
+])
+def test_q_division_by_doubling_matches_the_product(c, e):
+    # rows whose lowest degree is 0 (J = 300 // e), cap_q - e (J = 1) and
+    # cap_q (J = 0), with mixed signs above it
+    cq = LONG.cap_q
+    s = TruncatedSeries(LONG, {
+        (0, 0, 0, 0): 3, (0, 0, 0, 1): -1, (0, 0, 0, 5): 2, (0, 0, 0, cq): -7,
+        (0, 1, 0, cq - e): -2, (0, 1, 0, cq - e + 1): 5,
+        (0, 2, 0, cq): 4,
+    })
+    assert series._divide_q(s, c, e) == product_divide_q(s, c, e)
+    got, want = s._fit(series._divide_q, c, e), s._fit(product_divide_q, c, e)
+    assert (got.rows, got.bounds, got.width) == (want.rows, want.bounds, want.width)
+    assert got.times_binomial(c, (0, 0, 0, e)) == s
+
+
 @given(small_series(), st.integers(-1, 2))
 @settings(max_examples=60, deadline=None)
 def test_shift_a_moves_each_term(x, j):

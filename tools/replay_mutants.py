@@ -46,6 +46,8 @@ _EQ22_PREFACTOR = (
     "    term.step(pochhammer_factors(1, 1, N) + pochhammer_factors(c_ab, 0, N, inverted=True))"
 )
 _PRODUCT_PREFACTOR = "        + pochhammer_factors(t, 0, None, inverted=True, cap_q=cap_q)"
+_DOUBLING = "tests/test_series.py::test_q_division_by_doubling_matches_the_product"
+_INT_FILL = "            texts = [template % (a, b, t, q, x, y) for q, a, b, t, x, y in value.rows]"
 
 LEDGER = [
     # compare_series: a row missing on one side must read as 0, not as a packed +-1
@@ -97,6 +99,27 @@ LEDGER = [
         _PRODUCT_PREFACTOR,
         _PRODUCT_PREFACTOR.replace("(t, 0,", "(t, 1,"),
         _STEPPED + "test_chain_sums_match_their_summand_references[product_form]",
+    ),
+    # _divide_q: the doubling must run until the sum holds every term j <= J ...
+    Mutant(
+        "src/qsid/series.py",
+        "        while n <= J:",
+        "        while n < J:",
+        _DOUBLING,
+    ),
+    # ... stepping by c^n (for c = +-1, p * c and p * p agree; the test has |c| >= 2)
+    Mutant(
+        "src/qsid/series.py",
+        "            p, n = p * p, 2 * n",
+        "            p, n = p * c, 2 * n",
+        _DOUBLING,
+    ),
+    # the mismatch table's int fill writes lhs, then rhs
+    Mutant(
+        "src/qsid/cli.py",
+        _INT_FILL,
+        _INT_FILL.replace("(a, b, t, q, x, y) for", "(a, b, t, q, y, x) for"),
+        "tests/test_cli.py::test_thm34_table_at_the_heavy_caps_is_written_as_from_fractions",
     ),
 ]
 
