@@ -40,8 +40,9 @@ p/r (``times_monomial``, ``*``) multiplies p into the rows and r into
 ``den``.  The Theorem 3.4/3.5 left sides have rows in closed form,
 sums of shifted products of Gaussian binomials, and read them from
 ``gaussian_binomials``, a packed table built by the q-Pascal recurrence.
-Multiplying is ``row[k+m] -= c * (row[k] << W*e)`` per row (m = (a, b, t)
-step, e its q-exponent); dividing walks each chain up the step,
+Multiplying, adding and shifting are one pass, s + c*x^m*y, adding
+``c * (y[k] << W*e)`` into ``out[k+m]`` per row of y (m = (a, b, t) step,
+e its q-exponent); dividing walks each chain up the step,
 ``out[k] = row[k] + c * (out[k-m] << W*e)``; a divisor in q alone applies
 its truncated geometric series to each row by doubling.  Dividing is exact
 because (1 - c*x^m) is a unit of the truncated ring whenever m is not
@@ -289,25 +290,30 @@ def _num_den(c: Coeff) -> Tuple[int, int]:
     return c, 1
 
 
-def _multiply(s: "TruncatedSeries", c: int, m: Monomial):
-    """Rows and bounds of s * (1 - c*x^m) at s's width."""
+def _shift_add(s: "TruncatedSeries", c: int, m: Monomial, y=None):
+    """Rows and bounds of s + c*x^m*y at s's width, y = s unless given
+    (over s's den, no wider).  A sum has m = 1, a product by (1 - c*x^m)
+    is s + (-c)*x^m*s, and a monomial shift starts from no rows."""
     ma, mb, mt, e = m
     ca, cb, ct, cq = s.profile.caps
-    width, rows, bounds = s.width, s.rows, s.bounds
-    shift, size = width * e, width * (cq + 1)
-    out, ob, mag = dict(rows), dict(bounds), abs(c)
-    for k, v in rows.items():
+    width = s.width
+    y = s if y is None else y._widened(width)
+    shift, size, yb = width * e, width * (cq + 1), y.bounds
+    out, ob, mag = dict(s.rows), dict(s.bounds), abs(c)
+    for k, v in y.rows.items():
         a, b, t = k[0] + ma, k[1] + mb, k[2] + mt
         if a > ca or b > cb or t > ct:
             continue
-        x = v << shift
-        if x.bit_length() >= size and not (x := _cut(x, size)):
+        v <<= shift
+        if v.bit_length() >= size and not (v := _cut(v, size)):
             continue  # the whole row lands past cap_q
         nk = (a, b, t)
-        y = out.get(nk, 0) - (x if c == 1 else c * x)
-        if y:
-            out[nk] = y
-            ob[nk] = ob.get(nk, 0) + mag * bounds[k]
+        prev = out.get(nk)
+        if prev is None:
+            out[nk], ob[nk] = c * v, mag * yb[k]
+        elif v := prev + c * v:
+            out[nk] = v
+            ob[nk] += mag * yb[k]
         else:
             del out[nk], ob[nk]
     return out, ob
@@ -379,43 +385,6 @@ def _divide_q(s: "TruncatedSeries", c: int, e: int):
         out[k] = v
         ob[k] = s.bounds[k] * (J + 1 if mag == 1 else (mag ** (J + 1) - 1) // (mag - 1))
     return out, ob
-
-
-def _times_monomial(s: "TruncatedSeries", c: int, m: Monomial):
-    """Rows and bounds of s * c*x^m at s's width."""
-    ma, mb, mt, e = m
-    ca, cb, ct, cq = s.profile.caps
-    width, mag = s.width, abs(c)
-    shift, size = width * e, width * (cq + 1)
-    out, ob = {}, {}
-    for k, v in s.rows.items():
-        a, b, t = k[0] + ma, k[1] + mb, k[2] + mt
-        if a > ca or b > cb or t > ct:
-            continue
-        x = _cut(v << shift, size)
-        if x:
-            out[(a, b, t)] = x if c == 1 else c * x
-            ob[(a, b, t)] = mag * s.bounds[k]
-    return out, ob
-
-
-def _add(x: "TruncatedSeries", y: "TruncatedSeries", sign: int):
-    """Rows and bounds of x + sign*y at x's width (y no wider, one denominator)."""
-    y = y._widened(x.width)
-    rows, bounds = dict(x.rows), dict(x.bounds)
-    for k, v in y.rows.items():
-        prev = rows.get(k)
-        if prev is None:
-            rows[k] = v if sign == 1 else -v
-            bounds[k] = y.bounds[k]
-            continue
-        v = prev + v if sign == 1 else prev - v
-        if v:
-            rows[k] = v
-            bounds[k] += y.bounds[k]
-        else:
-            del rows[k], bounds[k]
-    return rows, bounds
 
 
 def _over_one_den(x: "TruncatedSeries", y: "TruncatedSeries"):
@@ -639,7 +608,7 @@ class TruncatedSeries:
             return NotImplemented
         self._check_profile(other)
         x, y = _aligned(self, other)
-        total = x._fit(_add, y, sign)
+        total = x._fit(_shift_add, sign, MONO_ONE, y)
         valid = min(self.valid_to_q, other.valid_to_q)
         return total._with_rows(total.rows, total.bounds, valid_to_q=valid)
 
@@ -690,7 +659,7 @@ class TruncatedSeries:
         m = _monomial(m, "binomial monomial")
         if c == 0 or not self.profile.admits(m):
             return self
-        return self._fit(_multiply, c, m)
+        return self._fit(_shift_add, -c, m)
 
     def over_binomial(self, c: int, m) -> "TruncatedSeries":
         """self / (1 - c * x^m), exact in the truncated ring, in one ascending pass.
@@ -717,7 +686,7 @@ class TruncatedSeries:
         if c == 0 or not self.profile.admits(m):
             return TruncatedSeries.zero(self.profile, self.valid_to_q)
         num, r = _num_den(c)
-        s = self._fit(_times_monomial, num, m)
+        s = self._with_rows({}, {})._fit(_shift_add, num, m, self)
         return s if r == 1 else s._with_rows(s.rows, s.bounds, s.den * r)
 
     def __eq__(self, other):

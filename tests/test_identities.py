@@ -633,7 +633,7 @@ def test_left_sides_apply_no_binomial_pass(monkeypatch):
     def forbidden(*args):
         raise AssertionError("binomial pass in a left side")
 
-    for name in ("_multiply", "_divide", "_divide_q"):
+    for name in ("_shift_add", "_divide", "_divide_q"):
         monkeypatch.setattr(series, name, forbidden)
     for which, stepped in expected.items():
         assert build_thm31_side(which, prof) == stepped
@@ -695,6 +695,27 @@ def test_sides_at_the_bench_caps_build_at_the_narrowest_width(which, caps):
     assert side.width == 32
     for k, row in side.rows.items():
         assert side.bounds[k] >= sum(map(abs, series._unpack(row, side.width)))
+
+
+BENCH_FORMAL_CASES = [
+    *((case, (12, 12, 12, 64)) for case in
+      ("thm1_1", "eq3_1_consistency", "reduction_a0", "f_sym", "thm3_4", "thm3_5")),
+    ("thm1_1", (12, 12, 12, 116)),
+    ("thm3_4", (12, 12, 12, 88)),
+]
+
+
+@pytest.mark.parametrize("case, caps", BENCH_FORMAL_CASES, ids=str)
+def test_formal_side_rows_stay_below_the_cut_bit_at_the_bench_caps(case, caps):
+    # A row reaches bit W*(cap_q + 1) only with a slot past cap_q, which
+    # every pass, shift and substitution cuts (series._cut).
+    check = CASES[case]["formal"]
+    prof = TruncationProfile(*caps)
+    prof = prof if check.restrict is None else check.restrict(prof)
+    for name in check.sides:
+        side = check.side(name, profile=prof)
+        assert side.rows
+        assert all(row.bit_length() < side.width * (prof.cap_q + 1) for row in side.rows.values())
 
 
 def test_formal_sides_multiply_no_two_multi_term_series(monkeypatch):

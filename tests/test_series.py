@@ -364,6 +364,18 @@ def test_substitute_rejects_power_zero():
         substitute_q_power(TruncatedSeries.one(PROF), 0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
+def test_substitution_keeps_every_row_below_the_cut_bit(k):
+    # Each q-power's image is cut past cap_q: a slot at q^(cap_q + 1), as
+    # q -> q^2 makes of q^5 here, must not stay in the row.
+    prof = TruncationProfile(0, 1, 0, 9)
+    s = TruncatedSeries.from_q_digits(prof, [1] * 10) + term(prof, -3, b=1, q=1)
+    s = s + term(prof, 2, b=1, q=5) + term(prof, -1, b=1, q=9)
+    got = substitute_q_power(s, k)
+    assert got.terms == {(a, b, t, k * q): c for (a, b, t, q), c in s.terms.items() if k * q <= 9}
+    assert all(row.bit_length() < got.width * (prof.cap_q + 1) for row in got.rows.values())
+
+
 def test_shift_a_simple():
     assert shift_a_by_q(term(PROF, 1, a=1, b=1, q=2), -1) == term(PROF, 1, a=1, b=1, q=1)
 
@@ -886,6 +898,23 @@ def test_rows_past_cap_are_cut_and_rows_wholly_past_drop_out():
     assert got.terms == {(0, 0, 0, 2): 1, (0, 0, 0, 5): -1, (0, 1, 0, 4): -1}
     assert s.times_monomial(1, (0, 1, 0, 3)).terms == {(0, 1, 0, 5): 1}
     assert s.times_monomial(1, (0, 0, 0, 4)).rows == {}
+
+
+def test_shift_add_moves_cuts_merges_and_bounds_each_row():
+    # One row pass serves sums, binomial products and monomial shifts: a
+    # row moved past a cap drops out, rows landing on one key add with
+    # their signs, and the merged row's bound is the sum of both bounds.
+    prof = TruncationProfile(0, 2, 1, 4)
+    one_plus_b = TruncatedSeries.one(prof) + term(prof, 1, b=1)
+    got = one_plus_b.times_binomial(-1, (0, 1, 0, 1))  # (1 + b)(1 + b q)
+    assert got.terms == {(0, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 1, 0, 1): 1, (0, 2, 0, 1): 1}
+    assert got.bounds == {(0, 0, 0): 1, (0, 1, 0): 2, (0, 2, 0): 1}
+    t = term(prof, 1, t=1)
+    assert t.times_binomial(1, (0, 0, 1, 0)).terms == {(0, 0, 1, 0): 1}  # t^2 is past cap_t
+    assert t.times_monomial(1, (0, 0, 1, 0)).is_zero()
+    diff = one_plus_b - one_plus_b
+    assert diff.rows == diff.bounds == {}
+    assert (one_plus_b - term(prof, 2, b=1)).terms == {(0, 0, 0, 0): 1, (0, 1, 0, 0): -1}
 
 
 def test_huge_q_cap_builds_rows_only_as_long_as_their_degree():

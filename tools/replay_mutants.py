@@ -48,6 +48,8 @@ _EQ22_PREFACTOR = (
 _PRODUCT_PREFACTOR = "        + pochhammer_factors(t, 0, None, inverted=True, cap_q=cap_q)"
 _DOUBLING = "tests/test_series.py::test_q_division_by_doubling_matches_the_product"
 _INT_FILL = "            texts = [template % (a, b, t, q, x, y) for q, a, b, t, x, y in value.rows]"
+_SHIFT_ADD = "tests/test_series.py::test_shift_add_moves_cuts_merges_and_bounds_each_row"
+_SUBSTITUTE_CUT = "        x = _cut(_respace(v, width, k * width), width * (cap_q + 1))"
 
 LEDGER = [
     # compare_series: a row missing on one side must read as 0, not as a packed +-1
@@ -60,12 +62,40 @@ LEDGER = [
             ("wide_y.rows.get(k, 0)", "wide_y.rows.get(k, -1)"),
         )
     ),
-    # substitute_q_power: q -> q^0 is refused
+    # _shift_add: a merged row's bound adds both bounds ...
+    Mutant(
+        "src/qsid/series.py",
+        "            ob[nk] += mag * yb[k]",
+        "            ob[nk] = mag * yb[k]",
+        _SHIFT_ADD,
+    ),
+    # ... a row moved past cap_t drops out ...
+    Mutant(
+        "src/qsid/series.py",
+        "        if a > ca or b > cb or t > ct:",
+        "        if a > ca or b > cb:",
+        _SHIFT_ADD,
+    ),
+    # ... and a row landing on a stored one adds in with its sign
+    Mutant(
+        "src/qsid/series.py",
+        "        elif v := prev + c * v:",
+        "        elif v := prev + -v:",
+        _SHIFT_ADD,
+    ),
+    # substitute_q_power: q -> q^0 is refused ...
     Mutant(
         "src/qsid/series.py",
         "    if not isinstance(k, int) or k < 1:",
         "    if not isinstance(k, int) or k < 0:",
         "tests/test_series.py::test_substitute_rejects_power_zero",
+    ),
+    # ... and each image is cut past cap_q, not past cap_q + 1
+    Mutant(
+        "src/qsid/series.py",
+        _SUBSTITUTE_CUT,
+        _SUBSTITUTE_CUT.replace("(cap_q + 1)", "(cap_q + 2)"),
+        "tests/test_series.py::test_substitution_keeps_every_row_below_the_cut_bit",
     ),
     # _f_rational: an exponent edit that keeps f(alpha, beta) symmetric
     Mutant(
