@@ -761,7 +761,6 @@ class Check:
 
     case: str
     mode: str
-    description: str
     sides: Dict[str, Builder]
     details: Callable[["_Run"], Dict[str, object]] = lambda run: {}
     comparisons: Tuple[Tuple[str, ...], ...] = (("left", "right"),)
@@ -819,7 +818,7 @@ _AS_FOUND = "mismatch table reported as found; equality is not assumed"
 # installed on this module (tracing) see every side build.
 _CHECKS = [
     Check(
-        "thm1_1", "formal", "symmetric double series, b<->t exchange",
+        "thm1_1", "formal",
         sides={
             "left": lambda r: build_thm11_side(r.profile),
             "right": _reflected_left,
@@ -833,7 +832,7 @@ _CHECKS = [
         },
     ),
     Check(
-        "f_sym", "formal", "f(b, t) = f(t, b) at the (q, q^2) specialization",
+        "f_sym", "formal",
         sides={
             "left": lambda r: build_f_series(r.profile),
             "right": _reflected_left,
@@ -844,7 +843,7 @@ _CHECKS = [
     # The constant stratum of each side is a geometric series in its second
     # argument, summed in closed form (the formal |argument| < 1 condition).
     Check(
-        "f_sym", "rational", "f(alpha, beta) = f(beta, alpha) with q-power bases",
+        "f_sym", "rational",
         params=("alpha", "beta", "x_exp", "y_exp"),
         preconditions=(_f_sym_bases,),
         sides={
@@ -858,7 +857,7 @@ _CHECKS = [
     ),
     # At a = 0 the flagship side runs build_f_series's passes, so f is summed otherwise.
     Check(
-        "reduction_a0", "formal", "a = 0 stratum of the flagship left side equals f(b, t)",
+        "reduction_a0", "formal",
         restrict=lambda p: TruncationProfile(0, p.cap_b, p.cap_t, p.cap_q),
         sides={
             "left": lambda r: build_thm11_side(r.profile),
@@ -870,7 +869,6 @@ _CHECKS = [
     # comparison uses the full profile.
     Check(
         "eq3_1_consistency", "formal",
-        "even-step variant: substitution path vs direct build, plus symmetry",
         sides={
             "left": lambda r: build_eq31_side(r.profile),
             "right": _reflected_left,
@@ -887,7 +885,6 @@ _CHECKS = [
     ),
     Check(
         "eq3_1_partitions", "formal",
-        "even-step variant: series vs odd-distinct partitions with parts in [2n, 4n]",
         sides={
             "left": lambda r: build_eq31_side(r.profile),
             "right": lambda r: build_eq31_partition_side(r.profile),
@@ -901,7 +898,7 @@ _CHECKS = [
     # standard all-N product is evaluated.  The n = N + 1 summand vanishes
     # (the q^(-N) stream hits a zero factor), which is why the sum terminates.
     Check(
-        "qps_2_1", "rational", "terminating balanced summation vs all-N product form",
+        "qps_2_1", "rational",
         params=("a", "b", "c", "N"),
         preconditions=(_terminating, _c_nonzero, _c_not_one),
         sides={"left": _rational(_qps_lhs), "right": _rational(_qps_rhs)},
@@ -915,7 +912,7 @@ _CHECKS = [
     # The q^n-free variant is the one that matches: the q^n of the original
     # sum cancels during the rewrite.
     Check(
-        "rewrite_2_2", "rational", "finite rewrite of the balanced sum (q^n variant adjudicated)",
+        "rewrite_2_2", "rational",
         params=("a", "b", "c", "N"),
         preconditions=(_terminating, _c_nonzero, _c_not_one),
         sides={
@@ -931,14 +928,14 @@ _CHECKS = [
         },
     ),
     Check(
-        "eq2_3", "rational", "c = b*q specialization of the balanced sum",
+        "eq2_3", "rational",
         params=("a", "b", "N"),
         preconditions=(_terminating, _a_nonzero),
         sides={"left": _rational(_eq23_lhs), "right": _rational(_eq23_rhs)},
         details=lambda r: {"terminates_at": r.assign.N},
     ),
     Check(
-        "chain_shift", "rational", "double sum equals its reindexed form",
+        "chain_shift", "rational",
         params=("a", "b", "t"),
         preconditions=(_a_nonzero, _chain_denominators),
         sides={
@@ -951,7 +948,7 @@ _CHECKS = [
         },
     ),
     Check(
-        "chain_fine", "rational", "shifted double sum equals the closed product form",
+        "chain_fine", "rational",
         params=("a", "b", "t"),
         preconditions=(_a_nonzero, _chain_denominators),
         sides={
@@ -966,7 +963,7 @@ _CHECKS = [
     # The target is tried with the factor base t/a, the one the chain
     # implies, and with the printed base a*t, which inverts a parameter.
     Check(
-        "chain_final", "rational", "product form collapses to the single-sum target",
+        "chain_final", "rational",
         params=("a", "b", "t"),
         preconditions=(_a_nonzero, _chain_denominators),
         sides={
@@ -983,7 +980,7 @@ _CHECKS = [
         },
     ),
     Check(
-        "thm3_4", "formal", "companion evaluation in a, b, q (adjudication mode)",
+        "thm3_4", "formal",
         sides={
             "left": lambda r: build_thm31_side("3_4_left", r.profile),
             "right": lambda r: build_thm31_side("3_4_right", r.profile),
@@ -992,7 +989,7 @@ _CHECKS = [
         details=lambda r: {"adjudication": _AS_FOUND},
     ),
     Check(
-        "thm3_5", "formal", "companion evaluation in b, q with pentagonal exponents",
+        "thm3_5", "formal",
         sides={
             "left": lambda r: build_thm31_side("3_5_left", r.profile),
             "right": lambda r: build_thm31_side("3_5_right", r.profile),

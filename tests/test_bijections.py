@@ -426,6 +426,52 @@ def test_inverse_refusing_a_mutant_marked_form_fails_the_round_trip(monkeypatch,
     assert not report.passed and report.revalidate()
 
 
+def _check_mutants():
+    """Faulty maps, each caught by one audit check that a check one step
+    looser would miss: (patched name, faulty map)."""
+    def extra_marker(p, M):  # one marker 2M more than len(p)
+        return Partition(sorted([*gamma(p, M), 2 * M], reverse=True))
+
+    def marker_2m_plus_1(p, M):  # one of the len(p) markers is 2M + 1
+        marked = [x - 2 * M for x in p if x > 2 * M] + [2 * M + 1] + [2 * M] * (len(p) - 1)
+        return Partition(sorted(marked, reverse=True))
+
+    def raised_last(lam):  # the conjugate with its last part raised by 2 where it stays a partition
+        parts = list(two_modular_conjugate(lam))
+        if len(parts) > 1 and parts[-1] + 2 <= parts[-2]:
+            parts[-1] += 2
+        return Partition(parts)
+
+    def extra_two(p, M):  # appends a part 2
+        return Partition(sorted([*gamma(p, M), 2], reverse=True))
+
+    return {
+        "extra marker 2M": ("gamma", extra_marker),
+        "marker 2M + 1": ("gamma", marker_2m_plus_1),
+        "conjugate last part + 2": ("two_modular_conjugate", raised_last),
+        "extra part 2": ("gamma", extra_two),
+    }
+
+
+@pytest.mark.parametrize("mutant, check, failed", [
+    # exact-section failures at box (3, 4); None: the check is a flag
+    pytest.param(mutant, check, failed, id=mutant) for mutant, check, failed in (
+        ("extra marker 2M", "middle_bounds", 88),  # length one past 2j
+        ("marker 2M + 1", "middle_bounds", 129),  # largest part one past 2M
+        ("conjugate last part + 2", "statistic_exchange", 47),  # against the marked form's grade
+        ("extra part 2", "middle_equals_domain", None),  # the gradings differ
+    )
+])
+def test_each_audit_check_catches_its_faulty_map(monkeypatch, mutant, check, failed):
+    monkeypatch.setattr(bijections, *_check_mutants()[mutant])
+    report = audit_bijection(BijectionBox(3, 4))
+    if failed is None:
+        assert getattr(report.exact, check) is False
+    else:
+        assert getattr(report.exact, check).failed == failed
+    assert not report.passed and report.revalidate()
+
+
 def test_conjugate_refusing_an_image_fails_the_involution(monkeypatch):
     # a conjugate that refuses its own results, so every image
     conjugate, made = bijections.two_modular_conjugate, {}

@@ -502,10 +502,22 @@ def test_map_gamma_inverse(capsys):
     assert out.splitlines()[0] == "20,17,13"
 
 
-def test_map_precondition_failure_names_it(capsys):
-    code, _, err = run_cli(capsys, "map", "--op", "gamma", "--M", "5", "--partition", "9")
+@pytest.mark.parametrize("argv, message", [
+    ("gamma --M 5 --partition 9", "every part must be >= 10 in 9"),
+    # each gamma_inverse guard refuses on its own: loosened, the final
+    # round-trip check would refuse with another message
+    ("gamma-inverse --j 1 --M 1 --partition 3,2", "every part must be <= 2 in 3,2"),
+    ("gamma-inverse --j 1 --M 2 --partition 4,3,1",
+     "4,3,1 keeps 2 remainders after removing 1 markers; at most 1 allowed"),
+    ("gamma-inverse --j 2 --M 2 --partition 4,4,1,1",
+     "4,4,1,1 is not in the image: odd parts would repeat"),
+    ("gamma-inverse --j -1 --M 1 --partition 2", "j must be >= 0, got -1"),
+], ids=["gamma", "inverse part above 2M", "inverse remainders", "inverse odd repeat",
+        "inverse negative j"])
+def test_map_precondition_failure_names_it(capsys, argv, message):
+    code, out, err = run_cli(capsys, "map", "--op", *argv.split())
     assert code == EXIT_USAGE
-    assert ">= 10" in err
+    assert (out, err) == ("", f"error: {message}\n")
 
 
 def test_map_missing_parameter(capsys):

@@ -50,6 +50,9 @@ _DOUBLING = "tests/test_series.py::test_q_division_by_doubling_matches_the_produ
 _INT_FILL = "            texts = [template % (a, b, t, q, x, y) for q, a, b, t, x, y in value.rows]"
 _SHIFT_ADD = "tests/test_series.py::test_shift_add_moves_cuts_merges_and_bounds_each_row"
 _SUBSTITUTE_CUT = "        x = _cut(_respace(v, width, k * width), width * (cap_q + 1))"
+_REFUSAL = "tests/test_cli.py::test_map_precondition_failure_names_it[inverse "
+_MIDDLE_BOUNDS = "    if lam_largest > 2 * M or lam_length > 2 * j:"
+_CAUGHT = "tests/test_bijections.py::test_each_audit_check_catches_its_faulty_map["
 
 LEDGER = [
     # compare_series: a row missing on one side must read as 0, not as a packed +-1
@@ -150,6 +153,31 @@ LEDGER = [
         _INT_FILL,
         _INT_FILL.replace("(a, b, t, q, x, y) for", "(a, b, t, q, y, x) for"),
         "tests/test_cli.py::test_thm34_table_at_the_heavy_caps_is_written_as_from_fractions",
+    ),
+    # gamma_inverse: each guard refuses with its own message; loosened, the
+    # final round-trip check refuses instead, with another
+    *(
+        Mutant("src/qsid/bijections.py", line, mutated, _REFUSAL + case + "]")
+        for line, mutated, case in (
+            ("    if lam and lam[0] > two_m:", "    if lam and lam[0] > two_m + 1:",
+             "part above 2M"),
+            ("    if len(leftover) > j:", "    if len(leftover) > j + 1:", "remainders"),
+            ("    if not preimage.is_odd_distinct():", "    if False:", "odd repeat"),
+            ("    if j < 0:", "    if j < -1:", "negative j"),
+        )
+    ),
+    # the audit: each check catches a faulty map that the check one step looser misses
+    *(
+        Mutant("src/qsid/bijections.py", line, mutated, _CAUGHT + case + "]")
+        for line, mutated, case in (
+            (_MIDDLE_BOUNDS, _MIDDLE_BOUNDS.replace("2 * j", "2 * j + 1"), "extra marker 2M"),
+            (_MIDDLE_BOUNDS, _MIDDLE_BOUNDS.replace("2 * M", "2 * M + 1"), "marker 2M + 1"),
+            ("        (lam_largest + 1) // 2, lam_length, lam_grade",
+             "        (lam_largest + 1) // 2, lam_length, image_grade",
+             "conjugate last part + 2"),
+            ("            middle_equals_domain=self.middle == self.domain,",
+             "            middle_equals_domain=True,", "extra part 2"),
+        )
     ),
 ]
 
