@@ -176,16 +176,17 @@ class BijectionBox:
             raise BijectionError(f"j and M must be >= 1, got j={self.j}, M={self.M}")
 
     def domain_constraints(self, variant: str) -> ConstraintSet:
-        kw = {"length": self.j} if variant == "exact" else {"max_length": self.j}
-        return ConstraintSet(
-            min_part=2 * self.M, max_part=4 * self.M, odd_parts_distinct=True, **kw
-        )
+        return _box_family(self.j, self.M, variant)
 
     def codomain_constraints(self, variant: str) -> ConstraintSet:
-        kw = {"length": self.M} if variant == "exact" else {"max_length": self.M}
-        return ConstraintSet(
-            min_part=2 * self.j, max_part=4 * self.j, odd_parts_distinct=True, **kw
-        )
+        return _box_family(self.M, self.j, variant)
+
+
+def _box_family(length: int, half: int, variant: str) -> ConstraintSet:
+    """Odd-distinct, parts in [2 * half, 4 * half], ``length`` parts
+    (exact) or at most ``length`` (printed): D(j, M) is (j, M), C(j, M) is (M, j)."""
+    kw = {"length": length} if variant == "exact" else {"max_length": length}
+    return ConstraintSet(min_part=2 * half, max_part=4 * half, odd_parts_distinct=True, **kw)
 
 
 @dataclass
@@ -195,10 +196,6 @@ class PropertyCount:
     passed: int
     failed: int
     failures: List[Tuple[str, str]]
-
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
 
 
 @dataclass
@@ -228,7 +225,7 @@ class MapAudit:
     @property
     def all_pass(self) -> bool:
         return (
-            all(getattr(self, name).ok for name in _POINTWISE)
+            not any(getattr(self, name).failed for name in _POINTWISE)
             and self.injective
             and self.surjective
             and self.genpoly_equal
@@ -313,17 +310,29 @@ def _not_in_codomain(image: Partition) -> Tuple[str, str]:
 
 def _pointwise(p: Partition, j: int, M: int, in_codomain: Callable[[Partition], bool]):
     """(gamma(p), its conjugate, a (property, note) pair per pointwise
-    property that p fails, p's grade, the marked form's grade); a grade
-    is the (odd count, weight) pair, and a note is formatted only for a
-    failure.
+    property that p fails, p's grade, the marked form's grade), None for
+    what a refusal left unbuilt; a grade is the (odd count, weight) pair,
+    and a note is formatted only for a failure.
 
-    Each partition's statistics are read once.  The inverse refusing the
-    marked form fails the round trip, and the conjugate refusing the
-    image fails the involution, with the refusal's text ending the note."""
-    lam = gamma(p, M)
-    image = two_modular_conjugate(lam)
+    Each partition's statistics are read once.  A map that refuses fails
+    one property, with the refusal's text ending the note: gamma refusing
+    p fails the round trip, and the conjugate refusing the marked form
+    fails codomain membership, each with no image and no further check;
+    the inverse refusing the marked form fails the round trip, and the
+    conjugate refusing the image fails the involution."""
+    grade = graded(p)
+    try:
+        lam = gamma(p, M)
+    except BijectionError as refusal:
+        return None, None, [("gamma_roundtrip", f"no marked form: {refusal}")], grade, None
+    lam_grade = graded(lam)
+    try:
+        image = two_modular_conjugate(lam)
+    except BijectionError as refusal:
+        note = f"conjugate of {lam.text()}: {refusal}"
+        return lam, None, [("codomain_membership", note)], grade, lam_grade
     failed = []
-    grade, lam_grade, image_grade = graded(p), graded(lam), graded(image)
+    image_grade = graded(image)
     (odd, weight), (image_odd, image_weight) = grade, image_grade
     lam_length, lam_largest = len(lam), lam[0] if lam else 0
     image_largest = image[0] if image else 0
@@ -357,7 +366,8 @@ class _Section:
     walked: failures and gradings, and per element only the set of marked
     forms and the image index.  The index maps each image to its first
     preimage; ``repeats`` lists the preimages of an image hit twice or
-    more, so an image hit once costs no list."""
+    more, so an image hit once costs no list.  An element a map refused
+    (``lam`` or ``image`` None) enters only what it has."""
 
     def __init__(self, variant: str, codomain: List[Partition]) -> None:
         self.variant = variant
@@ -370,13 +380,17 @@ class _Section:
         self.first: Dict[Partition, Partition] = {}
         self.repeats: Dict[Partition, List[Partition]] = {}
 
-    def record(self, p: Partition, lam: Partition, image: Partition, failed,
+    def record(self, p: Partition, lam: Optional[Partition], image: Optional[Partition], failed,
                grade: Tuple[int, int], lam_grade: Tuple[int, int]) -> None:
         for name, note in failed:
             self.failures[name].append((p.text(), note))
         self.domain[grade] += 1
+        if lam is None:
+            return
         self.middle[lam_grade] += 1
         self.marked.add(lam)
+        if image is None:
+            return
         first = self.first.setdefault(image, p)
         if first is not p:
             self.repeats.setdefault(image, [first]).append(p)

@@ -53,7 +53,6 @@ from .partitions import (
     ConstraintSet,
     Partition,
     PartitionFamily,
-    SuffixList,
     count_partitions,
     partition_family,
     refuse_over_limit,
@@ -186,10 +185,10 @@ def report_json(report: object) -> str:
     one fill of the shape's row template per int row: the mismatch
     template's ``lhs``/``rhs`` slots are quoted, so over den = 1 (every
     formal table) a row fills from its ints in JSON order (a, b, t, q,
-    lhs, rhs), over den > 1 from its values' reduced fractions' text.  It
-    writes a ``PartitionFamily`` (as its list of partitions) from its
-    blocks, a suffix's text its first part's text before its child list's
-    text where that list is shared.
+    lhs, rhs), over den > 1 from its values' reduced fractions' text.  A
+    ``PartitionFamily`` (written as its list of partitions) writes its own
+    member texts (``PartitionFamily.chunks``); this writer adds only the
+    JSON framing.
     What it has no path for (floats, True, False, None, non-string keys)
     goes through ``json.dumps``.
     """
@@ -223,7 +222,7 @@ def _json(value: object, nl: str) -> str:
         if not len(value):
             return "[]"
         deeper = inner + "  "
-        chunks = _family_chunks(value, "[" + deeper, "," + deeper, inner + "]", "[]", "," + inner)
+        chunks = value.chunks("[" + deeper, "," + deeper, inner + "]", "[]", "," + inner)
         # brackets on the end chunks, so the family's text is copied once
         chunks[0] = "[" + inner + chunks[0]
         chunks[-1] += nl + "]"
@@ -273,52 +272,6 @@ def _fraction_text(x: int, den: int) -> str:
 
 
 _MISMATCH_SHAPE = (("monomial", tuple("abtq")), ("lhs", '"%s"'), ("rhs", '"%s"'))
-
-
-def _family_chunks(family: PartitionFamily, start: str, sep: str, end: str,
-                   empty: str, between: str) -> List[str]:
-    """The family's members, each ``start + sep.join(parts) + end`` (``empty``
-    for no parts), with ``between`` between each two, in one chunk per block:
-    ``between.join`` of the chunks is the family's text.
-
-    Blocks share their suffix lists, so the texts of each block's list are
-    built once per call, and each prefix's once per block, as ``start +
-    sep.join(prefix)``; a block is then one join of its suffixes' texts
-    with the prefix's, and no member's text is built on its own.  A
-    suffix's text is ``sep + sep.join(parts) + end`` (``end`` alone for
-    the empty suffix), or, where its child list is written too (one of
-    ``family.lists``), ``sep + str(v)`` before the child's text of the
-    rest: one concatenation.  The texts are keyed by the id of their
-    list, which the family keeps alive for the whole call.
-    """
-    text = int.__repr__
-    written: Dict[int, List[str]] = {}
-
-    def texts(kept: SuffixList, lead: str, last: str) -> List[str]:
-        """``lead`` before each suffix's text, ``last`` for the empty suffix."""
-        out, at = [], 0
-        for v, child in kept.children:
-            tails = written.get(id(child))
-            if tails is None:
-                out += [lead + sep.join(map(text, s)) + end for s in kept[at:at + len(child)]]
-            else:
-                head = lead + text(v)
-                out += [head + t for t in tails]
-            at += len(child)
-        if kept and not kept[-1]:
-            out.append(last)
-        return out
-
-    for kept in family.lists:  # children first
-        written[id(kept)] = texts(kept, sep, end)
-    chunks = []
-    for prefix, kept in family.blocks:
-        if not prefix:  # the root: the whole family in one kept list, or ()
-            chunks.append(between.join(texts(kept, start, empty)))
-            continue
-        head = start + sep.join(map(text, prefix))
-        chunks.append(head + (between + head).join(written[id(kept)]))
-    return chunks
 
 
 def _emit(payload: str, path: Optional[str]) -> None:
@@ -467,7 +420,7 @@ def cmd_enumerate(args) -> _Result:
     return (
         EXIT_OK,
         lambda: report_json({"count": len(family), "partitions": family}),
-        lambda: "\n".join(_family_chunks(family, "", ",", "", "()", "\n")),
+        lambda: "\n".join(family.chunks("", ",", "", "()", "\n")),
     )
 
 

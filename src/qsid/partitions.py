@@ -115,8 +115,7 @@ class Partition(tuple):
         """Canonical text form; the empty partition renders as '()'."""
         return ",".join(map(str, self)) if self else "()"
 
-    def __str__(self) -> str:
-        return self.text()
+    __str__ = text
 
     def __repr__(self) -> str:
         return f"Partition(parts={tuple(self)!r})"
@@ -218,12 +217,11 @@ class SuffixList(list):
     ``children`` and each ``s`` in that child list, in order, then ``()``
     when the empty suffix is allowed.
 
-    ``children`` keeps how the list was composed, so a writer that has
-    written a child list can build the text of ``(v,) + s`` as ``v``'s
-    text before the text of ``s``, instead of writing every part again.
-    ``partition_family`` empties it on a list that no block holds and
-    that is not shared (see ``PartitionFamily``): no writer reads through
-    that list, and the lists below it can go.
+    ``children`` keeps how the list was composed, so once a child list
+    is written the text of ``(v,) + s`` is ``v``'s text before the text
+    of ``s`` (see ``PartitionFamily``).  ``partition_family`` empties it
+    on a list that no block holds and that is not shared: no writer
+    reads through that list, and the lists below it can go.
     """
 
     __slots__ = ("children",)
@@ -238,20 +236,20 @@ class SuffixList(list):
 class PartitionFamily:
     """A listed family as blocks: its members, in order, are ``prefix + s``
     for each ``(prefix, suffixes)`` block and each ``s`` in ``suffixes``,
-    a nonempty ``SuffixList`` that other blocks may share.
+    a nonempty ``SuffixList`` that other blocks may share.  ``len`` is
+    their number, and ``chunks`` writes their texts without building them.
 
     A suffix's text is its first part's text before its child list's
-    text, so ``lists`` holds the lists a writer builds texts for, each
-    after its children: each block's list, and each list that two or more
-    of them read (each ``(part, child)`` of a written list is one read).
-    The root block's list (empty prefix: the whole family) is read, not
-    written, since its texts are whole members.  A list read once is left
-    to its reader, which writes those suffixes from their parts, so a
-    chain of lists, each read only by the next, is written at its top
-    alone; and since a shared list's readers hold its suffixes again,
-    ``lists`` holds at most as many suffixes outside the blocks' lists as
-    in them.  A writer that writes them once each, in that order, writes
-    the family without building its members.  ``len`` is their number.
+    text, so ``lists`` holds the lists ``chunks`` builds texts for, once
+    each and each after its children: each block's list, and each list
+    that two or more of them read (each ``(part, child)`` of a written
+    list is one read).  The root block's list (empty prefix: the whole
+    family) is read, not written, since its texts are whole members.  A
+    list read once is left to its reader, which writes those suffixes
+    from their parts, so a chain of lists, each read only by the next, is
+    written at its top alone; and since a shared list's readers hold its
+    suffixes again, ``lists`` holds at most as many suffixes outside the
+    blocks' lists as in them.
     """
 
     __slots__ = ("blocks", "lists", "size")
@@ -279,6 +277,47 @@ class PartitionFamily:
 
     def __len__(self) -> int:
         return self.size
+
+    def chunks(self, start: str, sep: str, end: str, empty: str, between: str) -> List[str]:
+        """The members, each ``start + sep.join(parts) + end`` (``empty`` for
+        no parts), with ``between`` between each two, in one chunk per
+        block: ``between.join`` of the chunks is the family's text.
+
+        A suffix's text is ``sep + sep.join(parts) + end`` (``end`` alone
+        for the empty suffix), or, where its child list is one of
+        ``lists``, ``sep + str(v)`` before the child's text of the rest.
+        Each prefix's text is built once per block, as ``start +
+        sep.join(prefix)``, and a block is one join of it with its list's
+        texts, which are keyed by the list's id.
+        """
+        text = int.__repr__
+        written: Dict[int, List[str]] = {}
+
+        def texts(kept: SuffixList, lead: str, last: str) -> List[str]:
+            """``lead`` before each suffix's text, ``last`` for the empty suffix."""
+            out, at = [], 0
+            for v, child in kept.children:
+                tails = written.get(id(child))
+                if tails is None:
+                    out += [lead + sep.join(map(text, s)) + end for s in kept[at:at + len(child)]]
+                else:
+                    head = lead + text(v)
+                    out += [head + t for t in tails]
+                at += len(child)
+            if kept and not kept[-1]:
+                out.append(last)
+            return out
+
+        for kept in self.lists:  # children first
+            written[id(kept)] = texts(kept, sep, end)
+        chunks = []
+        for prefix, kept in self.blocks:
+            if not prefix:  # the root: the whole family in one kept list, or ()
+                chunks.append(between.join(texts(kept, start, empty)))
+                continue
+            head = start + sep.join(map(text, prefix))
+            chunks.append(head + (between + head).join(written[id(kept)]))
+        return chunks
 
 
 # The suffix list of a prefix listed after its extensions: the prefix alone.
@@ -313,13 +352,9 @@ def partition_family(c: ConstraintSet) -> PartitionFamily:
     its extensions is the block ``(prefix, [()])``.  Concatenated in
     order, the blocks list the family in descending-lex order.  The
     distinct suffix lists among them are few (109 lists of 7,738 suffixes
-    for the 33,772 odd-distinct partitions of weight at most 40), and a
-    suffix's text is its first part's text before its child list's text,
-    so a writer that builds each list's texts once, from a shared child
-    list's texts where it has them, and each prefix's once per block,
-    does text work that follows the lists, not the family.  The family
-    keeps the shared lists in the order they were built, children first.
-    The constraint set must be finite (see
+    for the 33,772 odd-distinct partitions of weight at most 40), so
+    ``PartitionFamily.chunks`` does text work that follows the lists, not
+    the family.  The constraint set must be finite (see
     ``ConstraintSet.effective_bounds``).
     """
     w_hi_eff = c.effective_bounds()[0]
@@ -570,10 +605,4 @@ class GeneratingPolynomial:
 
     def minus(self, other: "GeneratingPolynomial"):
         """Monomials (with positive multiplicity) present here beyond ``other``."""
-        rows = []
-        for k in set(self.counts) | set(other.counts):
-            d = self.counts.get(k, 0) - other.counts.get(k, 0)
-            if d > 0:
-                rows.append((k, d))
-        rows.sort(key=lambda r: (r[0][1], r[0][0]))
-        return rows
+        return [(k, x - y) for k, x, y in self.mismatches(other) if x > y]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsid import bijections, partitions
+from qsid import bijections, cli, partitions
 from qsid.bijections import (
     BijectionBox,
     BijectionError,
@@ -427,8 +427,9 @@ def test_inverse_refusing_a_mutant_marked_form_fails_the_round_trip(monkeypatch,
 
 
 def _check_mutants():
-    """Faulty maps, each caught by one audit check that a check one step
-    looser would miss: (patched name, faulty map)."""
+    """Faulty maps, (patched name, faulty map): the first four each caught
+    by one audit check that a check one step looser would miss, the last
+    two refusing where the true map does not."""
     def extra_marker(p, M):  # one marker 2M more than len(p)
         return Partition(sorted([*gamma(p, M), 2 * M], reverse=True))
 
@@ -445,11 +446,22 @@ def _check_mutants():
     def extra_two(p, M):  # appends a part 2
         return Partition(sorted([*gamma(p, M), 2], reverse=True))
 
+    def markers_2m_plus_1(p, M):  # every marker is 2M + 1, so two or more repeat
+        marked = [x - 2 * M for x in p if x > 2 * M] + [2 * M + 1] * len(p)
+        return Partition(sorted(marked, reverse=True))
+
+    def refuses_2m(p, M):  # refuses a part equal to 2M, which gamma takes
+        if p and p[-1] == 2 * M:
+            raise BijectionError(f"every part must be > {2 * M} in {p.text()}")
+        return gamma(p, M)
+
     return {
         "extra marker 2M": ("gamma", extra_marker),
         "marker 2M + 1": ("gamma", marker_2m_plus_1),
         "conjugate last part + 2": ("two_modular_conjugate", raised_last),
         "extra part 2": ("gamma", extra_two),
+        "markers all 2M + 1": ("gamma", markers_2m_plus_1),
+        "gamma refuses 2M": ("gamma", refuses_2m),
     }
 
 
@@ -489,6 +501,48 @@ def test_conjugate_refusing_an_image_fails_the_involution(monkeypatch):
     assert involution.failed == report.exact.domain_size
     assert all(note.startswith("conjugate^2 of ") and ": refused " in note
                for _, note in involution.failures)
+    assert not report.passed and report.revalidate()
+
+
+@pytest.mark.parametrize("mutant, check, refused", [
+    # at box (2, 3): the conjugate refuses every exact marked form (two
+    # markers 7); gamma refuses the 7 exact elements with a part 6
+    ("markers all 2M + 1", "codomain_membership", 25),
+    ("gamma refuses 2M", "gamma_roundtrip", 7),
+])
+def test_a_map_refusing_in_the_walk_fails_one_check(monkeypatch, capsys, mutant, check, refused):
+    monkeypatch.setattr(bijections, *_check_mutants()[mutant])
+    report = audit_bijection(BijectionBox(2, 3))
+    exact = report.exact
+    assert getattr(exact, check).failed == refused
+    for section in (exact, report.printed):
+        failures = [w for name in bijections._POINTWISE for w, _ in getattr(section, name).failures]
+        refusals = 0
+        for witness, note in getattr(section, check).failures:
+            try:
+                bijections.two_modular_conjugate(bijections.gamma(P(witness), 3))
+            except BijectionError as refusal:
+                assert note.endswith(f": {refusal}")
+                assert failures.count(witness) == 1  # one failure, in one check
+                refusals += 1
+        assert refusals == refused if section is exact else refusals >= refused
+    # a refused element enters no image index: the bijection's images
+    # of the refused elements are the only unhit members
+    assert exact.injective and len(exact.unhit) == refused
+    assert not report.passed and report.revalidate()
+    assert cli.main(["audit", "--j", "2", "--M", "3"]) == 1
+    assert capsys.readouterr().out.endswith("result: FAIL\n")
+
+
+def test_inverse_returning_a_wrong_preimage_fails_the_round_trip(monkeypatch):
+    # no refusal: the note names the marked form alone
+    monkeypatch.setattr(bijections, "gamma_inverse",
+                        lambda lam, j, M: Partition(gamma_inverse(lam, j, M)[1:]))
+    report = audit_bijection(BijectionBox(2, 3))
+    roundtrip = report.exact.gamma_roundtrip
+    assert roundtrip.failed == report.exact.domain_size
+    assert roundtrip.failures == [(w, f"marked form {gamma(P(w), 3).text()}")
+                                  for w, _ in roundtrip.failures]
     assert not report.passed and report.revalidate()
 
 

@@ -179,6 +179,24 @@ def test_product_sides_refuse_a_zero_divisor(capsys, identity, appears, params, 
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    # each base must be q^k with k >= 1: at k = 0 the closed-form tail divides by 1 - q^0
+    (["f_sym", "--mode", "rational", "--alpha", "1/2", "--beta", "1/3", "--k1", "0", "--k2", "1"],
+     "x_exp and y_exp must be >= 1, got 0, 1"),
+    (["f_sym", "--mode", "rational", "--alpha", "1/2", "--beta", "1/3", "--k1", "2", "--k2", "0"],
+     "x_exp and y_exp must be >= 1, got 2, 0"),
+    *((["chain_" + step, "--a", "2", "--b", b, "--t", t], f"parameter {name} must differ from 1 "
+       f"(1 - {name} divides)")
+      for step in ("shift", "fine", "final")
+      for name, b, t in (("b", "1", "1/5"), ("t", "2/3", "1"))),
+    (["eq2_3", "--a", "2", "--b", "1/3", "--N=-1"], "N must be >= 0, got -1"),
+    (["qps_2_1", "--a", "2", "--b", "1/3", "--c", "1/5", "--N=-2"], "N must be >= 0, got -2"),
+])
+def test_verify_refuses_a_parameter_out_of_range_by_name(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", "--identity", *argv, "--qmax", "5")
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -393,6 +411,29 @@ def test_audit_witness_that_does_not_replay_is_an_internal_error(capsys, monkeyp
     assert err == "error: internal: a failure witness of box j=2, M=3 does not replay\n"
 
 
+def test_audit_collision_that_does_not_replay_is_an_internal_error(capsys, monkeypatch):
+    # a conjugate cut to its first two parts collides; one preimage of the
+    # first collision is then swapped for a member whose image differs
+    conjugate = bijections.two_modular_conjugate
+    monkeypatch.setattr(bijections, "two_modular_conjugate", lambda lam: Partition(conjugate(lam)[:2]))
+    replayed = []
+
+    def tampered(box, enum_limit=None):
+        report = audit_bijection(box, enum_limit)
+        assert report.revalidate()
+        image, preimages = report.exact.collisions[0]
+        stranger = next(p for p in ("12,12", "12,6") if p not in preimages)
+        report.exact.collisions[0] = (image, [*preimages[:-1], stranger])
+        replayed.append(report)
+        return report
+
+    monkeypatch.setattr(cli, "audit_bijection", tampered)
+    code, out, err = run_cli(capsys, "audit", "--j", "2", "--M", "3")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: internal: a failure witness of box j=2, M=3 does not replay\n"
+    assert not replayed[0].revalidate()
+
+
 def test_audit_of_a_gamma_the_inverse_refuses_reports_fail(capsys, monkeypatch):
     # markers 2M + 2: gamma_inverse refuses every marked form, a round-trip
     # failure of the audit, not a usage error
@@ -512,8 +553,10 @@ def test_map_gamma_inverse(capsys):
     ("gamma-inverse --j 2 --M 2 --partition 4,4,1,1",
      "4,4,1,1 is not in the image: odd parts would repeat"),
     ("gamma-inverse --j -1 --M 1 --partition 2", "j must be >= 0, got -1"),
+    ("gamma-inverse --M 3 --partition 6,6", "--M and --j are required for gamma-inverse"),
+    ("gamma-inverse --j 2 --partition 6,6", "--M and --j are required for gamma-inverse"),
 ], ids=["gamma", "inverse part above 2M", "inverse remainders", "inverse odd repeat",
-        "inverse negative j"])
+        "inverse negative j", "inverse without j", "inverse without M"])
 def test_map_precondition_failure_names_it(capsys, argv, message):
     code, out, err = run_cli(capsys, "map", "--op", *argv.split())
     assert code == EXIT_USAGE

@@ -433,6 +433,22 @@ def test_run_case_unknown_and_unsupported():
         run_case("thm1_1", mode="formal")  # missing profile
 
 
+def test_run_case_rational_mode_needs_an_assignment_and_cap_q():
+    assign = RationalAssignment.make(a=2, b="1/3", N=2)
+    for given in ({"cap_q": 8}, {"assign": assign}):
+        with pytest.raises(SeriesError) as refusal:
+            run_case("eq2_3", mode="rational", **given)
+        assert str(refusal.value) == "rational mode needs an assignment and cap_q"
+
+
+def test_thm31_side_refuses_an_unknown_side():
+    with pytest.raises(SeriesError) as refusal:
+        build_thm31_side("3_6_left", PROF)
+    assert str(refusal.value) == (
+        "side must be one of 3_4_left, 3_4_right, 3_5_left, 3_5_right; got '3_6_left'"
+    )
+
+
 def test_run_case_requires_parameters():
     with pytest.raises(SeriesError):
         run_case("eq2_3", mode="rational",

@@ -371,7 +371,7 @@ def test_block_writer_matches_json_dumps_on_any_blocks(family):
     assert report_json({"count": len(family), "partitions": family}) == json.dumps(
         {"count": len(rows), "partitions": [list(row) for row in rows]}, indent=2
     )
-    assert "\n".join(cli._family_chunks(family, "", ",", "", "()", "\n")) == "\n".join(
+    assert "\n".join(family.chunks("", ",", "", "()", "\n")) == "\n".join(
         ",".join(map(str, row)) or "()" for row in rows
     )
 

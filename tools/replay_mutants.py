@@ -53,6 +53,7 @@ _SUBSTITUTE_CUT = "        x = _cut(_respace(v, width, k * width), width * (cap_
 _REFUSAL = "tests/test_cli.py::test_map_precondition_failure_names_it[inverse "
 _MIDDLE_BOUNDS = "    if lam_largest > 2 * M or lam_length > 2 * j:"
 _CAUGHT = "tests/test_bijections.py::test_each_audit_check_catches_its_faulty_map["
+_BY_NAME = "tests/test_cli.py::test_verify_refuses_a_parameter_out_of_range_by_name"
 
 LEDGER = [
     # compare_series: a row missing on one side must read as 0, not as a packed +-1
@@ -106,6 +107,16 @@ LEDGER = [
         _F_TERM,
         _F_TERM.replace("k1 * (n - k)", "k1 * (n + k)"),
         "tests/test_identities.py::test_f_sym_rational_left_side_matches_the_closed_form",
+    ),
+    # a parameter out of range is refused by name, before the kernel meets
+    # it: q^0 as an f_sym base (then a ZeroDivisionError), b = 1 in a chain
+    # case (then the kernel's refusal of its factor (1 - b))
+    *(
+        Mutant("src/qsid/identities.py", line, mutated, _BY_NAME)
+        for line, mutated in (
+            ("    if k1 < 1 or k2 < 1:", "    if k1 < 0 or k2 < 0:"),
+            ("    if run.assign.b == 1:", "    if False:"),
+        )
     ),
     # a prefactor stepped into summand 0 must refuse on its own, under its own label
     Mutant(
