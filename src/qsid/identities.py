@@ -164,30 +164,35 @@ def _sum_side(profile: TruncationProfile, q_mult: int, with_numerator: bool) -> 
     with numerator prod_{k=0..n-1} (1 + a * b * q^(q_mult*(n+k) + 1)).
     The n-th term's lowest t-degree is n, so summing n up to cap_t is exact.
 
-    Term 0 is 1 / (1 - b), and term n + 1 is term n times the exact
-    ratio (s = q_mult)
+    The sum is graded by t: term n is t^n times a series x_n in a, b, q.
+    x_0 is 1 / (1 - b), and x_(n+1) is x_n times the exact ratio
+    (s = q_mult)
 
-        t * (1 + a*b*q^(2sn+1)) (1 + a*b*q^(s(2n+1)+1)) / (1 + a*b*q^(sn+1))
+        (1 + a*b*q^(2sn+1)) (1 + a*b*q^(s(2n+1)+1)) / (1 + a*b*q^(sn+1))
           * (1 - b*q^(sn)) / ((1 - b*q^(s(2n+1))) (1 - b*q^(s(2n+2))))
 
     (the numerator binomials only ``with_numerator``): six binomial passes
-    and one monomial shift per n.  Every divisor moves a capped variable,
-    so it is a unit of the truncated ring and the step is exact there.
+    per n.  Every divisor moves a capped variable, so it is a unit of the
+    truncated ring and the step is exact there.  Each x_n is written at
+    t^n as it is built (``TruncatedSeries._stacked``): no pass shifts it
+    by t or adds it into a total.
     """
-    term = TruncatedSeries.one(profile).over_binomial(1, Monomial(e_b=1))
-    total = term
-    s = q_mult
-    for n in range(profile.cap_t):
-        term = term.times_monomial(1, Monomial(e_t=1))
-        if with_numerator:
-            term = term.times_binomial(-1, Monomial(e_a=1, e_b=1, e_q=2 * s * n + 1))
-            term = term.times_binomial(-1, Monomial(e_a=1, e_b=1, e_q=s * (2 * n + 1) + 1))
-            term = term.over_binomial(-1, Monomial(e_a=1, e_b=1, e_q=s * n + 1))
-        term = term.times_binomial(1, Monomial(e_b=1, e_q=s * n))
-        term = term.over_binomial(1, Monomial(e_b=1, e_q=s * (2 * n + 1)))
-        term = term.over_binomial(1, Monomial(e_b=1, e_q=s * (2 * n + 2)))
-        total = total + term
-    return total
+
+    def strata():
+        term = TruncatedSeries.one(profile).over_binomial(1, Monomial(e_b=1))
+        yield 0, term
+        s = q_mult
+        for n in range(profile.cap_t):
+            if with_numerator:
+                term = term.times_binomial(-1, Monomial(e_a=1, e_b=1, e_q=2 * s * n + 1))
+                term = term.times_binomial(-1, Monomial(e_a=1, e_b=1, e_q=s * (2 * n + 1) + 1))
+                term = term.over_binomial(-1, Monomial(e_a=1, e_b=1, e_q=s * n + 1))
+            term = term.times_binomial(1, Monomial(e_b=1, e_q=s * n))
+            term = term.over_binomial(1, Monomial(e_b=1, e_q=s * (2 * n + 1)))
+            term = term.over_binomial(1, Monomial(e_b=1, e_q=s * (2 * n + 2)))
+            yield n + 1, term
+
+    return TruncatedSeries._stacked(profile, 2, strata())
 
 
 def build_thm11_side(profile: TruncationProfile) -> TruncatedSeries:
@@ -240,14 +245,17 @@ def build_eq31_partition_side(profile: TruncationProfile) -> TruncatedSeries:
 
 
 def _f_by_summands(profile: TruncationProfile) -> TruncatedSeries:
-    """f(b, t) = sum_n t^n / (b*q^n; q)_{n+1}, each summand t^n over its own n + 1 binomials."""
-    total = TruncatedSeries.zero(profile)
-    for n in range(profile.cap_t + 1):
-        term = TruncatedSeries.term(profile, 1, e_t=n)
-        for k in range(n + 1):
-            term = term.over_binomial(1, Monomial(e_b=1, e_q=n + k))
-        total = total + term
-    return total
+    """f(b, t) = sum_n t^n / (b*q^n; q)_{n+1}: each summand is 1 over its own
+    n + 1 binomials, written at t^n (``TruncatedSeries._stacked``)."""
+
+    def strata():
+        for n in range(profile.cap_t + 1):
+            term = TruncatedSeries.one(profile)
+            for k in range(n + 1):
+                term = term.over_binomial(1, Monomial(e_b=1, e_q=n + k))
+            yield n, term
+
+    return TruncatedSeries._stacked(profile, 2, strata())
 
 
 def eq31_substitution_path(profile: TruncationProfile) -> TruncatedSeries:
@@ -299,6 +307,36 @@ def _thm31_left(profile: TruncationProfile, with_a: bool) -> TruncatedSeries:
     return TruncatedSeries._from_rows(profile, rows, bounds, width, 1, cap_q)
 
 
+def _thm31_right(
+    profile: TruncationProfile, with_a: bool
+) -> Iterator[Tuple[int, TruncatedSeries]]:
+    """The pairs (n, y_n) of 3_4_right (``with_a``) or 3_5_right, as in ``build_thm31_side``.
+
+    y_n is free of b, so a 3_4 summand keeps its constant term: the sum
+    stops at n = cap_b, or once a 3_5 summand's q-order is past cap_q.
+    """
+    if with_a:
+        term = TruncatedSeries.one(profile).times_binomial(1, Monomial(e_a=1, e_q=2))
+    else:
+        term = TruncatedSeries.term(profile, -1, e_q=2)
+    term = term.over_binomial(1, Monomial(e_q=1)).over_binomial(1, Monomial(e_q=2))
+    n = 1
+    while n <= profile.cap_b and not term.is_zero():
+        yield n, term
+        if n == profile.cap_b:
+            return  # y_(cap_b + 1) would not be written
+        if with_a:
+            term = term.times_binomial(1, Monomial(e_a=1, e_q=2 * n + 1))
+            term = term.times_binomial(1, Monomial(e_a=1, e_q=2 * n + 2))
+            term = term.over_binomial(1, Monomial(e_a=1, e_q=n + 1))
+        else:
+            term = term.times_monomial(-1, Monomial(e_q=3 * n + 2))
+        term = term.times_binomial(1, Monomial(e_q=n))
+        term = term.over_binomial(1, Monomial(e_q=2 * n + 1))
+        term = term.over_binomial(1, Monomial(e_q=2 * n + 2))
+        n += 1
+
+
 def build_thm31_side(which: str, profile: TruncationProfile) -> TruncatedSeries:
     """Sides of the two companion series evaluations (variables a, b, q only).
 
@@ -341,41 +379,24 @@ def build_thm31_side(which: str, profile: TruncationProfile) -> TruncatedSeries:
     true digits on q^0 .. q^cap_q are >= 0 and sum below 2^(W-2), so their
     packed value lies in [0, 2^(W*(cap_q + 1))) and is that residue.
 
-    The right sides step their summands by their exact ratios, a few
-    binomial passes each; every divisor carries b or q, so it is a unit of
-    the truncated ring.  They step summand n to n + 1, starting from
-    summand 1:
+    The right sides are graded by b: summand n is b^n times a series y_n
+    in a and q.  They step y_n to y_(n+1) by its exact ratio, a few
+    binomial passes; every divisor carries a or q, so it is a unit of the
+    truncated ring.  Starting from y_1 the ratios are
 
-    3_4_right  b (1-aq^(2n+1)) (1-aq^(2n+2)) / (1-aq^(n+1))
+    3_4_right  (1-aq^(2n+1)) (1-aq^(2n+2)) / (1-aq^(n+1))
                * (1-q^n) / ((1-q^(2n+1)) (1-q^(2n+2)))
-    3_5_right  -b q^(3n+2) (1-q^n) / ((1-q^(2n+1)) (1-q^(2n+2)))
+    3_5_right  -q^(3n+2) (1-q^n) / ((1-q^(2n+1)) (1-q^(2n+2)))
+
+    and each y_n is written at b^n with the leading minus folded in
+    (``TruncatedSeries._stacked``): no pass shifts it by b, adds it into a
+    total or negates the total.
     """
     if which in ("3_4_left", "3_5_left"):
         return _thm31_left(profile, which == "3_4_left")
     if which in ("3_4_right", "3_5_right"):
-        with_a = which == "3_4_right"
-        if with_a:
-            term = TruncatedSeries.term(profile, 1, e_b=1)
-            term = term.times_binomial(1, Monomial(e_a=1, e_q=2))
-        else:
-            term = TruncatedSeries.term(profile, -1, e_b=1, e_q=2)
-        term = term.over_binomial(1, Monomial(e_q=1)).over_binomial(1, Monomial(e_q=2))
-        total = TruncatedSeries.zero(profile)
-        n = 1
-        while not term.is_zero():  # summand n is 0 once b^n or its q-order is over cap
-            total = total + term
-            if with_a:
-                term = term.times_monomial(1, Monomial(e_b=1))
-                term = term.times_binomial(1, Monomial(e_a=1, e_q=2 * n + 1))
-                term = term.times_binomial(1, Monomial(e_a=1, e_q=2 * n + 2))
-                term = term.over_binomial(1, Monomial(e_a=1, e_q=n + 1))
-            else:
-                term = term.times_monomial(-1, Monomial(e_b=1, e_q=3 * n + 2))
-            term = term.times_binomial(1, Monomial(e_q=n))
-            term = term.over_binomial(1, Monomial(e_q=2 * n + 1))
-            term = term.over_binomial(1, Monomial(e_q=2 * n + 2))
-            n += 1
-        return -total
+        strata = _thm31_right(profile, which == "3_4_right")
+        return TruncatedSeries._stacked(profile, 1, strata, -1)
     raise SeriesError(
         f"side must be one of 3_4_left, 3_4_right, 3_5_left, 3_5_right; got {which!r}"
     )

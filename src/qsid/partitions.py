@@ -95,9 +95,17 @@ class Partition(tuple):
         return self[0] if self else 0
 
     def is_odd_distinct(self) -> bool:
-        """True iff no odd part value occurs more than once."""
-        odds = [p for p in self if p & 1]
-        return len(odds) == len(set(odds))
+        """True iff no odd part value occurs more than once.
+
+        The parts are weakly decreasing, so a repeated value repeats next
+        to itself: one scan for two equal adjacent odd parts decides it.
+        """
+        prev = 0
+        for p in self:
+            if p == prev and p & 1:
+                return False
+            prev = p
+        return True
 
     @classmethod
     def parse(cls, text: str) -> "Partition":

@@ -33,13 +33,16 @@ to cap_q + 1 slots.
 Every q-shifted factorial factor is a binomial (1 - c*x^m) in one
 monomial x^m, with c = +-1 in the paper's identities, so
 ``times_binomial`` and ``over_binomial`` apply one such factor, or its
-inverse, in a single pass over the rows; with ``times_monomial`` shifts
-they build every side but two.  Their c is an int, and any other is
-refused (rational parameters belong to rational mode); a rational scalar
-p/r (``times_monomial``, ``*``) multiplies p into the rows and r into
-``den``.  The Theorem 3.4/3.5 left sides have rows in closed form,
-sums of shifted products of Gaussian binomials, and read them from
-``gaussian_binomials``, a packed table built by the q-Pascal recurrence.
+inverse, in a single pass over the rows; they build every side but two.
+Their c is an int, and any other is refused (rational parameters belong
+to rational mode); a rational scalar p/r (``times_monomial``, ``*``)
+multiplies p into the rows and r into ``den``.  The paper's sums are
+graded, summand n carrying b^n or t^n: each summand is built free of
+that variable, and ``_stacked`` writes its rows at that power as it
+comes, with no shift or add pass.  The Theorem 3.4/3.5 left sides have
+rows in closed form, sums of shifted products of Gaussian binomials, and
+read them from ``gaussian_binomials``, a packed table built by the
+q-Pascal recurrence.
 Multiplying, adding and shifting are one pass, s + c*x^m*y, adding
 ``c * (y[k] << W*e)`` into ``out[k+m]`` per row of y (m = (a, b, t) step,
 e its q-exponent); dividing walks each chain up the step,
@@ -500,6 +503,48 @@ class TruncatedSeries:
         valid = self.valid_to_q if valid_to_q is None else valid_to_q
         return TruncatedSeries._from_rows(
             profile or self.profile, rows, bounds, self.width, den or self.den, valid)
+
+    @classmethod
+    def _stacked(cls, profile, axis, strata, sign=1):
+        """sum_n sign * x_n * v^n, v = b (axis 1) or t (axis 2), written
+        from the pairs (n, x_n) of ``strata`` as they arrive; sign is +-1.
+
+        Each x_n is free of v, so its rows and bounds go to exponent n on
+        that axis unchanged (negated for sign -1), and no two strata meet:
+        there is no add pass.  The sum sits at the widest W so far: the
+        rows already written are re-spaced once when a wider stratum
+        arrives, and a narrower one is widened to it.  It is over the
+        strata's one den and valid to their least valid_to_q; with no
+        strata it is the zero series.  A stratum with a row off exponent 0
+        on the axis, an n outside 0..v's cap, or another den or profile is
+        refused (``SeriesError``) before any of its rows is written.
+        """
+        cap, name = profile.caps[axis], "abt"[axis]
+        rows, bounds, width, den, valid = {}, {}, _slot_width(0), None, profile.cap_q
+        for n, x in strata:
+            if x.profile != profile:
+                raise ProfileMismatchError(
+                    f"stratum {n} has caps {x.profile.caps}, not {profile.caps}")
+            if not 0 <= n <= cap:
+                raise SeriesError(f"stratum index {n} is outside 0..cap_{name}={cap}")
+            if den is None:
+                den = x.den
+            elif x.den != den:
+                raise SeriesError(f"stratum {n} is over den {x.den}, not {den}")
+            if axis == 1:
+                keys = [(a, n, t) for a, b, t in x.rows if not b]
+            else:
+                keys = [(a, b, n) for a, b, t in x.rows if not t]
+            if len(keys) < len(x.rows):
+                raise SeriesError(f"stratum {n} has a row off {name}^0")
+            if x.width > width:
+                rows = {k: _respace(v, width, x.width) for k, v in rows.items()}
+                width = x.width
+            x = x._widened(width)
+            rows.update(zip(keys, x.rows.values() if sign == 1 else [-v for v in x.rows.values()]))
+            bounds.update(zip(keys, map(x.bounds.__getitem__, x.rows)))
+            valid = min(valid, x.valid_to_q)
+        return cls._from_rows(profile, rows, bounds, width, 1 if den is None else den, valid)
 
     # ---------------------------------------------------------------- basics
 

@@ -27,6 +27,8 @@ from qsid.series import (
     compare_series,
     invert_one_minus,
     pochhammer_finite,
+    shift_a_by_q,
+    substitute_q_power,
     swap_b_t,
 )
 
@@ -582,6 +584,138 @@ def test_stepped_builders_match_reference(caps):
     for stepped, reference in pairs:
         assert stepped.terms == reference.terms
         assert stepped.valid_to_q == reference.valid_to_q
+
+
+# ------------------------------------- graded builders vs per-summand loops
+
+
+def per_summand_sum_side(profile, q_mult, with_numerator):
+    """The symmetric left sides as summed before strata were written: each
+    summand shifted up by t, then added into the total."""
+    term = TruncatedSeries.one(profile).over_binomial(1, Monomial(e_b=1))
+    total = term
+    s = q_mult
+    for n in range(profile.cap_t):
+        term = term.times_monomial(1, Monomial(e_t=1))
+        if with_numerator:
+            term = term.times_binomial(-1, Monomial(e_a=1, e_b=1, e_q=2 * s * n + 1))
+            term = term.times_binomial(-1, Monomial(e_a=1, e_b=1, e_q=s * (2 * n + 1) + 1))
+            term = term.over_binomial(-1, Monomial(e_a=1, e_b=1, e_q=s * n + 1))
+        term = term.times_binomial(1, Monomial(e_b=1, e_q=s * n))
+        term = term.over_binomial(1, Monomial(e_b=1, e_q=s * (2 * n + 1)))
+        term = term.over_binomial(1, Monomial(e_b=1, e_q=s * (2 * n + 2)))
+        total = total + term
+    return total
+
+
+def per_summand_f(profile):
+    total = TruncatedSeries.zero(profile)
+    for n in range(profile.cap_t + 1):
+        term = TruncatedSeries.term(profile, 1, e_t=n)
+        for k in range(n + 1):
+            term = term.over_binomial(1, Monomial(e_b=1, e_q=n + k))
+        total = total + term
+    return total
+
+
+def per_summand_thm31_right(which, profile):
+    """The right sides stepped with b in each summand, added up, then negated."""
+    with_a = which == "3_4_right"
+    if with_a:
+        term = TruncatedSeries.term(profile, 1, e_b=1)
+        term = term.times_binomial(1, Monomial(e_a=1, e_q=2))
+    else:
+        term = TruncatedSeries.term(profile, -1, e_b=1, e_q=2)
+    term = term.over_binomial(1, Monomial(e_q=1)).over_binomial(1, Monomial(e_q=2))
+    total = TruncatedSeries.zero(profile)
+    n = 1
+    while not term.is_zero():  # summand n is 0 once b^n or its q-order is over cap
+        total = total + term
+        if with_a:
+            term = term.times_monomial(1, Monomial(e_b=1))
+            term = term.times_binomial(1, Monomial(e_a=1, e_q=2 * n + 1))
+            term = term.times_binomial(1, Monomial(e_a=1, e_q=2 * n + 2))
+            term = term.over_binomial(1, Monomial(e_a=1, e_q=n + 1))
+        else:
+            term = term.times_monomial(-1, Monomial(e_b=1, e_q=3 * n + 2))
+        term = term.times_binomial(1, Monomial(e_q=n))
+        term = term.over_binomial(1, Monomial(e_q=2 * n + 1))
+        term = term.over_binomial(1, Monomial(e_q=2 * n + 2))
+        n += 1
+    return -total
+
+
+def bt_swapped(profile):
+    return TruncationProfile(profile.cap_a, profile.cap_t, profile.cap_b, profile.cap_q)
+
+
+# name -> (builder, its per-summand reference)
+GRADED_BUILDERS = {
+    "thm1_1 left": (build_thm11_side, lambda p: per_summand_sum_side(p, 1, True)),
+    "thm1_1 right": (
+        lambda p: formal_right("thm1_1", p),
+        lambda p: swap_b_t(per_summand_sum_side(bt_swapped(p), 1, True)),
+    ),
+    "f_sym left": (build_f_series, lambda p: per_summand_sum_side(p, 1, False)),
+    "eq3_1 left": (build_eq31_side, lambda p: per_summand_sum_side(p, 2, True)),
+    "substitution path": (
+        eq31_substitution_path,
+        lambda p: shift_a_by_q(substitute_q_power(per_summand_sum_side(p, 1, True), 2), -1),
+    ),
+    "reduction_a0 right": (identities._f_by_summands, per_summand_f),
+    "3_4_right": (
+        lambda p: build_thm31_side("3_4_right", p),
+        lambda p: per_summand_thm31_right("3_4_right", p),
+    ),
+    "3_5_right": (
+        lambda p: build_thm31_side("3_5_right", p),
+        lambda p: per_summand_thm31_right("3_5_right", p),
+    ),
+}
+GRADED_CAPS = REFERENCE_CAPS + [
+    # the bench rungs
+    (12, 12, 12, 88), (12, 12, 0, 88), (10, 12, 12, 72), (12, 12, 12, 64), (12, 12, 0, 64),
+    (12, 12, 12, 116),
+    # no b strata past b^0, no t strata past t^0, and the heaviest CI rung
+    (3, 0, 3, 20), (3, 3, 0, 20), (20, 20, 20, 801),
+]
+
+
+@pytest.mark.parametrize("caps", GRADED_CAPS, ids=str)
+def test_graded_builders_match_the_per_summand_loops(caps):
+    # The same rows, bounds, W, den and validity as shifting each summand
+    # to its power of b or t and adding it into a total.
+    prof = TruncationProfile(*caps)
+    for name, (build, reference) in GRADED_BUILDERS.items():
+        got, want = build(prof), reference(prof)
+        assert got.rows == want.rows, name
+        assert got.bounds == want.bounds, name
+        assert (got.width, got.den, got.valid_to_q) == (want.width, want.den, want.valid_to_q), name
+
+
+def test_graded_builders_neither_add_nor_shift_by_b_or_t(monkeypatch):
+    # Each summand is built free of its grading variable and written at its
+    # power (TruncatedSeries._stacked): no add, subtract or negate pass, and
+    # no monomial shift carrying b or t.
+    prof = TruncationProfile(3, 4, 4, 16)
+    shift = TruncatedSeries.times_monomial
+
+    def guarded(self, c, m):
+        assert not (m[1] or m[2]), "grading shift in a graded builder"
+        return shift(self, c, m)
+
+    def forbidden(self, *other):
+        raise AssertionError("add pass in a graded builder")
+
+    monkeypatch.setattr(TruncatedSeries, "times_monomial", guarded)
+    for name in ("__add__", "__radd__", "__sub__", "__neg__"):
+        monkeypatch.setattr(TruncatedSeries, name, forbidden)
+    for build, _ in GRADED_BUILDERS.values():
+        assert not build(prof).is_zero()
+    with pytest.raises(AssertionError, match="grading shift"):
+        per_summand_sum_side(prof, 1, True)
+    with pytest.raises(AssertionError, match="add pass"):
+        per_summand_f(prof)
 
 
 @pytest.mark.parametrize("which", ["3_4_right", "3_5_right"])

@@ -70,6 +70,16 @@ def test_odd_distinct_examples():
     assert Partition().is_odd_distinct()
 
 
+@given(st.lists(st.integers(1, 9), max_size=12))
+@example([3, 3])
+@example([7, 5, 5, 5, 2, 2])
+def test_odd_distinct_scan_matches_the_set_definition(parts):
+    # the scan reads adjacent parts only, which is exact on weakly decreasing parts
+    p = Partition(sorted(parts, reverse=True))
+    odds = [x for x in p if x % 2]
+    assert p.is_odd_distinct() == (len(odds) == len(set(odds)))
+
+
 # -------------------------------------------------------------- enumeration
 
 

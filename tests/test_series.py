@@ -917,6 +917,76 @@ def test_shift_add_moves_cuts_merges_and_bounds_each_row():
     assert (one_plus_b - term(prof, 2, b=1)).terms == {(0, 0, 0, 0): 1, (0, 1, 0, 0): -1}
 
 
+# ------------------------------------------------------------ graded sums
+
+
+def same_rows(x, y):
+    return (x.rows, x.bounds, x.width, x.den, x.valid_to_q, x.profile) == (
+        y.rows, y.bounds, y.width, y.den, y.valid_to_q, y.profile)
+
+
+def graded_sum(profile, axis, strata, sign=1):
+    """The sum of sign * x_n * v^n by monomial shifts and adds, from zero."""
+    total = TruncatedSeries.zero(profile)
+    for n, x in strata:
+        total = total + x.times_monomial(sign, Monomial(**{f"e_{'abt'[axis]}": n}))
+    return total
+
+
+def test_stacked_with_no_strata_is_the_zero_series():
+    got = TruncatedSeries._stacked(PROF, 2, iter(()), -1)
+    assert got.is_zero() and same_rows(got, -TruncatedSeries.zero(PROF))
+    assert (got.width, got.den, got.valid_to_q) == (32, 1, PROF.cap_q)
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_stacked_writes_each_stratum_at_its_power(axis, sign):
+    prof = TruncationProfile(2, 3, 3, 8)
+    x0 = TruncatedSeries.one(prof).over_binomial(1, (1, 0, 0, 1))  # 1/(1 - a q)
+    x2 = term(prof, 3, q=2) + term(prof, -1, a=2, q=5)
+    strata = [(0, x0), (2, x2), (3, TruncatedSeries.zero(prof, 6))]
+    got = TruncatedSeries._stacked(prof, axis, iter(strata), sign)
+    assert same_rows(got, graded_sum(prof, axis, strata, sign))
+    assert got.valid_to_q == 6
+
+
+def test_stacked_respaces_the_rows_written_when_a_wider_stratum_arrives():
+    prof = TruncationProfile(1, 0, 3, 6)
+    narrow = term(prof, 1, q=3) + term(prof, -2, a=1, q=1)
+    wide = term(prof, 2**40, q=2) + term(prof, 5, a=1)  # W = 64
+    strata = [(0, narrow), (1, wide), (3, narrow)]  # the last one is widened
+    assert (narrow.width, wide.width) == (32, 64)
+    got = TruncatedSeries._stacked(prof, 2, iter(strata), -1)
+    assert got.width == 64 and same_rows(got, graded_sum(prof, 2, strata, -1))
+    assert got.terms[(1, 0, 3, 1)] == 2 and got.terms[(0, 0, 1, 2)] == -(2**40)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((1, term(PROF, 1, t=1)), "row off t\\^0"),  # a stratum carrying the stacked variable
+    ((PROF.cap_t + 1, TruncatedSeries.one(PROF)), "outside 0..cap_t=3"),
+    ((-1, TruncatedSeries.one(PROF)), "outside 0..cap_t=3"),
+    ((1, term(PROF, Fraction(1, 2))), "over den 2, not 1"),
+])
+def test_stacked_refuses_a_stratum_before_writing_it(bad, message):
+    pulled = []
+
+    def strata():
+        for pair in [(0, TruncatedSeries.one(PROF)), bad, (2, TruncatedSeries.one(PROF))]:
+            pulled.append(pair[0])
+            yield pair
+
+    with pytest.raises(SeriesError, match=message):
+        TruncatedSeries._stacked(PROF, 2, strata())
+    assert pulled == [0, bad[0]]  # refused on arrival, nothing read after it
+
+
+def test_stacked_refuses_a_stratum_on_another_profile():
+    other = TruncatedSeries.one(TruncationProfile(3, 3, 3, 9))
+    with pytest.raises(ProfileMismatchError):
+        TruncatedSeries._stacked(PROF, 1, iter([(0, other)]))
+
+
 def test_huge_q_cap_builds_rows_only_as_long_as_their_degree():
     prof = TruncationProfile(0, 3, 0, 10**9)
     s = TruncatedSeries.one(prof).over_binomial(1, (0, 1, 0, 1)).times_binomial(-1, (0, 1, 0, 7))

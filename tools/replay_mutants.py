@@ -54,6 +54,9 @@ _REFUSAL = "tests/test_cli.py::test_map_precondition_failure_names_it[inverse "
 _MIDDLE_BOUNDS = "    if lam_largest > 2 * M or lam_length > 2 * j:"
 _CAUGHT = "tests/test_bijections.py::test_each_audit_check_catches_its_faulty_map["
 _BY_NAME = "tests/test_cli.py::test_verify_refuses_a_parameter_out_of_range_by_name"
+_GRADED = (
+    "tests/test_identities.py::test_graded_builders_match_the_per_summand_loops[(3, 3, 3, 10)]"
+)
 
 LEDGER = [
     # compare_series: a row missing on one side must read as 0, not as a packed +-1
@@ -157,6 +160,34 @@ LEDGER = [
         "            p, n = p * p, 2 * n",
         "            p, n = p * c, 2 * n",
         _DOUBLING,
+    ),
+    # graded sums: each summand is written at its own power of t ...
+    Mutant(
+        "src/qsid/identities.py",
+        "            yield n + 1, term",
+        "            yield n, term",
+        _GRADED,
+    ),
+    # ... the right sides write b^cap_b, the last stratum the caps keep ...
+    Mutant(
+        "src/qsid/identities.py",
+        "    while n <= profile.cap_b and not term.is_zero():",
+        "    while n < profile.cap_b and not term.is_zero():",
+        _GRADED,
+    ),
+    # ... with the leading minus folded into each stratum ...
+    Mutant(
+        "src/qsid/identities.py",
+        "        return TruncatedSeries._stacked(profile, 1, strata, -1)",
+        "        return TruncatedSeries._stacked(profile, 1, strata, 1)",
+        _GRADED,
+    ),
+    # ... and the writer places a stratum on the axis it is asked for
+    Mutant(
+        "src/qsid/series.py",
+        "            if axis == 1:",
+        "            if axis == 2:",
+        _GRADED,
     ),
     # the mismatch table's int fill writes lhs, then rhs
     Mutant(
