@@ -4,7 +4,9 @@ Exit codes: 0 = verified / ok, 1 = a mathematical mismatch was found,
 2 = usage or configuration error.  JSON reports are deterministic except
 for the ``volatile`` section (durations, version), so runs can be diffed.
 Reports are only written: each ``cmd_*`` computes its result and ``main``
-alone reports errors and writes the requested format.
+alone reports errors and writes the requested format, as a sequence of
+pieces (``writelines``) to ``--output`` or stdout; no report is ever held
+as one string.
 
 JSON schema for ``verify``:
 
@@ -16,8 +18,9 @@ JSON schema for ``verify``:
 "1/3").  The mismatch rows, like the audit's graded generating-polynomial
 rows (``{monomial: {a, q}, domain, codomain}`` or ``{monomial: {a, q},
 count}``), are tables of one fixed shape: the report object carries each
-as its int rows (a ``MismatchTable``, a ``_Graded`` table), and
-``report_json`` writes every row as one fill of its shape's template.
+as its int rows (a ``MismatchTable``, a ``_Graded`` table), and the
+writer (``report_json`` joins its pieces) writes every row as one fill of
+its shape's template.
 
 Monomials on the command line are concatenated variable-exponent tokens,
 e.g. ``a1b1t1q2``; omitted variables have exponent 0.  Rational parameters
@@ -27,6 +30,7 @@ are exact ``p/q`` strings; no floats anywhere.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -35,7 +39,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import __version__
 from .bijections import (
@@ -177,36 +181,70 @@ def audit_report_to_dict(report: AuditReport) -> Dict[str, object]:
 
 
 def report_json(report: object) -> str:
-    """Any report as the bytes of ``json.dumps(report, indent=2)``.
-
-    With ``indent`` set the stdlib encoder runs in pure Python.  This
-    writer joins strings instead.  It writes a ``MismatchTable`` and a
-    ``_Graded`` audit table (each as its list of row dicts) with
-    one fill of the shape's row template per int row: the mismatch
-    template's ``lhs``/``rhs`` slots are quoted, so over den = 1 (every
-    formal table) a row fills from its ints in JSON order (a, b, t, q,
-    lhs, rhs), over den > 1 from its values' reduced fractions' text.  A
-    ``PartitionFamily`` (written as its list of partitions) writes its own
-    member texts (``PartitionFamily.chunks``); this writer adds only the
-    JSON framing.
-    What it has no path for (floats, True, False, None, non-string keys)
-    goes through ``json.dumps``.
-    """
-    return _json(report, "\n")
+    """Any report as the bytes of ``json.dumps(report, indent=2)``, in one
+    string: the join of the pieces that ``main`` writes one by one, with
+    no whole-report string (``_pieces``)."""
+    return "".join(_pieces(report))
 
 
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+def _pieces(report: object) -> Iterator[str]:
+    """The report's text in pieces: a report object (a dict of str keys)
+    yields one piece per field, except that a field holding a
+    ``PartitionFamily`` yields its key, then the family's framing and its
+    member texts one piece per block (``_family_pieces``).  Any other
+    report is one piece (``_json``)."""
+    if not (isinstance(report, dict) and report and all(type(k) is str for k in report)):
+        yield _json(report, "\n")
+        return
+    lead = "{\n  "
+    for k, v in report.items():
+        head = lead + _encode_str(k) + ": "
+        if isinstance(v, PartitionFamily) and len(v):
+            yield head
+            yield from _family_pieces(v, "\n  ")
+        else:
+            yield head + _json(v, "\n  ")
+        lead = ",\n  "
+    yield "\n}"
+
+
+def _family_pieces(family: PartitionFamily, nl: str) -> Iterator[str]:
+    """A nonempty family written after ``nl`` as its list of partitions:
+    the framing, and between it one piece per block (``PartitionFamily.chunks``)."""
+    inner = nl + "  "
+    deeper = inner + "  "
+    yield "[" + inner
+    yield from family.chunks("[" + deeper, "," + deeper, inner + "]", "[]", "," + inner)
+    yield nl + "]"
+
+
 def _json(value: object, nl: str) -> str:
-    """``value`` written as ``json.dumps(..., indent=2)`` writes it after ``nl``."""
+    """``value`` written as ``json.dumps(..., indent=2)`` writes it after
+    ``nl``, as one string.
+
+    With ``indent`` set the stdlib encoder runs in pure Python.  This
+    writer joins strings instead.  It writes a ``MismatchTable`` and a
+    ``_Graded`` audit table (each as its list of row dicts) with one fill
+    of the shape's row template per int row: the mismatch template's
+    ``lhs``/``rhs`` slots are quoted, so over den = 1 (every formal table)
+    a row fills from its ints in JSON order (a, b, t, q, lhs, rhs), over
+    den > 1 from its values' reduced fractions' text.  What it has no path
+    for (floats, non-string keys) goes through ``json.dumps``.
+    """
     if isinstance(value, str):
         return _encode_str(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return int.__repr__(value)
+    if value is True or value is False or value is None:
+        return "null" if value is None else "true" if value else "false"
     inner = nl + "  "
     if isinstance(value, (list, tuple)):
         return _list_json([_json(x, inner) for x in value], nl)
+    if isinstance(value, (MismatchTable, _Graded)) and not value.rows:
+        return "[]"
     if isinstance(value, MismatchTable):
         template, den = _row_template(_MISMATCH_SHAPE, inner), value.den
         if den == 1:
@@ -219,25 +257,10 @@ def _json(value: object, nl: str) -> str:
         template = _row_template(value.shape, inner)
         return _list_json([template % (*key, *values) for key, *values in value.rows], nl)
     if isinstance(value, PartitionFamily):
-        if not len(value):
-            return "[]"
-        deeper = inner + "  "
-        chunks = value.chunks("[" + deeper, "," + deeper, inner + "]", "[]", "," + inner)
-        # brackets on the end chunks, so the family's text is copied once
-        chunks[0] = "[" + inner + chunks[0]
-        chunks[-1] += nl + "]"
-        return ("," + inner).join(chunks)
+        return "".join(_family_pieces(value, nl)) if len(value) else "[]"
     if isinstance(value, dict) and all(type(k) is str for k in value):
-        if not value:
-            return "{}"
-        # one join of every piece: a value's text (a family's can be
-        # megabytes) is copied once more, not once per concatenation
-        pieces = []
-        for k, v in value.items():
-            pieces += ("," + inner, _encode_str(k), ": ", _json(v, inner))
-        pieces[0] = "{" + inner
-        pieces += (nl, "}")
-        return "".join(pieces)
+        texts = [_encode_str(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return _list_json(texts, nl, "{}")
     return json.dumps(value, indent=2).replace("\n", nl)
 
 
@@ -256,13 +279,13 @@ def _row_template(shape, nl: str) -> str:
     return "{" + inner + ("," + inner).join(parts) + nl + "}"
 
 
-def _list_json(texts: List[str], nl: str) -> str:
-    """A list written after ``nl`` as ``json.dumps`` writes it, from its
-    items' texts (each written after ``nl`` + 2 spaces)."""
+def _list_json(texts: List[str], nl: str, brackets: str = "[]") -> str:
+    """A list (or, in braces, a dict) written after ``nl`` as ``json.dumps``
+    writes it, from its items' texts (each written after ``nl`` + 2 spaces)."""
     if not texts:
-        return "[]"
+        return brackets
     inner = nl + "  "
-    return "[" + inner + ("," + inner).join(texts) + nl + "]"
+    return brackets[0] + inner + ("," + inner).join(texts) + nl + brackets[1]
 
 
 def _fraction_text(x: int, den: int) -> str:
@@ -274,28 +297,28 @@ def _fraction_text(x: int, den: int) -> str:
 _MISMATCH_SHAPE = (("monomial", tuple("abtq")), ("lhs", '"%s"'), ("rhs", '"%s"'))
 
 
-def _emit(payload: str, path: Optional[str]) -> None:
-    # two writes: ``payload + "\n"`` would copy the whole report
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-            fh.write("\n")
-        return
-    try:
-        print(payload, flush=True)
-    except BrokenPipeError:
-        # the reader closed stdout early (``| head``) and wants no more;
-        # stdout now points at devnull, so the flush at exit cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+def _emit(pieces: Iterable[str], path: Optional[str]) -> None:
+    """Write the report's pieces, one by one, and a newline to ``path`` or stdout."""
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as out:
+        try:
+            out.writelines(pieces)
+            out.write("\n")
+            out.flush()
+        except BrokenPipeError:
+            if path:
+                raise
+            # the reader closed stdout early (``| head``) and wants no more;
+            # stdout now points at devnull, so the flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 # ------------------------------------------------------------------ commands
 
 # Every command returns (exit code, JSON producer, text producer); ``main``
-# calls the producer of the requested format only and writes its text.
-_Result = Tuple[int, Callable[[], str], Callable[[], str]]
+# calls the producer of the requested format only and writes its pieces.
+_Result = Tuple[int, Callable[[], Iterable[str]], Callable[[], Iterable[str]]]
 
 
 class _UnknownName(Exception):
@@ -350,8 +373,8 @@ def cmd_verify(args) -> _Result:
     )
     return (
         _VERIFY_EXIT.get(report.status, EXIT_USAGE),
-        lambda: report_json(verification_report_to_dict(report)),
-        lambda: _format_verification_text(report),
+        lambda: _pieces(verification_report_to_dict(report)),
+        lambda: [_format_verification_text(report)],
     )
 
 
@@ -399,8 +422,8 @@ def cmd_audit(args) -> _Result:
         )
     return (
         EXIT_OK if report.passed else EXIT_MISMATCH,
-        lambda: report_json(audit_report_to_dict(report)),
-        lambda: _format_audit_text(report),
+        lambda: _pieces(audit_report_to_dict(report)),
+        lambda: [_format_audit_text(report)],
     )
 
 
@@ -419,8 +442,8 @@ def cmd_enumerate(args) -> _Result:
     family = partition_family(constraints)
     return (
         EXIT_OK,
-        lambda: report_json({"count": len(family), "partitions": family}),
-        lambda: "\n".join(family.chunks("", ",", "", "()", "\n")),
+        lambda: _pieces({"count": len(family), "partitions": family}),
+        lambda: family.chunks("", ",", "", "()", "\n"),
     )
 
 
@@ -473,8 +496,8 @@ def cmd_map(args) -> _Result:
         image = (gamma if args.op == "gamma" else sigma_gamma)(p, args.M)
     return (
         EXIT_OK,
-        lambda: report_json(_map_dict(args.op, p, image)),
-        lambda: _format_map_text(p, image),
+        lambda: _pieces(_map_dict(args.op, p, image)),
+        lambda: [_format_map_text(p, image)],
     )
 
 
@@ -493,10 +516,10 @@ def cmd_coeff(args) -> _Result:
     value = str(Fraction(coefficient(check.side(side, profile=_profile_from_args(args)), mono)))
     return (
         EXIT_OK,
-        lambda: report_json(
+        lambda: _pieces(
             {"side": args.side, "monomial": _monomial_dict(mono), "coefficient": value}
         ),
-        lambda: value,
+        lambda: [value],
     )
 
 
@@ -592,9 +615,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    payload = to_json() if args.format == "json" else to_text()
     try:
-        _emit(payload, args.output)
+        _emit(to_json() if args.format == "json" else to_text(), args.output)
     except OSError as exc:  # a closed pipe is handled in _emit; any other write fails here
         where = args.output or "stdout"
         print(f"error: cannot write report to {where}: {exc.strerror}", file=sys.stderr)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from collections import Counter, deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import count, islice
 from math import comb, lcm
@@ -259,9 +259,13 @@ def _f_by_summands(profile: TruncationProfile) -> TruncatedSeries:
 
 
 def eq31_substitution_path(profile: TruncationProfile) -> TruncatedSeries:
-    """Even-step left side obtained by substitution instead of direct build."""
-    base = build_thm11_side(profile)
-    return shift_a_by_q(substitute_q_power(base, 2), -1)
+    """Even-step left side obtained by substitution instead of direct build.
+
+    After q -> q^2 only the flagship's digits up to q^(cap_q // 2) reach
+    the caps, so it is built to that cap_q alone.
+    """
+    base = build_thm11_side(replace(profile, cap_q=profile.cap_q // 2))
+    return shift_a_by_q(substitute_q_power(base, 2, profile), -1)
 
 
 def _thm31_left(profile: TruncationProfile, with_a: bool) -> TruncatedSeries:

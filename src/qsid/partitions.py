@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from functools import lru_cache
 from math import comb
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .series import SeriesError
 
@@ -245,7 +245,7 @@ class PartitionFamily:
     """A listed family as blocks: its members, in order, are ``prefix + s``
     for each ``(prefix, suffixes)`` block and each ``s`` in ``suffixes``,
     a nonempty ``SuffixList`` that other blocks may share.  ``len`` is
-    their number, and ``chunks`` writes their texts without building them.
+    their number, and ``chunks`` yields their texts without building them.
 
     A suffix's text is its first part's text before its child list's
     text, so ``lists`` holds the lists ``chunks`` builds texts for, once
@@ -286,10 +286,12 @@ class PartitionFamily:
     def __len__(self) -> int:
         return self.size
 
-    def chunks(self, start: str, sep: str, end: str, empty: str, between: str) -> List[str]:
+    def chunks(self, start: str, sep: str, end: str, empty: str, between: str) -> Iterator[str]:
         """The members, each ``start + sep.join(parts) + end`` (``empty`` for
-        no parts), with ``between`` between each two, in one chunk per
-        block: ``between.join`` of the chunks is the family's text.
+        no parts), with ``between`` between each two, yielded one chunk per
+        block and ``between`` between each two blocks: the join of the
+        chunks is the family's text.  While they are read, only the texts
+        of ``lists`` and of the block being yielded are held.
 
         A suffix's text is ``sep + sep.join(parts) + end`` (``end`` alone
         for the empty suffix), or, where its child list is one of
@@ -318,14 +320,14 @@ class PartitionFamily:
 
         for kept in self.lists:  # children first
             written[id(kept)] = texts(kept, sep, end)
-        chunks = []
-        for prefix, kept in self.blocks:
+        for n, (prefix, kept) in enumerate(self.blocks):
+            if n:
+                yield between
             if not prefix:  # the root: the whole family in one kept list, or ()
-                chunks.append(between.join(texts(kept, start, empty)))
+                yield between.join(texts(kept, start, empty))
                 continue
             head = start + sep.join(map(text, prefix))
-            chunks.append(head + (between + head).join(written[id(kept)]))
-        return chunks
+            yield head + (between + head).join(written[id(kept)])
 
 
 # The suffix list of a prefix listed after its extensions: the prefix alone.

@@ -101,7 +101,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 import struct
-from typing import NamedTuple, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 Coeff = Union[int, Fraction]
 
@@ -860,22 +860,27 @@ def pochhammer_infinite(
     return pochhammer_finite(coeff, base, q_offset, q_step, n, profile)
 
 
-def substitute_q_power(s: TruncatedSeries, k: int) -> TruncatedSeries:
+def substitute_q_power(s: TruncatedSeries, k: int,
+                       profile: Optional[TruncationProfile] = None) -> TruncatedSeries:
     """Replace q by q^k: every e_q is multiplied by k, over-cap monomials dropped.
 
-    The result is guaranteed exact to q-degree k*valid + (k-1): the first
+    The result lives on ``profile`` (default: the input's own), which may
+    differ from the input's in cap_q alone: an input built to cap_q // k
+    holds every digit that lands at or below the result's cap_q.  The
+    result is guaranteed exact to q-degree k*valid + (k-1): the first
     unknown input coefficient (degree valid+1) lands at k*(valid+1).
     """
     if not isinstance(k, int) or k < 1:
         raise SeriesError(f"substitution power must be an integer >= 1, got {k!r}")
-    cap_q = s.profile.cap_q
+    profile = profile or s.profile
+    cap_q = profile.cap_q
     valid = min(cap_q, k * s.valid_to_q + (k - 1))
     width, rows, bounds = s.width, {}, {}
     for key, v in s.rows.items():
         x = _cut(_respace(v, width, k * width), width * (cap_q + 1))
         if x:
             rows[key], bounds[key] = x, s.bounds[key]
-    return s._with_rows(rows, bounds, valid_to_q=valid)
+    return s._with_rows(rows, bounds, profile=profile, valid_to_q=valid)
 
 
 def shift_a_by_q(s: TruncatedSeries, j: int) -> TruncatedSeries:

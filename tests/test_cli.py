@@ -6,9 +6,11 @@ import hashlib
 from decimal import Decimal
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -506,6 +508,48 @@ def test_enumerate_into_a_pipe_closed_early_exits_with_its_own_code():
         child.kill()
         child.wait()
     assert err == b""
+
+
+def test_the_largest_enumerate_is_written_without_the_whole_report_in_memory(tmp_path):
+    # the 2.5 MB report goes out block by block: neither the family's text
+    # nor the report's is ever one string, so the peak stays below its size
+    path = tmp_path / "enumerate_40.json"
+    argv = ["enumerate", "--odd-distinct", "--max-weight", "40", "--format", "json",
+            "--output", str(path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(path.read_text())["count"] == 33772
+    assert peak < path.stat().st_size
+
+
+_STREAMED = {
+    "enumerate json": ["enumerate", "--odd-distinct", "--max-weight", "40", "--format", "json"],
+    "enumerate text": ["enumerate", "--odd-distinct", "--max-weight", "40"],
+    "thm3_4 json": ["verify", "--identity", "thm3_4", "--amax", "12", "--bmax", "12",
+                    "--tmax", "12", "--qmax", "88", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("argv", _STREAMED.values(), ids=_STREAMED)
+def test_stdout_and_output_get_the_same_bytes(argv, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(qsid.__file__).resolve().parents[1])}
+    path = tmp_path / "report"
+    runs = [
+        subprocess.run([sys.executable, "-m", "qsid", *argv, *extra], env=env,
+                       capture_output=True, timeout=60)
+        for extra in ([], ["--output", str(path)])
+    ]
+    assert runs[0].returncode == runs[1].returncode
+    assert (runs[0].stderr, runs[1].stderr, runs[1].stdout) == (b"", b"", b"")
+    # the durations differ from run to run; no other byte does
+    duration = re.compile(rb'"duration_ms": [0-9.e+-]+')
+    out, written = (duration.sub(b"", text) for text in (runs[0].stdout, path.read_bytes()))
+    assert out == written
+    assert len(out) > 100_000 and out.endswith(b"\n")
 
 
 # ------------------------------------------------------------------------ map

@@ -141,6 +141,26 @@ def test_eq31_substitution_path_matches_direct():
     assert compare_series(direct, sub) == ([], 1)
 
 
+def full_cap_substitution_path(profile):
+    """The substitution path with the flagship built to the whole cap_q."""
+    return shift_a_by_q(substitute_q_power(build_thm11_side(profile), 2), -1)
+
+
+@pytest.mark.parametrize("caps", [
+    (12, 12, 12, 64), (12, 12, 12, 61), (10, 10, 10, 40), (8, 8, 8, 24), (6, 6, 6, 16),
+    (7, 7, 7, 17), (3, 3, 3, 20), (5, 2, 7, 40),
+], ids=str)
+def test_eq31_substitution_path_at_half_cap_q_matches_the_full_cap_build(caps):
+    # after q -> q^2 the flagship's digits past q^(cap_q // 2) are cut, so
+    # building it to that cap_q alone changes no value and no validity
+    prof = TruncationProfile(*caps)
+    half, full = eq31_substitution_path(prof), full_cap_substitution_path(prof)
+    assert half.profile == full.profile == prof
+    assert half.valid_to_q == full.valid_to_q
+    assert compare_series(half, full) == ([], 1)
+    assert not half.is_zero()
+
+
 def test_eq31_left_coefficient_a1b1t1q3():
     # n = 1 term (1 + a*b*q^3) * t / ((1-b*q^2)(1-b*q^4))
     left = build_eq31_side(PROF)
@@ -649,6 +669,10 @@ def bt_swapped(profile):
     return TruncationProfile(profile.cap_a, profile.cap_t, profile.cap_b, profile.cap_q)
 
 
+def half_cap_q(profile):
+    return TruncationProfile(profile.cap_a, profile.cap_b, profile.cap_t, profile.cap_q // 2)
+
+
 # name -> (builder, its per-summand reference)
 GRADED_BUILDERS = {
     "thm1_1 left": (build_thm11_side, lambda p: per_summand_sum_side(p, 1, True)),
@@ -660,7 +684,8 @@ GRADED_BUILDERS = {
     "eq3_1 left": (build_eq31_side, lambda p: per_summand_sum_side(p, 2, True)),
     "substitution path": (
         eq31_substitution_path,
-        lambda p: shift_a_by_q(substitute_q_power(per_summand_sum_side(p, 1, True), 2), -1),
+        lambda p: shift_a_by_q(
+            substitute_q_power(per_summand_sum_side(half_cap_q(p), 1, True), 2, p), -1),
     ),
     "reduction_a0 right": (identities._f_by_summands, per_summand_f),
     "3_4_right": (

@@ -236,7 +236,7 @@ def _enumerate_outputs(c):
             argv += [flag, str(getattr(c, name))]
     code, to_json, to_text = cli.cmd_enumerate(cli.build_parser().parse_args(argv))
     assert code == EXIT_OK
-    return to_json(), to_text()
+    return "".join(to_json()), "".join(to_text())
 
 
 # families the block writer has a case for: none, the root list alone (with
@@ -381,7 +381,7 @@ def test_block_writer_matches_json_dumps_on_any_blocks(family):
     assert report_json({"count": len(family), "partitions": family}) == json.dumps(
         {"count": len(rows), "partitions": [list(row) for row in rows]}, indent=2
     )
-    assert "\n".join(family.chunks("", ",", "", "()", "\n")) == "\n".join(
+    assert "".join(family.chunks("", ",", "", "()", "\n")) == "\n".join(
         ",".join(map(str, row)) or "()" for row in rows
     )
 

@@ -54,6 +54,7 @@ _REFUSAL = "tests/test_cli.py::test_map_precondition_failure_names_it[inverse "
 _MIDDLE_BOUNDS = "    if lam_largest > 2 * M or lam_length > 2 * j:"
 _CAUGHT = "tests/test_bijections.py::test_each_audit_check_catches_its_faulty_map["
 _BY_NAME = "tests/test_cli.py::test_verify_refuses_a_parameter_out_of_range_by_name"
+_HALF_CAP = "    base = build_thm11_side(replace(profile, cap_q=profile.cap_q // 2))"
 _GRADED = (
     "tests/test_identities.py::test_graded_builders_match_the_per_summand_loops[(3, 3, 3, 10)]"
 )
@@ -188,6 +189,29 @@ LEDGER = [
         "            if axis == 1:",
         "            if axis == 2:",
         _GRADED,
+    ),
+    # the writer streams a family block by block, each two apart by the separator ...
+    Mutant(
+        "src/qsid/partitions.py",
+        "                yield between",
+        "                pass",
+        "tests/test_partitions.py::test_block_writer_cases_are_reached["
+        "past the cut with the empty partition]",
+    ),
+    # ... and ends every report with its newline
+    Mutant(
+        "src/qsid/cli.py",
+        '            out.write("\\n")',
+        "            pass",
+        "tests/test_golden.py::test_golden_invocation[enumerate_weight_12_text]",
+    ),
+    # the substitution path builds the flagship to cap_q // 2, no lower
+    Mutant(
+        "src/qsid/identities.py",
+        _HALF_CAP,
+        _HALF_CAP.replace("cap_q // 2", "cap_q // 2 - 1"),
+        "tests/test_identities.py::"
+        "test_eq31_substitution_path_at_half_cap_q_matches_the_full_cap_build[(12, 12, 12, 64)]",
     ),
     # the mismatch table's int fill writes lhs, then rhs
     Mutant(
