@@ -45,7 +45,6 @@ from .partitions import (
     ConstraintSet,
     GeneratingPolynomial,
     Partition,
-    count_partitions,
     enumerate_partitions,
     env_enum_limit,
     graded,
@@ -448,8 +447,7 @@ def audit_bijection(box: BijectionBox, enum_limit: Optional[int] = None) -> Audi
         for variant in ("exact", "printed")
         for constraints in (box.domain_constraints, box.codomain_constraints)
     ]
-    total = sum(count_partitions(c) for c in families)
-    refuse_over_limit(f"box j={box.j}, M={box.M} enumerates", total, enum_limit, BijectionError)
+    refuse_over_limit(f"box j={box.j}, M={box.M} enumerates", families, enum_limit, BijectionError)
     # each exact family is the length-j (length-M) part of its <= family
     j, M = box.j, box.M
     d_printed, c_printed = map(enumerate_partitions, families[2:])

@@ -4,9 +4,8 @@ Exit codes: 0 = verified / ok, 1 = a mathematical mismatch was found,
 2 = usage or configuration error.  JSON reports are deterministic except
 for the ``volatile`` section (durations, version), so runs can be diffed.
 Reports are only written: each ``cmd_*`` computes its result and ``main``
-alone reports errors and writes the requested format, as a sequence of
-pieces (``writelines``) to ``--output`` or stdout; no report is ever held
-as one string.
+alone reports errors and has ``_emit`` write the requested format's pieces
+(``_pieces``) to ``--output`` or stdout; no report is ever held as one string.
 
 JSON schema for ``verify``:
 
@@ -19,8 +18,7 @@ JSON schema for ``verify``:
 rows (``{monomial: {a, q}, domain, codomain}`` or ``{monomial: {a, q},
 count}``), are tables of one fixed shape: the report object carries each
 as its int rows (a ``MismatchTable``, a ``_Graded`` table), and the
-writer (``report_json`` joins its pieces) writes every row as one fill of
-its shape's template.
+writer (``_json``) writes every row as one fill of its shape's template.
 
 Monomials on the command line are concatenated variable-exponent tokens,
 e.g. ``a1b1t1q2``; omitted variables have exponent 0.  Rational parameters
@@ -57,7 +55,6 @@ from .partitions import (
     ConstraintSet,
     Partition,
     PartitionFamily,
-    count_partitions,
     partition_family,
     refuse_over_limit,
 )
@@ -102,7 +99,7 @@ def _volatile(duration_ms: float) -> Dict[str, object]:
 
 @dataclasses.dataclass(frozen=True)
 class _Graded:
-    """A graded table of an audit report, as ``report_json`` writes it:
+    """A graded table of an audit report, as ``_json`` writes it:
     rows ((i, k), *values) of monomial a^i q^k, each written as
     ``{monomial: {a, q}, name: value, ...}`` (``shape`` as ``_row_template``
     takes it).  It is neither a list nor a dict, so ``json.dumps`` refuses
@@ -118,10 +115,10 @@ def _graded(rows, *names: str) -> _Graded:
 
 def verification_report_to_dict(report: VerificationReport) -> Dict[str, object]:
     """A verify report as the object of the schema above, to be written
-    with ``report_json``.
+    with ``_pieces``.
 
     The mismatch table is carried as the report's ``MismatchTable`` of
-    int rows, which ``report_json`` writes as a table of one fixed shape;
+    int rows, which ``_json`` writes as a table of one fixed shape;
     no row becomes a dict, so ``json.dumps`` refuses the result
     (``TypeError``).
     """
@@ -156,10 +153,10 @@ def _map_audit_dict(audit: MapAudit) -> Dict[str, object]:
 
 def audit_report_to_dict(report: AuditReport) -> Dict[str, object]:
     """The JSON object of an audit report: box, gate, both sections, extras,
-    to be written with ``report_json``.
+    to be written with ``_pieces``.
 
     Its graded generating-polynomial tables are carried as their int rows
-    (``_Graded``), which ``report_json`` writes as tables of one fixed
+    (``_Graded``), which ``_json`` writes as tables of one fixed
     shape, so ``json.dumps`` refuses the result (``TypeError``).
     """
     return {
@@ -182,48 +179,46 @@ def audit_report_to_dict(report: AuditReport) -> Dict[str, object]:
 
 def report_json(report: object) -> str:
     """Any report as the bytes of ``json.dumps(report, indent=2)``, in one
-    string: the join of the pieces that ``main`` writes one by one, with
-    no whole-report string (``_pieces``)."""
+    string: the join of the pieces that ``main`` writes one by one
+    (``_pieces``)."""
     return "".join(_pieces(report))
 
 
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _pieces(report: object) -> Iterator[str]:
-    """The report's text in pieces: a report object (a dict of str keys)
-    yields one piece per field, except that a field holding a
-    ``PartitionFamily`` yields its key, then the family's framing and its
-    member texts one piece per block (``_family_pieces``).  Any other
-    report is one piece (``_json``)."""
-    if not (isinstance(report, dict) and report and all(type(k) is str for k in report)):
-        yield _json(report, "\n")
-        return
-    lead = "{\n  "
-    for k, v in report.items():
-        head = lead + _encode_str(k) + ": "
-        if isinstance(v, PartitionFamily) and len(v):
-            yield head
-            yield from _family_pieces(v, "\n  ")
-        else:
-            yield head + _json(v, "\n  ")
-        lead = ",\n  "
-    yield "\n}"
-
-
-def _family_pieces(family: PartitionFamily, nl: str) -> Iterator[str]:
-    """A nonempty family written after ``nl`` as its list of partitions:
-    the framing, and between it one piece per block (``PartitionFamily.chunks``)."""
+def _pieces(value: object, nl: str = "\n") -> Iterator[str]:
+    """``value`` written after ``nl`` as ``json.dumps(..., indent=2)`` writes it, in
+    pieces: the one writer of a dict (of str keys) or a ``PartitionFamily``, at any
+    depth.  A dict is each key's piece, then a family's pieces or one piece of any
+    other value (``_json``, which joins a nested dict's); a nonempty family is its
+    framing around one piece per block (``PartitionFamily.chunks``)."""
     inner = nl + "  "
-    deeper = inner + "  "
-    yield "[" + inner
-    yield from family.chunks("[" + deeper, "," + deeper, inner + "]", "[]", "," + inner)
-    yield nl + "]"
+    if isinstance(value, PartitionFamily) and not value:
+        yield "[]"
+    elif isinstance(value, PartitionFamily):
+        deeper = inner + "  "
+        yield "[" + inner
+        yield from value.chunks("[" + deeper, "," + deeper, inner + "]", "[]", "," + inner)
+        yield nl + "]"
+    elif isinstance(value, dict) and all(type(k) is str for k in value):
+        lead = "{" + inner
+        for k, v in value.items():
+            yield lead + _encode_str(k) + ": "
+            if isinstance(v, PartitionFamily):
+                yield from _pieces(v, inner)
+            else:
+                yield _json(v, inner)
+            lead = "," + inner
+        yield nl + "}" if value else "{}"
+    else:
+        yield _json(value, nl)
 
 
 def _json(value: object, nl: str) -> str:
     """``value`` written as ``json.dumps(..., indent=2)`` writes it after
-    ``nl``, as one string.
+    ``nl``, as one string; a dict (of str keys) or a family is the join of
+    its pieces (``_pieces``).
 
     With ``indent`` set the stdlib encoder runs in pure Python.  This
     writer joins strings instead.  It writes a ``MismatchTable`` and a
@@ -256,11 +251,9 @@ def _json(value: object, nl: str) -> str:
     if isinstance(value, _Graded):
         template = _row_template(value.shape, inner)
         return _list_json([template % (*key, *values) for key, *values in value.rows], nl)
-    if isinstance(value, PartitionFamily):
-        return "".join(_family_pieces(value, nl)) if len(value) else "[]"
-    if isinstance(value, dict) and all(type(k) is str for k in value):
-        texts = [_encode_str(k) + ": " + _json(v, inner) for k, v in value.items()]
-        return _list_json(texts, nl, "{}")
+    keyed = isinstance(value, dict) and all(type(k) is str for k in value)
+    if keyed or isinstance(value, PartitionFamily):
+        return "".join(_pieces(value, nl))
     return json.dumps(value, indent=2).replace("\n", nl)
 
 
@@ -279,13 +272,13 @@ def _row_template(shape, nl: str) -> str:
     return "{" + inner + ("," + inner).join(parts) + nl + "}"
 
 
-def _list_json(texts: List[str], nl: str, brackets: str = "[]") -> str:
-    """A list (or, in braces, a dict) written after ``nl`` as ``json.dumps``
-    writes it, from its items' texts (each written after ``nl`` + 2 spaces)."""
+def _list_json(texts: List[str], nl: str) -> str:
+    """A list written after ``nl`` as ``json.dumps`` writes it, from its
+    items' texts (each written after ``nl`` + 2 spaces)."""
     if not texts:
-        return brackets
+        return "[]"
     inner = nl + "  "
-    return brackets[0] + inner + ("," + inner).join(texts) + nl + brackets[1]
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
 def _fraction_text(x: int, den: int) -> str:
@@ -337,7 +330,7 @@ def _assignment_from_args(args) -> RationalAssignment:
     )
 
 
-def _format_verification_text(report: VerificationReport, limit: int = 25) -> str:
+def _format_verification_text(report: VerificationReport) -> str:
     lines = [
         f"case: {report.case} (mode {report.mode})",
         f"caps: {report.caps}",
@@ -349,8 +342,8 @@ def _format_verification_text(report: VerificationReport, limit: int = 25) -> st
         lines.append(f"  {key}: {value}")
     table = report.mismatches
     if table:
-        lines.append(f"mismatches ({len(table)} shown up to {limit}):")
-        for q, a, b, t, x, y in table.rows[:limit]:
+        lines.append(f"mismatches ({len(table)} shown up to 25):")
+        for q, a, b, t, x, y in table.rows[:25]:
             lines.append(f"  {Monomial(a, b, t, q)}: lhs={Fraction(x, table.den)} "
                          f"rhs={Fraction(y, table.den)}")
     return "\n".join(lines)
@@ -438,7 +431,7 @@ def cmd_enumerate(args) -> _Result:
         max_length=args.max_length,
         odd_parts_distinct=args.odd_distinct,
     )
-    refuse_over_limit("the constraints enumerate", count_partitions(constraints))
+    refuse_over_limit("the constraints enumerate", [constraints])
     family = partition_family(constraints)
     return (
         EXIT_OK,

@@ -46,7 +46,7 @@ from itertools import count, islice
 from math import comb, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .partitions import ConstraintSet, count_partitions, enumerate_partitions, refuse_over_limit
+from .partitions import ConstraintSet, enumerate_partitions, refuse_over_limit
 from .rational import (
     DegenerateParameterError,
     Dense,
@@ -236,7 +236,7 @@ def build_eq31_partition_side(profile: TruncationProfile) -> TruncatedSeries:
                       odd_parts_distinct=True)
         for n in range(1, cap_t + 1)
     ]
-    refuse_over_limit("the partition windows enumerate", sum(map(count_partitions, windows)))
+    refuse_over_limit("the partition windows enumerate", windows)
     terms = Counter((0, k, 0, 0) for k in range(cap_b + 1))
     for n, window in enumerate(windows, 1):
         found = enumerate_partitions(window)

@@ -575,19 +575,26 @@ def _int_text(n: int) -> str:
 
 
 def env_enum_limit() -> int:
-    """Enumeration guard from QSID_ENUM_LIMIT, else ``DEFAULT_ENUM_LIMIT``."""
+    """Enumeration guard from QSID_ENUM_LIMIT, else ``DEFAULT_ENUM_LIMIT``; never below 0."""
     text = os.environ.get("QSID_ENUM_LIMIT", str(DEFAULT_ENUM_LIMIT))
     try:
-        return int(text)
+        limit = int(text)
     except ValueError:
         raise SeriesError(f"QSID_ENUM_LIMIT must be an integer, got {text!r}") from None
+    if limit < 0:
+        raise SeriesError(f"QSID_ENUM_LIMIT must be >= 0, got {text!r}")
+    return limit
 
 
-def refuse_over_limit(what: str, total: int, limit: Optional[int] = None,
+def refuse_over_limit(what: str, families: Iterable[ConstraintSet], limit: Optional[int] = None,
                       error: type = SeriesError) -> None:
-    """Raise ``error`` if ``total`` partitions are over ``limit`` (default
-    ``env_enum_limit()``), the message giving the whole count, of any length."""
+    """Raise ``error`` if the ``families`` count more partitions than ``limit``
+    (default ``env_enum_limit()``), the message giving the whole count, of
+    any length.  A limit below 0 is refused before anything is counted."""
     limit = env_enum_limit() if limit is None else limit
+    if limit < 0:
+        raise error(f"the enumeration limit must be >= 0, got {limit}")
+    total = sum(map(count_partitions, families))
     if total > limit:
         raise error(f"{what} {_int_text(total)} partitions, over the limit {limit}")
 

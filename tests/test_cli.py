@@ -904,6 +904,30 @@ def test_enumerate_limit_from_environment(capsys, monkeypatch):
         assert err == "error: QSID_ENUM_LIMIT must be an integer, got 'many'\n"
 
 
+def test_a_negative_enumeration_limit_is_refused_before_counting(capsys, monkeypatch):
+    def uncounted(constraints):
+        raise AssertionError("counted under a negative limit")
+
+    monkeypatch.setattr(partitions, "count_partitions", uncounted)
+    monkeypatch.delenv("QSID_ENUM_LIMIT", raising=False)
+    code, out, err = run_cli(capsys, "audit", "--j", "2", "--M", "3", "--limit", "-5")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: the enumeration limit must be >= 0, got -5\n"
+    monkeypatch.setenv("QSID_ENUM_LIMIT", "-1")
+    for argv in (["enumerate", "--weight", "0"], ["audit", "--j", "2", "--M", "3"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: QSID_ENUM_LIMIT must be >= 0, got '-1'\n"
+    # a limit of 0 is a limit: it refuses any partition and lets an empty family through
+    monkeypatch.undo()
+    code, out, err = run_cli(capsys, "audit", "--j", "2", "--M", "3", "--limit", "0")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: box j=2, M=3 enumerates 127 partitions, over the limit 0\n"
+    monkeypatch.setenv("QSID_ENUM_LIMIT", "0")
+    code, out, _ = run_cli(capsys, "enumerate", "--weight", "3", "--min-part", "5")
+    assert (code, out) == (EXIT_OK, "\n")
+
+
 def test_verify_with_a_huge_q_cap_finishes(tmp_path):
     # Rows are only as long as their highest q-degree, at most 2*3*3 here,
     # so a q-cap of 10^9 costs nothing; it used to walk every q bucket.

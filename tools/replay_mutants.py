@@ -213,6 +213,20 @@ LEDGER = [
         "tests/test_identities.py::"
         "test_eq31_substitution_path_at_half_cap_q_matches_the_full_cap_build[(12, 12, 12, 64)]",
     ),
+    # the one dict writer puts its separator between fields ...
+    Mutant(
+        "src/qsid/cli.py",
+        '            lead = "," + inner',
+        "            lead = inner",
+        "tests/test_golden.py::test_golden_invocation[audit_2_3]",
+    ),
+    # ... and writes an empty dict (an empty caps or details here) as {}
+    Mutant(
+        "src/qsid/cli.py",
+        '        yield nl + "}" if value else "{}"',
+        '        yield nl + "}" if value else "[]"',
+        "tests/test_cli.py::test_table_over_a_denominator_is_written_reduced",
+    ),
     # the mismatch table's int fill writes lhs, then rhs
     Mutant(
         "src/qsid/cli.py",
