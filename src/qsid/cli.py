@@ -189,36 +189,43 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def _pieces(value: object, nl: str = "\n") -> Iterator[str]:
     """``value`` written after ``nl`` as ``json.dumps(..., indent=2)`` writes it, in
-    pieces: the one writer of a dict (of str keys) or a ``PartitionFamily``, at any
-    depth.  A dict is each key's piece, then a family's pieces or one piece of any
-    other value (``_json``, which joins a nested dict's); a nonempty family is its
-    framing around one piece per block (``PartitionFamily.chunks``)."""
-    inner = nl + "  "
+    pieces: the one writer of a dict (of str keys, ``_dict_pieces``) or a
+    ``PartitionFamily``, at any depth.  A nonempty family is its framing around one
+    piece per block (``PartitionFamily.chunks``); any other value is one piece
+    (``_json``)."""
     if isinstance(value, PartitionFamily) and not value:
         yield "[]"
     elif isinstance(value, PartitionFamily):
+        inner = nl + "  "
         deeper = inner + "  "
         yield "[" + inner
         yield from value.chunks("[" + deeper, "," + deeper, inner + "]", "[]", "," + inner)
         yield nl + "]"
     elif isinstance(value, dict) and all(type(k) is str for k in value):
-        lead = "{" + inner
-        for k, v in value.items():
-            yield lead + _encode_str(k) + ": "
-            if isinstance(v, PartitionFamily):
-                yield from _pieces(v, inner)
-            else:
-                yield _json(v, inner)
-            lead = "," + inner
-        yield nl + "}" if value else "{}"
+        yield from _dict_pieces(value, nl)
     else:
         yield _json(value, nl)
+
+
+def _dict_pieces(value: dict, nl: str) -> Iterator[str]:
+    """A dict ``_pieces`` writes, its keys already checked to be str: each key's
+    piece, then a family's pieces or one piece of any other value (``_json``)."""
+    inner = nl + "  "
+    lead = "{" + inner
+    for k, v in value.items():
+        yield lead + _encode_str(k) + ": "
+        if isinstance(v, PartitionFamily):
+            yield from _pieces(v, inner)
+        else:
+            yield _json(v, inner)
+        lead = "," + inner
+    yield nl + "}" if value else "{}"
 
 
 def _json(value: object, nl: str) -> str:
     """``value`` written as ``json.dumps(..., indent=2)`` writes it after
     ``nl``, as one string; a dict (of str keys) or a family is the join of
-    its pieces (``_pieces``).
+    its pieces (``_dict_pieces``, ``_pieces``).
 
     With ``indent`` set the stdlib encoder runs in pure Python.  This
     writer joins strings instead.  It writes a ``MismatchTable`` and a
@@ -251,8 +258,9 @@ def _json(value: object, nl: str) -> str:
     if isinstance(value, _Graded):
         template = _row_template(value.shape, inner)
         return _list_json([template % (*key, *values) for key, *values in value.rows], nl)
-    keyed = isinstance(value, dict) and all(type(k) is str for k in value)
-    if keyed or isinstance(value, PartitionFamily):
+    if isinstance(value, dict) and all(type(k) is str for k in value):
+        return "".join(_dict_pieces(value, nl))
+    if isinstance(value, PartitionFamily):
         return "".join(_pieces(value, nl))
     return json.dumps(value, indent=2).replace("\n", nl)
 

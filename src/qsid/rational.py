@@ -7,23 +7,27 @@ parameters, such as q/a or q^(1-N)*a*b/c: parameters become exact
 While a side is being built its series is a ``Dense``: a list of the
 cap_q + 1 integer numerators of q^0 .. q^cap_q over one common positive
 denominator ``den``.  Every factor in rational mode is a binomial
-(1 - v*q^m)^(+-1) with v = p/d in lowest terms, and each one costs a
-single in-place pass over the numerators, with no gcd in it:
+(1 - v*q^m)^(+-1) with v = p/d in lowest terms, and each one costs one
+in-place pass over the numerators, the division one scaling pass more,
+with no gcd in them:
 
     times (1 - v*q^m):  c[i] = d*c[i] - p*c[i-m]   for i from cap_q down,
                         den *= d
-    over  (1 - v*q^m):  w[i] = d^(i//m)*c[i] + p*w[i-m]   for i from m up,
-                        then c[i] = w[i]*d^(J - i//m), den *= d^J,
-                        where J = cap_q//m
+    over  (1 - v*q^m):  c[i] *= d^J for every i, then
+                        c[i] += p*(c[i-m] // d)   for i from m up,
+                        den *= d^J, where J = cap_q//m
 
 The second is the geometric series 1 + v*q^m + v^2*q^(2m) + ... applied
-by recurrence.  Its exact value is W[i] = C[i] + v*W[i-m], and w[i] is
-W[i]*den*d^(i//m): one more power of d per step of m is exactly what
-clears the new denominator of v*W[i-m], so every w[i] is an integer, and
-the rescale by d^(J - i//m) puts all of them over den*d^J.  With d = 1
-both passes are the one-multiply loops c[i] -= p*c[i-m] and
-c[i] += p*c[i-m], and den does not change.  A factor with m > cap_q is
-1 within the truncation and is skipped.
+by recurrence.  Its exact value is W[i] = C[i] + v*W[i-m], and every
+W[i]*den*d^(i//m) is an integer: one more power of d per step of m is
+exactly what clears the new denominator of v*W[i-m].  The one scale by
+d^J, the highest of these powers, puts the recurrence on W[i]*den*d^J.
+When step i reads c[i-m] = W[i-m]*den*d^J, that is the integer
+W[i-m]*den*d^((i-m)//m) times d^(J - (i-m)//m), and (i-m)//m < J, so
+the floor division by d is exact.  With d = 1 both passes are the
+one-multiply loops c[i] -= p*c[i-m] and c[i] += p*c[i-m], and den does
+not change.  A factor with m > cap_q is 1 within the truncation and is
+skipped.
 
 Sums add numerators after aligning unequal denominators by their gcd
 (``accumulate``) and scalars multiply the numerators and ``den``
@@ -76,7 +80,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 from .series import (
     SeriesError,
@@ -110,9 +114,12 @@ class DegenerateParameterError(SeriesError):
     """A parameter value makes a denominator vanish (or a tail ratio equal 1)."""
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One factor (1 - value * q^q_exp), inverted when it sits in a denominator."""
+class Factor(NamedTuple):
+    """One factor (1 - value * q^q_exp), inverted when it sits in a denominator.
+
+    An immutable 3-tuple (value, q_exp, inverted), which ``Summand.step``
+    unpacks as it walks a factor list.
+    """
 
     value: Fraction
     q_exp: int
@@ -194,9 +201,9 @@ class Dense(list):
 
 def times_binomial(c: Dense, v, m: int) -> None:
     """c <- c * (1 - v*q^m) in place, truncated at q^(len(c) - 1); m >= 0."""
-    if not v or m >= len(c):
-        return
     p, d = v.numerator, v.denominator
+    if not p or m >= len(c):
+        return
     if d == 1:
         c[m:] = [x - p * y for x, y in zip(c[m:], c)]
     else:
@@ -207,9 +214,9 @@ def times_binomial(c: Dense, v, m: int) -> None:
 def over_binomial(c: Dense, v, m: int) -> None:
     """c <- c / (1 - v*q^m) in place, truncated at q^(len(c) - 1); m >= 0."""
     n = len(c)
-    if not v or m >= n:
-        return
     p, d = v.numerator, v.denominator
+    if not p or m >= n:
+        return
     if m == 0:
         if p == d:
             raise DegenerateParameterError("denominator factor (1 - v) with v = 1")
@@ -225,20 +232,17 @@ def over_binomial(c: Dense, v, m: int) -> None:
             if x:
                 c[i] += p * x
         return
-    J = (n - 1) // m
-    pw = [1] * (J + 1)
-    for k in range(1, J + 1):
-        pw[k] = pw[k - 1] * d
+    power = d ** ((n - 1) // m)
+    c[:] = [power * x for x in c]
     for i in range(m, n):
-        c[i] = pw[i // m] * c[i] + p * c[i - m]
-    c[:] = [x * pw[J - i // m] for i, x in enumerate(c)]
-    c.den *= pw[J]
+        c[i] += p * (c[i - m] // d)
+    c.den *= power
 
 
 def apply_factors(c: Dense, factors: Iterable[Factor]) -> None:
     """c <- c * prod(factors) in place; every q_exp >= 0."""
-    for f in factors:
-        (over_binomial if f.inverted else times_binomial)(c, f.value, f.q_exp)
+    for v, m, inverted in factors:
+        (over_binomial if inverted else times_binomial)(c, v, m)
 
 
 def scale(c: Dense, v) -> None:
@@ -309,6 +313,10 @@ def require_frozen(step_exponents: Iterable[int], cap_q: int, where: str) -> Non
         )
 
 
+def _where(label: str) -> str:
+    return f" in {label}" if label else ""
+
+
 class Summand:
     """A summand stepped from one index to the next by its exact term ratio.
 
@@ -322,7 +330,8 @@ class Summand:
 
     ``value`` refuses a summand that holds a vanishing denominator factor
     (0/0 if it also holds a vanishing numerator factor) or a pole at
-    q = 0, and is zero while it holds a vanishing numerator factor.  A
+    q = 0, and is zero while it holds a vanishing numerator factor
+    (``is_zero``, the one place these counts are read).  A
     step of negative net q-power would widen the window past the
     numerators kept, so the window is dropped; only a summand refused or
     zero until then can have taken one.
@@ -342,18 +351,23 @@ class Summand:
         factors leave it, each in the numerator or, inverted, the
         denominator.
         """
-        scalar = Fraction(scalar)
+        self._run(*self._count(enter, leave, scalar, q_shift))
+
+    def _count(self, enter, leave, scalar, q_shift):
+        """A step's factors counted into the vanishing counts and the
+        shift; returns its scalar, its net q-power and its passes, not run."""
+        if not isinstance(scalar, Fraction):
+            scalar = Fraction(scalar)
         shift = q_shift
         passes = []
         for leaving, factors in ((False, enter), (True, leave)):
-            for f in factors:
-                v, m = f.value, f.q_exp
-                if not v:
+            for v, m, inverted in factors:
+                if not v.numerator:
                     continue
                 if m == 0 and v == 1:
-                    self.vanishing[f.inverted] += -1 if leaving else 1
+                    self.vanishing[inverted] += -1 if leaving else 1
                     continue
-                divide = f.inverted != leaving
+                divide = inverted != leaving
                 if m < 0:
                     scalar = scalar / -v if divide else scalar * -v
                     shift += -m if divide else m
@@ -363,6 +377,10 @@ class Summand:
                 else:
                     passes.append((over_binomial if divide else times_binomial, v, m))
         self.shift += shift
+        return scalar, shift, passes
+
+    def _run(self, scalar, shift, passes) -> None:
+        """A counted step's scalar, q-power and passes applied to the window."""
         c = self.window
         if c is None:
             return
@@ -374,25 +392,31 @@ class Summand:
             kernel(c, v, m)
         reduce_dense(c)
 
+    def is_zero(self, label: str = "") -> bool:
+        """True while the summand is zero to q^cap_q: it holds a vanishing
+        numerator factor or its q-power is past cap_q.  Refuses 1/0 and 0/0."""
+        numerator, denominator = self.vanishing
+        if denominator > 0:
+            zero = " over a vanishing numerator factor (0/0)" if numerator > 0 else ""
+            raise DegenerateParameterError(
+                f"denominator factor (1 - v) with v = 1{zero}{_where(label)}"
+            )
+        return numerator > 0 or self.shift > self.cap_q
+
     def value(self, label: str = "") -> Dense:
         """The summand to q^cap_q; refuses 1/0, 0/0 and a pole at q = 0.
 
         With shift 0 this is ``window`` itself, valid until the next step.
         """
-        where = f" in {label}" if label else ""
-        numerator, denominator = self.vanishing
-        if denominator > 0:
-            zero = " over a vanishing numerator factor (0/0)" if numerator > 0 else ""
-            raise DegenerateParameterError(f"denominator factor (1 - v) with v = 1{zero}{where}")
-        if numerator > 0 or self.shift > self.cap_q:
+        if self.is_zero(label):
             return Dense.zero(self.cap_q)
         if self.shift < 0:
             raise DegenerateParameterError(
-                f"product has a pole of order {-self.shift} at q = 0{where}"
+                f"product has a pole of order {-self.shift} at q = 0{_where(label)}"
             )
         c = self.window
         if c is None:
-            raise SeriesError(f"a stepped summand's window cannot widen{where}")
+            raise SeriesError(f"a stepped summand's window cannot widen{_where(label)}")
         return Dense([0] * self.shift + c, c.den) if self.shift else c
 
 
@@ -409,10 +433,14 @@ def product_series(
     One ``Summand`` step from the constant 1: a net negative q-power (a
     pole at q = 0) and a vanishing denominator factor, also over a
     vanishing numerator factor (0/0), raise ``DegenerateParameterError``;
-    a vanishing numerator factor alone makes the product zero.
+    a vanishing numerator factor alone makes the product zero.  The step's
+    passes run only on a product that is not zero: every refusal reads
+    the counts and the q-power alone.
     """
     term = Summand(cap_q)
-    term.step(factors, scalar=scalar, q_shift=q_shift)
+    step = term._count(factors, (), scalar, q_shift)
+    if not term.is_zero(label):
+        term._run(*step)
     return term.value(label)
 
 

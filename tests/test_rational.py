@@ -308,6 +308,26 @@ def test_dense_product_matches_sparse_reference(fac, cap, scalar, q_shift):
     assert got.valid_to_q == cap
 
 
+@pytest.mark.parametrize("cap", [12, 20])
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_division_pass_matches_sparse_reference(d, m, cap):
+    # A division by (1 - (p/d) q^m) scales its window once by d^J, J = cap//m,
+    # and divides each carried term by d exactly.  Fixed factor lists at the
+    # caps the rational bench draws (12 to 20), where the top step's carried
+    # term holds exactly one factor d to spare; the hypothesis test stops at 8.
+    lists = [
+        [Factor(Fraction(1, d), m, True)],
+        [Factor(Fraction(-5, d), m), Factor(Fraction(11, d), m, True)],
+        [Factor(Fraction(-5, d), 1), Factor(Fraction(1, d), m, True),
+         Factor(Fraction(11, d), m), Factor(Fraction(-5, d), m, True)],
+        [Factor(Fraction(11, d), m, True), Factor(Fraction(1, d), m + 1, True),
+         Factor(Fraction(3, 1), m, True)],
+    ]
+    for fac in lists:
+        assert dense_series(product_series(fac, cap), cap) == sparse_product(fac, cap)
+
+
 @pytest.mark.parametrize(
     "fac",
     [

@@ -55,6 +55,7 @@ _MIDDLE_BOUNDS = "    if lam_largest > 2 * M or lam_length > 2 * j:"
 _CAUGHT = "tests/test_bijections.py::test_each_audit_check_catches_its_faulty_map["
 _BY_NAME = "tests/test_cli.py::test_verify_refuses_a_parameter_out_of_range_by_name"
 _HALF_CAP = "    base = build_thm11_side(replace(profile, cap_q=profile.cap_q // 2))"
+_DIVISION = "tests/test_rational.py::test_division_pass_matches_sparse_reference"
 _GRADED = (
     "tests/test_identities.py::test_graded_builders_match_the_per_summand_loops[(3, 3, 3, 10)]"
 )
@@ -162,6 +163,20 @@ LEDGER = [
         "            p, n = p * c, 2 * n",
         _DOUBLING,
     ),
+    # over_binomial: the window is scaled once by d^J, no lower ...
+    Mutant(
+        "src/qsid/rational.py",
+        "    power = d ** ((n - 1) // m)",
+        "    power = d ** ((n - 1) // m - 1)",
+        _DIVISION,
+    ),
+    # ... and each carried term is divided by d
+    Mutant(
+        "src/qsid/rational.py",
+        "        c[i] += p * (c[i - m] // d)",
+        "        c[i] += p * c[i - m]",
+        _DIVISION,
+    ),
     # graded sums: each summand is written at its own power of t ...
     Mutant(
         "src/qsid/identities.py",
@@ -216,15 +231,15 @@ LEDGER = [
     # the one dict writer puts its separator between fields ...
     Mutant(
         "src/qsid/cli.py",
-        '            lead = "," + inner',
-        "            lead = inner",
+        '        lead = "," + inner',
+        "        lead = inner",
         "tests/test_golden.py::test_golden_invocation[audit_2_3]",
     ),
     # ... and writes an empty dict (an empty caps or details here) as {}
     Mutant(
         "src/qsid/cli.py",
-        '        yield nl + "}" if value else "{}"',
-        '        yield nl + "}" if value else "[]"',
+        '    yield nl + "}" if value else "{}"',
+        '    yield nl + "}" if value else "[]"',
         "tests/test_cli.py::test_table_over_a_denominator_is_written_reduced",
     ),
     # the mismatch table's int fill writes lhs, then rhs
