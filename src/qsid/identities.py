@@ -42,6 +42,7 @@ from collections import Counter, deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, islice
 from math import comb, lcm
 from typing import Callable, Dict, List, Optional, Tuple
@@ -833,8 +834,25 @@ def _rational(builder: Callable[..., Dense], **kwargs) -> Builder:
     """Side builder for a rational-mode ``builder(assign, cap_q, **kwargs)``.
 
     The builder works on a ``Dense``; its finished side becomes a q-only
-    series here, once."""
-    return lambda r: dense_series(builder(r.assign, r.cap_q, **kwargs), r.cap_q)
+    series once, in ``_rational_side``, which keeps it for later runs."""
+    variant = tuple(sorted(kwargs.items()))
+    return lambda r: _rational_side(builder, r.assign, r.cap_q, variant)
+
+
+@lru_cache(maxsize=64)
+def _rational_side(
+    builder: Callable[..., Dense], assign: RationalAssignment, cap_q: int, variant: tuple
+) -> TruncatedSeries:
+    """The finished side ``builder(assign, cap_q, **dict(variant))`` as a q-only series.
+
+    Memoized per process on every input the side depends on: the builder,
+    the (frozen) assignment, cap_q and the printed variant.  Cases of the
+    proof chain share sides (``chain_shift`` and ``chain_fine`` both build
+    the shifted double sum, ``qps_2_1`` and ``rewrite_2_2`` the balanced
+    sum), so a process that checks several builds each once.  A refusal
+    raises and is not kept; the value is immutable.  The bound keeps the
+    memo small; formal sides, far larger and never repeated, stay out."""
+    return dense_series(builder(assign, cap_q, **dict(variant)), cap_q)
 
 
 _AS_FOUND = "mismatch table reported as found; equality is not assumed"

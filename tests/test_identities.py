@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from qsid import identities, series
+from qsid.cli import report_json, verification_report_to_dict
 from qsid.identities import (
     CASES,
     build_eq31_side,
@@ -927,25 +928,97 @@ def test_rational_sides_use_no_sparse_series_arithmetic(monkeypatch, cap_q):
     # Rational sides are built on integer numerators over one denominator
     # and become a series once, for the comparison: no term-map product or
     # sum is left on their path.
+    # The cases ask for 16 sides, 13 of them distinct: chain_fine shares
+    # the shifted double sum with chain_shift and the product form with
+    # chain_final, and rewrite_2_2 shares the balanced sum with qps_2_1.
     expected = {}
     for name in RATIONAL_CASES:
         report = run_case(name, "rational", assign=NC_ASSIGN, cap_q=cap_q)
         expected[name] = (report.status, report.details.get("matched_form"))
+    assert identities._rational_side.cache_info()[:2] == (3, 13)
 
     def forbidden(self, other):
         raise AssertionError("sparse series arithmetic in a rational side")
 
+    # with the sides still memoized, the guarded pass would build none
+    identities._rational_side.cache_clear()
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(TruncatedSeries, name, forbidden)
     for name in RATIONAL_CASES:
         report = run_case(name, "rational", assign=NC_ASSIGN, cap_q=cap_q)
         assert (report.status, report.details.get("matched_form")) == expected[name]
+    assert identities._rational_side.cache_info()[:2] == (3, 13)
     assert len(expected) == 7
     assert all(status == "verified" for status, _ in expected.values())
     assert expected["rewrite_2_2"][1] == "without_qn"
     assert expected["chain_final"][1] == "t_over_a"
     with pytest.raises(AssertionError, match="sparse series arithmetic"):
         TruncatedSeries.one(PROF) + TruncatedSeries.one(PROF)
+
+
+# ------------------------------------------------------- memoized rational sides
+
+
+def rational_report_bytes(name, **settings):
+    """The rational report of ``name`` as written, without its volatile section."""
+    report = run_case(name, "rational", **settings)
+    return report_json(
+        {k: v for k, v in verification_report_to_dict(report).items() if k != "volatile"}
+    )
+
+
+def test_memoized_sides_give_the_reports_of_cold_builds():
+    memo = identities._rational_side
+    for cap_q in (7, 12):
+        for name in RATIONAL_CASES:
+            settings = {"assign": NC_ASSIGN, "cap_q": cap_q}
+            memo.cache_clear()
+            cold = rational_report_bytes(name, **settings)
+            hits = memo.cache_info().hits
+            warm = rational_report_bytes(name, **settings)
+            assert memo.cache_info().hits > hits
+            memo.cache_clear()
+            assert rational_report_bytes(name, **settings) == warm == cold
+
+
+@pytest.mark.parametrize(
+    "name, key", [("rewrite_2_2", "with_qn_mismatch_count"),
+                  ("chain_final", "printed_form_mismatch_count")],
+)
+def test_printed_variants_of_one_builder_stay_apart(name, key):
+    # both variants of one builder are kept, each under its own key: the
+    # rejected one still mismatches when read from the memo
+    cold = run_case(name, "rational", assign=NC_ASSIGN, cap_q=10)
+    warm = run_case(name, "rational", assign=NC_ASSIGN, cap_q=10)
+    assert identities._rational_side.cache_info()[:2] == (3, 3)
+    assert warm.details == cold.details and cold.details[key] > 0
+    assert warm.status == cold.status == "verified"
+
+
+def test_sides_at_different_cap_q_are_kept_apart():
+    qps = RationalAssignment.make(a=2, b="1/3", c=5, N=2)
+    assert run_case("qps_2_1", "rational", assign=qps, cap_q=12).verified
+    assert run_case("rewrite_2_2", "rational", assign=qps, cap_q=13).verified
+    assert identities._rational_side.cache_info()[:2] == (0, 5)
+
+
+def test_a_refused_side_is_refused_again():
+    degenerate = RationalAssignment.make(a=0, b="1/3", c=5, N=2)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DegenerateParameterError) as refused:
+            run_case("qps_2_1", "rational", assign=degenerate, cap_q=8)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+    assert identities._rational_side.cache_info() == (0, 2, 64, 0)  # nothing kept
+
+
+def test_the_side_memo_is_bounded():
+    f = RationalAssignment.make(alpha="1/2", beta="1/3", x_exp=1, y_exp=2)
+    for cap_q in range(1, 34):  # two sides each: 66 distinct sides
+        assert run_case("f_sym", "rational", assign=f, cap_q=cap_q).verified
+    info = identities._rational_side.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (66, 64, 64)
 
 
 @pytest.mark.parametrize(

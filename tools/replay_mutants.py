@@ -249,6 +249,15 @@ LEDGER = [
         _INT_FILL.replace("(a, b, t, q, x, y) for", "(a, b, t, q, y, x) for"),
         "tests/test_cli.py::test_thm34_table_at_the_heavy_caps_is_written_as_from_fractions",
     ),
+    # the rational side memo keeps sides for reuse, and no more than 64
+    *(
+        Mutant("src/qsid/identities.py", "@lru_cache(maxsize=64)", mutated,
+               "tests/test_identities.py::" + killer)
+        for mutated, killer in (
+            ("@lru_cache(maxsize=0)", "test_memoized_sides_give_the_reports_of_cold_builds"),
+            ("@lru_cache(maxsize=None)", "test_the_side_memo_is_bounded"),
+        )
+    ),
     # gamma_inverse: each guard refuses with its own message; loosened, the
     # final round-trip check refuses instead, with another
     *(
