@@ -43,7 +43,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count
 from math import comb, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -53,18 +53,19 @@ from .rational import (
     Dense,
     Factor,
     RationalAssignment,
-    Summand,
+    Symbol,
     accumulate,
     apply_factors,
     dense_series,
     over_binomial,
-    pochhammer_factors,
     product_series,
     reduce_dense,
     require_frozen,
     scale,
     shift_window,
+    stepped_sum,
     sum_with_geometric_tail,
+    symbol_factors,
     times_binomial,
 )
 from .series import (
@@ -412,48 +413,27 @@ def build_thm31_side(which: str, profile: TruncationProfile) -> TruncatedSeries:
 
 ONE = Fraction(1)
 
-# Each sum steps its summand from index n to n + 1 by the exact term
-# ratio: the binomial factors that join the summand's factor list and the
-# ones that leave it, a scalar and a q-shift (``Summand.step``), normalised
-# and refused exactly as ``product_series`` treats the whole list.
+# Each single sum is its printed form, q-Pochhammer symbols stepped by
+# ``stepped_sum``; a product side, or one summand, is its symbols at one n.
+
+
+def _qps_symbols(assign: RationalAssignment) -> List[Symbol]:
+    a, b, c, N = Fraction(assign.a), Fraction(assign.b), Fraction(assign.c), assign.N
+    return [Symbol(a, 0, size_n=1), Symbol(b, 0, size_n=1), Symbol(ONE, -N, size_n=1),
+            Symbol(c, 0, size_n=1, inverted=True), Symbol(ONE, 1, size_n=1, inverted=True),
+            Symbol(a * b / c, 1 - N, size_n=1, inverted=True)]
 
 
 def _qps_summand(assign: RationalAssignment, n: int, cap_q: int) -> Dense:
     """Summand n of the balanced sum from its factor list (the N + 1 check)."""
-    a, b, c, N = assign.a, assign.b, assign.c, assign.N
-    fac = []
-    fac += pochhammer_factors(a, 0, n)
-    fac += pochhammer_factors(b, 0, n)
-    fac += pochhammer_factors(1, -N, n)
-    fac += pochhammer_factors(c, 0, n, inverted=True)
-    fac += pochhammer_factors(1, 1, n, inverted=True)
-    fac += pochhammer_factors(Fraction(a) * b / c, 1 - N, n, inverted=True)
+    fac = symbol_factors(_qps_symbols(assign), n, cap_q)
     return product_series(fac, cap_q, q_shift=n, label=f"balanced-sum term n={n}")
-
-
-def _finite_sum(terms: Iterator[Dense], n_terms: int, cap_q: int) -> Dense:
-    total = Dense.zero(cap_q)
-    for term in islice(terms, n_terms):
-        accumulate(total, term)
-    return total
 
 
 def _qps_lhs(assign: RationalAssignment, cap_q: int) -> Dense:
     """sum_{n=0..N} (a, b, q^-N; q)_n q^n / (c, q, a*b*q^(1-N)/c; q)_n."""
-    a, b, c, N = Fraction(assign.a), Fraction(assign.b), Fraction(assign.c), assign.N
-    ab_c = a * b / c
-
-    def terms() -> Iterator[Dense]:
-        term = Summand(cap_q)
-        for n in count():
-            yield term.value(f"balanced-sum term n={n}")
-            term.step(
-                [Factor(a, n), Factor(b, n), Factor(ONE, n - N),
-                 Factor(c, n, True), Factor(ONE, n + 1, True), Factor(ab_c, n + 1 - N, True)],
-                q_shift=1,
-            )
-
-    return _finite_sum(terms(), N + 1, cap_q)
+    return stepped_sum(cap_q, _qps_symbols(assign), "balanced-sum", q_shift=1,
+                       n_terms=assign.N + 1)
 
 
 def _divisors(assign: RationalAssignment, appears: str) -> Tuple[Fraction, Fraction]:
@@ -470,41 +450,28 @@ def _divisors(assign: RationalAssignment, appears: str) -> Tuple[Fraction, Fract
 
 
 def _qps_rhs(assign: RationalAssignment, cap_q: int) -> Dense:
+    """(c/a, c/b; q)_N / (c, c/(a*b); q)_N."""
     (a, b), c, N = _divisors(assign, "c/{}"), Fraction(assign.c), assign.N
-    fac = []
-    fac += pochhammer_factors(c / a, 0, N)
-    fac += pochhammer_factors(c / b, 0, N)
-    fac += pochhammer_factors(c, 0, N, inverted=True)
-    fac += pochhammer_factors(c / (a * b), 0, N, inverted=True)
-    return product_series(fac, cap_q, label="balanced-sum product side")
+    symbols = [Symbol(c / a, 0, size=N), Symbol(c / b, 0, size=N),
+               Symbol(c, 0, size=N, inverted=True), Symbol(c / (a * b), 0, size=N, inverted=True)]
+    return product_series(symbol_factors(symbols, 0, cap_q), cap_q,
+                          label="balanced-sum product side")
 
 
 def _eq22_rhs(assign: RationalAssignment, cap_q: int, with_qn: bool) -> Dense:
     """(q; q)_N / (c/(a*b); q)_N times
     sum_{n=0..N} (a, b; q)_n (c/(a*b); q)_(N-n) (c/(a*b))^n [q^n]
-    / ((c, q; q)_n (q; q)_(N-n)).
-
-    The prefactor rides in summand 0: the summand steps by the
-    prefactor's factor list, refuses on its own, then steps by summand
-    0's, both as printed."""
+    / ((c, q; q)_n (q; q)_(N-n))."""
     (a, b), c, N = _divisors(assign, "c/(a*b)"), Fraction(assign.c), assign.N
     c_ab = c / (a * b)
-    term = Summand(cap_q)
-    term.step(pochhammer_factors(1, 1, N) + pochhammer_factors(c_ab, 0, N, inverted=True))
-    term.value("rewrite prefactor")
-    term.step(pochhammer_factors(c_ab, 0, N) + pochhammer_factors(1, 1, N, inverted=True))
-
-    def terms() -> Iterator[Dense]:
-        for n in count():
-            yield term.value(f"rewrite term n={n}")
-            term.step(
-                [Factor(a, n), Factor(b, n), Factor(c, n, True), Factor(ONE, n + 1, True)],
-                [Factor(c_ab, N - n - 1), Factor(ONE, N - n, True)],
-                scalar=c_ab,
-                q_shift=1 if with_qn else 0,
-            )
-
-    return _finite_sum(terms(), N + 1, cap_q)
+    symbols = [Symbol(a, 0, size_n=1), Symbol(b, 0, size_n=1), Symbol(c_ab, 0, size=N, size_n=-1),
+               Symbol(c, 0, size_n=1, inverted=True), Symbol(ONE, 1, size_n=1, inverted=True),
+               Symbol(ONE, 1, size=N, size_n=-1, inverted=True)]
+    return stepped_sum(
+        cap_q, symbols, "rewrite", scalar=c_ab, q_shift=1 if with_qn else 0, n_terms=N + 1,
+        prefactor=[Symbol(ONE, 1, size=N), Symbol(c_ab, 0, size=N, inverted=True)],
+        prefactor_label="rewrite prefactor",
+    )
 
 
 def _eq23_lhs(assign: RationalAssignment, cap_q: int) -> Dense:
@@ -512,31 +479,19 @@ def _eq23_lhs(assign: RationalAssignment, cap_q: int) -> Dense:
     / ((q; q)_n (q; q)_(N-n) (1 - b*q^n) a^n)."""
     a, b, N = Fraction(assign.a), Fraction(assign.b), assign.N
     inv_a = 1 / a
-
-    def terms() -> Iterator[Dense]:
-        term = Summand(cap_q)
-        term.step(
-            pochhammer_factors(inv_a, 1, N)
-            + pochhammer_factors(1, 1, N, inverted=True)
-            + [Factor(b, 0, True)]
-        )
-        for n in count():
-            yield term.value(f"specialized term n={n}")
-            term.step(
-                [Factor(a, n), Factor(ONE, n + 1, True), Factor(b, n + 1, True)],
-                [Factor(inv_a, N - n), Factor(ONE, N - n, True), Factor(b, n, True)],
-                scalar=inv_a,
-                q_shift=1,
-            )
-
-    return _finite_sum(terms(), N + 1, cap_q)
+    symbols = [Symbol(a, 0, size_n=1), Symbol(inv_a, 1, size=N, size_n=-1),
+               Symbol(ONE, 1, size_n=1, inverted=True),
+               Symbol(ONE, 1, size=N, size_n=-1, inverted=True),
+               Symbol(b, 0, lo_n=1, size=1, inverted=True)]
+    return stepped_sum(cap_q, symbols, "specialized", scalar=inv_a, q_shift=1, n_terms=N + 1)
 
 
 def _eq23_rhs(assign: RationalAssignment, cap_q: int) -> Dense:
-    a, b, N = assign.a, assign.b, assign.N
-    fac = pochhammer_factors(Fraction(b) / a, 1, N)
-    fac += pochhammer_factors(b, 0, N + 1, inverted=True)
-    return product_series(fac, cap_q, label="specialized product side")
+    """(b/a * q; q)_N / (b; q)_(N+1)."""
+    a, b, N = Fraction(assign.a), Fraction(assign.b), assign.N
+    symbols = [Symbol(b / a, 1, size=N), Symbol(b, 0, size=N + 1, inverted=True)]
+    return product_series(symbol_factors(symbols, 0, cap_q), cap_q,
+                          label="specialized product side")
 
 
 # Each double sum below gains no q-order in one index (N in the shifted
@@ -641,54 +596,26 @@ def _chain_double_shifted(assign: RationalAssignment, cap_q: int) -> Dense:
 
 def _chain_product_form(assign: RationalAssignment, cap_q: int) -> Dense:
     """(t/a * q; q)_inf / (t; q)_inf times
-    sum_{n>=0} (t; q)_n (t*q^(2n+1); q)_inf b^n / ((t/a * q; q)_n (t/a * q^(2n+1); q)_inf).
-
-    The prefactor rides in summand 0, stepped and refused on its own
-    before the tail's ratio is checked."""
+    sum_{n>=0} (t; q)_n (t*q^(2n+1); q)_inf b^n / ((t/a * q; q)_n (t/a * q^(2n+1); q)_inf)."""
     a, b, t = Fraction(assign.a), Fraction(assign.b), Fraction(assign.t)
     t_over_a = t / a
-    term = Summand(cap_q)
-    term.step(
-        pochhammer_factors(t_over_a, 1, None, cap_q=cap_q)
-        + pochhammer_factors(t, 0, None, inverted=True, cap_q=cap_q)
+    symbols = [Symbol(t, 0, size_n=1), Symbol(t, 1, lo_n=2, size=None),
+               Symbol(t_over_a, 1, size_n=1, inverted=True),
+               Symbol(t_over_a, 1, lo_n=2, size=None, inverted=True)]
+    return stepped_sum(
+        cap_q, symbols, "product-form", scalar=b, tail=b,
+        prefactor=[Symbol(t_over_a, 1, size=None), Symbol(t, 0, size=None, inverted=True)],
+        prefactor_label="product-form prefactor",
     )
-    term.value("product-form prefactor")
-    term.step(
-        pochhammer_factors(t, 1, None, cap_q=cap_q)
-        + pochhammer_factors(t_over_a, 1, None, inverted=True, cap_q=cap_q)
-    )
-
-    def cterms() -> Iterator[Dense]:
-        for n in count():
-            yield term.value(f"product-form term n={n}")
-            term.step(
-                [Factor(t, n), Factor(t_over_a, n + 1, True)],
-                [Factor(t, 2 * n + 1), Factor(t, 2 * n + 2),
-                 Factor(t_over_a, 2 * n + 1, True), Factor(t_over_a, 2 * n + 2, True)],
-                scalar=b,
-            )
-
-    return sum_with_geometric_tail(cterms(), b, cap_q + 1, cap_q)
 
 
 def _chain_single_sum(assign: RationalAssignment, cap_q: int, reciprocal: bool) -> Dense:
     """sum_{n>=0} (x*q^(n+1); q)_n b^n / (t*q^n; q)_(n+1) with x = t/a, or a*t."""
     a, b, t = Fraction(assign.a), Fraction(assign.b), Fraction(assign.t)
     x = t / a if reciprocal else a * t
-
-    def dterms() -> Iterator[Dense]:
-        term = Summand(cap_q)
-        term.step([Factor(t, 0, True)])
-        for n in count():
-            yield term.value(f"target term n={n}")
-            term.step(
-                [Factor(x, 2 * n + 1), Factor(x, 2 * n + 2),
-                 Factor(t, 2 * n + 1, True), Factor(t, 2 * n + 2, True)],
-                [Factor(x, n + 1), Factor(t, n, True)],
-                scalar=b,
-            )
-
-    return sum_with_geometric_tail(dterms(), b, cap_q + 1, cap_q)
+    symbols = [Symbol(x, 1, lo_n=1, size_n=1),
+               Symbol(t, 0, lo_n=1, size=1, size_n=1, inverted=True)]
+    return stepped_sum(cap_q, symbols, "target", scalar=b, tail=b)
 
 
 def _f_rational(assign: RationalAssignment, cap_q: int, exchanged: bool) -> Dense:

@@ -62,7 +62,15 @@ leaving it (``Summand``), rather than by rebuilding summand n from its n
 or more factors.  ``product_series`` is one such step from the constant
 1, so the flips, the folding of q^0 factors into the scalar and the
 refusals of a vanishing denominator factor (0/0 included) and of a pole
-at q = 0 are written once.
+at q = 0 are written once.  A sum is given as printed (``stepped_sum``):
+summand n is scalar^n q^(sigma*n) times q-Pochhammer symbols (``Symbol``),
+each the factors (1 - x*q^k), k in [lo(n), hi(n)).  From n to n + 1 those
+in [lo(n), lo(n+1)) leave and those in [hi(n), hi(n+1)) enter, the other
+way round for a negative slope (where the ranges cross, the factors they
+share enter and leave alike and cancel exactly): each end of a symbol is
+|slope| templates, the factor at q^(base + slope*n) of step n.  Given
+cap_q, ``pochhammer_factors`` lists no factor past q^cap_q: only factors
+with m <= 0 touch the scalar, the q-power or the vanishing counts.
 
 ``sum_with_geometric_tail`` sums series whose q-expansion does not
 terminate index by index (the orders of the summands stop growing once
@@ -80,7 +88,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, List, NamedTuple, Optional
+from itertools import count, islice
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 from .series import (
     SeriesError,
@@ -95,6 +104,7 @@ __all__ = [
     "Factor",
     "RationalAssignment",
     "Summand",
+    "Symbol",
     "accumulate",
     "apply_factors",
     "dense_series",
@@ -105,7 +115,9 @@ __all__ = [
     "require_frozen",
     "scale",
     "shift_window",
+    "stepped_sum",
     "sum_with_geometric_tail",
+    "symbol_factors",
     "times_binomial",
 ]
 
@@ -115,32 +127,39 @@ class DegenerateParameterError(SeriesError):
 
 
 class Factor(NamedTuple):
-    """One factor (1 - value * q^q_exp), inverted when it sits in a denominator.
-
-    An immutable 3-tuple (value, q_exp, inverted), which ``Summand.step``
-    unpacks as it walks a factor list.
-    """
+    """One factor (1 - value * q^(q_exp + slope*n)) of step n, inverted when it
+    sits in a denominator: an immutable 4-tuple, which ``Summand.step``
+    unpacks as it walks a factor list.  A fixed factor has slope 0."""
 
     value: Fraction
     q_exp: int
     inverted: bool = False
+    slope: int = 0
 
 
-def pochhammer_factors(
-    value,
-    q_offset: int,
-    count: Optional[int] = None,
-    *,
-    inverted: bool = False,
-    cap_q: Optional[int] = None,
-) -> List[Factor]:
+class Symbol(NamedTuple):
+    """The q-Pochhammer symbol (x*q^(lo + lo_n*n); q)_(size + size_n*n) of
+    summand n, in the denominator when ``inverted``; ``size=None`` is the
+    infinite product (x*q^(lo + lo_n*n); q)_inf."""
+
+    x: Fraction
+    lo: int
+    lo_n: int = 0
+    size: Optional[int] = 0
+    size_n: int = 0
+    inverted: bool = False
+
+
+def pochhammer_factors(value, q_offset: int, count: Optional[int] = None, *,
+                       inverted: bool = False, cap_q: Optional[int] = None) -> List[Factor]:
     """Factor list for prod_k (1 - value * q^(q_offset + k)).
 
     ``count`` gives the number of factors; ``count=None`` means the infinite
-    product, materialized only up to exponent cap_q (all later factors are 1
-    within the truncation).  Zero ``value`` yields no factors.
+    product.  Given ``cap_q``, no factor past q^cap_q is listed: each is 1
+    within the truncation.  Zero ``value`` yields no factors.
     """
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value == 0:
         return []
     if count is None:
@@ -150,10 +169,23 @@ def pochhammer_factors(
             raise NegativeExponentError(
                 f"infinite product starting at q^{q_offset} does not terminate"
             )
-        count = max(0, cap_q - q_offset + 1)
     elif count < 0:
         raise SeriesError(f"factor count must be >= 0, got {count}")
+    if cap_q is not None:
+        room = max(0, cap_q + 1 - q_offset)
+        count = room if count is None else min(count, room)
     return [Factor(value, q_offset + k, inverted) for k in range(count)]
+
+
+def symbol_factors(symbols: Iterable[Symbol], n: int, cap_q: int) -> List[Factor]:
+    """The factors of ``symbols`` at n, none past q^cap_q."""
+    fac = []
+    for x, lo, lo_n, size, size_n, inverted in symbols:
+        if size is not None:
+            size += size_n * n
+        if size != 0:
+            fac += pochhammer_factors(x, lo + lo_n * n, size, inverted=inverted, cap_q=cap_q)
+    return fac
 
 
 # ------------------------------------------------------------- dense kernel
@@ -241,7 +273,7 @@ def over_binomial(c: Dense, v, m: int) -> None:
 
 def apply_factors(c: Dense, factors: Iterable[Factor]) -> None:
     """c <- c * prod(factors) in place; every q_exp >= 0."""
-    for v, m, inverted in factors:
+    for v, m, inverted, _ in factors:
         (over_binomial if inverted else times_binomial)(c, v, m)
 
 
@@ -353,17 +385,18 @@ class Summand:
         """
         self._run(*self._count(enter, leave, scalar, q_shift))
 
-    def _count(self, enter, leave, scalar, q_shift):
-        """A step's factors counted into the vanishing counts and the
+    def _count(self, enter, leave, scalar, q_shift, n=0):
+        """Step n's factors counted into the vanishing counts and the
         shift; returns its scalar, its net q-power and its passes, not run."""
         if not isinstance(scalar, Fraction):
             scalar = Fraction(scalar)
         shift = q_shift
         passes = []
         for leaving, factors in ((False, enter), (True, leave)):
-            for v, m, inverted in factors:
+            for v, m, inverted, slope in factors:
                 if not v.numerator:
                     continue
+                m += slope * n
                 if m == 0 and v == 1:
                     self.vanishing[inverted] += -1 if leaving else 1
                     continue
@@ -475,6 +508,46 @@ def sum_with_geometric_tail(
             f"{ratio} times term {freeze_index}"
         )
     accumulate(total, tail)
+    return total
+
+
+def stepped_sum(cap_q: int, symbols: Sequence[Symbol], label: str, *,
+                scalar: Fraction = Fraction(1), q_shift: int = 0,
+                n_terms: Optional[int] = None, tail=None,
+                prefactor: Sequence[Symbol] = (), prefactor_label: str = "") -> Dense:
+    """sum_n scalar^n q^(q_shift*n) prod(symbols at n) to q^cap_q, ``scalar`` and
+    every ``Symbol.x`` a ``Fraction``: ``n_terms`` summands, or with ``tail``
+    all, those from n = cap_q + 1 on a geometric tail of that ratio (checked).
+    Summand n refuses as "<label> term n=<n>"; the ``prefactor`` symbols at
+    n = 0 ride in summand 0, stepped in and refused as ``prefactor_label`` first."""
+    term = Summand(cap_q)
+    if prefactor:
+        term.step(symbol_factors(prefactor, 0, cap_q))
+        term.value(prefactor_label)
+    enter, leave = [], []
+    for x, lo, lo_n, size, size_n, inverted in symbols:
+        hi, hi_n = (lo, 0) if size is None else (lo + size, lo_n + size_n)
+        # each end: its base and slope, the list its factors join rising, falling
+        for base, slope, up, down in ((lo, lo_n, leave, enter), (hi, hi_n, enter, leave)):
+            if slope > 0:
+                for k in range(slope):
+                    up.append((x, base + k, inverted, slope))
+            else:
+                for k in range(-slope):
+                    down.append((x, base + slope + k, inverted, slope))
+    if first := symbol_factors(symbols, 0, cap_q):
+        term.step(first)
+
+    def terms() -> Iterator[Dense]:
+        for n in count():
+            yield term.value(f"{label} term n={n}")
+            term._run(*term._count(enter, leave, scalar, q_shift, n))
+
+    if tail is not None:
+        return sum_with_geometric_tail(terms(), tail, cap_q + 1, cap_q)
+    total = Dense.zero(cap_q)
+    for value in islice(terms(), n_terms):
+        accumulate(total, value)
     return total
 
 

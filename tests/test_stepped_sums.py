@@ -4,10 +4,13 @@ Each reference below rebuilds summand n from its whole factor list with
 ``product_series``, as the builders did before they stepped each summand to
 the next by its exact term ratio.  The stepped builders must agree with them
 coefficient by coefficient, as exact Fractions, and must refuse what they
-refuse with the same message, summand label included.
+refuse with the same message, summand label included.  The step derivation
+itself (``stepped_sum``) is checked the same way on random symbol shapes,
+slopes no catalog sum uses included.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import count, product
 
@@ -27,9 +30,11 @@ from qsid.rational import (
     Factor,
     RationalAssignment,
     Summand,
+    Symbol,
     accumulate,
     pochhammer_factors,
     product_series,
+    stepped_sum,
     sum_with_geometric_tail,
 )
 from qsid.series import SeriesError
@@ -272,3 +277,108 @@ def test_summand_window_that_would_widen_is_refused_not_guessed():
     term.step(q_shift=-2)
     with pytest.raises(SeriesError, match="cannot widen"):
         term.value()
+
+
+# --------------------------------------------------------- the step derivation
+
+
+SLOPES = (-1, 0, 1, 2)
+VALUES = tuple(Fraction(v) for v in ("0", "1", "1", "-1", "2", "1/2", "-2/3", "3"))
+
+
+def listed(symbol, n, cap_q):
+    """The symbol's factors at n, each exponent of its range listed (none
+    cut at cap_q), or None where the printed form has no meaning: a negative
+    size, or an infinite product from a negative q-power."""
+    x, lo, lo_n, size, size_n, inverted = symbol
+    start = lo + lo_n * n
+    if size is None:
+        stop = cap_q + 1 if start >= 0 else None
+    else:
+        stop = start + size + size_n * n if size + size_n * n >= 0 else None
+    return None if stop is None else [Factor(x, k, inverted) for k in range(start, stop)]
+
+
+def flipped_power(factors):
+    """The q-power the flips of the factors with a negative exponent carry."""
+    return sum(-f.q_exp if f.inverted else f.q_exp
+               for f in factors if f.q_exp < 0 and f.value != 0)
+
+
+def random_shape(rng, cap_q):
+    """Symbols, a prefactor, a scalar and q_shift, with the listed factors of
+    the prefactor and of each summand up to the first one undefined.
+
+    q_shift keeps every step's q-power >= 0 (a stepped summand's window
+    cannot widen), so the shapes redrawn are those whose summand 0 or
+    prefactor alone carries a pole, and those with no summand defined."""
+    while True:
+        symbols = [
+            Symbol(rng.choice(VALUES), rng.randint(-3, 3), rng.choice(SLOPES),
+                   rng.choice((0, 1, 2, 3, None)), rng.choice(SLOPES), rng.random() < 0.4)
+            for _ in range(rng.randint(1, 4))
+        ]
+        prefactor = [
+            Symbol(rng.choice(VALUES), rng.randint(-2, 3), size=rng.choice((0, 1, 2, None)),
+                   inverted=rng.random() < 0.5)
+            for _ in range(rng.choice((0, 0, 1, 2)))
+        ]
+        if any(s.size is None and s.lo < 0 for s in prefactor):
+            continue
+        pre = [f for s in prefactor for f in listed(s, 0, cap_q)]
+        terms = []
+        for n in range(6):
+            fac = [listed(s, n, cap_q) for s in symbols]
+            if None in fac:
+                break
+            terms.append([f for part in fac for f in part])
+        if not terms or flipped_power(pre) < 0 or flipped_power(terms[0]) < 0:
+            continue
+        powers = [flipped_power(t) for t in terms]
+        q_shift = max([0] + [p - q for p, q in zip(powers, powers[1:])]) + rng.randint(0, 1)
+        return symbols, prefactor, rng.choice(VALUES), q_shift, pre, terms
+
+
+def reference_partial_sum(pre, terms, scalar, q_shift, cap_q, n_terms):
+    if pre:
+        product_series(pre, cap_q, label="prefactor")
+    total = Dense.zero(cap_q)
+    for n in range(n_terms):
+        accumulate(total, product_series(pre + terms[n], cap_q, scalar=scalar**n,
+                                         q_shift=q_shift * n, label=f"shape term n={n}"))
+    return total
+
+
+def test_stepped_sums_of_random_shapes_match_their_printed_products():
+    # summand n as stepped equals the product of the symbols' factors at n,
+    # refusals included, for every partial sum of every shape
+    rng = random.Random(37)
+    refused = 0
+    for cap_q in (0, 3, 8) * 80:
+        symbols, prefactor, scalar, q_shift, pre, terms = random_shape(rng, cap_q)
+        for n_terms in range(1, len(terms) + 1):
+            want = outcome(lambda _a, _q: reference_partial_sum(
+                pre, terms, scalar, q_shift, cap_q, n_terms), None, cap_q)
+            got = outcome(lambda _a, _q: stepped_sum(
+                cap_q, symbols, "shape", scalar=scalar, q_shift=q_shift, n_terms=n_terms,
+                prefactor=prefactor, prefactor_label="prefactor"), None, cap_q)
+            assert got == want, (cap_q, symbols, prefactor, scalar, q_shift, n_terms)
+            refused += want[0] == "refused"
+    assert refused > 0
+
+
+def test_a_product_side_lists_no_factor_past_cap_q():
+    # (b/a * q; q)_N / (b; q)_(N+1) at N = 10^5: of its 200,001 factors only
+    # those up to q^cap_q act, and only those are listed
+    assign = RationalAssignment.make(a=2, b=Fraction(1, 3), N=10**5)
+    tracemalloc.start()
+    try:
+        got = identities._eq23_rhs(assign, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    b_over_a, b = Fraction(1, 6), Fraction(1, 3)
+    want = product_series([Factor(b_over_a, k) for k in range(1, 5)]
+                          + [Factor(b, k, True) for k in range(5)], 4)
+    assert got == want
+    assert peak < 2**20

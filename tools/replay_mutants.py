@@ -43,9 +43,14 @@ _COMPARE_KILLER = (
 _F_TERM = "        fac = [Factor(first, k1 * (n - k) + k2 * k, True) for k in range(n + 1)]"
 _STEPPED = "tests/test_stepped_sums.py::"
 _EQ22_PREFACTOR = (
-    "    term.step(pochhammer_factors(1, 1, N) + pochhammer_factors(c_ab, 0, N, inverted=True))"
+    "        prefactor=[Symbol(ONE, 1, size=N), Symbol(c_ab, 0, size=N, inverted=True)],"
 )
-_PRODUCT_PREFACTOR = "        + pochhammer_factors(t, 0, None, inverted=True, cap_q=cap_q)"
+_PRODUCT_PREFACTOR = (
+    "        prefactor=[Symbol(t_over_a, 1, size=None), Symbol(t, 0, size=None, inverted=True)],"
+)
+_RISING = "                for k in range(slope):"
+_FALLING = "                    down.append((x, base + slope + k, inverted, slope))"
+_DERIVED = _STEPPED + "test_stepped_sums_of_random_shapes_match_their_printed_products"
 _DOUBLING = "tests/test_series.py::test_q_division_by_doubling_matches_the_product"
 _INT_FILL = "            texts = [template % (a, b, t, q, x, y) for q, a, b, t, x, y in value.rows]"
 _SHIFT_ADD = "tests/test_series.py::test_shift_add_moves_cuts_merges_and_bounds_each_row"
@@ -123,32 +128,35 @@ LEDGER = [
             ("    if run.assign.b == 1:", "    if False:"),
         )
     ),
-    # a prefactor stepped into summand 0 must refuse on its own, under its own label
-    Mutant(
-        "src/qsid/identities.py",
-        '    term.value("rewrite prefactor")',
-        "    pass",
-        _STEPPED + "test_terminating_sums_refuse_as_their_references[eq22_without_qn]",
+    # a prefactor stepped into summand 0 must refuse on its own, under its own
+    # label, in the rewrite and in the product form ...
+    *(
+        Mutant("src/qsid/rational.py", "        term.value(prefactor_label)", "        pass",
+               _STEPPED + killer)
+        for killer in (
+            "test_terminating_sums_refuse_as_their_references[eq22_without_qn]",
+            "test_chain_sums_refuse_as_their_references[product_form]",
+        )
     ),
-    Mutant(
-        "src/qsid/identities.py",
-        '    term.value("product-form prefactor")',
-        "    pass",
-        _STEPPED + "test_chain_sums_refuse_as_their_references[product_form]",
-    ),
-    # ... and must step by its factor list as printed
+    # ... and must step by its symbols as printed
     Mutant(
         "src/qsid/identities.py",
         _EQ22_PREFACTOR,
-        _EQ22_PREFACTOR.replace("(c_ab, 0, N,", "(c_ab, 1, N,"),
+        _EQ22_PREFACTOR.replace("Symbol(c_ab, 0,", "Symbol(c_ab, 1,"),
         _STEPPED + "test_terminating_sums_match_their_summand_references[eq22_without_qn]",
     ),
     Mutant(
         "src/qsid/identities.py",
         _PRODUCT_PREFACTOR,
-        _PRODUCT_PREFACTOR.replace("(t, 0,", "(t, 1,"),
+        _PRODUCT_PREFACTOR.replace("Symbol(t, 0,", "Symbol(t, 1,"),
         _STEPPED + "test_chain_sums_match_their_summand_references[product_form]",
     ),
+    # stepped_sum: an end rising by slope passes slope factors ...
+    Mutant("src/qsid/rational.py", _RISING, _RISING.replace("range(slope)", "range(slope - 1)"),
+           _DERIVED),
+    # ... and an end falling by -slope passes those from its new base up
+    Mutant("src/qsid/rational.py", _FALLING, _FALLING.replace("base + slope + k", "base + k"),
+           _DERIVED),
     # _divide_q: the doubling must run until the sum holds every term j <= J ...
     Mutant(
         "src/qsid/series.py",
