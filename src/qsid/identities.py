@@ -51,22 +51,20 @@ from .partitions import ConstraintSet, enumerate_partitions, refuse_over_limit
 from .rational import (
     DegenerateParameterError,
     Dense,
-    Factor,
     RationalAssignment,
     Symbol,
     accumulate,
-    apply_factors,
     dense_series,
-    over_binomial,
+    over_ints,
     product_series,
     reduce_dense,
     require_frozen,
-    scale,
-    shift_window,
+    scale_ints,
+    shift_ints,
     stepped_sum,
     sum_with_geometric_tail,
     symbol_factors,
-    times_binomial,
+    times_ints,
 )
 from .series import (
     Monomial,
@@ -507,6 +505,11 @@ def _eq23_rhs(assign: RationalAssignment, cap_q: int) -> Dense:
 # reduced by their gcd once per outer step.
 
 
+def _ints(*values: Fraction) -> Tuple[int, ...]:
+    """Each value's numerator and denominator, read once for every pass."""
+    return tuple(x for v in values for x in (v.numerator, v.denominator))
+
+
 def _chain_double_unshifted(assign: RationalAssignment, cap_q: int) -> Dense:
     """sum_{n>=0} sum_{N>=n} (a;q)_n (q/a;q)_{N-n} q^n t^N
     / ((q;q)_n (q;q)_{N-n} (1 - b*q^(N+n)) a^n),
@@ -515,38 +518,36 @@ def _chain_double_unshifted(assign: RationalAssignment, cap_q: int) -> Dense:
     (M, n) carries q^n, so n <= cap_q; rows past M = cap_q only gain
     factors of t, so row cap_q + 1 closes them as a geometric tail."""
     a, b, t = Fraction(assign.a), Fraction(assign.b), Fraction(assign.t)
-    t_over_a = t / a
+    ap, ad, bp, bd, tp, td = _ints(a, b, t)
+    inv_p, inv_d, ta_p, ta_d, tail_p, tail_d = _ints(1 / a, t / a, 1 / (1 - t))
     total = Dense.zero(cap_q)
 
-    def row_step(M: int) -> List[Factor]:
-        """Summand (M + 1, 0) over summand (M, 0), apart from the scalar t."""
-        return [
-            Factor(1 / a, M + 1),
-            Factor(ONE, M + 1, True),
-            Factor(b, M),
-            Factor(b, M + 1, True),
-        ]
+    def row_step(M: int):
+        """Summand (M + 1, 0) over summand (M, 0), apart from the scalar t: its passes."""
+        return ((times_ints, inv_p, inv_d, M + 1), (over_ints, 1, 1, M + 1),
+                (times_ints, bp, bd, M), (over_ints, bp, bd, M + 1))
 
     first = Dense.zero(cap_q)
     first[0] = 1
-    over_binomial(first, b, 0)  # summand (0, 0)
+    over_ints(first, bp, bd, 0)  # summand (0, 0)
     for M in range(cap_q + 2):
         if M == cap_q + 1:
-            require_frozen((f.q_exp for f in row_step(M)), cap_q, "the unshifted double sum")
-            scale(first, 1 / (1 - t))
+            require_frozen((m for *_, m in row_step(M)), cap_q, "the unshifted double sum")
+            scale_ints(first, tail_p, tail_d)
         term = first.copy()
         accumulate(total, term)
         for n in range(cap_q):
             # summand (M, n + 1) over (M, n), on the window one slot higher:
             # (1 - a*q^n) (1 - b*q^(M+2n)) q*t / ((1 - q^(n+1)) (1 - b*q^(M+2n+2)) a)
-            shift_window(term, t_over_a)
-            times_binomial(term, a, n)
-            times_binomial(term, b, M + 2 * n)
-            over_binomial(term, 1, n + 1)
-            over_binomial(term, b, M + 2 * n + 2)
+            shift_ints(term, ta_p, ta_d)
+            times_ints(term, ap, ad, n)
+            times_ints(term, bp, bd, M + 2 * n)
+            over_ints(term, 1, 1, n + 1)
+            over_ints(term, bp, bd, M + 2 * n + 2)
             accumulate(total, term, n + 1)
-        apply_factors(first, row_step(M))
-        scale(first, t)
+        for kernel, p, d, m in row_step(M):
+            kernel(first, p, d, m)
+        scale_ints(first, tp, td)
         reduce_dense(first)
         reduce_dense(total)
     return total
@@ -559,36 +560,33 @@ def _chain_double_shifted(assign: RationalAssignment, cap_q: int) -> Dense:
     Summand (N, n) carries q^n; on its window of cap_q + 1 - n slots every
     binomial of the step in N lies past the window from N = cap_q + 1 - n on."""
     a, b, t = Fraction(assign.a), Fraction(assign.b), Fraction(assign.t)
-    inv_a = 1 / a
-    tail_scale = 1 / (1 - t)
+    ap, ad, bp, bd, tp, td = _ints(a, b, t)
+    inv_p, inv_d, ta_p, ta_d, tail_p, tail_d = _ints(1 / a, t / a, 1 / (1 - t))
     total = Dense.zero(cap_q)
     outer = Dense.zero(cap_q)  # summand (0, n) but for its 1/(1 - b*q^(2n)), on its window
     outer[0] = 1
     for n in range(cap_q + 1):
 
-        def step(N: int) -> List[Factor]:
-            """Summand (N + 1, n) over summand (N, n), apart from the scalar t."""
-            return [
-                Factor(inv_a, N + 1),
-                Factor(ONE, N + 1, True),
-                Factor(b, N + 2 * n),
-                Factor(b, N + 2 * n + 1, True),
-            ]
+        def step(N: int):
+            """Summand (N + 1, n) over summand (N, n), apart from the scalar t: its passes."""
+            return ((times_ints, inv_p, inv_d, N + 1), (over_ints, 1, 1, N + 1),
+                    (times_ints, bp, bd, N + 2 * n), (over_ints, bp, bd, N + 2 * n + 1))
 
         n_freeze = cap_q + 1 - n
         term = outer.copy()  # summand (0, n)
-        over_binomial(term, b, 2 * n)
+        over_ints(term, bp, bd, 2 * n)
         for N in range(n_freeze):
             accumulate(total, term, n)
-            apply_factors(term, step(N))
-            scale(term, t)
-        require_frozen((f.q_exp for f in step(n_freeze)), cap_q - n, "the shifted double sum")
-        scale(term, tail_scale)
+            for kernel, p, d, m in step(N):
+                kernel(term, p, d, m)
+            scale_ints(term, tp, td)
+        require_frozen((m for *_, m in step(n_freeze)), cap_q - n, "the shifted double sum")
+        scale_ints(term, tail_p, tail_d)
         accumulate(total, term, n)
         # outer factor n -> n + 1: times (1 - a*q^n) * q * t / ((1 - q^(n+1)) * a)
-        shift_window(outer, inv_a * t)
-        times_binomial(outer, a, n)
-        over_binomial(outer, 1, n + 1)
+        shift_ints(outer, ta_p, ta_d)
+        times_ints(outer, ap, ad, n)
+        over_ints(outer, 1, 1, n + 1)
         reduce_dense(outer)
         reduce_dense(total)
     return total
@@ -632,13 +630,21 @@ def _f_rational(assign: RationalAssignment, cap_q: int, exchanged: bool) -> Dens
     first, second = (assign.beta, assign.alpha) if exchanged else (assign.alpha, assign.beta)
     k1, k2 = assign.x_exp, assign.y_exp
     step = min(k1, k2)
+    p, d, sp, sd = _ints(first, second)
 
     def term(n: int) -> Dense:
-        # every exponent k1*(n - k) + k2*k moves with n: no binomial ratio to step by
-        fac = [Factor(first, k1 * (n - k) + k2 * k, True) for k in range(n + 1)]
-        return product_series(
-            fac, cap_q, scalar=second**n, label=f"symmetric-function term n={n}"
-        )
+        # every exponent k1*(n - k) + k2*k moves with n: no binomial ratio to
+        # step by.  The one at q^0 is n = 0's, and refuses first = 1.
+        if not n and p == d:
+            raise DegenerateParameterError(
+                "denominator factor (1 - v) with v = 1 in symmetric-function term n=0"
+            )
+        c = Dense([sp**n] + [0] * cap_q, sd**n)
+        for k in range(n + 1):
+            m = k1 * (n - k) + k2 * k
+            if m <= cap_q:
+                over_ints(c, p, d, m)
+        return reduce_dense(c)
 
     return sum_with_geometric_tail(map(term, count()), second, cap_q // step + 1, cap_q)
 

@@ -9,7 +9,8 @@ cap_q + 1 integer numerators of q^0 .. q^cap_q over one common positive
 denominator ``den``.  Every factor in rational mode is a binomial
 (1 - v*q^m)^(+-1) with v = p/d in lowest terms, and each one costs one
 in-place pass over the numerators, the division one scaling pass more,
-with no gcd in them:
+with no gcd in them.  A pass takes p and d as ints (``times_ints``,
+``over_ints``), read from v once per build, not once per pass:
 
     times (1 - v*q^m):  c[i] = d*c[i] - p*c[i-m]   for i from cap_q down,
                         den *= d
@@ -68,9 +69,15 @@ each the factors (1 - x*q^k), k in [lo(n), hi(n)).  From n to n + 1 those
 in [lo(n), lo(n+1)) leave and those in [hi(n), hi(n+1)) enter, the other
 way round for a negative slope (where the ranges cross, the factors they
 share enter and leave alike and cancel exactly): each end of a symbol is
-|slope| templates, the factor at q^(base + slope*n) of step n.  Given
-cap_q, ``pochhammer_factors`` lists no factor past q^cap_q: only factors
-with m <= 0 touch the scalar, the q-power or the vanishing counts.
+|slope| templates, the factor at q^(base + slope*n) of step n, compiled
+once per build with x read as ints (p, d).  Each step is counted from
+those ints alone, its scalar an int pair too, and no factor past q^cap_q
+is listed or run (as ``pochhammer_factors`` lists none given cap_q): only
+factors with m <= 0 touch the scalar, the q-power or the vanishing
+counts.  Counting needs no window, so the whole schedule is counted
+before any pass runs: a summand's window keeps the numerators that the
+summands still to be read need, also after a dip of the q-power, and no
+step runs past the last summand read or the first refused.
 
 ``sum_with_geometric_tail`` sums series whose q-expansion does not
 terminate index by index (the orders of the summands stop growing once
@@ -106,19 +113,22 @@ __all__ = [
     "Summand",
     "Symbol",
     "accumulate",
-    "apply_factors",
     "dense_series",
     "over_binomial",
+    "over_ints",
     "pochhammer_factors",
     "product_series",
     "reduce_dense",
     "require_frozen",
     "scale",
+    "scale_ints",
+    "shift_ints",
     "shift_window",
     "stepped_sum",
     "sum_with_geometric_tail",
     "symbol_factors",
     "times_binomial",
+    "times_ints",
 ]
 
 
@@ -128,8 +138,8 @@ class DegenerateParameterError(SeriesError):
 
 class Factor(NamedTuple):
     """One factor (1 - value * q^(q_exp + slope*n)) of step n, inverted when it
-    sits in a denominator: an immutable 4-tuple, which ``Summand.step``
-    unpacks as it walks a factor list.  A fixed factor has slope 0."""
+    sits in a denominator: an immutable 4-tuple, unpacked once as a factor
+    list is compiled for ``Summand``.  A fixed factor has slope 0."""
 
     value: Fraction
     q_exp: int
@@ -150,18 +160,9 @@ class Symbol(NamedTuple):
     inverted: bool = False
 
 
-def pochhammer_factors(value, q_offset: int, count: Optional[int] = None, *,
-                       inverted: bool = False, cap_q: Optional[int] = None) -> List[Factor]:
-    """Factor list for prod_k (1 - value * q^(q_offset + k)).
-
-    ``count`` gives the number of factors; ``count=None`` means the infinite
-    product.  Given ``cap_q``, no factor past q^cap_q is listed: each is 1
-    within the truncation.  Zero ``value`` yields no factors.
-    """
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    if value == 0:
-        return []
+def _exponents(q_offset: int, count: Optional[int], cap_q: Optional[int]) -> range:
+    """The exponents q_offset + k of ``count`` factors (None: infinitely many),
+    none past q^cap_q when it is given."""
     if count is None:
         if cap_q is None:
             raise SeriesError("an infinite product needs cap_q to materialize")
@@ -174,7 +175,22 @@ def pochhammer_factors(value, q_offset: int, count: Optional[int] = None, *,
     if cap_q is not None:
         room = max(0, cap_q + 1 - q_offset)
         count = room if count is None else min(count, room)
-    return [Factor(value, q_offset + k, inverted) for k in range(count)]
+    return range(q_offset, q_offset + count)
+
+
+def pochhammer_factors(value, q_offset: int, count: Optional[int] = None, *,
+                       inverted: bool = False, cap_q: Optional[int] = None) -> List[Factor]:
+    """Factor list for prod_k (1 - value * q^(q_offset + k)).
+
+    ``count`` gives the number of factors; ``count=None`` means the infinite
+    product.  Given ``cap_q``, no factor past q^cap_q is listed: each is 1
+    within the truncation.  Zero ``value`` yields no factors.
+    """
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    if value == 0:
+        return []
+    return [Factor(value, m, inverted) for m in _exponents(q_offset, count, cap_q)]
 
 
 def symbol_factors(symbols: Iterable[Symbol], n: int, cap_q: int) -> List[Factor]:
@@ -231,9 +247,13 @@ class Dense(list):
         return f"Dense({list.__repr__(self)}, den={self.den})"
 
 
-def times_binomial(c: Dense, v, m: int) -> None:
-    """c <- c * (1 - v*q^m) in place, truncated at q^(len(c) - 1); m >= 0."""
-    p, d = v.numerator, v.denominator
+# Each pass below takes v = p/d as two ints read once by its caller: p/d in
+# lowest terms with d > 0 (a scale takes any d > 0).  ``times_binomial``,
+# ``over_binomial``, ``scale`` and ``shift_window`` read a rational v.
+
+
+def times_ints(c: Dense, p: int, d: int, m: int) -> None:
+    """c <- c * (1 - (p/d)*q^m) in place, truncated at q^(len(c) - 1); m >= 0."""
     if not p or m >= len(c):
         return
     if d == 1:
@@ -243,10 +263,9 @@ def times_binomial(c: Dense, v, m: int) -> None:
         c.den *= d
 
 
-def over_binomial(c: Dense, v, m: int) -> None:
-    """c <- c / (1 - v*q^m) in place, truncated at q^(len(c) - 1); m >= 0."""
+def over_ints(c: Dense, p: int, d: int, m: int) -> None:
+    """c <- c / (1 - (p/d)*q^m) in place, truncated at q^(len(c) - 1); m >= 0."""
     n = len(c)
-    p, d = v.numerator, v.denominator
     if not p or m >= n:
         return
     if m == 0:
@@ -271,22 +290,15 @@ def over_binomial(c: Dense, v, m: int) -> None:
     c.den *= power
 
 
-def apply_factors(c: Dense, factors: Iterable[Factor]) -> None:
-    """c <- c * prod(factors) in place; every q_exp >= 0."""
-    for v, m, inverted, _ in factors:
-        (over_binomial if inverted else times_binomial)(c, v, m)
-
-
-def scale(c: Dense, v) -> None:
-    """c <- v * c in place."""
-    p, d = v.numerator, v.denominator
+def scale_ints(c: Dense, p: int, d: int) -> None:
+    """c <- (p/d) * c in place."""
     if p != 1:
         c[:] = [p * x for x in c]
     c.den *= d
 
 
-def shift_window(c: Dense, v, s: int = 1) -> None:
-    """c <- v * q^s * c in place, on the window s slots higher.
+def shift_ints(c: Dense, p: int, d: int, s: int = 1) -> None:
+    """c <- (p/d) * q^s * c in place, on the window s slots higher.
 
     A ``Dense`` that holds the numerators of q^k .. q^cap_q of a series
     q^k * c holds those of q^(k+s) .. q^cap_q after this: its top s
@@ -294,7 +306,27 @@ def shift_window(c: Dense, v, s: int = 1) -> None:
     """
     if s:
         del c[max(len(c) - s, 0):]
-    scale(c, v)
+    scale_ints(c, p, d)
+
+
+def times_binomial(c: Dense, v, m: int) -> None:
+    """c <- c * (1 - v*q^m) in place, truncated at q^(len(c) - 1); m >= 0."""
+    times_ints(c, v.numerator, v.denominator, m)
+
+
+def over_binomial(c: Dense, v, m: int) -> None:
+    """c <- c / (1 - v*q^m) in place, truncated at q^(len(c) - 1); m >= 0."""
+    over_ints(c, v.numerator, v.denominator, m)
+
+
+def scale(c: Dense, v) -> None:
+    """c <- v * c in place."""
+    scale_ints(c, v.numerator, v.denominator)
+
+
+def shift_window(c: Dense, v, s: int = 1) -> None:
+    """c <- v * q^s * c in place, on the window s slots higher (``shift_ints``)."""
+    shift_ints(c, v.numerator, v.denominator, s)
 
 
 def accumulate(total: Dense, c: Dense, offset: int = 0) -> None:
@@ -349,30 +381,72 @@ def _where(label: str) -> str:
     return f" in {label}" if label else ""
 
 
+def _templates(factors: Iterable[Factor], leaving: bool = False) -> list:
+    """``factors`` compiled for ``Summand._count``, each value read once."""
+    out = []
+    for v, m, inverted, slope in factors:
+        p = v.numerator
+        if p:
+            out.append((p, v.denominator, m, slope, inverted != leaving, inverted))
+    return out
+
+
+def _compile(symbols: Iterable[Symbol], cap_q: int):
+    """Each symbol's value read once: its factors at n = 0, none past q^cap_q,
+    and the templates of its two ends, entering ones first, for the steps."""
+    first, enter, leave = [], [], []
+    for x, lo, lo_n, size, size_n, inverted in symbols:
+        p, d = x.numerator, x.denominator
+        if not p:
+            continue
+        if size != 0:
+            first += [(p, d, m, 0, inverted, inverted) for m in _exponents(lo, size, cap_q)]
+        hi, hi_n = (lo, 0) if size is None else (lo + size, lo_n + size_n)
+        # each end: its base and slope, the list its factors join rising, falling
+        for base, slope, up, down in ((lo, lo_n, leave, enter), (hi, hi_n, enter, leave)):
+            if slope > 0:
+                up += [(p, d, base + k, slope, inverted != (up is leave), inverted)
+                       for k in range(slope)]
+            else:
+                down += [(p, d, base + slope + k, slope, inverted != (down is leave), inverted)
+                         for k in range(-slope)]
+    return first, enter + leave
+
+
 class Summand:
     """A summand stepped from one index to the next by its exact term ratio.
 
     Its value is scalar * q^shift * prod(factors) over the factors that
     have joined its factor list and not left it.  ``window`` holds the
-    numerators of q^shift .. q^cap_q alone, so each pass runs on those
-    cap_q + 1 - shift slots.  A step flips each factor with m < 0 into
-    the scalar and the shift and folds each (1 - v) with m = 0 into the
-    scalar, except a vanishing one (v = 1): that one is counted, in the
-    numerator or the denominator, until it leaves the list.
+    numerators of q^shift and up, at least to q^cap_q while the summand is
+    read, so each pass runs on about cap_q + 1 - shift slots.  A step flips
+    each factor with m < 0 into the scalar and the shift and folds each
+    (1 - v) with m = 0 into the scalar, except a vanishing one (v = 1):
+    that one is counted, in the numerator or the denominator, until it
+    leaves the list.
+
+    A step is counted (``_count``) from templates (p, d, base, slope,
+    divide, inverted): the factor (1 - (p/d)*q^(base + slope*n)) of step n,
+    p/d read once when the template is compiled, a division pass when
+    ``divide`` (a denominator factor joining, a numerator factor leaving),
+    and counted in the numerator or, ``inverted``, the denominator when it
+    vanishes.  Counting needs no window: the scalar, the q-power and the
+    vanishing counts are ints.  The counted passes run (``_run``) on the
+    window cut to the length given.
 
     ``value`` refuses a summand that holds a vanishing denominator factor
     (0/0 if it also holds a vanishing numerator factor) or a pole at
     q = 0, and is zero while it holds a vanishing numerator factor
-    (``is_zero``, the one place these counts are read).  A
-    step of negative net q-power would widen the window past the
-    numerators kept, so the window is dropped; only a summand refused or
-    zero until then can have taken one.
+    (``is_zero``; ``live`` refuses the pole too).  A window cut
+    shorter than its value needs stays short: a negative net q-power that
+    was not counted ahead (``stepped_sum`` counts its whole schedule
+    first) is refused on reading, not guessed.
     """
 
     def __init__(self, cap_q: int):
         self.cap_q = cap_q
         self.shift = 0
-        self.window: Optional[Dense] = Dense([1] + [0] * cap_q)
+        self.window = Dense([1] + [0] * cap_q)
         self.vanishing = [0, 0]  # held (1 - q^0) factors: numerator, denominator
 
     def step(self, enter: Iterable[Factor] = (), leave: Iterable[Factor] = (), *,
@@ -383,47 +457,79 @@ class Summand:
         factors leave it, each in the numerator or, inverted, the
         denominator.
         """
-        self._run(*self._count(enter, leave, scalar, q_shift))
-
-    def _count(self, enter, leave, scalar, q_shift, n=0):
-        """Step n's factors counted into the vanishing counts and the
-        shift; returns its scalar, its net q-power and its passes, not run."""
         if not isinstance(scalar, Fraction):
             scalar = Fraction(scalar)
+        templates = _templates(enter) + _templates(leave, leaving=True)
+        counted = self._count(templates, scalar.numerator, scalar.denominator, q_shift)
+        self._run(*counted, self.cap_q + 1 - self.shift)
+
+    def _count(self, templates, sp: int = 1, sd: int = 1, q_shift: int = 0, n: int = 0):
+        """Step n's templates counted into the vanishing counts and the shift;
+        returns its scalar sp/sd (sd > 0) and its passes, not run."""
+        cap_q = self.cap_q
         shift = q_shift
         passes = []
-        for leaving, factors in ((False, enter), (True, leave)):
-            for v, m, inverted, slope in factors:
-                if not v.numerator:
-                    continue
-                m += slope * n
-                if m == 0 and v == 1:
-                    self.vanishing[inverted] += -1 if leaving else 1
-                    continue
-                divide = inverted != leaving
-                if m < 0:
-                    scalar = scalar / -v if divide else scalar * -v
-                    shift += -m if divide else m
-                    v, m = 1 / v, -m
-                if m == 0:
-                    scalar = scalar / (1 - v) if divide else scalar * (1 - v)
+        for p, d, m, slope, divide, inverted in templates:
+            m += slope * n
+            if m > 0:
+                if m <= cap_q:
+                    passes.append((divide, p, d, m))
+                continue
+            if not m:
+                if p == d:
+                    self.vanishing[inverted] += 1 if divide == inverted else -1
+                elif divide:
+                    sp, sd = sp * d, sd * (d - p)
                 else:
-                    passes.append((over_binomial if divide else times_binomial, v, m))
+                    sp, sd = sp * (d - p), sd * d
+                continue
+            # 1 - v*q^m = -v * q^m * (1 - (1/v) * q^(-m))
+            if divide:
+                sp, sd, shift = -sp * d, sd * p, shift - m
+            else:
+                sp, sd, shift = -sp * p, sd * d, shift + m
+            p, d = (d, p) if p > 0 else (-d, -p)
+            if -m <= cap_q:
+                passes.append((divide, p, d, -m))
         self.shift += shift
-        return scalar, shift, passes
+        return (sp, sd, passes) if sd > 0 else (-sp, -sd, passes)
 
-    def _run(self, scalar, shift, passes) -> None:
-        """A counted step's scalar, q-power and passes applied to the window."""
+    def _run(self, sp: int, sd: int, passes, length: int) -> None:
+        """A counted step's scalar and passes applied to the window, cut to
+        ``length`` numerators first; a window never widens."""
         c = self.window
-        if c is None:
-            return
-        if shift < 0:
-            self.window = None
-            return
-        shift_window(c, scalar, shift)
-        for kernel, v, m in passes:
-            kernel(c, v, m)
+        del c[max(length, 0):]
+        scale_ints(c, sp, sd)
+        for divide, p, d, m in passes:
+            (over_ints if divide else times_ints)(c, p, d, m)
         reduce_dense(c)
+
+    def _floors(self, templates, q_shift: int, n_values: int):
+        """Where the window must reach for the next ``n_values`` summands.
+
+        Returns (n, floor) pairs, n and floor both rising, floor the least
+        q-power of a summand from n on that reads the window (one neither
+        zero nor refused, its q-power in 0..cap_q), and how many summands
+        to step: up to the last that reads the window or the first refused.
+        Counted by ``_count`` on a copy of the counts, from the templates
+        that can reach m <= 0: only those move the q-power or the
+        vanishing counts, and counting needs no window.
+        """
+        probe = Summand(self.cap_q)
+        probe.shift, probe.vanishing = self.shift, list(self.vanishing)
+        low = [t for t in templates if t[2] <= 0 or t[3] < 0]  # base <= 0 or slope < 0
+        floors, end = [], 0
+        for n in range(n_values):
+            (numerator, denominator), shift = probe.vanishing, probe.shift
+            if denominator > 0 or (numerator <= 0 and shift < 0):
+                return floors, n + 1
+            if numerator <= 0 and shift <= self.cap_q:
+                while floors and floors[-1][1] >= shift:
+                    floors.pop()
+                floors.append((n, shift))
+                end = n + 1
+            probe._count(low, 1, 1, q_shift, n)
+        return floors, end
 
     def is_zero(self, label: str = "") -> bool:
         """True while the summand is zero to q^cap_q: it holds a vanishing
@@ -436,21 +542,29 @@ class Summand:
             )
         return numerator > 0 or self.shift > self.cap_q
 
-    def value(self, label: str = "") -> Dense:
-        """The summand to q^cap_q; refuses 1/0, 0/0 and a pole at q = 0.
-
-        With shift 0 this is ``window`` itself, valid until the next step.
-        """
+    def live(self, label: str = "") -> bool:
+        """True when the value reads the window: the summand is not zero.
+        Refuses 1/0, 0/0 and a pole at q = 0."""
         if self.is_zero(label):
-            return Dense.zero(self.cap_q)
+            return False
         if self.shift < 0:
             raise DegenerateParameterError(
                 f"product has a pole of order {-self.shift} at q = 0{_where(label)}"
             )
-        c = self.window
-        if c is None:
+        return True
+
+    def value(self, label: str = "") -> Dense:
+        """The summand to q^cap_q; refuses 1/0, 0/0 and a pole at q = 0.
+
+        With shift 0 and a window cut at q^cap_q this is ``window`` itself,
+        valid until the next step.
+        """
+        if not self.live(label):
+            return Dense.zero(self.cap_q)
+        c, keep = self.window, self.cap_q + 1 - self.shift
+        if len(c) < keep:
             raise SeriesError(f"a stepped summand's window cannot widen{_where(label)}")
-        return Dense([0] * self.shift + c, c.den) if self.shift else c
+        return Dense([0] * self.shift + c[:keep], c.den) if self.shift or len(c) > keep else c
 
 
 def product_series(
@@ -467,13 +581,15 @@ def product_series(
     pole at q = 0) and a vanishing denominator factor, also over a
     vanishing numerator factor (0/0), raise ``DegenerateParameterError``;
     a vanishing numerator factor alone makes the product zero.  The step's
-    passes run only on a product that is not zero: every refusal reads
-    the counts and the q-power alone.
+    passes run only on a product that is read: every refusal reads the
+    counts and the q-power alone.
     """
+    if not isinstance(scalar, Fraction):
+        scalar = Fraction(scalar)
     term = Summand(cap_q)
-    step = term._count(factors, (), scalar, q_shift)
-    if not term.is_zero(label):
-        term._run(*step)
+    counted = term._count(_templates(factors), scalar.numerator, scalar.denominator, q_shift)
+    if term.live(label):
+        term._run(*counted, cap_q + 1 - term.shift)
     return term.value(label)
 
 
@@ -519,34 +635,46 @@ def stepped_sum(cap_q: int, symbols: Sequence[Symbol], label: str, *,
     every ``Symbol.x`` a ``Fraction``: ``n_terms`` summands, or with ``tail``
     all, those from n = cap_q + 1 on a geometric tail of that ratio (checked).
     Summand n refuses as "<label> term n=<n>"; the ``prefactor`` symbols at
-    n = 0 ride in summand 0, stepped in and refused as ``prefactor_label`` first."""
+    n = 0 ride in summand 0, stepped in and refused as ``prefactor_label`` first.
+
+    The whole schedule is counted before any pass runs (``Summand._floors``):
+    the window keeps the numerators the summands still to be read need, a
+    dip of the q-power included, and no step runs past the last summand
+    read or the first refused; the summands after it are zero.
+    """
     term = Summand(cap_q)
+    counted = []
     if prefactor:
-        term.step(symbol_factors(prefactor, 0, cap_q))
-        term.value(prefactor_label)
-    enter, leave = [], []
-    for x, lo, lo_n, size, size_n, inverted in symbols:
-        hi, hi_n = (lo, 0) if size is None else (lo + size, lo_n + size_n)
-        # each end: its base and slope, the list its factors join rising, falling
-        for base, slope, up, down in ((lo, lo_n, leave, enter), (hi, hi_n, enter, leave)):
-            if slope > 0:
-                for k in range(slope):
-                    up.append((x, base + k, inverted, slope))
-            else:
-                for k in range(-slope):
-                    down.append((x, base + slope + k, inverted, slope))
-    if first := symbol_factors(symbols, 0, cap_q):
-        term.step(first)
+        counted.append(term._count(_compile(prefactor, cap_q)[0]))
+        term.live(prefactor_label)
+    first, templates = _compile(symbols, cap_q)
+    counted.append(term._count(first))
+    # the tail's check reads summands 0 .. cap_q + 2
+    floors, end = term._floors(templates, q_shift, cap_q + 3 if tail is not None else n_terms)
+    floors.reverse()
+    sp, sd = scalar.numerator, scalar.denominator
+
+    def length(n: int) -> int:
+        """The window's length while summands from n on are to be read."""
+        while floors and floors[-1][0] < n:
+            floors.pop()
+        return cap_q + 1 - floors[-1][1] if floors else 0
+
+    for step in counted:
+        term._run(*step, length(0))
 
     def terms() -> Iterator[Dense]:
-        for n in count():
+        for n in range(end):
             yield term.value(f"{label} term n={n}")
-            term._run(*term._count(enter, leave, scalar, q_shift, n))
+            if n + 1 < end:
+                term._run(*term._count(templates, sp, sd, q_shift, n), length(n + 1))
+        while True:
+            yield Dense.zero(cap_q)
 
     if tail is not None:
         return sum_with_geometric_tail(terms(), tail, cap_q + 1, cap_q)
     total = Dense.zero(cap_q)
-    for value in islice(terms(), n_terms):
+    for value in islice(terms(), end):  # the summands after these are zero
         accumulate(total, value)
     return total
 

@@ -389,10 +389,10 @@ def test_chain_double_sums_are_different_computations(monkeypatch):
     # do not run the same kernel passes in the same order.
     log = []
     for module in (identities, rational):
-        for name in ("times_binomial", "over_binomial"):
-            def logged(c, v, m, name=name, kernel=getattr(rational, name)):
-                log.append((name, v, m, len(c)))
-                kernel(c, v, m)
+        for name in ("times_ints", "over_ints"):
+            def logged(c, p, d, m, name=name, kernel=getattr(rational, name)):
+                log.append((name, p, d, m, len(c)))
+                kernel(c, p, d, m)
 
             monkeypatch.setattr(module, name, logged)
     assign = RationalAssignment.make(a="-3/2", b="2/3", t="1/5")
@@ -411,6 +411,27 @@ def test_chain_double_sums_are_different_computations(monkeypatch):
     for left_log, right_log in ((unshifted_log, shifted_log), (shifted_log, product_form_log),
                                 (product_form_log, single_sum_log)):
         assert left_log and right_log and left_log != right_log
+
+
+def test_rational_f_runs_each_factor_to_q_cap_on_ints_and_builds_no_factor(monkeypatch):
+    # at k1 = k2 = 1 every factor of term n sits at q^n: terms 0..cap_q run
+    # n + 1 division passes each, the terms past cap_q (to the tail check) none
+    passes, built = [], []
+    for name in ("times_ints", "over_ints"):
+        def logged(c, p, d, m, kernel=getattr(rational, name)):
+            passes.append(m)
+            kernel(c, p, d, m)
+
+        monkeypatch.setattr(identities, name, logged)
+        monkeypatch.setattr(rational, name, logged)
+    new = Factor.__new__
+    monkeypatch.setattr(Factor, "__new__",
+                        lambda cls, *args: built.append(args) or new(cls, *args))
+    assign = RationalAssignment.make(alpha="-2/3", beta="5/4", x_exp=1, y_exp=1)
+    for exchanged in (False, True):
+        identities._f_rational(assign, 20, exchanged)
+    assert sorted(passes) == sorted(2 * [n for n in range(21) for _ in range(n + 1)])
+    assert built == []
 
 
 # ------------------------------------ integer kernel against the Fraction kernel

@@ -11,6 +11,7 @@ slopes no catalog sum uses included.
 
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import count, product
 
@@ -299,19 +300,13 @@ def listed(symbol, n, cap_q):
     return None if stop is None else [Factor(x, k, inverted) for k in range(start, stop)]
 
 
-def flipped_power(factors):
-    """The q-power the flips of the factors with a negative exponent carry."""
-    return sum(-f.q_exp if f.inverted else f.q_exp
-               for f in factors if f.q_exp < 0 and f.value != 0)
-
-
 def random_shape(rng, cap_q):
     """Symbols, a prefactor, a scalar and q_shift, with the listed factors of
     the prefactor and of each summand up to the first one undefined.
 
-    q_shift keeps every step's q-power >= 0 (a stepped summand's window
-    cannot widen), so the shapes redrawn are those whose summand 0 or
-    prefactor alone carries a pole, and those with no summand defined."""
+    q_shift is drawn freely, so a step's q-power may fall, also below q^0,
+    and summand 0 or the prefactor may carry a pole; the shapes redrawn are
+    those with no summand defined."""
     while True:
         symbols = [
             Symbol(rng.choice(VALUES), rng.randint(-3, 3), rng.choice(SLOPES),
@@ -332,11 +327,8 @@ def random_shape(rng, cap_q):
             if None in fac:
                 break
             terms.append([f for part in fac for f in part])
-        if not terms or flipped_power(pre) < 0 or flipped_power(terms[0]) < 0:
-            continue
-        powers = [flipped_power(t) for t in terms]
-        q_shift = max([0] + [p - q for p, q in zip(powers, powers[1:])]) + rng.randint(0, 1)
-        return symbols, prefactor, rng.choice(VALUES), q_shift, pre, terms
+        if terms:
+            return symbols, prefactor, rng.choice(VALUES), rng.randint(-3, 3), pre, terms
 
 
 def reference_partial_sum(pre, terms, scalar, q_shift, cap_q, n_terms):
@@ -382,3 +374,53 @@ def test_a_product_side_lists_no_factor_past_cap_q():
                           + [Factor(b, k, True) for k in range(5)], 4)
     assert got == want
     assert peak < 2**20
+
+
+def test_a_zero_summand_keeps_the_window_through_a_dip_below_q0():
+    # summand 0 holds (1 - q^0) and the flip of (1 - 2q^-1), q^-1; it is zero
+    # until that factor leaves, and summand 1 is -2 + 3q - q^2 at q^0 again
+    got = stepped_sum(4, [Symbol(Fraction(1), 0, lo_n=1, size=1), Symbol(Fraction(2), -1, size=1)],
+                      "x", q_shift=1, n_terms=2)
+    assert fractions_of(got) == [-2, 3, -1, 0, 0]
+    assert got == product_series([Factor(Fraction(1), 1), Factor(Fraction(2), -1)], 4, q_shift=1)
+
+
+def test_summands_read_on_a_falling_q_power_keep_their_numerators():
+    # 1 / (2q^-2; q)_2 = q^3/4 / ((1 - q^2/2) (1 - q/2)) times q^-n: summands at
+    # q^3, q^2, q^1, q^0, each read to q^cap_q from a window built at q^3
+    symbols = [Symbol(Fraction(2), -2, size=2, inverted=True)]
+    for cap_q in (0, 2, 6):
+        want = Dense.zero(cap_q)
+        for n in range(4):
+            accumulate(want, product_series(pochhammer_factors(2, -2, 2, inverted=True), cap_q,
+                                            q_shift=-n))
+        got = stepped_sum(cap_q, symbols, "falling", q_shift=-1, n_terms=4)
+        assert got == want
+    with pytest.raises(DegenerateParameterError, match=r"order 1 at q = 0 in falling term n=4$"):
+        stepped_sum(6, symbols, "falling", q_shift=-1, n_terms=5)
+
+
+def test_stepped_sum_reads_each_value_once_per_build(monkeypatch):
+    # every pass takes the ints of its value read when the sum is compiled,
+    # not at each step: 5 summands and 50 read the same
+    reads = Counter()
+    for name in ("numerator", "denominator"):
+        def read(v, name=name, slot="_" + name):
+            reads[id(v), name] += 1
+            return getattr(v, slot)
+
+        monkeypatch.setattr(Fraction, name, property(read))
+
+    def build(n_terms):
+        values = [Fraction(3, 2), Fraction(-1, 3), Fraction(2, 5), Fraction(1), Fraction(5, 7)]
+        symbols = [Symbol(values[0], 0, size_n=1), Symbol(values[1], 1, lo_n=1, size_n=1),
+                   Symbol(values[2], 0, size_n=1, inverted=True),
+                   Symbol(values[3], 1, size_n=1, inverted=True),
+                   Symbol(values[4], 0, lo_n=1, size=1, inverted=True)]
+        scalar = Fraction(-2, 3)
+        reads.clear()
+        stepped_sum(12, symbols, "reads", scalar=scalar, q_shift=1, n_terms=n_terms)
+        return [(reads[id(v), "numerator"], reads[id(v), "denominator"])
+                for v in values + [scalar]]
+
+    assert build(5) == build(50) == [(1, 1)] * 6

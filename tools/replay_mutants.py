@@ -40,7 +40,7 @@ _COMPARE_KILLER = (
     "tests/test_series.py::"
     "test_compare_reports_a_row_on_one_side_only_that_packs_to_plus_or_minus_one"
 )
-_F_TERM = "        fac = [Factor(first, k1 * (n - k) + k2 * k, True) for k in range(n + 1)]"
+_F_TERM = "            m = k1 * (n - k) + k2 * k"
 _STEPPED = "tests/test_stepped_sums.py::"
 _EQ22_PREFACTOR = (
     "        prefactor=[Symbol(ONE, 1, size=N), Symbol(c_ab, 0, size=N, inverted=True)],"
@@ -48,8 +48,11 @@ _EQ22_PREFACTOR = (
 _PRODUCT_PREFACTOR = (
     "        prefactor=[Symbol(t_over_a, 1, size=None), Symbol(t, 0, size=None, inverted=True)],"
 )
-_RISING = "                for k in range(slope):"
-_FALLING = "                    down.append((x, base + slope + k, inverted, slope))"
+_RISING = "                       for k in range(slope)]"
+_FALLING = (
+    "                down += [(p, d, base + slope + k, slope, inverted != (down is leave), inverted)"
+)
+_FALLING_Q = _STEPPED + "test_summands_read_on_a_falling_q_power_keep_their_numerators"
 _DERIVED = _STEPPED + "test_stepped_sums_of_random_shapes_match_their_printed_products"
 _DOUBLING = "tests/test_series.py::test_q_division_by_doubling_matches_the_product"
 _INT_FILL = "            texts = [template % (a, b, t, q, x, y) for q, a, b, t, x, y in value.rows]"
@@ -131,7 +134,7 @@ LEDGER = [
     # a prefactor stepped into summand 0 must refuse on its own, under its own
     # label, in the rewrite and in the product form ...
     *(
-        Mutant("src/qsid/rational.py", "        term.value(prefactor_label)", "        pass",
+        Mutant("src/qsid/rational.py", "        term.live(prefactor_label)", "        pass",
                _STEPPED + killer)
         for killer in (
             "test_terminating_sums_refuse_as_their_references[eq22_without_qn]",
@@ -157,6 +160,35 @@ LEDGER = [
     # ... and an end falling by -slope passes those from its new base up
     Mutant("src/qsid/rational.py", _FALLING, _FALLING.replace("base + slope + k", "base + k"),
            _DERIVED),
+    # a step's count: a (1 - q^0) factor joining counts +1, one leaving -1 ...
+    Mutant(
+        "src/qsid/rational.py",
+        "                    self.vanishing[inverted] += 1 if divide == inverted else -1",
+        "                    self.vanishing[inverted] += -1 if divide == inverted else 1",
+        _STEPPED + "test_summand_holds_a_vanishing_factor_until_it_leaves",
+    ),
+    # ... the schedule keeps the window for the lowest q-power still to be read ...
+    Mutant(
+        "src/qsid/rational.py",
+        "                while floors and floors[-1][1] >= shift:",
+        "                while False:",
+        _FALLING_Q,
+    ),
+    # ... and steps on to the first summand refused
+    Mutant(
+        "src/qsid/rational.py",
+        "                return floors, n + 1",
+        "                return floors, n",
+        _FALLING_Q,
+    ),
+    # rational f lists every factor up to q^cap_q, that one included
+    Mutant(
+        "src/qsid/identities.py",
+        "            if m <= cap_q:",
+        "            if m < cap_q:",
+        "tests/test_rational.py::"
+        "test_rational_f_runs_each_factor_to_q_cap_on_ints_and_builds_no_factor",
+    ),
     # _divide_q: the doubling must run until the sum holds every term j <= J ...
     Mutant(
         "src/qsid/series.py",
